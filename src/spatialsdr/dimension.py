@@ -12,9 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaincc
 
+from . import pfc, sem, sscm
 from .basis import BasisSpec
 from .data import SpatialSample
 from .exceptions import CvFailedError, InputError, NonMonotoneLogliksError, SpatialSdrError
+from .predictor import predict_tuned
+from .rrr import raise_failure
 
 MONOTONE_SLACK = 1e-8
 
@@ -111,6 +114,20 @@ def select_ic(
     return DimSelection(criterion=kind, d_star=d_star, trace=trace)
 
 
+# The one map from a model kind to its fitter, which walks its grid once.
+RANK_FITS = {"ind": pfc.rank_fits, "sscm": sscm.rank_fits, "sem": sem.rank_fits}
+KIND_LABELS = {"ind": "Ind", "sscm": "SSCM", "sem": "SEM"}
+
+
+def rank_fits(sample, kind, spec, ranks, decay_grid=None, lag_grid=None) -> list:
+    """Fits of ``kind`` at each of ``ranks`` from one profile pass; a rank
+    that failed holds its ``SpatialSdrError`` in place of a fit."""
+    if kind not in RANK_FITS:
+        raise InputError(f"unknown model kind {kind!r}")
+    grid = {"sscm": decay_grid, "sem": lag_grid}.get(kind)
+    return RANK_FITS[kind](sample, spec, ranks, grid)
+
+
 def fit_rank_profile(
     sample: SpatialSample,
     kind: str,
@@ -118,24 +135,12 @@ def fit_rank_profile(
     decay_grid: np.ndarray | None = None,
     lag_grid: np.ndarray | None = None,
 ):
-    """Fit every rank 0..min(p, r), re-profiling the spatial parameter each
-    time.  Returns the list of fits (index = rank)."""
-    from .pfc import fit_independent
-    from .sem import fit_sem
-    from .sscm import fit_sscm
-
-    m = min(sample.p, spec.degree)
-    fits = []
-    for delta in range(m + 1):
-        if kind == "ind":
-            fits.append(fit_independent(sample, spec, delta))
-        elif kind == "sscm":
-            fits.append(fit_sscm(sample, spec, delta, decay_grid=decay_grid))
-        elif kind == "sem":
-            fits.append(fit_sem(sample, spec, delta, lag_grid=lag_grid))
-        else:
-            raise InputError(f"unknown model kind {kind!r}")
-    return fits
+    """Fit every rank 0..min(p, r), each with its own argmax of the spatial
+    parameter.  Returns the list of fits (index = rank)."""
+    ranks = range(min(sample.p, spec.degree) + 1)
+    return raise_failure(
+        rank_fits(sample, kind, spec, ranks, decay_grid=decay_grid, lag_grid=lag_grid)
+    )
 
 
 def loglik_profile(
@@ -146,9 +151,7 @@ def loglik_profile(
     lag_grid: np.ndarray | None = None,
 ) -> np.ndarray:
     """Maximized log-likelihood for each rank 0..min(p, r)."""
-    fits = fit_rank_profile(
-        sample, kind, spec, decay_grid=decay_grid, lag_grid=lag_grid
-    )
+    fits = fit_rank_profile(sample, kind, spec, decay_grid, lag_grid)
     return np.array([f.loglik for f in fits])
 
 
@@ -171,18 +174,21 @@ def select_cv(
     if every candidate fails, ``CvFailedError`` is raised.  Ties break to
     the smallest rank.
     """
-    from .predictor import (
-        PredictorConfig,
-        build_reference,
-        loocv_bandwidths,
-        predict_many,
-    )
-    from .pfc import fit_independent
-    from .sem import fit_sem
-    from .sscm import fit_sscm
-
     if kernels not in ("1k", "2k"):
         raise InputError("kernels must be '1k' or '2k'")
+    sels = _cv_selections(
+        sample, kind, spec, (kernels,), folds, d_range, seed, loo, decay_grid, lag_grid
+    )
+    return raise_failure(sels)[0]
+
+
+def _cv_selections(
+    sample, kind, spec, kernels, folds=5, d_range=None, seed=0, loo=False,
+    decay_grid=None, lag_grid=None,
+) -> list:
+    """``select_cv`` for each of ``kernels``: each fold is fitted once for
+    all of ``d_range`` and every kernel is scored from those fits.  A kernel
+    whose ranks all failed holds a ``CvFailedError`` in place of a result."""
     m = min(sample.p, spec.degree)
     if d_range is None:
         d_range = tuple(range(1, m + 1))
@@ -195,40 +201,46 @@ def select_cv(
     rng = np.random.default_rng(seed)
     perm = rng.permutation(sample.n)
     fold_ids = np.array_split(perm, n_folds)
-    mode = {
-        "ind": f"{kernels}.Ind",
-        "sscm": f"{kernels}.SSCM",
-        "sem": f"{kernels}.SEM",
-    }[kind]
-
-    trace = []
-    errors: dict[int, float] = {}
-    for d in sorted(d_range):
-        sq_errors = []
+    modes = [f"{k}.{KIND_LABELS[kind]}" for k in kernels]
+    ranks = sorted(set(d_range))
+    sq_errors = {(mode, d): [] for mode in modes for d in ranks}
+    failures: dict[tuple[str, int], SpatialSdrError] = {}
+    for held in fold_ids:
+        live = [d for d in ranks if any((m, d) not in failures for m in modes)]
+        if not live:
+            break
+        train_idx = np.setdiff1d(perm, held, assume_unique=True)
+        train, test = sample.subset(train_idx), sample.subset(held)
         try:
-            for held in fold_ids:
-                train_idx = np.setdiff1d(perm, held, assume_unique=True)
-                train, test = sample.subset(train_idx), sample.subset(held)
-                if kind == "ind":
-                    fit = fit_independent(train, spec, d)
-                elif kind == "sscm":
-                    fit = fit_sscm(train, spec, d, decay_grid=decay_grid)
-                else:
-                    fit = fit_sem(train, spec, d, lag_grid=lag_grid)
-                ref = build_reference(mode, train, fit)
-                config = PredictorConfig(mode=mode)
-                h1, h2 = loocv_bandwidths(ref, config)
-                config = PredictorConfig(mode=mode, h1=h1, h2=h2)
-                yhat, _ = predict_many(test.x, test.coords.points, ref, config, fit)
-                sq_errors.extend((yhat - test.y) ** 2)
+            fits = rank_fits(train, kind, spec, live, decay_grid, lag_grid)
         except SpatialSdrError as exc:
-            trace.append({"rank": d, "cv_error": None, "failure": str(exc)})
-            continue
-        err = float(np.mean(sq_errors))
-        errors[d] = err
-        trace.append({"rank": d, "cv_error": err})
+            fits = [exc] * len(live)
+        for d, fit in zip(live, fits):
+            for mode in modes:
+                if (mode, d) in failures:
+                    continue
+                try:
+                    if isinstance(fit, SpatialSdrError):
+                        raise fit
+                    yhat = predict_tuned(mode, train, test, fit)
+                except SpatialSdrError as exc:
+                    failures[(mode, d)] = exc
+                else:
+                    sq_errors[(mode, d)].extend((yhat - test.y) ** 2)
 
-    if not errors:
-        raise CvFailedError("every candidate rank failed during cross-validation")
-    d_star = min(errors, key=lambda d: (errors[d], d))
-    return DimSelection(criterion="cv_mpe", d_star=d_star, trace=trace)
+    selections = []
+    for mode in modes:
+        trace, errors = [], {}
+        for d in sorted(d_range):
+            if (mode, d) in failures:
+                failure = str(failures[(mode, d)])
+                trace.append({"rank": d, "cv_error": None, "failure": failure})
+                continue
+            errors[d] = float(np.mean(sq_errors[(mode, d)]))
+            trace.append({"rank": d, "cv_error": errors[d]})
+        selections.append(
+            DimSelection("cv_mpe", min(errors, key=lambda d: (errors[d], d)), trace)
+            if errors
+            else CvFailedError("every candidate rank failed during cross-validation")
+        )
+    return selections

@@ -1,10 +1,5 @@
-"""Exception hierarchy.
-
-Two branches matter for the CLI exit-code contract: ``InputError`` maps to
-exit code 2 (bad arguments, malformed files, degenerate user input) and
-``NumericalError`` maps to exit code 3 (conditioning or convergence failures
-that surface during computation).
-"""
+"""Exception hierarchy: ``InputError`` for invalid or degenerate input
+detected up front, ``NumericalError`` for failures during computation."""
 
 
 class SpatialSdrError(Exception):
@@ -110,12 +105,3 @@ class DegenerateGridError(InputError):
 class CovarianceNotPDError(NumericalError):
     """Simulated covariance stayed non-positive-definite after jitter."""
 
-
-# --- I/O --------------------------------------------------------------------
-
-class DatasetFormatError(InputError):
-    """CSV dataset violates the expected layout."""
-
-
-class ModelFileError(InputError):
-    """Model file is missing, malformed, or has an unsupported version."""

@@ -13,23 +13,13 @@ import numpy as np
 
 from .basis import BasisSpec, FittedBasis, build_f
 from .data import SpatialSample
-from .rrr import (
-    RrrEstimate,
-    WhitenedData,
-    apply_reduction,
-    loglik,
-    profiled_mean,
-    rrr_mle,
-)
+from .rrr import RrrEstimate, WhitenedData, _profile_grid, apply_reduction, raise_failure
 
 
 def whiten_center(x: np.ndarray, f: np.ndarray) -> WhitenedData:
     """Ordinary column centering of predictors and features."""
-    return WhitenedData(
-        x_bar=x - x.mean(axis=0),
-        f_bar=f - f.mean(axis=0),
-        tag="identity-centering",
-    )
+    centered = x - x.mean(axis=0), f - f.mean(axis=0)
+    return WhitenedData(*centered, "identity-centering", np.ones(x.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -52,10 +42,16 @@ class IndFit:
 
 def fit_independent(sample: SpatialSample, spec: BasisSpec, rank: int) -> IndFit:
     """Rank-constrained PFC fit assuming independent errors."""
+    return raise_failure(rank_fits(sample, spec, [rank]))[0]
+
+
+def rank_fits(sample, spec, ranks, grid=None) -> list:
+    """``fit_independent`` at each of ``ranks``, or the error that stopped
+    it; ``grid`` is ignored, as this model has no spatial parameter."""
     bm = build_f(sample.y, spec)
     f_fit = bm.fit_matrix
-    wd = whiten_center(sample.x, f_fit)
-    est = rrr_mle(wd, rank)
-    ll = loglik(wd, est, logdet_s_term=0.0)
-    mu = profiled_mean(sample.x, f_fit, est, np.ones(sample.n))
-    return IndFit(est=est, mu=mu, loglik=ll, basis=bm.fitted)
+    return _profile_grid(
+        sample.x, f_fit, ranks, [None],
+        lambda _: (whiten_center(sample.x, f_fit), 0.0),
+        lambda _, est, mu, ll, __: IndFit(est, mu, ll, bm.fitted),
+    )

@@ -194,6 +194,16 @@ def predict_many(
     return w @ ref.responses, fell_back
 
 
+def predict_tuned(mode: str, train, test, fit=None) -> np.ndarray:
+    """Predict the ``test`` sample's responses with bandwidths tuned by
+    leave-one-out on the ``train`` sample."""
+    ref = build_reference(mode, train, fit)
+    h1, h2 = loocv_bandwidths(ref, PredictorConfig(mode=mode))
+    config = PredictorConfig(mode=mode, h1=h1, h2=h2)
+    yhat, _ = predict_many(test.x, test.coords.points, ref, config, fit)
+    return yhat
+
+
 def predict(
     x_query: np.ndarray,
     s0: np.ndarray,

@@ -34,6 +34,7 @@ from .exceptions import (
     SingularFeatureCovError,
     SingularReductionCovError,
     SingularResidualCovError,
+    SpatialSdrError,
 )
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -41,11 +42,13 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(frozen=True)
 class WhitenedData:
-    """Whitened predictor and feature matrices plus a provenance tag."""
+    """Whitened predictor and feature matrices, a provenance tag, and the
+    (unnormalized) location weights of the centering, for ``profiled_mean``."""
 
     x_bar: np.ndarray
     f_bar: np.ndarray
     tag: str = "identity-centering"
+    weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_bar", np.asarray(self.x_bar, dtype=float))
@@ -223,3 +226,48 @@ def apply_reduction(
     dirs = est.directions(use_ls=use_ls)
     x_new = np.asarray(x_new, dtype=float)
     return (x_new - mu) @ dirs
+
+
+def _profile_grid(x, f_fit, ranks, params, whiten, make) -> list:
+    """Profile a spatial parameter for several ranks in one pass over its grid.
+
+    ``whiten(param)`` returns ``(data, logdet_s_term)`` once per grid point
+    and each live rank gets its own ``rrr_mle`` and ``loglik``; ties keep the
+    earliest point.  A rank's argmax becomes ``make(param, est, mu, loglik,
+    grid)``.  A ``SpatialSdrError`` ends the rank it hits (every live rank
+    when ``whiten`` raises) and takes that rank's place in the result.
+    """
+    grids, best, failed = {rank: [] for rank in ranks}, {}, {}
+    for param in params:
+        live = [rank for rank in ranks if rank not in failed]
+        if not live:
+            break
+        try:
+            data, logdet_s_term = whiten(param)
+        except SpatialSdrError as exc:
+            failed.update(dict.fromkeys(live, exc))
+            break
+        for rank in live:
+            try:
+                est = rrr_mle(data, rank)
+                ll = loglik(data, est, logdet_s_term=logdet_s_term)
+            except SpatialSdrError as exc:
+                failed[rank] = exc
+                continue
+            grids[rank].append((param, ll))
+            if rank not in best or ll > best[rank][2]:
+                best[rank] = (param, est, ll, data.weights)
+
+    def result(rank):
+        param, est, ll, weights = best[rank]
+        return make(param, est, profiled_mean(x, f_fit, est, weights), ll, grids[rank])
+
+    return [failed[rank] if rank in failed else result(rank) for rank in ranks]
+
+
+def raise_failure(results: list) -> list:
+    """Raise the first error in a ``_profile_grid`` result, else return it."""
+    for res in results:
+        if isinstance(res, SpatialSdrError):
+            raise res
+    return results

@@ -31,14 +31,7 @@ from .geometry import (
     pairwise_distances,
     spatial_filter,
 )
-from .rrr import (
-    RrrEstimate,
-    WhitenedData,
-    apply_reduction,
-    loglik,
-    profiled_mean,
-    rrr_mle,
-)
+from .rrr import RrrEstimate, WhitenedData, _profile_grid, apply_reduction, raise_failure
 
 DEFAULT_GRID = np.round(np.arange(-0.95, 0.951, 0.05), 2)
 
@@ -60,9 +53,8 @@ def whiten_sem(x: np.ndarray, f: np.ndarray, filt: SpatialFilter) -> WhitenedDat
         centered = mat - np.outer(ones, m_1 @ mat) / denom
         return wt @ centered
 
-    return WhitenedData(
-        x_bar=transform(x), f_bar=transform(f), tag=f"sem(coef={filt.coef:g})"
-    )
+    tag = f"sem(coef={filt.coef:g})"
+    return WhitenedData(transform(x), transform(f), tag, weights=m_1)
 
 
 @dataclass(frozen=True)
@@ -104,9 +96,14 @@ def fit_sem(
     break toward the coefficient of smallest magnitude (the model closest
     to independence).
     """
+    return raise_failure(rank_fits(sample, spec, [rank], lag_grid, weights))[0]
+
+
+def rank_fits(sample, spec, ranks, lag_grid=None, weights=None) -> list:
+    """``fit_sem`` at each of ``ranks`` from one pass over the lag grid, or
+    the error that stopped that rank."""
     bm = build_f(sample.y, spec)
     f_fit = bm.fit_matrix
-    p = sample.p
 
     if weights is None:
         dist = pairwise_distances(sample.coords)
@@ -120,28 +117,16 @@ def fit_sem(
     if np.any(np.abs(lag_grid) >= 1.0):
         raise InputError("lag-coefficient grid entries must lie in (-1, 1)")
 
-    results: dict[float, tuple[float, RrrEstimate, SpatialFilter]] = {}
-    best = None
-    # Scan smallest |coef| first so ties keep the near-independent model.
-    for coef in sorted(lag_grid, key=lambda c: (abs(c), c)):
+    def whiten(coef: float):
         filt = spatial_filter(weights, coef)
-        wd = whiten_sem(sample.x, f_fit, filt)
-        est = rrr_mle(wd, rank)
-        ll = loglik(wd, est, logdet_s_term=-p * filt.log_abs_det)
-        results[float(coef)] = (ll, est, filt)
-        if best is None or ll > best[1]:
-            best = (float(coef), ll, est, filt)
+        return whiten_sem(sample.x, f_fit, filt), -sample.p * filt.log_abs_det
 
-    coef_hat, ll_hat, est, filt = best
-    wt_1 = filt.matrix @ np.ones(sample.n)
-    mu = profiled_mean(sample.x, f_fit, est, filt.matrix.T @ wt_1)
-    grid = [(c, results[c][0]) for c in sorted(results)]
-    return SemFit(
-        lag_coef=coef_hat,
-        est=est,
-        mu=mu,
-        loglik=ll_hat,
-        grid=grid,
-        weights=weights,
-        basis=bm.fitted,
-    )
+    def make(coef, est, mu, ll, grid) -> SemFit:
+        # One grid entry per coefficient, in ascending order.
+        grid = sorted(dict(grid).items())
+        return SemFit(coef, est, mu, ll, grid, weights, bm.fitted)
+
+    # Scan smallest |coef| first so ties keep the near-independent model.
+    order = sorted(lag_grid, key=lambda c: (abs(c), c))
+    params = [float(c) for c in order]
+    return _profile_grid(sample.x, f_fit, ranks, params, whiten, make)

@@ -23,6 +23,7 @@ import numpy as np
 from ._linalg import eig_power, pd_eigh
 from .basis import BasisSpec, polynomial_features
 from .data import SpatialSample, train_test_split
+from .dimension import _cv_selections, fit_rank_profile, rank_fits, select_ic, select_lr
 from .exceptions import CovarianceNotPDError, InputError, SpatialSdrError
 from .geometry import (
     Coordinates,
@@ -32,19 +33,12 @@ from .geometry import (
     pairwise_distances,
     spatial_filter,
 )
-from .pfc import fit_independent
-from .predictor import (
-    MODES,
-    PredictorConfig,
-    build_reference,
-    loocv_bandwidths,
-    predict_many,
-)
-from .sem import fit_sem
-from .sscm import fit_sscm
+from .predictor import MODES, predict_tuned
 
 THREAD_ENV_VAR = "SPATIALSDR_THREADS"
 UNSTABLE_FRACTION = 0.2
+# Errors that cost a replication one method's result instead of the run.
+FAILURES = (SpatialSdrError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -226,70 +220,69 @@ def simulate_x(
     return mu + f_raw @ (a @ b).T + errors
 
 
-def simulate_sample(cfg: SimConfig, rep: int, grf: GrfSpec | None = None) -> SpatialSample:
-    """One replication's full sample, deterministic in (cfg.seed, rep)."""
-    rng = rep_rng(cfg.seed, rep)
+def _draw_sample(cfg, rng, grf=None) -> SpatialSample:
+    """A full sample drawn from ``rng``, which the caller may go on using."""
     coords = sample_locations(cfg.n, rng, grid=cfg.grid_locations)
     y = simulate_y(coords, grf or GrfSpec(), rng)
     x = simulate_x(y, coords, cfg, rng)
     return SpatialSample(coords, x, y)
 
 
-def _select_rank(train, kind, spec, d_policy, cfg, kernels, rng_seed):
-    from .dimension import loglik_profile, select_cv, select_ic, select_lr
+def simulate_sample(cfg: SimConfig, rep: int, grf: GrfSpec | None = None) -> SpatialSample:
+    """One replication's full sample, deterministic in (cfg.seed, rep)."""
+    return _draw_sample(cfg, rep_rng(cfg.seed, rep), grf)
 
+
+def _kind_fits(train, kind, spec, kernels, d_policy, cfg, rep) -> list:
+    """``(rank, fit)`` for each kernel's mode of one kind, the fit being the
+    error that stopped it; the grid is profiled once for all needed ranks."""
+    fits = {}
     if d_policy == "fixed":
-        return cfg.d
-    if d_policy == "cv":
-        return select_cv(train, kind, spec, kernels=kernels, seed=rng_seed).d_star
-    lls = loglik_profile(train, kind, spec)
-    if d_policy == "lr":
-        return select_lr(lls, train.p, spec.degree, train.n).d_star
-    return select_ic(lls, train.p, spec.degree, train.n, kind=d_policy).d_star
+        chosen = [cfg.d] * len(kernels)
+    elif d_policy == "cv":
+        sels = _cv_selections(train, kind, spec, kernels, seed=rep)
+        chosen = [sel if isinstance(sel, SpatialSdrError) else sel.d_star for sel in sels]
+    else:
+        fits = dict(enumerate(fit_rank_profile(train, kind, spec)))
+        lls = np.array([fit.loglik for fit in fits.values()])
+        if d_policy == "lr":
+            sel = select_lr(lls, train.p, spec.degree, train.n)
+        else:
+            sel = select_ic(lls, train.p, spec.degree, train.n, kind=d_policy)
+        chosen = [sel.d_star] * len(kernels)
+    needed = sorted({d for d in chosen if not isinstance(d, SpatialSdrError)} - set(fits))
+    if needed:
+        fits.update(zip(needed, rank_fits(train, kind, spec, needed)))
+    return [(-1, d) if isinstance(d, SpatialSdrError) else (d, fits[d]) for d in chosen]
 
 
 def _run_rep(cfg: SimConfig, methods: list[str], d_policy: str, rep: int):
     """One replication: returns (mse per method, selected d per method)."""
     rng = rep_rng(cfg.seed, rep)
-    coords = sample_locations(cfg.n, rng, grid=cfg.grid_locations)
-    y = simulate_y(coords, GrfSpec(), rng)
-    x = simulate_x(y, coords, cfg, rng)
-    sample = SpatialSample(coords, x, y)
-    train, test = train_test_split(sample, cfg.train_frac, rng)
+    train, test = train_test_split(_draw_sample(cfg, rng), cfg.train_frac, rng)
     spec = BasisSpec("polynomial", cfg.r)
-
-    mse: dict[str, float] = {}
-    d_sel: dict[str, int] = {}
-    fit_cache: dict[tuple[str, int], object] = {}
-    for mode in methods:
-        kernels, kind_label = mode.split(".")
+    kernels_of: dict[str, list[str]] = {}
+    for mode in dict.fromkeys(methods):
+        kernels, label = mode.split(".")
+        kernels_of.setdefault(label, []).append(kernels)
+    picks = {f"{k}.FULL": (0, None) for k in kernels_of.pop("FULL", [])}
+    for label, kernels in kernels_of.items():
         try:
-            if kind_label == "FULL":
-                fit = None
-                rank = 0
-            else:
-                kind = kind_label.lower()
-                rank = _select_rank(
-                    train, kind, spec, d_policy, cfg, kernels, rep
-                )
-                key = (kind, rank)
-                if key not in fit_cache:
-                    if kind == "ind":
-                        fit_cache[key] = fit_independent(train, spec, rank)
-                    elif kind == "sscm":
-                        fit_cache[key] = fit_sscm(train, spec, rank)
-                    else:
-                        fit_cache[key] = fit_sem(train, spec, rank)
-                fit = fit_cache[key]
-            ref = build_reference(mode, train, fit)
-            h1, h2 = loocv_bandwidths(ref, PredictorConfig(mode=mode))
-            config = PredictorConfig(mode=mode, h1=h1, h2=h2)
-            yhat, _ = predict_many(test.x, test.coords.points, ref, config, fit)
-            mse[mode] = float(np.mean((yhat - test.y) ** 2))
-            d_sel[mode] = rank
-        except (SpatialSdrError, np.linalg.LinAlgError):
-            mse[mode] = float("nan")
-            d_sel[mode] = -1
+            found = _kind_fits(train, label.lower(), spec, kernels, d_policy, cfg, rep)
+        except FAILURES as exc:
+            found = [(-1, exc)] * len(kernels)
+        picks.update((f"{k}.{label}", pick) for k, pick in zip(kernels, found))
+
+    mse, d_sel = {}, {}
+    for mode in methods:
+        rank, fit = picks[mode]
+        try:
+            if isinstance(fit, FAILURES):
+                raise fit
+            yhat = predict_tuned(mode, train, test, fit)
+            mse[mode], d_sel[mode] = float(np.mean((yhat - test.y) ** 2)), rank
+        except FAILURES:
+            mse[mode], d_sel[mode] = float("nan"), -1
     return mse, d_sel
 
 
@@ -304,7 +297,10 @@ def run_experiment(
     A failed replication records NaN for that method and continues;
     methods failing in at least 20% of replications are flagged unstable.
     ``workers`` defaults to the ``SPATIALSDR_THREADS`` environment variable
-    (serial when unset); results are identical either way.
+    (serial when unset); results are identical either way.  With
+    ``workers > 1`` set ``OPENBLAS_NUM_THREADS=1`` (or the variable of the
+    BLAS in use) before numpy is imported: each worker's BLAS calls
+    otherwise start their own threads and oversubscribe the cores.
     """
     for mode in methods:
         if mode not in MODES:

@@ -23,14 +23,7 @@ from .basis import BasisSpec, FittedBasis, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, NonPositiveDecayError
 from .geometry import DistanceMatrix, ExpCorrelation, exp_correlation, pairwise_distances
-from .rrr import (
-    RrrEstimate,
-    WhitenedData,
-    apply_reduction,
-    loglik,
-    profiled_mean,
-    rrr_mle,
-)
+from .rrr import RrrEstimate, WhitenedData, _profile_grid, apply_reduction, raise_failure
 
 DEFAULT_GRID_SIZE = 20
 DEFAULT_GRID_SPAN = (0.1, 10.0)  # multiples of 1/median-distance
@@ -54,17 +47,15 @@ def whiten_sscm(x: np.ndarray, f: np.ndarray, corr: ExpCorrelation) -> WhitenedD
         centered = mat - np.outer(ones, h_inv_1 @ mat) / denom
         return eig_apply(corr.eigvals, corr.eigvecs, -0.5, centered)
 
-    return WhitenedData(
-        x_bar=transform(x), f_bar=transform(f), tag=f"sscm(decay={corr.decay:g})"
-    )
+    tag = f"sscm(decay={corr.decay:g})"
+    return WhitenedData(transform(x), transform(f), tag, weights=h_inv_1)
 
 
 @dataclass(frozen=True)
 class SscmFit:
     """Fitted separable-covariance reduction.
 
-    ``decay`` is the profiled correlation decay rate (``inf`` when the fit
-    was forced to the identity correlation); ``grid`` records every
+    ``decay`` is the profiled correlation decay rate; ``grid`` records every
     evaluated (decay, loglik) pair.
     """
 
@@ -89,37 +80,19 @@ def fit_sscm(
     spec: BasisSpec,
     rank: int,
     decay_grid: np.ndarray | None = None,
-    identity: bool = False,
 ) -> SscmFit:
     """Profile the decay rate over a grid and keep the argmax fit.
 
-    Ties break to the smallest decay.  ``identity=True`` skips the grid and
-    fits with ``H = I`` exactly (plain centering), which reproduces the
-    independent-errors fit; the recorded decay is ``inf``.
+    Ties break to the smallest decay.
     """
+    return raise_failure(rank_fits(sample, spec, [rank], decay_grid))[0]
+
+
+def rank_fits(sample, spec, ranks, decay_grid=None) -> list:
+    """``fit_sscm`` at each of ``ranks`` from one pass over the decay grid,
+    or the error that stopped that rank."""
     bm = build_f(sample.y, spec)
     f_fit = bm.fit_matrix
-    n, p = sample.n, sample.p
-
-    if identity:
-        ones = np.ones(n)
-        wd = WhitenedData(
-            x_bar=sample.x - sample.x.mean(axis=0),
-            f_bar=f_fit - f_fit.mean(axis=0),
-            tag="sscm(identity)",
-        )
-        est = rrr_mle(wd, rank)
-        ll = loglik(wd, est, logdet_s_term=0.0)
-        mu = profiled_mean(sample.x, f_fit, est, ones)
-        return SscmFit(
-            decay=float("inf"),
-            est=est,
-            mu=mu,
-            loglik=ll,
-            grid=[(float("inf"), ll)],
-            basis=bm.fitted,
-        )
-
     dist = pairwise_distances(sample.coords)
     if decay_grid is None:
         decay_grid = default_decay_grid(dist)
@@ -129,20 +102,12 @@ def fit_sscm(
     if np.any(decay_grid <= 0.0):
         raise NonPositiveDecayError("decay grid entries must be > 0")
 
-    grid: list[tuple[float, float]] = []
-    best = None
-    for decay in np.sort(decay_grid):
+    def whiten(decay: float):
         corr = exp_correlation(dist, decay)
-        wd = whiten_sscm(sample.x, f_fit, corr)
-        est = rrr_mle(wd, rank)
-        ll = loglik(wd, est, logdet_s_term=0.5 * p * corr.logdet)
-        grid.append((float(decay), ll))
-        if best is None or ll > best[1]:
-            best = (float(decay), ll, est, corr)
+        return whiten_sscm(sample.x, f_fit, corr), 0.5 * sample.p * corr.logdet
 
-    decay_hat, ll_hat, est, corr = best
-    h_inv_1 = eig_apply(corr.eigvals, corr.eigvecs, -1.0, np.ones(n))
-    mu = profiled_mean(sample.x, f_fit, est, h_inv_1)
-    return SscmFit(
-        decay=decay_hat, est=est, mu=mu, loglik=ll_hat, grid=grid, basis=bm.fitted
+    params = [float(decay) for decay in np.sort(decay_grid)]
+    return _profile_grid(
+        sample.x, f_fit, ranks, params, whiten,
+        lambda decay, est, mu, ll, grid: SscmFit(decay, est, mu, ll, grid, bm.fitted),
     )

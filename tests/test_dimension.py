@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from spatialsdr.dimension import (
     select_ic,
     select_lr,
 )
-from spatialsdr.exceptions import NonMonotoneLogliksError
+from spatialsdr.exceptions import NonMonotoneLogliksError, SingularResidualCovError
 
 from conftest import random_sample
 
@@ -139,3 +141,28 @@ class TestSelectCv:
         s2 = select_cv(sample, "ind", spec, folds=4, seed=3)
         assert s1.d_star == s2.d_star
         assert s1.trace == s2.trace
+
+    @pytest.mark.parametrize("kind", ["ind", "sem"])
+    def test_failure_at_one_rank_keeps_the_others(self, monkeypatch, kind):
+        from spatialsdr import rrr
+
+        original = rrr.rrr_mle
+
+        def fails_at_rank_two(data, rank):
+            if rank == 2:
+                raise SingularResidualCovError("forced failure at rank 2")
+            return original(data, rank)
+
+        # Replace every module-level binding, wherever the fitters look it up.
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("spatialsdr") and getattr(mod, "rrr_mle", None) is original:
+                monkeypatch.setattr(mod, "rrr_mle", fails_at_rank_two)
+        sample = random_sample(50, 3, seed=9)
+        sel = select_cv(
+            sample, kind, BasisSpec("polynomial", 2), folds=3, lag_grid=[0.0, 0.5]
+        )
+        assert sel.d_star == 1
+        rows = {row["rank"]: row for row in sel.trace}
+        assert np.isfinite(rows[1]["cv_error"])
+        assert rows[2]["cv_error"] is None
+        assert "forced failure at rank 2" in rows[2]["failure"]

@@ -106,10 +106,21 @@ class TestFitSscm:
         assert fit.loglik == max(lls)
         assert all(np.isfinite(ll) for ll in lls)
 
+    @staticmethod
+    def identity_decay(sample):
+        """A decay so large that every off-diagonal ``exp(-decay * d)``
+        underflows to 0, so the correlation matrix is exactly the identity."""
+        dist = pairwise_distances(sample.coords)
+        d_min = dist.dist[np.triu_indices(dist.n, k=1)].min()
+        decay = 1000.0 / d_min
+        assert decay * d_min > 800.0  # exp(-800) underflows to 0.0
+        np.testing.assert_array_equal(exp_correlation(dist, decay).matrix, np.eye(dist.n))
+        return decay
+
     def test_identity_fit_reproduces_independent(self):
         sample = random_sample(80, 5, seed=3)
         spec = BasisSpec("polynomial", 2)
-        f_id = fit_sscm(sample, spec, 2, identity=True)
+        f_id = fit_sscm(sample, spec, 2, decay_grid=[self.identity_decay(sample)])
         f_ind = fit_independent(sample, spec, 2)
         assert f_id.loglik == pytest.approx(f_ind.loglik, abs=1e-8)
         np.testing.assert_allclose(f_id.mu, f_ind.mu, atol=1e-8)
@@ -121,7 +132,8 @@ class TestFitSscm:
 
     def test_identity_mu_is_mean_adjusted(self):
         sample = random_sample(40, 3, seed=4)
-        fit = fit_sscm(sample, BasisSpec("polynomial", 2), 1, identity=True)
+        decay = self.identity_decay(sample)
+        fit = fit_sscm(sample, BasisSpec("polynomial", 2), 1, decay_grid=[decay])
         # centered features make the adjustment vanish: mu = column means
         np.testing.assert_allclose(fit.mu, sample.x.mean(axis=0), atol=1e-10)
 
