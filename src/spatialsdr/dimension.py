@@ -189,6 +189,8 @@ def _cv_selections(
     """``select_cv`` for each of ``kernels``: each fold is fitted once for
     all of ``d_range`` and every kernel is scored from those fits.  A kernel
     whose ranks all failed holds a ``CvFailedError`` in place of a result."""
+    if kind not in RANK_FITS:
+        raise InputError(f"unknown model kind {kind!r}")
     m = min(sample.p, spec.degree)
     if d_range is None:
         d_range = tuple(range(1, m + 1))

@@ -5,16 +5,19 @@ two-kernel weights multiply in a second Gaussian kernel over geographic
 distance.  Both kernels are standard Gaussians ``exp(-u^2 / 2)`` and the
 weight vectors are normalized to the simplex.  Bandwidths come from
 leave-one-out cross-validation on the training sample; the two-kernel
-search scans the full (h1, h2) grid jointly because the kernels interact.
+search scores every (h1, h2) pair jointly because the kernels interact.
+Since the product kernel factorises, the search evaluates each h1 and each
+h2 kernel once per block of rows and gets every pair's weighted sums from
+one batched matmul; a block of ``n // grid size`` rows keeps each kernel
+stack near one n x n matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .data import SpatialSample
 from .exceptions import DegenerateGridError, EmptyReferenceError, InputError
@@ -32,6 +35,9 @@ MODES = (
 
 GRID_SIZE = 15
 GRID_SPAN = (0.1, 2.0)  # multiples of the median pairwise distance
+# Factorised LOO kernel masses below this are recomputed from the combined
+# exponent, so underflow decisions match the unfactorised weights.
+TINY_MASS = 1e-250
 
 
 @dataclass(frozen=True)
@@ -89,11 +95,6 @@ class TrainingReference:
         return len(self.responses)
 
 
-class WeightsResult(NamedTuple):
-    weights: np.ndarray
-    fell_back: bool
-
-
 def build_reference(
     mode: str, train: SpatialSample, fit=None
 ) -> TrainingReference:
@@ -130,38 +131,6 @@ def _weights_rows(u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             k[i, np.argmin(u2[i])] = 1.0
         sums = k.sum(axis=1)
     return k / sums[:, None], fell_back
-
-
-def nw_weights_1k(
-    query: np.ndarray, ref: TrainingReference, h1: float
-) -> WeightsResult:
-    """One-kernel weights for a single query point in reference space."""
-    if not h1 > 0.0:
-        raise InputError("h1 must be > 0")
-    q = np.atleast_2d(np.asarray(query, dtype=float))
-    u2 = _sq_distances(q, ref.points) / h1**2
-    w, fb = _weights_rows(u2)
-    return WeightsResult(w[0], bool(fb[0]))
-
-
-def nw_weights_2k(
-    query: np.ndarray,
-    s0: np.ndarray,
-    ref: TrainingReference,
-    h1: float,
-    h2: float,
-) -> WeightsResult:
-    """Two-kernel weights: predictor-space kernel times location kernel."""
-    if not (h1 > 0.0 and h2 > 0.0):
-        raise InputError("h1 and h2 must be > 0")
-    q = np.atleast_2d(np.asarray(query, dtype=float))
-    s = np.atleast_2d(np.asarray(s0, dtype=float))
-    u2 = (
-        _sq_distances(q, ref.points) / h1**2
-        + _sq_distances(s, ref.coords) / h2**2
-    )
-    w, fb = _weights_rows(u2)
-    return WeightsResult(w[0], bool(fb[0]))
 
 
 def predict_many(
@@ -204,20 +173,6 @@ def predict_tuned(mode: str, train, test, fit=None) -> np.ndarray:
     return yhat
 
 
-def predict(
-    x_query: np.ndarray,
-    s0: np.ndarray,
-    ref: TrainingReference,
-    config: PredictorConfig,
-    fit=None,
-) -> float:
-    """Single-point convenience wrapper around ``predict_many``."""
-    yhat, _ = predict_many(
-        np.atleast_2d(x_query), np.atleast_2d(s0), ref, config, fit
-    )
-    return float(yhat[0])
-
-
 def default_bandwidth_grid(points: np.ndarray, size: int = GRID_SIZE) -> np.ndarray:
     """Geometric grid 0.1q .. 2q with q the median pairwise distance."""
     pts = np.atleast_2d(points)
@@ -225,8 +180,7 @@ def default_bandwidth_grid(points: np.ndarray, size: int = GRID_SIZE) -> np.ndar
         raise DegenerateGridError("need at least two points to scale a grid")
     if pts.shape[1] == 0:
         return np.array([1.0])
-    d = cdist(pts, pts)
-    tri = d[np.triu_indices(pts.shape[0], k=1)]
+    tri = pdist(pts)
     q = float(np.median(tri))
     if q <= 0.0:
         positive = tri[tri > 0.0]
@@ -241,62 +195,98 @@ def loocv_bandwidths(
 ) -> tuple[float, float | None]:
     """Leave-one-out bandwidth search on the training reference.
 
-    Scans the h1 grid (and jointly the h1 x h2 grid for two-kernel modes),
-    scoring each candidate by the LOO squared prediction error; ties break
-    to the smaller bandwidths, h1 first.
+    Scores every h1 (and, for two-kernel modes, every (h1, h2) pair) by the
+    LOO squared prediction error; ties break to the smaller bandwidths, h1
+    first.
     """
     if ref.n < 3:
         raise InputError("leave-one-out tuning needs at least 3 points")
-    h1_grid = (
-        np.sort(np.asarray(config.h1_grid, dtype=float))
-        if config.h1_grid is not None
-        else default_bandwidth_grid(ref.points)
-    )
-    _validate_grid(h1_grid)
+    h1_grid = _search_grid(config.h1_grid, ref.points)
     d1 = _sq_distances(ref.points, ref.points)
-    y = ref.responses
-
-    if not config.two_kernel:
-        best = None
-        for h1 in h1_grid:
-            err = _loo_error(d1 / h1**2, y)
-            if best is None or err < best[0]:
-                best = (err, float(h1))
-        return best[1], None
-
-    h2_grid = (
-        np.sort(np.asarray(config.h2_grid, dtype=float))
-        if config.h2_grid is not None
-        else default_bandwidth_grid(ref.coords)
-    )
-    _validate_grid(h2_grid)
-    d2 = _sq_distances(ref.coords, ref.coords)
-    best = None
-    for h1 in h1_grid:
-        u1 = d1 / h1**2
-        for h2 in h2_grid:
-            err = _loo_error(u1 + d2 / h2**2, y)
-            if best is None or err < best[0]:
-                best = (err, float(h1), float(h2))
-    return best[1], best[2]
+    h2_grid = d2 = None
+    if config.two_kernel:
+        h2_grid = _search_grid(config.h2_grid, ref.coords)
+        d2 = _sq_distances(ref.coords, ref.coords)
+    yhat, _ = _loo_predictions(d1, ref.responses, h1_grid, d2, h2_grid)
+    errors = np.mean((yhat - ref.responses) ** 2, axis=-1)
+    # argmin takes the first minimum in C order: smaller h1, then smaller h2
+    i, j = np.unravel_index(np.argmin(errors), errors.shape)
+    return float(h1_grid[i]), None if h2_grid is None else float(h2_grid[j])
 
 
-def _validate_grid(grid: np.ndarray) -> None:
+def _search_grid(grid: np.ndarray | None, points: np.ndarray) -> np.ndarray:
+    if grid is None:
+        grid = default_bandwidth_grid(points)
+    grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0 or np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
         raise DegenerateGridError("bandwidth grid must be finite and positive")
+    return grid
 
 
-def _loo_error(u2: np.ndarray, y: np.ndarray) -> float:
-    """Mean squared LOO error with self-weights removed."""
+def _loo_predictions(
+    d1: np.ndarray, y: np.ndarray, h1_grid: np.ndarray, d2=None, h2_grid=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """LOO predictions for every bandwidth pair, shape (h1, h2, n), and the
+    flags of those made by the nearest other point because every kernel
+    value underflowed.  One-kernel searches (``d2`` None) have one h2 column.
+
+    The two-kernel weight factorises, ``exp(-(u1 + u2)/2) = exp(-u1/2)
+    exp(-u2/2)``, so each block of rows evaluates each h1 and each h2 kernel
+    once and a batched matmul gives every pair's weighted sums.  Blocks of
+    ``n // grid size`` rows keep each kernel stack near one n x n matrix.
+    Where a factorised mass is below ``TINY_MASS`` its products may have
+    lost digits to underflow, so that (row, h1, h2) is recomputed from the
+    combined exponent.
+    """
+    n = y.size
+    g1 = h1_grid.size
+    g2 = 1 if d2 is None else h2_grid.size
+    step = max(1, n // max(g1, g2))
+    k1_buf = np.empty((g1, step, n))
+    # the h2 kernels, then the same kernels times y
+    rhs_buf = np.empty((2 * g2, step, n))
+    if d2 is None:
+        rhs_buf[0], rhs_buf[1] = 1.0, y
+    yhat = np.empty((g1, g2, n))
+    fell_back = np.zeros((g1, g2, n), dtype=bool)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        size = rows.stop - start
+        k1 = _kernels(d1[rows], h1_grid, k1_buf[:, :size])
+        k1[:, np.arange(size), np.arange(start, rows.stop)] = 0.0
+        rhs = rhs_buf[:, :size]
+        if d2 is not None:
+            k2 = _kernels(d2[rows], h2_grid, rhs[:g2])
+            np.multiply(k2, y, out=rhs[g2:])
+        sums = k1.transpose(1, 0, 2) @ rhs.transpose(1, 2, 0)
+        mass, num = sums[..., :g2], sums[..., g2:]
+        tiny = mass < TINY_MASS
+        ratio = np.divide(num, mass, out=np.zeros_like(num), where=~tiny)
+        yhat[:, :, rows] = ratio.transpose(1, 2, 0)
+        for b, i, j in zip(*np.nonzero(tiny)):
+            row = start + b
+            u = d1[row] / h1_grid[i] ** 2
+            if d2 is not None:
+                u = u + d2[row] / h2_grid[j] ** 2
+            yhat[i, j, row], fell_back[i, j, row] = _loo_row(u, row, y)
+    return yhat, fell_back
+
+
+def _kernels(d: np.ndarray, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gaussian kernels ``exp(-d / (2 h^2))`` of rows of squared distances
+    for each ``h`` in ``grid``, written to ``out`` of shape (grid, rows, n)."""
+    np.divide(d, (grid**2)[:, None, None], out=out)
+    out *= -0.5
+    return np.exp(out, out=out)
+
+
+def _loo_row(u2: np.ndarray, row: int, y: np.ndarray) -> tuple[float, bool]:
+    """LOO prediction of one row from its combined squared scaled distances,
+    by its nearest other point when the kernel mass underflows to zero."""
     k = np.exp(-0.5 * u2)
-    np.fill_diagonal(k, 0.0)
-    sums = k.sum(axis=1)
-    yhat = np.empty_like(y)
-    ok = sums > 0.0
-    yhat[ok] = (k[ok] @ y) / sums[ok]
-    if np.any(~ok):
-        u2_off = u2.copy()
-        np.fill_diagonal(u2_off, np.inf)
-        nearest = np.argmin(u2_off, axis=1)
-        yhat[~ok] = y[nearest[~ok]]
-    return float(np.mean((yhat - y) ** 2))
+    k[row] = 0.0
+    mass = k.sum()
+    if mass > 0.0:
+        return (k @ y) / mass, False
+    u2[row] = np.inf
+    return y[np.argmin(u2)], True

@@ -12,7 +12,11 @@ from spatialsdr.dimension import (
     select_ic,
     select_lr,
 )
-from spatialsdr.exceptions import NonMonotoneLogliksError, SingularResidualCovError
+from spatialsdr.exceptions import (
+    InputError,
+    NonMonotoneLogliksError,
+    SingularResidualCovError,
+)
 
 from conftest import random_sample
 
@@ -133,6 +137,11 @@ class TestSelectCv:
         errs = {row["rank"]: row["cv_error"] for row in sel.trace}
         assert errs[1] < errs[2]
         assert sel.d_star == 1
+
+    def test_unknown_kind_rejected(self):
+        sample = random_sample(40, 3, seed=6)
+        with pytest.raises(InputError, match="bogus"):
+            select_cv(sample, "bogus", BasisSpec("polynomial", 2), folds=3)
 
     def test_seeded_folds_reproducible(self):
         sample = random_sample(50, 3, seed=8)

@@ -12,6 +12,7 @@ from spatialsdr.exceptions import (
 from spatialsdr.geometry import (
     Coordinates,
     DistanceMatrix,
+    NeighborWeights,
     exp_correlation,
     max_min_distance,
     neighbor_weights,
@@ -171,3 +172,26 @@ class TestSpatialFilter:
         w = neighbor_weights(d, 1.0)
         with pytest.raises(SingularFilterError):
             spatial_filter(w, 1.0)
+
+    def test_singular_with_large_column_norm_detected(self):
+        # ||W||_1 = 2, so the Neumann bound does not apply at coef 0.5; the
+        # determinant is 2^-50 > 0 and only the condition number catches it
+        w = NeighborWeights(
+            matrix=np.array([[0.0, 2.0 * (1.0 - 2.0**-50)], [2.0, 0.0]]),
+            threshold=1.0,
+        )
+        with pytest.raises(SingularFilterError, match="numerically singular"):
+            spatial_filter(w, 0.5)
+
+    @given(st.integers(0, 10_000), st.floats(-0.99, 0.99))
+    @settings(max_examples=20, deadline=None)
+    def test_column_normalized_filter_unchanged(self, seed, coef):
+        rng = np.random.default_rng(seed)
+        d = pairwise_distances(Coordinates(rng.uniform(size=(15, 2))))
+        w = neighbor_weights(d, max_min_distance(d) * 1.5)
+        wt = np.eye(15) - coef * w.matrix
+        filt = spatial_filter(w, coef)
+        np.testing.assert_array_equal(filt.matrix, wt)
+        assert filt.log_abs_det == float(np.linalg.slogdet(wt)[1])
+        q = abs(coef)  # column sums are one
+        assert np.linalg.cond(wt, 1) <= (1.0 + q) / (1.0 - q) * (1.0 + 1e-12)

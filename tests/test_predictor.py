@@ -1,20 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from spatialsdr.basis import BasisSpec
+from spatialsdr.data import train_test_split
 from spatialsdr.exceptions import DegenerateGridError, InputError
 from spatialsdr.pfc import fit_independent
 from spatialsdr.predictor import (
     PredictorConfig,
     TrainingReference,
+    _loo_predictions,
+    _sq_distances,
     build_reference,
     default_bandwidth_grid,
     loocv_bandwidths,
-    nw_weights_1k,
-    nw_weights_2k,
-    predict,
     predict_many,
 )
+from spatialsdr.simulate import SimConfig, simulate_sample
 
 from conftest import random_sample
 
@@ -29,22 +32,39 @@ def line_reference(values, responses=None):
     return TrainingReference(points=values[:, None], responses=responses, coords=coords)
 
 
+def weights_of(query, ref, h1, s0=None, h2=None):
+    """NW weights of one query and its fallback flag, read off
+    ``predict_many`` with one-hot responses (one kernel when ``h2`` is None)."""
+    config = PredictorConfig(mode="1k.FULL" if h2 is None else "2k.FULL", h1=h1, h2=h2)
+    s0 = np.zeros(2) if s0 is None else s0
+    runs = [
+        predict_many(np.atleast_2d(query), np.atleast_2d(s0), replace(ref, responses=e), config)
+        for e in np.eye(ref.n)
+    ]
+    return np.array([yhat[0] for yhat, _ in runs]), bool(runs[0][1][0])
+
+
+def predict_one(query, s0, ref, config, fit=None) -> float:
+    yhat, _ = predict_many(np.atleast_2d(query), np.atleast_2d(s0), ref, config, fit)
+    return float(yhat[0])
+
+
 class TestOneKernelWeights:
     def test_single_reference_point(self):
         ref = line_reference([0.0])
-        w, fb = nw_weights_1k(np.array([3.0]), ref, h1=1.0)
+        w, fb = weights_of(np.array([3.0]), ref, h1=1.0)
         np.testing.assert_allclose(w, [1.0])
         assert not fb
 
     def test_equidistant_pair(self):
         ref = line_reference([-1.0, 1.0])
-        w, _ = nw_weights_1k(np.array([0.0]), ref, h1=0.7)
+        w, _ = weights_of(np.array([0.0]), ref, h1=0.7)
         np.testing.assert_allclose(w, [0.5, 0.5])
 
     def test_scalar_arithmetic_oracle(self):
         # distances (0, 1, 2) at h1=1 -> kernel values (1, e^-1/2, e^-2)
         ref = line_reference([0.0, 1.0, 2.0])
-        w, _ = nw_weights_1k(np.array([0.0]), ref, h1=1.0)
+        w, _ = weights_of(np.array([0.0]), ref, h1=1.0)
         raw = np.array([1.0, np.exp(-0.5), np.exp(-2.0)])
         np.testing.assert_allclose(w, raw / raw.sum(), atol=1e-12)
         np.testing.assert_allclose(
@@ -59,13 +79,13 @@ class TestOneKernelWeights:
             coords=rng.uniform(size=(40, 2)),
         )
         for _ in range(50):
-            w, _ = nw_weights_1k(rng.standard_normal(3), ref, h1=0.5)
+            w, _ = weights_of(rng.standard_normal(3), ref, h1=0.5)
             assert w.min() >= 0.0
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_underflow_fallback(self):
         ref = line_reference([0.0, 1e9])
-        w, fb = nw_weights_1k(np.array([5e8]), ref, h1=1.0)
+        w, fb = weights_of(np.array([5e8]), ref, h1=1.0)
         assert fb
         np.testing.assert_allclose(w, [1.0, 0.0])
 
@@ -80,14 +100,14 @@ class TestTwoKernelWeights:
         )
         q = rng.standard_normal(2)
         s0 = rng.uniform(size=2)
-        w2, _ = nw_weights_2k(q, s0, ref, h1=0.8, h2=1e12)
-        w1, _ = nw_weights_1k(q, ref, h1=0.8)
+        w2, _ = weights_of(q, ref, h1=0.8, s0=s0, h2=1e12)
+        w1, _ = weights_of(q, ref, h1=0.8)
         np.testing.assert_allclose(w2, w1, atol=1e-9)
 
     def test_concentration_on_matching_point(self):
         ref = line_reference([0.0, 1.0, 2.0])
-        w, _ = nw_weights_2k(
-            np.array([1.0]), np.array([1.0, 0.0]), ref, h1=1e-3, h2=1e-3
+        w, _ = weights_of(
+            np.array([1.0]), ref, h1=1e-3, s0=np.array([1.0, 0.0]), h2=1e-3
         )
         assert w[1] == pytest.approx(1.0)
 
@@ -98,8 +118,8 @@ class TestTwoKernelWeights:
             responses=np.array([0.0, 1.0]),
             coords=np.array([[1.0, 0.0], [2.0, 0.0]]),
         )
-        w, _ = nw_weights_2k(
-            np.array([0.0]), np.array([0.0, 0.0]), ref, h1=1.0, h2=1.0
+        w, _ = weights_of(
+            np.array([0.0]), ref, h1=1.0, s0=np.array([0.0, 0.0]), h2=1.0
         )
         raw = np.array([np.exp(-1.0), np.exp(-2.5)])
         np.testing.assert_allclose(w, raw / raw.sum(), atol=1e-12)
@@ -110,7 +130,7 @@ class TestPredict:
     def test_constant_responses(self):
         ref = line_reference([0.0, 1.0, 3.0], responses=np.full(3, 4.2))
         config = PredictorConfig(mode="1k.FULL", h1=0.5)
-        got = predict(np.array([0.7]), np.array([0.0, 0.0]), ref, config)
+        got = predict_one(np.array([0.7]), np.array([0.0, 0.0]), ref, config)
         assert got == pytest.approx(4.2)
 
     def test_bounded_by_response_range(self):
@@ -134,14 +154,14 @@ class TestPredict:
         config = PredictorConfig(mode="1k.FULL", h1=1.0)
         k = np.exp(-0.5 * (pts - 1.5) ** 2)
         oracle = float(k @ ys / k.sum())
-        got = predict(np.array([1.5]), np.array([0.0, 0.0]), ref, config)
+        got = predict_one(np.array([1.5]), np.array([0.0, 0.0]), ref, config)
         assert got == pytest.approx(oracle, abs=1e-12)
 
     def test_reduced_mode_requires_fit(self):
         ref = line_reference([0.0, 1.0])
         config = PredictorConfig(mode="1k.Ind", h1=1.0)
         with pytest.raises(InputError):
-            predict(np.array([0.0]), np.array([0.0, 0.0]), ref, config)
+            predict_one(np.array([0.0]), np.array([0.0, 0.0]), ref, config)
 
     def test_orthogonal_rebasing_invariance(self):
         sample = random_sample(60, 4, seed=11)
@@ -222,6 +242,122 @@ class TestLoocv:
         config = PredictorConfig(mode="1k.FULL", h1_grid=grid)
         h1, _ = loocv_bandwidths(ref, config)
         assert h1 == 0.5
+
+
+def oracle_loo(d1, d2, y, h1_grid, h2_grid):
+    """The unfactorised search: per (h1, h2) pair, one combined exponent
+    over the n x n matrix.  Returns LOO predictions and fallback flags of
+    shape (h1, h2, n) and the first (h1, h2) in grid order with the least
+    error; ``h2_grid`` is ``[None]`` for one kernel."""
+    yhat, fell_back, best = [], [], None
+    for h1 in h1_grid:
+        for h2 in h2_grid:
+            u2 = d1 / h1**2 if h2 is None else d1 / h1**2 + d2 / h2**2
+            k = np.exp(-0.5 * u2)
+            np.fill_diagonal(k, 0.0)
+            sums = k.sum(axis=1)
+            ok = sums > 0.0
+            u2_off = u2.copy()
+            np.fill_diagonal(u2_off, np.inf)
+            nearest = y[np.argmin(u2_off, axis=1)]
+            pred = np.where(ok, k @ y / np.where(ok, sums, 1.0), nearest)
+            err = float(np.mean((pred - y) ** 2))
+            if best is None or err < best[0]:
+                best = (err, float(h1), None if h2 is None else float(h2))
+            yhat.append(pred)
+            fell_back.append(~ok)
+    shape = (len(h1_grid), len(h2_grid), len(y))
+    return np.reshape(yhat, shape), np.reshape(fell_back, shape), best[1:]
+
+
+def engine(ref, two_kernel, h1_grid=None, h2_grid=None):
+    """The search engine's predictions and flags next to the oracle's."""
+    g1 = default_bandwidth_grid(ref.points) if h1_grid is None else h1_grid
+    d1 = _sq_distances(ref.points, ref.points)
+    g2, d2 = [None], None
+    if two_kernel:
+        g2 = default_bandwidth_grid(ref.coords) if h2_grid is None else h2_grid
+        d2 = _sq_distances(ref.coords, ref.coords)
+    got = _loo_predictions(d1, ref.responses, g1, d2, None if d2 is None else g2)
+    return got, oracle_loo(d1, d2, ref.responses, g1, g2)
+
+
+class TestLooEngine:
+    @pytest.mark.parametrize("two_kernel", [False, True])
+    @pytest.mark.parametrize("n,p", [(3, 1), (17, 2), (40, 0), (61, 3), (150, 5)])
+    def test_errors_match_unfactorised_search(self, n, p, two_kernel):
+        rng = np.random.default_rng(100 * n + p)
+        ref = TrainingReference(
+            points=rng.standard_normal((n, p)),
+            responses=rng.standard_normal(n),
+            coords=rng.uniform(size=(n, 2)),
+        )
+        (yhat, fell_back), (want, want_fb, best) = engine(ref, two_kernel)
+        y = ref.responses
+        np.testing.assert_allclose(
+            np.mean((yhat - y) ** 2, axis=-1),
+            np.mean((want - y) ** 2, axis=-1),
+            rtol=1e-12,
+        )
+        np.testing.assert_array_equal(fell_back, want_fb)
+        mode = "2k.FULL" if two_kernel else "1k.FULL"
+        assert loocv_bandwidths(ref, PredictorConfig(mode=mode)) == best
+
+    @pytest.mark.parametrize("two_kernel", [False, True])
+    def test_underflow_fallback_matches_unfactorised_search(self, two_kernel):
+        # far-apart points and tiny bandwidths: some rows keep a kernel mass
+        # below TINY_MASS but above zero (437.7 has two neighbours whose
+        # weights are subnormal, where factorised products lose digits),
+        # some lose it all and fall back
+        t = np.array([0.0, 1.0, 2.5, 40.0, 100.0, 135.0, 400.0, 437.7, 475.8, 1e3])
+        ref = TrainingReference(
+            points=t[:, None],
+            responses=np.array([0.3, -1.2, 2.0, 0.7, -0.4, 1.9, 5.0, -2.0, 1.0, 0.1]),
+            coords=np.column_stack([3.0 * t[::-1], np.zeros_like(t)]),
+        )
+        h1_grid = np.array([1.0, 3.0, 60.0])
+        h2_grid = np.array([1.0, 50.0, 1e3])
+        (yhat, fell_back), (want, want_fb, _) = engine(
+            ref, two_kernel, h1_grid, h2_grid
+        )
+        assert fell_back.any() and not fell_back.all()
+        np.testing.assert_array_equal(fell_back, want_fb)
+        np.testing.assert_array_equal(yhat[fell_back], want[fell_back])
+        np.testing.assert_allclose(yhat, want, rtol=1e-12, atol=0.0)
+
+    def test_constant_responses_tie_to_smallest_pair(self):
+        rng = np.random.default_rng(8)
+        ref = TrainingReference(
+            points=rng.standard_normal((30, 2)),
+            responses=np.full(30, 2.0),
+            coords=rng.uniform(size=(30, 2)),
+        )
+        config = PredictorConfig(mode="2k.FULL")
+        h1_grid = default_bandwidth_grid(ref.points)
+        h2_grid = default_bandwidth_grid(ref.coords)
+        assert loocv_bandwidths(ref, config) == (h1_grid[0], h2_grid[0])
+
+    def test_three_points_is_the_minimum(self):
+        ref = line_reference([0.0, 1.0, 3.0], responses=np.array([1.0, -1.0, 0.5]))
+        for mode in ("1k.FULL", "2k.FULL"):
+            h1, h2 = loocv_bandwidths(ref, PredictorConfig(mode=mode))
+            assert h1 in default_bandwidth_grid(ref.points)
+            assert (h2 is None) == (mode == "1k.FULL")
+        with pytest.raises(InputError):
+            loocv_bandwidths(line_reference([0.0, 1.0]), PredictorConfig(mode="1k.FULL"))
+
+    def test_simulated_references_choose_the_unfactorised_bandwidths(self):
+        spec = BasisSpec("polynomial", 2)
+        for seed in range(20):
+            cfg = SimConfig(n=60, p=4, seed=seed)
+            rng = np.random.default_rng(seed)
+            train, _ = train_test_split(simulate_sample(cfg, 0), 0.7, rng)
+            fit = fit_independent(train, spec, 2)
+            for mode in ("1k.FULL", "2k.FULL", "1k.Ind", "2k.Ind"):
+                ref = build_reference(mode, train, fit)
+                two_kernel = mode.startswith("2k")
+                _, (_, _, best) = engine(ref, two_kernel)
+                assert loocv_bandwidths(ref, PredictorConfig(mode=mode)) == best
 
 
 def test_default_grid_scales_with_median_distance():
