@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky
 from scipy.spatial.distance import pdist, squareform
 
-from ._linalg import pd_eigh
+from ._linalg import EIG_FLOOR, pd_eigh
 from .exceptions import (
     DuplicatePointsError,
     InputError,
@@ -62,18 +63,17 @@ class DistanceMatrix:
 class ExpCorrelation:
     """Exponential correlation matrix ``exp(-decay * distance)``.
 
-    ``eigvals``/``eigvecs`` hold the symmetric eigendecomposition of the
-    (possibly jittered) matrix so downstream whitening does not repeat it.
+    ``chol`` is the lower Cholesky factor (``chol @ chol.T = matrix``) of
+    the (possibly jittered) matrix, so downstream whitening does not repeat it.
     """
 
     decay: float
     matrix: np.ndarray
-    eigvals: np.ndarray = field(repr=False)
-    eigvecs: np.ndarray = field(repr=False)
+    chol: np.ndarray = field(repr=False)
 
     @property
     def logdet(self) -> float:
-        return float(np.sum(np.log(self.eigvals)))
+        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,26 @@ def pairwise_distances(coords: Coordinates) -> DistanceMatrix:
 def exp_correlation(dist: DistanceMatrix, decay: float) -> ExpCorrelation:
     """Exponential correlogram ``exp(-decay * d_ij)`` as a dense matrix.
 
-    Positive definiteness is enforced with the shared jitter policy; the
-    stored eigendecomposition refers to the matrix actually returned.
+    A Cholesky factorisation of ``H - (EIG_FLOOR + (n+1) n eps) I`` that succeeds
+    certifies ``lambda_min(H) >= EIG_FLOOR``, as ``(n+1) n eps`` bounds its backward
+    error for a unit-diagonal ``H`` (Higham 2002, Thm 10.3).  Otherwise the shared
+    jitter policy (``pd_eigh``) decides.  ``chol`` factors the matrix returned.
     """
     if not decay > 0.0:
         raise NonPositiveDecayError(f"decay rate must be > 0, got {decay}")
     h = np.exp(-decay * dist.dist)
-    vals, vecs, used = pd_eigh(h, NearSingularCorrelationError)
-    return ExpCorrelation(decay=float(decay), matrix=used, eigvals=vals, eigvecs=vecs)
+    work = h.copy(order="F")  # LAPACK's layout, so every factorisation is in place
+    work.flat[:: dist.n + 1] -= EIG_FLOOR + (dist.n + 1) * dist.n * np.finfo(float).eps
+    try:
+        cholesky(work, lower=True, overwrite_a=True, check_finite=False)
+    except LinAlgError:
+        h = pd_eigh(h, NearSingularCorrelationError)[2]
+    work[...] = h
+    try:
+        chol = cholesky(work, lower=True, overwrite_a=True, check_finite=False)
+    except LinAlgError as exc:  # pragma: no cover - the policy's floor passed
+        raise NearSingularCorrelationError(str(exc)) from exc
+    return ExpCorrelation(decay=float(decay), matrix=h, chol=chol)
 
 
 def max_min_distance(dist: DistanceMatrix) -> float:

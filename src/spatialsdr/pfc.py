@@ -36,8 +36,8 @@ class IndFit:
     def spatial_param(self) -> None:
         return None
 
-    def reduce(self, x_new: np.ndarray, use_ls: bool = False) -> np.ndarray:
-        return apply_reduction(x_new, self.mu, self.est, use_ls=use_ls)
+    def reduce(self, x_new: np.ndarray) -> np.ndarray:
+        return apply_reduction(x_new, self.mu, self.est)
 
 
 def fit_independent(sample: SpatialSample, spec: BasisSpec, rank: int) -> IndFit:

@@ -98,17 +98,16 @@ class RrrEstimate:
         """Rank-constrained coefficient matrix ``a @ b`` (p x r)."""
         return self.a @ self.b
 
-    def directions(self, use_ls: bool = False) -> np.ndarray:
+    def directions(self) -> np.ndarray:
         """Reduction direction matrix ``inv(resid_cov) @ a`` (p x d).
 
-        ``use_ls`` swaps in the LS residual covariance; the two agree
-        exactly for estimates produced by ``rrr_mle``.
+        It equals ``inv(resid_cov_ls) @ a`` for estimates produced by
+        ``rrr_mle``.
         """
-        base = self.resid_cov_ls if use_ls else self.resid_cov
         if self.rank == 0:
-            return np.zeros((base.shape[0], 0))
+            return np.zeros((self.resid_cov.shape[0], 0))
         try:
-            return np.linalg.solve(base, self.a)
+            return np.linalg.solve(self.resid_cov, self.a)
         except np.linalg.LinAlgError as exc:
             raise SingularReductionCovError(str(exc)) from exc
 
@@ -128,17 +127,6 @@ def _suff_stats(data: WhitenedData):
     d_ls = symmetrize(resid.T @ resid / n)
     vals, vecs, d_ls_used = pd_eigh(d_ls, SingularResidualCovError)
     return s_xf, s_ff, c_ls, d_ls_used, vals, vecs
-
-
-def ls_fit(data: WhitenedData) -> tuple[np.ndarray, np.ndarray]:
-    """Full-rank least-squares coefficients and residual covariance.
-
-    Returns ``(c_ls, resid_cov_ls)`` where ``c_ls = S_xf @ inv(S_ff)``; the
-    residual covariance has passed the positive-definiteness policy (it may
-    carry the one-shot diagonal jitter).
-    """
-    _, _, c_ls, d_ls, _, _ = _suff_stats(data)
-    return c_ls, d_ls
 
 
 def rrr_mle(data: WhitenedData, rank: int) -> RrrEstimate:
@@ -211,19 +199,14 @@ def profiled_mean(
     return (x.T - est.coef @ f_fit.T) @ w
 
 
-def apply_reduction(
-    x_new: np.ndarray,
-    mu: np.ndarray,
-    est: RrrEstimate,
-    use_ls: bool = False,
-) -> np.ndarray:
+def apply_reduction(x_new: np.ndarray, mu: np.ndarray, est: RrrEstimate) -> np.ndarray:
     """Project new predictor rows onto the fitted reduction.
 
     Accepts a single p-vector or an m x p matrix; centering by ``mu`` is a
     constant shift, so pairwise distances of reduced points are unaffected
     by it.
     """
-    dirs = est.directions(use_ls=use_ls)
+    dirs = est.directions()
     x_new = np.asarray(x_new, dtype=float)
     return (x_new - mu) @ dirs
 

@@ -78,8 +78,8 @@ class SemFit:
     def spatial_param(self) -> float:
         return self.lag_coef
 
-    def reduce(self, x_new: np.ndarray, use_ls: bool = False) -> np.ndarray:
-        return apply_reduction(x_new, self.mu, self.est, use_ls=use_ls)
+    def reduce(self, x_new: np.ndarray) -> np.ndarray:
+        return apply_reduction(x_new, self.mu, self.est)
 
 
 def fit_sem(

@@ -25,9 +25,9 @@ from .basis import BasisSpec, polynomial_features
 from .data import SpatialSample, train_test_split
 from .dimension import _cv_selections, fit_rank_profile, rank_fits, select_ic, select_lr
 from .exceptions import CovarianceNotPDError, InputError, SpatialSdrError
+from .exceptions import NearSingularCorrelationError, NonPositiveDecayError
 from .geometry import (
     Coordinates,
-    exp_correlation,
     max_min_distance,
     neighbor_weights,
     pairwise_distances,
@@ -182,9 +182,11 @@ def draw_spatial_errors(
     col_root = eig_power(vals, vecs, 0.5)
     z = rng.standard_normal((coords.n, p)) @ col_root.T
     if model == "sscm":
-        corr = exp_correlation(pairwise_distances(coords), param)
-        row_root = eig_power(corr.eigvals, corr.eigvecs, 0.5)
-        return row_root @ z
+        if not param > 0.0:
+            raise NonPositiveDecayError(f"decay rate must be > 0, got {param}")
+        h = np.exp(-param * pairwise_distances(coords).dist)
+        vals, vecs, _ = pd_eigh(h, NearSingularCorrelationError)
+        return eig_power(vals, vecs, 0.5) @ z
     if model == "sem":
         dist = pairwise_distances(coords)
         w = neighbor_weights(dist, max_min_distance(dist))

@@ -6,10 +6,11 @@ law.  Profiling out the mean turns the likelihood into a whitened
 reduced-rank regression:
 
     Hc   = I - 1 (1' inv(H) 1)^{-1} 1' inv(H)      (generalized centering)
-    x_bar = H^{-1/2} Hc X,   f_bar = H^{-1/2} Hc F,
+    x_bar = L^{-1} Hc X,   f_bar = L^{-1} Hc F,     (L L' = H, L Cholesky)
 
-after which the rank-d core applies.  The decay rate is profiled over a
-grid; the log-likelihood carries the extra ``-(p/2) log|H|`` term.
+after which the rank-d core applies; any square root of ``H`` in place of
+``L`` gives the same likelihood.  The decay rate is profiled over a grid;
+the log-likelihood carries the extra ``-(p/2) log|H|`` term.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 
-from ._linalg import eig_apply
 from .basis import BasisSpec, FittedBasis, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, NonPositiveDecayError
@@ -38,14 +39,16 @@ def default_decay_grid(dist: DistanceMatrix, size: int = DEFAULT_GRID_SIZE) -> n
 
 
 def whiten_sscm(x: np.ndarray, f: np.ndarray, corr: ExpCorrelation) -> WhitenedData:
-    """Generalized centering followed by the inverse-sqrt correlation map."""
+    """Generalized centering followed by ``L^{-1}`` with ``L = corr.chol``, whose
+    matrix ``exp_correlation`` certified above the eigenvalue floor by a
+    shifted Cholesky factorisation or, failing that, by ``pd_eigh``."""
     ones = np.ones(x.shape[0])
-    h_inv_1 = eig_apply(corr.eigvals, corr.eigvecs, -1.0, ones)
+    h_inv_1 = cho_solve((corr.chol, True), ones, check_finite=False)
     denom = float(ones @ h_inv_1)
 
     def transform(mat: np.ndarray) -> np.ndarray:
         centered = mat - np.outer(ones, h_inv_1 @ mat) / denom
-        return eig_apply(corr.eigvals, corr.eigvecs, -0.5, centered)
+        return solve_triangular(corr.chol, centered, lower=True, check_finite=False)
 
     tag = f"sscm(decay={corr.decay:g})"
     return WhitenedData(transform(x), transform(f), tag, weights=h_inv_1)
@@ -71,8 +74,8 @@ class SscmFit:
     def spatial_param(self) -> float:
         return self.decay
 
-    def reduce(self, x_new: np.ndarray, use_ls: bool = False) -> np.ndarray:
-        return apply_reduction(x_new, self.mu, self.est, use_ls=use_ls)
+    def reduce(self, x_new: np.ndarray) -> np.ndarray:
+        return apply_reduction(x_new, self.mu, self.est)
 
 
 def fit_sscm(

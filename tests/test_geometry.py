@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spatialsdr._linalg import pd_eigh
 from spatialsdr.exceptions import (
     DuplicatePointsError,
     IsolatedPointError,
+    NearSingularCorrelationError,
     NonPositiveDecayError,
     SingularFilterError,
 )
@@ -65,13 +67,44 @@ class TestExpCorrelation:
         hand = np.exp(-1.0 * d.dist)
         assert np.all(np.linalg.eigvalsh(hand) > 0)
         np.testing.assert_allclose(h.matrix, hand)
-        assert np.all(h.eigvals > 0)
+        np.testing.assert_allclose(h.chol @ h.chol.T, hand, rtol=0, atol=1e-12)
+        assert np.all(np.diag(h.chol) > 0)
+        assert h.logdet == pytest.approx(np.sum(np.log(np.linalg.eigvalsh(hand))), abs=1e-12)
 
     def test_nonpositive_decay_rejected(self):
         d = pairwise_distances(coords((0, 0), (1, 0)))
         for bad in (0.0, -1.0):
             with pytest.raises(NonPositiveDecayError):
                 exp_correlation(d, bad)
+
+    @pytest.mark.parametrize("gap", [1e-14, 1e-12, 3e-11, 1e-10, 3e-10, 1e-9, 1e-6])
+    def test_pd_guard_follows_eigen_policy(self, gap):
+        # oracle: the jitter policy applied to the dense eigendecomposition;
+        # point 1 sits ``gap`` from point 0, so lambda_min(H) is about gap
+        for seed in range(3):
+            pts = np.random.default_rng(seed).uniform(size=(30, 2))
+            pts[1] = pts[0] + [gap, 0.0]
+            d = pairwise_distances(Coordinates(pts))
+            hand = np.exp(-d.dist)
+            want = pd_eigh(hand, NearSingularCorrelationError)[2]
+            h = exp_correlation(d, 1.0)
+            np.testing.assert_array_equal(h.matrix, want)
+            if gap <= 3e-11:
+                assert not np.array_equal(h.matrix, hand)
+            if gap >= 3e-10:
+                np.testing.assert_array_equal(h.matrix, hand)
+            np.testing.assert_allclose(h.chol @ h.chol.T, want, rtol=0, atol=1e-12)
+
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_logdet_matches_spectrum(self, n, seed, log_scale):
+        # decays from 1e-3 to 1e3 multiples of 1/median distance; the
+        # absolute floor covers logdet -> 0 as H -> I
+        d = pairwise_distances(Coordinates(np.random.default_rng(seed).uniform(size=(n, 2))))
+        decay = 10.0**log_scale / np.median(d.dist[np.triu_indices(n, k=1)])
+        h = exp_correlation(d, decay)
+        want = np.sum(np.log(np.linalg.eigvalsh(h.matrix)))
+        assert h.logdet == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     @given(st.floats(0.05, 5.0), st.floats(1.1, 4.0))
     @settings(max_examples=25, deadline=None)

@@ -56,7 +56,12 @@ class TestWhitenSscm:
         hc = np.eye(3) - (ones @ ones.T @ h_inv) / (ones.T @ h_inv @ ones).item()
         oracle = np.real(sla.sqrtm(h_inv)) @ hc @ x
         wd = whiten_sscm(x, x[:, :1], corr)
-        np.testing.assert_allclose(wd.x_bar, oracle, atol=1e-9)
+        # Any square root of H serves: the fit reads x_bar only through
+        # products that equal x' Hc' sqrtm(inv(H))^2 Hc x.
+        np.testing.assert_allclose(wd.x_bar.T @ wd.x_bar, oracle.T @ oracle, atol=1e-9)
+        np.testing.assert_allclose(wd.x_bar.T @ wd.f_bar, oracle.T @ oracle, atol=1e-9)
+        exact = np.linalg.inv(np.linalg.cholesky(h)) @ hc @ x
+        np.testing.assert_allclose(wd.x_bar, exact, atol=1e-9)
 
 
 class TestWhitenSem:

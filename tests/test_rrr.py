@@ -11,7 +11,6 @@ from spatialsdr.rrr import (
     WhitenedData,
     apply_reduction,
     loglik,
-    ls_fit,
     rrr_mle,
 )
 
@@ -31,6 +30,8 @@ def whitened(n, p, r, seed, signal=0.0):
 
 
 class TestLsFit:
+    """The full-rank fit ``rrr_mle(data, min(p, r))`` is the LS fit."""
+
     def test_identity_feature_metric(self):
         rng = np.random.default_rng(0)
         n, p, r = 24, 4, 2
@@ -38,12 +39,12 @@ class TestLsFit:
         f = q * np.sqrt(n)  # f'f/n = I exactly up to rounding
         x = rng.standard_normal((n, p))
         data = WhitenedData(x_bar=x, f_bar=f)
-        c_ls, _ = ls_fit(data)
+        c_ls = rrr_mle(data, min(p, r)).coef
         np.testing.assert_allclose(c_ls, x.T @ f / n, atol=1e-10)
 
     def test_matches_generic_lstsq(self):
         data = whitened(8, 3, 2, seed=5)
-        c_ls, _ = ls_fit(data)
+        c_ls = rrr_mle(data, 2).coef
         oracle = np.linalg.lstsq(data.f_bar, data.x_bar, rcond=None)[0].T
         np.testing.assert_allclose(c_ls, oracle, atol=1e-10)
 
@@ -53,7 +54,7 @@ class TestLsFit:
         c = rng.standard_normal((4, 2))
         data = WhitenedData(x_bar=f @ c.T, f_bar=f)
         with pytest.raises(SingularResidualCovError):
-            ls_fit(data)
+            rrr_mle(data, 2)
 
     def test_sample_size_guard(self):
         with pytest.raises(InsufficientSampleError):
@@ -64,7 +65,7 @@ class TestRrrMle:
     def test_full_rank_collapses_to_ls(self):
         for seed in range(5):
             data = whitened(40, 5, 2, seed=seed, signal=1.0)
-            c_ls, _ = ls_fit(data)
+            c_ls = np.linalg.lstsq(data.f_bar, data.x_bar, rcond=None)[0].T
             est = rrr_mle(data, rank=2)
             np.testing.assert_allclose(est.coef, c_ls, atol=1e-8)
 
@@ -137,7 +138,7 @@ class TestLoglik:
         data = whitened(30, 4, 2, seed=6, signal=0.5)
         est = rrr_mle(data, rank=2)
         n, p = data.n, data.p
-        _, d_ls = ls_fit(data)
+        d_ls = est.resid_cov_ls
         expected = (
             -0.5 * n * p * np.log(2 * np.pi)
             - 0.5 * n * np.linalg.slogdet(d_ls)[1]
@@ -182,7 +183,7 @@ class TestReduction:
         data = whitened(60, 5, 2, seed=12, signal=0.6)
         est = rrr_mle(data, 1)
         np.testing.assert_allclose(
-            est.directions(use_ls=False), est.directions(use_ls=True), atol=1e-8
+            est.directions(), np.linalg.solve(est.resid_cov_ls, est.a), atol=1e-8
         )
 
     def test_pairwise_distances_ignore_centering(self):

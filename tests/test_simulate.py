@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from spatialsdr import sem
-from spatialsdr.exceptions import SingularFilterError
+from spatialsdr.exceptions import NonPositiveDecayError, SingularFilterError
+from spatialsdr.geometry import Coordinates, pairwise_distances
 from spatialsdr.predictor import MODES
 from spatialsdr.simulate import (
     SimConfig,
     _draw_sample,
+    draw_spatial_errors,
     rep_rng,
     run_experiment,
     simulate_sample,
@@ -80,3 +82,22 @@ def test_replication_draws_the_simulated_sample():
         np.testing.assert_array_equal(drawn.coords.points, want.coords.points)
         np.testing.assert_array_equal(drawn.x, want.x)
         np.testing.assert_array_equal(drawn.y, want.y)
+
+
+def test_sscm_errors_use_the_symmetric_root():
+    # oracle: the symmetric square roots of the column covariance and of
+    # exp(-decay * distance), so samples do not depend on how fits factor H
+    def sym_root(m):
+        vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
+        return (vecs * vals**0.5) @ vecs.T
+
+    rng = np.random.default_rng(11)
+    coords = Coordinates(rng.uniform(size=(40, 2)))
+    a = rng.standard_normal((3, 3))
+    noise_cov = a @ a.T + np.eye(3)
+    z = np.random.default_rng(5).standard_normal((40, 3)) @ sym_root(noise_cov).T
+    want = sym_root(np.exp(-2.0 * pairwise_distances(coords).dist)) @ z
+    got = draw_spatial_errors(coords, "sscm", 2.0, noise_cov, 5)
+    np.testing.assert_array_equal(got, want)
+    with pytest.raises(NonPositiveDecayError):
+        draw_spatial_errors(coords, "sscm", 0.0, noise_cov, 5)
