@@ -1,8 +1,9 @@
 """Independent-errors principal fitted components (the no-spatial baseline).
 
-Plain column centering takes the place of the spatial whitening; both
-spatial fitters collapse to this model when their association parameter is
-switched off (identity correlation, zero lag coefficient).
+The moment matrix is the plain ``[1 X F]' [1 X F]``, whose Schur complement
+on the intercept entry is the Gram matrix of the column-centered ``[X F]``;
+both spatial fitters collapse to this model when their association
+parameter is switched off (identity correlation, zero lag coefficient).
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ import numpy as np
 
 from .basis import BasisSpec, FittedBasis, build_f
 from .data import SpatialSample
-from .rrr import RrrEstimate, WhitenedData, _profile_grid, apply_reduction, raise_failure
-
-
-def whiten_center(x: np.ndarray, f: np.ndarray) -> WhitenedData:
-    """Ordinary column centering of predictors and features."""
-    centered = x - x.mean(axis=0), f - f.mean(axis=0)
-    return WhitenedData(*centered, "identity-centering", np.ones(x.shape[0]))
+from .rrr import RrrEstimate, apply_reduction, design, moments_of, profile, raise_failure
 
 
 @dataclass(frozen=True)
@@ -49,9 +44,8 @@ def rank_fits(sample, spec, ranks, grid=None) -> list:
     """``fit_independent`` at each of ``ranks``, or the error that stopped
     it; ``grid`` is ignored, as this model has no spatial parameter."""
     bm = build_f(sample.y, spec)
-    f_fit = bm.fit_matrix
-    return _profile_grid(
-        sample.x, f_fit, ranks, [None],
-        lambda _: (whiten_center(sample.x, f_fit), 0.0),
+    rows, shift = design(sample.x, bm.fit_matrix)
+    return profile(
+        ranks, [None], lambda _: moments_of(rows, sample.p, shift),
         lambda _, est, mu, ll, __: IndFit(est, mu, ll, bm.fitted),
     )

@@ -1,23 +1,25 @@
-"""Whitened reduced-rank maximum-likelihood core.
+"""Reduced-rank maximum likelihood from a moment matrix, and the profile engine.
 
-Given whitened data ``x_bar`` (n x p) and features ``f_bar`` (n x r), the
-Gaussian inverse-regression likelihood is maximized under a rank constraint
-on the coefficient matrix.  With
+At one value of its spatial parameter each error model supplies the moment
+matrix ``M = [1 X F]' inv(Sigma) [1 X F]`` under its row covariance ``Sigma``
+and its log-determinant term.  Profiling out the mean is the generalized
+centering, whose result is the Schur complement of ``M`` on the intercept,
+``G = M[1:, 1:] - M[1:, 0] M[0, 1:] / M[0, 0]``: the Gram matrix of the
+whitened, centered ``[X F]``.  The profiled mean is ``(M_X1 - coef M_F1) / M_11``.
+With ``S = G / n`` in blocks ``S_xx``, ``S_xf``, ``S_ff``,
 
-    S_xf = x_bar.T @ f_bar / n,   S_ff = f_bar.T @ f_bar / n,
-    C_ls = S_xf @ inv(S_ff),
-    D_ls = (x_bar - f_bar @ C_ls.T).T @ (x_bar - f_bar @ C_ls.T) / n,
+    C_ls = S_xf inv(S_ff),   D_ls = S_xx - C_ls S_xf',
+    K = D_ls^{-1/2} S_xf inv(S_ff) S_xf' D_ls^{-1/2}  (eigenpairs V, lambda, descending),
 
-the rank-d solution follows Reinsel & Velu (1998, Thm 2.2) with weight
-matrix ``inv(D_ls)``: let ``V`` collect the leading eigenvectors of
+the rank-d solution follows Reinsel & Velu (1998, Thm 2.2): ``a = D_ls^{1/2}
+V_d``, ``b = V_d' D_ls^{-1/2} C_ls`` (``a @ b`` is ``C_ls`` at d = min(p, r)),
+residual covariance ``D_ls + (C_ls - ab) S_ff (C_ls - ab)'``, and maximized
+log-likelihood
 
-    M = D_ls^{-1/2} S_xf inv(S_ff) S_xf.T D_ls^{-1/2},
+    -np/2 log(2 pi) - logdet_s - n/2 (log|D_ls| + sum_{i>d} log(1 + lambda_i)) - np/2,
 
-then ``a = D_ls^{1/2} V`` spans the fitted mean deviations and
-``b = V.T D_ls^{-1/2} C_ls`` are its feature coordinates, so that ``a @ b``
-is the best rank-d coefficient matrix and collapses to ``C_ls`` when
-``d = min(p, r)``.  The sufficient-reduction directions are
-``inv(resid_cov) @ a``, which algebraically equal ``D_ls^{-1/2} V``.
+so one eigendecomposition of ``D_ls`` and one SVD for ``K`` give every rank.  The
+sufficient-reduction directions ``inv(resid_cov) @ a`` equal ``D_ls^{-1/2} V_d``.
 """
 
 from __future__ import annotations
@@ -41,39 +43,88 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
-class WhitenedData:
-    """Whitened predictor and feature matrices, a provenance tag, and the
-    (unnormalized) location weights of the centering, for ``profiled_mean``."""
+class Moments:
+    """Moment matrix ``m = [1 X F]' inv(Sigma) [1 X F]`` of ``n`` rows whose
+    first ``p`` columns after the intercept are predictors, the columns of
+    ``[X F]`` taken less ``shift``.
 
-    x_bar: np.ndarray
-    f_bar: np.ndarray
-    tag: str = "identity-centering"
-    weights: np.ndarray | None = None
+    ``logdet_s_term`` is the spatial contribution subtracted from the
+    log-likelihood: ``(p/2) log|H|`` for the correlation model,
+    ``-p log|det(I - coef W)|`` for the autoregressive model, and 0 for
+    independent errors.
+    """
+
+    m: np.ndarray
+    n: int
+    p: int
+    logdet_s_term: float
+    shift: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x_bar", np.asarray(self.x_bar, dtype=float))
-        object.__setattr__(self, "f_bar", np.asarray(self.f_bar, dtype=float))
-        n, p = self.x_bar.shape
-        r = self.f_bar.shape[1]
-        if self.f_bar.shape[0] != n:
-            raise InsufficientSampleError("x_bar and f_bar row counts disagree")
-        if n <= p + r:
+        if self.n < self.m.shape[0]:
             raise InsufficientSampleError(
                 f"need n > p + r for a nonsingular residual covariance "
-                f"(n={n}, p={p}, r={r})"
+                f"(n={self.n}, p + r={self.m.shape[0] - 1})"
             )
 
-    @property
-    def n(self) -> int:
-        return self.x_bar.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.x_bar.shape[1]
+def design(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``[1 X F]`` with ``X`` and ``F`` less their column means, and those means;
+    the shift leaves every Schur complement on the intercept unchanged and
+    keeps large means from cancelling its digits."""
+    xf = np.column_stack([x, f])
+    shift = xf.mean(axis=0)
+    return np.column_stack([np.ones(xf.shape[0]), xf - shift]), shift
 
-    @property
-    def r(self) -> int:
-        return self.f_bar.shape[1]
+
+def moments_of(rows: np.ndarray, p: int, shift: np.ndarray, logdet_s_term: float = 0.0) -> Moments:
+    """Moments of whitened rows ``rows = Sigma^{-1/2} [1 X F]``."""
+    return Moments(rows.T @ rows, rows.shape[0], p, logdet_s_term, shift)
+
+
+@dataclass(frozen=True)
+class LsFit:
+    """The full-rank fit at one grid point and the spectrum all ranks share.
+
+    ``d_ls`` is the LS residual covariance as ``pd_eigh`` passed it (``vals``
+    and ``vecs`` its eigendecomposition); ``fit_vals`` (descending) and
+    ``fit_vecs`` (sign-fixed) are the min(p, r) leading eigenpairs of ``K``.
+    """
+
+    moments: Moments
+    c_ls: np.ndarray
+    s_ff: np.ndarray
+    d_ls: np.ndarray
+    vals: np.ndarray
+    vecs: np.ndarray
+    whitened_coef: np.ndarray
+    fit_vals: np.ndarray
+    fit_vecs: np.ndarray
+
+
+def ls_fit(moments: Moments) -> LsFit:
+    """Center by the Schur complement, fit by LS, and decompose ``K``.
+
+    Eigenvector columns are sign-fixed so the entry of largest magnitude is
+    positive, making results deterministic across runs.
+    """
+    mom, p = moments.m, moments.p
+    gram = mom[1:, 1:] - np.outer(mom[1:, 0], mom[0, 1:]) / mom[0, 0]
+    s = symmetrize(gram) / moments.n
+    s_xx, s_xf, s_ff = s[:p, :p], s[:p, p:], s[p:, p:]
+    ff_vals = np.linalg.eigvalsh(s_ff)
+    if ff_vals[0] <= 0.0 or ff_vals[0] / ff_vals[-1] < 1e-13:
+        raise SingularFeatureCovError(
+            f"feature second-moment matrix is singular (min eig {ff_vals[0]:.3e})"
+        )
+    c_ls = np.linalg.solve(s_ff, s_xf.T).T
+    vals, vecs, d_ls = pd_eigh(s_xx - c_ls @ s_xf.T, SingularResidualCovError)
+    whitened_coef = eig_apply(vals, vecs, -0.5, c_ls)  # D_ls^{-1/2} C_ls
+    # K = B B' for B = D_ls^{-1/2} C_ls chol(S_ff), so B's singular pairs are K's eigenpairs
+    v, sv, _ = np.linalg.svd(whitened_coef @ np.linalg.cholesky(s_ff), full_matrices=False)
+    lead = np.argmax(np.abs(v), axis=0)
+    v = v * np.where(v[lead, np.arange(v.shape[1])] < 0, -1.0, 1.0)
+    return LsFit(moments, c_ls, s_ff, d_ls, vals, vecs, whitened_coef, sv**2, v)
 
 
 @dataclass(frozen=True)
@@ -112,91 +163,41 @@ class RrrEstimate:
             raise SingularReductionCovError(str(exc)) from exc
 
 
-def _suff_stats(data: WhitenedData):
-    """Cross-moment matrices and the LS fit shared by the estimators."""
-    n = data.n
-    s_xf = data.x_bar.T @ data.f_bar / n
-    s_ff = symmetrize(data.f_bar.T @ data.f_bar / n)
-    ff_vals = np.linalg.eigvalsh(s_ff)
-    if ff_vals[0] <= 0.0 or ff_vals[0] / ff_vals[-1] < 1e-13:
-        raise SingularFeatureCovError(
-            f"feature second-moment matrix is singular (min eig {ff_vals[0]:.3e})"
-        )
-    c_ls = np.linalg.solve(s_ff, s_xf.T).T
-    resid = data.x_bar - data.f_bar @ c_ls.T
-    d_ls = symmetrize(resid.T @ resid / n)
-    vals, vecs, d_ls_used = pd_eigh(d_ls, SingularResidualCovError)
-    return s_xf, s_ff, c_ls, d_ls_used, vals, vecs
+def _check_rank(ls: LsFit, rank: int) -> None:
+    m = ls.fit_vals.size
+    if not 0 <= rank <= m:
+        raise RankOutOfRangeError(f"rank must lie in 0..{m}, got {rank}")
 
 
-def rrr_mle(data: WhitenedData, rank: int) -> RrrEstimate:
+def rrr_mle(ls: LsFit, rank: int) -> RrrEstimate:
     """Rank-constrained maximum-likelihood estimate.
 
     ``rank`` may be 0 (pure-mean model with empty factors) up to min(p, r).
-    Eigenvector columns are sign-fixed so the entry of largest magnitude is
-    positive, making results deterministic across runs.
     """
-    p, r, n = data.p, data.r, data.n
-    m = min(p, r)
-    if not 0 <= rank <= m:
-        raise RankOutOfRangeError(f"rank must lie in 0..{m}, got {rank}")
-    s_xf, s_ff, c_ls, d_ls, vals, vecs = _suff_stats(data)
-
-    whitened_coef = eig_apply(vals, vecs, -0.5, c_ls)  # D_ls^{-1/2} C_ls
-    fit_matrix = symmetrize(whitened_coef @ s_ff @ whitened_coef.T)
-    w, v = np.linalg.eigh(fit_matrix)
-    w, v = w[::-1], v[:, ::-1]
-    for k in range(v.shape[1]):
-        lead = np.argmax(np.abs(v[:, k]))
-        if v[lead, k] < 0:
-            v[:, k] = -v[:, k]
-    eigenvalues = np.clip(w[:m], 0.0, None)
-
-    v_d = v[:, :rank]
-    a = eig_apply(vals, vecs, 0.5, v_d)
-    b = v_d.T @ whitened_coef
-    resid = data.x_bar - data.f_bar @ (a @ b).T
-    resid_cov = symmetrize(resid.T @ resid / n)
-    return RrrEstimate(
-        a=a,
-        b=b,
-        resid_cov=resid_cov,
-        resid_cov_ls=d_ls,
-        eigenvalues=eigenvalues,
-        rank=rank,
-    )
+    _check_rank(ls, rank)
+    v_d = ls.fit_vecs[:, :rank]
+    a = eig_apply(ls.vals, ls.vecs, 0.5, v_d)
+    b = v_d.T @ ls.whitened_coef
+    gap = ls.c_ls - a @ b
+    resid_cov = symmetrize(ls.d_ls + gap @ ls.s_ff @ gap.T)
+    return RrrEstimate(a, b, resid_cov, ls.d_ls, ls.fit_vals, rank)
 
 
-def loglik(data: WhitenedData, est: RrrEstimate, logdet_s_term: float = 0.0) -> float:
-    """Full Gaussian log-likelihood of the whitened model at the estimate.
-
-    ``logdet_s_term`` is the spatial-structure contribution subtracted from
-    the likelihood: ``(p/2) log|H|`` for the correlation model, ``-p log|det
-    filter|`` for the autoregressive model, and 0 for independent errors.
-    The trace term is evaluated explicitly rather than assumed to be n*p.
-    """
-    n, p = data.n, data.p
-    resid = data.x_bar - data.f_bar @ est.coef.T
-    vals, vecs, _ = pd_eigh(est.resid_cov, SingularResidualCovError)
-    trace = float(np.sum(resid * eig_apply(vals, vecs, -1.0, resid.T).T))
-    value = (
-        -0.5 * n * p * LOG_2PI
-        - logdet_s_term
-        - 0.5 * n * float(np.sum(np.log(vals)))
-        - 0.5 * trace
-    )
+def loglik(ls: LsFit, rank: int) -> float:
+    """Maximized Gaussian log-likelihood at ``rank``, in closed form."""
+    _check_rank(ls, rank)
+    n, p = ls.moments.n, ls.moments.p
+    logdet = float(np.sum(np.log(ls.vals))) + float(np.sum(np.log1p(ls.fit_vals[rank:])))
+    value = -0.5 * n * p * (LOG_2PI + 1.0) - ls.moments.logdet_s_term - 0.5 * n * logdet
     if not np.isfinite(value):
         raise NonFiniteLoglikError(f"log-likelihood is {value}")
     return value
 
 
-def profiled_mean(
-    x: np.ndarray, f_fit: np.ndarray, est: RrrEstimate, weights: np.ndarray
-) -> np.ndarray:
-    """Profile-likelihood mean: residual average under (unnormalized)
-    location weights, ``(X' - coef F') w / sum(w)``."""
-    w = weights / float(weights.sum())
-    return (x.T - est.coef @ f_fit.T) @ w
+def profiled_mean(ls: LsFit, est: RrrEstimate) -> np.ndarray:
+    """Profile-likelihood mean ``(M_X1 - coef M_F1) / M_11``, shifted back."""
+    col, shift, p = ls.moments.m[:, 0], ls.moments.shift, ls.moments.p
+    return (col[1 : p + 1] - est.coef @ col[p + 1 :]) / col[0] + shift[:p] - est.coef @ shift[p:]
 
 
 def apply_reduction(x_new: np.ndarray, mu: np.ndarray, est: RrrEstimate) -> np.ndarray:
@@ -211,14 +212,15 @@ def apply_reduction(x_new: np.ndarray, mu: np.ndarray, est: RrrEstimate) -> np.n
     return (x_new - mu) @ dirs
 
 
-def _profile_grid(x, f_fit, ranks, params, whiten, make) -> list:
+def profile(ranks, params, moments, make) -> list:
     """Profile a spatial parameter for several ranks in one pass over its grid.
 
-    ``whiten(param)`` returns ``(data, logdet_s_term)`` once per grid point
-    and each live rank gets its own ``rrr_mle`` and ``loglik``; ties keep the
-    earliest point.  A rank's argmax becomes ``make(param, est, mu, loglik,
-    grid)``.  A ``SpatialSdrError`` ends the rank it hits (every live rank
-    when ``whiten`` raises) and takes that rank's place in the result.
+    ``moments(param)`` returns a grid point's ``Moments``, whose one
+    ``ls_fit`` gives every live rank its closed-form ``loglik``; ties keep the
+    earliest point.  ``rrr_mle`` then runs once per rank, at its argmax, which
+    becomes ``make(param, est, mu, loglik, grid)``.  A ``SpatialSdrError``
+    ends the rank it hits (every live rank when ``moments`` or ``ls_fit``
+    raises) and takes that rank's place in the result.
     """
     grids, best, failed = {rank: [] for rank in ranks}, {}, {}
     for param in params:
@@ -226,30 +228,30 @@ def _profile_grid(x, f_fit, ranks, params, whiten, make) -> list:
         if not live:
             break
         try:
-            data, logdet_s_term = whiten(param)
+            ls = ls_fit(moments(param))
         except SpatialSdrError as exc:
             failed.update(dict.fromkeys(live, exc))
             break
         for rank in live:
             try:
-                est = rrr_mle(data, rank)
-                ll = loglik(data, est, logdet_s_term=logdet_s_term)
+                ll = loglik(ls, rank)
             except SpatialSdrError as exc:
                 failed[rank] = exc
                 continue
             grids[rank].append((param, ll))
             if rank not in best or ll > best[rank][2]:
-                best[rank] = (param, est, ll, data.weights)
+                best[rank] = (param, ls, ll)
 
     def result(rank):
-        param, est, ll, weights = best[rank]
-        return make(param, est, profiled_mean(x, f_fit, est, weights), ll, grids[rank])
+        param, ls, ll = best[rank]
+        est = rrr_mle(ls, rank)
+        return make(param, est, profiled_mean(ls, est), ll, grids[rank])
 
     return [failed[rank] if rank in failed else result(rank) for rank in ranks]
 
 
 def raise_failure(results: list) -> list:
-    """Raise the first error in a ``_profile_grid`` result, else return it."""
+    """Raise the first error in a ``profile`` result, else return it."""
     for res in results:
         if isinstance(res, SpatialSdrError):
             raise res

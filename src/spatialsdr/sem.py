@@ -1,16 +1,19 @@
 """Autoregressive-error model: neighbor-lagged errors on a lattice.
 
-Errors follow ``E = coef * W E + U`` with independent rows of ``U``, so
-left-multiplying by the filter ``Wt = I - coef * W`` whitens the rows.
-Because a column-normalized ``W`` is generally asymmetric, the quadratic
-form is defined through ``Wt' Wt`` (a true Gaussian log-density either
-way), which matches the symmetric-``W`` algebra exactly.  Profiling out
-the mean uses the generalized centering
+Errors follow ``E = coef * W E + U`` with independent rows of ``U``, so the
+filter ``Wt = I - coef * W`` whitens the rows, and the quadratic form is
+defined through ``Wt' Wt`` (a true Gaussian log-density for the asymmetric,
+column-normalized ``W`` too).  With ``Z = [1 X F]`` the moment matrix is
 
-    Wc = I - 1 (1' Wt'Wt 1)^{-1} 1' Wt'Wt,
-    x_bar = Wt Wc X,   f_bar = Wt Wc F,
+    M(coef) = Z' Wt' Wt Z = Z'Z - coef (Z'WZ + (Z'WZ)') + coef^2 (WZ)'(WZ),
 
-and the likelihood carries ``+ p log|det Wt|``.  The lag coefficient is
+so one product ``WZ`` per sample serves every lag; its Schur complement on
+the intercept is the Gram matrix of the generalized centering
+``I - 1 (1' Wt'Wt 1)^{-1} 1' Wt'Wt`` followed by ``Wt``.  The likelihood
+carries ``+ p log|det Wt|``.  ``W = A D^{-1}`` for the symmetric threshold
+adjacency ``A`` with degrees ``D``, so ``W`` is similar to the symmetric
+``D^{-1/2} A D^{-1/2}``, whose eigenvalues ``lambda`` give ``log|det Wt| =
+sum log|1 - coef lambda|`` at every lag (Ord 1975).  The lag coefficient is
 profiled over a grid on (-1, 1).
 """
 
@@ -22,18 +25,12 @@ import numpy as np
 
 from .basis import BasisSpec, FittedBasis, build_f
 from .data import SpatialSample
-from .exceptions import EmptyGridError, InputError
-from .geometry import (
-    NeighborWeights,
-    SpatialFilter,
-    max_min_distance,
-    neighbor_weights,
-    pairwise_distances,
-    spatial_filter,
-)
-from .rrr import RrrEstimate, WhitenedData, _profile_grid, apply_reduction, raise_failure
+from .exceptions import EmptyGridError, InputError, SingularFilterError
+from .geometry import NeighborWeights, max_min_distance, neighbor_weights, pairwise_distances
+from .rrr import Moments, RrrEstimate, apply_reduction, design, profile, raise_failure
 
 DEFAULT_GRID = np.round(np.arange(-0.95, 0.951, 0.05), 2)
+COND_LIMIT = 1e14  # largest accepted condition number of I - coef D^{-1/2} A D^{-1/2}
 
 
 def default_lag_grid() -> np.ndarray:
@@ -41,20 +38,42 @@ def default_lag_grid() -> np.ndarray:
     return DEFAULT_GRID.copy()
 
 
-def whiten_sem(x: np.ndarray, f: np.ndarray, filt: SpatialFilter) -> WhitenedData:
-    """Generalized centering under ``Wt'Wt`` weights, then the filter map."""
-    wt = filt.matrix
-    ones = np.ones(x.shape[0])
-    wt_1 = wt @ ones
-    m_1 = wt.T @ wt_1  # (Wt'Wt) 1
-    denom = float(wt_1 @ wt_1)
+@dataclass(frozen=True)
+class SemMoments:
+    """The lag-free parts of ``M(coef)``: ``a0 = Z'Z``, ``a1 = A1 + A1'``,
+    ``a2 = (WZ)'(WZ)``, and ``spectrum``, the eigenvalues of ``W``."""
 
-    def transform(mat: np.ndarray) -> np.ndarray:
-        centered = mat - np.outer(ones, m_1 @ mat) / denom
-        return wt @ centered
+    a0: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    spectrum: np.ndarray
+    p: int
+    shift: np.ndarray
 
-    tag = f"sem(coef={filt.coef:g})"
-    return WhitenedData(transform(x), transform(f), tag, weights=m_1)
+    def at(self, coef: float) -> Moments:
+        """Moments at one lag.  The gaps ``|1 - coef lambda|`` are the
+        singular values of the symmetrized filter; raises
+        ``SingularFilterError`` when their ratio exceeds ``COND_LIMIT``."""
+        gaps = np.abs(1.0 - coef * self.spectrum)
+        if not gaps.min() * COND_LIMIT > gaps.max():
+            raise SingularFilterError(
+                f"I - {coef} * W is numerically singular (min |1 - coef lambda| {gaps.min():.2e})"
+            )
+        m = self.a0 - coef * self.a1 + coef * coef * self.a2
+        logdet_s_term = -self.p * float(np.sum(np.log(gaps)))
+        return Moments(m, self.spectrum.size, self.p, logdet_s_term, self.shift)
+
+
+def whiten_sem(x: np.ndarray, f: np.ndarray, weights: NeighborWeights) -> SemMoments:
+    """One sample's lag-free moments and the spectrum of ``weights`` from
+    ``neighbor_weights``, whose nonzero pattern is the symmetric adjacency."""
+    z, shift = design(x, f)
+    wz = weights.matrix @ z
+    cross = z.T @ wz
+    adj = weights.matrix != 0.0
+    root = np.sqrt(adj.sum(axis=0))
+    spectrum = np.linalg.eigvalsh(adj / np.outer(root, root))
+    return SemMoments(z.T @ z, cross + cross.T, wz.T @ wz, spectrum, x.shape[1], shift)
 
 
 @dataclass(frozen=True)
@@ -70,7 +89,6 @@ class SemFit:
     mu: np.ndarray
     loglik: float
     grid: list[tuple[float, float]] = field(repr=False)
-    weights: NeighborWeights = field(repr=False)
     basis: FittedBasis = field(repr=False)
     kind: str = "sem"
 
@@ -87,27 +105,23 @@ def fit_sem(
     spec: BasisSpec,
     rank: int,
     lag_grid: np.ndarray | None = None,
-    weights: NeighborWeights | None = None,
 ) -> SemFit:
     """Profile the lag coefficient over a grid and keep the argmax fit.
 
-    The neighbor matrix defaults to the distance-threshold construction at
-    the largest nearest-neighbor distance.  Ties in the profile likelihood
+    The neighbor matrix is the distance-threshold construction at the
+    largest nearest-neighbor distance.  Ties in the profile likelihood
     break toward the coefficient of smallest magnitude (the model closest
     to independence).
     """
-    return raise_failure(rank_fits(sample, spec, [rank], lag_grid, weights))[0]
+    return raise_failure(rank_fits(sample, spec, [rank], lag_grid))[0]
 
 
-def rank_fits(sample, spec, ranks, lag_grid=None, weights=None) -> list:
+def rank_fits(sample, spec, ranks, lag_grid=None) -> list:
     """``fit_sem`` at each of ``ranks`` from one pass over the lag grid, or
     the error that stopped that rank."""
     bm = build_f(sample.y, spec)
-    f_fit = bm.fit_matrix
-
-    if weights is None:
-        dist = pairwise_distances(sample.coords)
-        weights = neighbor_weights(dist, max_min_distance(dist))
+    dist = pairwise_distances(sample.coords)
+    weights = neighbor_weights(dist, max_min_distance(dist))
 
     if lag_grid is None:
         lag_grid = default_lag_grid()
@@ -117,16 +131,13 @@ def rank_fits(sample, spec, ranks, lag_grid=None, weights=None) -> list:
     if np.any(np.abs(lag_grid) >= 1.0):
         raise InputError("lag-coefficient grid entries must lie in (-1, 1)")
 
-    def whiten(coef: float):
-        filt = spatial_filter(weights, coef)
-        return whiten_sem(sample.x, f_fit, filt), -sample.p * filt.log_abs_det
-
     def make(coef, est, mu, ll, grid) -> SemFit:
         # One grid entry per coefficient, in ascending order.
         grid = sorted(dict(grid).items())
-        return SemFit(coef, est, mu, ll, grid, weights, bm.fitted)
+        return SemFit(coef, est, mu, ll, grid, bm.fitted)
 
     # Scan smallest |coef| first so ties keep the near-independent model.
     order = sorted(lag_grid, key=lambda c: (abs(c), c))
     params = [float(c) for c in order]
-    return _profile_grid(sample.x, f_fit, ranks, params, whiten, make)
+    moments = whiten_sem(sample.x, bm.fit_matrix, weights)
+    return profile(ranks, params, moments.at, make)

@@ -2,15 +2,15 @@
 
 Errors share a p x p covariance across locations and an exponential
 correlation ``H`` between locations, giving a Kronecker (separable) error
-law.  Profiling out the mean turns the likelihood into a whitened
-reduced-rank regression:
+law.  At each decay rate the model hands the rank-d core the moment matrix
 
-    Hc   = I - 1 (1' inv(H) 1)^{-1} 1' inv(H)      (generalized centering)
-    x_bar = L^{-1} Hc X,   f_bar = L^{-1} Hc F,     (L L' = H, L Cholesky)
+    M = [1 X F]' inv(H) [1 X F] = B'B,   B = L^{-1} [1 X F]   (L L' = H, Cholesky),
 
-after which the rank-d core applies; any square root of ``H`` in place of
-``L`` gives the same likelihood.  The decay rate is profiled over a grid;
-the log-likelihood carries the extra ``-(p/2) log|H|`` term.
+whose Schur complement on the intercept entry is the Gram matrix of the
+generalized centering ``Hc = I - 1 (1' inv(H) 1)^{-1} 1' inv(H)`` followed by
+``L^{-1}``; any square root of ``H`` in place of ``L`` gives the same ``M``.
+The decay rate is profiled over a grid; the log-likelihood carries the
+extra ``-(p/2) log|H|`` term.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .basis import BasisSpec, FittedBasis, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, NonPositiveDecayError
 from .geometry import DistanceMatrix, ExpCorrelation, exp_correlation, pairwise_distances
-from .rrr import RrrEstimate, WhitenedData, _profile_grid, apply_reduction, raise_failure
+from .rrr import Moments, RrrEstimate, apply_reduction, design, moments_of, profile, raise_failure
 
 DEFAULT_GRID_SIZE = 20
 DEFAULT_GRID_SPAN = (0.1, 10.0)  # multiples of 1/median-distance
@@ -38,20 +38,13 @@ def default_decay_grid(dist: DistanceMatrix, size: int = DEFAULT_GRID_SIZE) -> n
     return np.geomspace(lo, hi, size)
 
 
-def whiten_sscm(x: np.ndarray, f: np.ndarray, corr: ExpCorrelation) -> WhitenedData:
-    """Generalized centering followed by ``L^{-1}`` with ``L = corr.chol``, whose
+def whiten_sscm(x: np.ndarray, f: np.ndarray, corr: ExpCorrelation) -> Moments:
+    """Moments ``B'B`` with ``B = L^{-1} [1 X F]`` and ``L = corr.chol``, whose
     matrix ``exp_correlation`` certified above the eigenvalue floor by a
     shifted Cholesky factorisation or, failing that, by ``pd_eigh``."""
-    ones = np.ones(x.shape[0])
-    h_inv_1 = cho_solve((corr.chol, True), ones, check_finite=False)
-    denom = float(ones @ h_inv_1)
-
-    def transform(mat: np.ndarray) -> np.ndarray:
-        centered = mat - np.outer(ones, h_inv_1 @ mat) / denom
-        return solve_triangular(corr.chol, centered, lower=True, check_finite=False)
-
-    tag = f"sscm(decay={corr.decay:g})"
-    return WhitenedData(transform(x), transform(f), tag, weights=h_inv_1)
+    z, shift = design(x, f)
+    rows = solve_triangular(corr.chol, z, lower=True, check_finite=False)
+    return moments_of(rows, x.shape[1], shift, 0.5 * x.shape[1] * corr.logdet)
 
 
 @dataclass(frozen=True)
@@ -105,12 +98,8 @@ def rank_fits(sample, spec, ranks, decay_grid=None) -> list:
     if np.any(decay_grid <= 0.0):
         raise NonPositiveDecayError("decay grid entries must be > 0")
 
-    def whiten(decay: float):
-        corr = exp_correlation(dist, decay)
-        return whiten_sscm(sample.x, f_fit, corr), 0.5 * sample.p * corr.logdet
-
     params = [float(decay) for decay in np.sort(decay_grid)]
-    return _profile_grid(
-        sample.x, f_fit, ranks, params, whiten,
+    return profile(
+        ranks, params, lambda decay: whiten_sscm(sample.x, f_fit, exp_correlation(dist, decay)),
         lambda decay, est, mu, ll, grid: SscmFit(decay, est, mu, ll, grid, bm.fitted),
     )

@@ -155,17 +155,17 @@ class TestSelectCv:
     def test_failure_at_one_rank_keeps_the_others(self, monkeypatch, kind):
         from spatialsdr import rrr
 
-        original = rrr.rrr_mle
+        original = rrr.loglik
 
-        def fails_at_rank_two(data, rank):
+        def fails_at_rank_two(ls, rank):
             if rank == 2:
                 raise SingularResidualCovError("forced failure at rank 2")
-            return original(data, rank)
+            return original(ls, rank)
 
         # Replace every module-level binding, wherever the fitters look it up.
         for name, mod in list(sys.modules.items()):
-            if name.startswith("spatialsdr") and getattr(mod, "rrr_mle", None) is original:
-                monkeypatch.setattr(mod, "rrr_mle", fails_at_rank_two)
+            if name.startswith("spatialsdr") and getattr(mod, "loglik", None) is original:
+                monkeypatch.setattr(mod, "loglik", fails_at_rank_two)
         sample = random_sample(50, 3, seed=9)
         sel = select_cv(
             sample, kind, BasisSpec("polynomial", 2), folds=3, lag_grid=[0.0, 0.5]

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spatialsdr.basis import BasisSpec
-from spatialsdr.exceptions import EmptyGridError, InputError
+from spatialsdr.data import SpatialSample
+from spatialsdr.dimension import rank_fits
+from spatialsdr.exceptions import EmptyGridError, InputError, SingularFilterError
 from spatialsdr.geometry import (
     Coordinates,
     exp_correlation,
@@ -14,8 +18,10 @@ from spatialsdr.geometry import (
     pairwise_distances,
     spatial_filter,
 )
-from spatialsdr.pfc import fit_independent, whiten_center
-from spatialsdr.sem import fit_sem, whiten_sem
+from spatialsdr.pfc import fit_independent
+from spatialsdr.rrr import design, moments_of
+from spatialsdr.sem import default_lag_grid, fit_sem, whiten_sem
+from spatialsdr.simulate import SimConfig, simulate_sample
 from spatialsdr.sscm import default_decay_grid, fit_sscm, whiten_sscm
 
 from conftest import random_sample, span_distance
@@ -26,6 +32,18 @@ def three_point_geometry():
     return coords, pairwise_distances(coords)
 
 
+def schur(moments):
+    """Schur complement of a moment matrix on its intercept entry."""
+    m = moments.m
+    return m[1:, 1:] - np.outer(m[1:, 0], m[0, 1:]) / m[0, 0]
+
+
+def centered_rows(x, f):
+    """``[1 X F]`` with ``X`` and ``F`` less their column means."""
+    xf = np.column_stack([x, f])
+    return np.column_stack([np.ones(len(xf)), xf - xf.mean(axis=0)])
+
+
 class TestWhitenSscm:
     def test_identity_correlation_is_plain_centering(self):
         rng = np.random.default_rng(0)
@@ -34,16 +52,16 @@ class TestWhitenSscm:
         coords = Coordinates(rng.uniform(0, 10, size=(6, 2)))
         corr = exp_correlation(pairwise_distances(coords), 200.0)
         np.testing.assert_allclose(corr.matrix, np.eye(6), atol=1e-12)
-        wd = whiten_sscm(x, f, corr)
-        np.testing.assert_allclose(wd.x_bar, x - x.mean(axis=0), atol=1e-10)
+        xc = x - x.mean(axis=0)
+        np.testing.assert_allclose(schur(whiten_sscm(x, f, corr))[:2, :2], xc.T @ xc, atol=1e-10)
 
     def test_annihilates_constant_vector(self):
         rng = np.random.default_rng(1)
         coords = Coordinates(rng.uniform(size=(8, 2)))
         corr = exp_correlation(pairwise_distances(coords), 1.5)
         ones = np.ones((8, 1))
-        wd = whiten_sscm(ones, np.arange(8.0)[:, None] - 3.5, corr)
-        np.testing.assert_allclose(wd.x_bar, 0.0, atol=1e-10)
+        gram = schur(whiten_sscm(ones, np.arange(8.0)[:, None] - 3.5, corr))
+        np.testing.assert_allclose(gram[0], 0.0, atol=1e-10)
 
     def test_matches_dense_matrix_oracle(self):
         _, dist = three_point_geometry()
@@ -55,30 +73,31 @@ class TestWhitenSscm:
         ones = np.ones((3, 1))
         hc = np.eye(3) - (ones @ ones.T @ h_inv) / (ones.T @ h_inv @ ones).item()
         oracle = np.real(sla.sqrtm(h_inv)) @ hc @ x
-        wd = whiten_sscm(x, x[:, :1], corr)
-        # Any square root of H serves: the fit reads x_bar only through
-        # products that equal x' Hc' sqrtm(inv(H))^2 Hc x.
-        np.testing.assert_allclose(wd.x_bar.T @ wd.x_bar, oracle.T @ oracle, atol=1e-9)
-        np.testing.assert_allclose(wd.x_bar.T @ wd.f_bar, oracle.T @ oracle, atol=1e-9)
-        exact = np.linalg.inv(np.linalg.cholesky(h)) @ hc @ x
-        np.testing.assert_allclose(wd.x_bar, exact, atol=1e-9)
+        moments = whiten_sscm(x, x[:, :1], corr)
+        # The Schur complement is the Gram of the generalized centering
+        # followed by any square root of inv(H).
+        np.testing.assert_allclose(schur(moments), np.tile(oracle.T @ oracle, (2, 2)), atol=1e-9)
+        rows = centered_rows(x, x)
+        np.testing.assert_allclose(moments.m, rows.T @ h_inv @ rows, atol=1e-9)
+        assert moments.logdet_s_term == pytest.approx(0.5 * np.linalg.slogdet(h)[1], abs=1e-12)
 
 
 class TestWhitenSem:
     def test_zero_coef_is_plain_centering(self):
         coords, dist = three_point_geometry()
         w = neighbor_weights(dist, 2.0)
-        filt = spatial_filter(w, 0.0)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 1))
-        wd = whiten_sem(x, x[:, :1], filt)
-        np.testing.assert_allclose(wd.x_bar, x - x.mean(axis=0), atol=1e-12)
+        moments = whiten_sem(x, x[:, :1], w).at(0.0)
+        xc = x - x.mean(axis=0)
+        np.testing.assert_allclose(schur(moments)[:1, :1], xc.T @ xc, atol=1e-12)
+        assert moments.logdet_s_term == 0.0
 
     def test_annihilates_constant_vector(self):
         coords, dist = three_point_geometry()
-        filt = spatial_filter(neighbor_weights(dist, 2.0), 0.6)
-        wd = whiten_sem(np.ones((3, 1)), np.arange(3.0)[:, None] - 1.0, filt)
-        np.testing.assert_allclose(wd.x_bar, 0.0, atol=1e-12)
+        w = neighbor_weights(dist, 2.0)
+        moments = whiten_sem(np.ones((3, 1)), np.arange(3.0)[:, None] - 1.0, w).at(0.6)
+        np.testing.assert_allclose(schur(moments)[0], 0.0, atol=1e-12)
 
     def test_matches_dense_matrix_oracle(self):
         coords, dist = three_point_geometry()
@@ -91,8 +110,31 @@ class TestWhitenSem:
         ones = np.ones((3, 1))
         wc = np.eye(3) - (ones @ ones.T @ m) / (ones.T @ m @ ones).item()
         oracle = wt @ wc @ x
-        wd = whiten_sem(x, x[:, :1], filt)
-        np.testing.assert_allclose(wd.x_bar, oracle, atol=1e-12)
+        gram = schur(whiten_sem(x, x[:, :1], w).at(0.5))
+        np.testing.assert_allclose(gram, np.tile(oracle.T @ oracle, (2, 2)), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_moments_and_logdet_match_the_dense_filter(self, seed):
+        # oracle: the dense filter I - coef W applied to [1 X F], and its slogdet
+        sample = random_sample(60, 4, seed=seed)
+        dist = pairwise_distances(sample.coords)
+        w = neighbor_weights(dist, max_min_distance(dist))
+        f = np.random.default_rng(seed).standard_normal((60, 2))
+        sem_moments = whiten_sem(sample.x, f, w)
+        rows = centered_rows(sample.x, f)
+        for coef in default_lag_grid():
+            wt = np.eye(60) - coef * w.matrix
+            moments = sem_moments.at(coef)
+            want = (wt @ rows).T @ (wt @ rows)
+            np.testing.assert_allclose(moments.m, want, rtol=0, atol=1e-10 * np.abs(want).max())
+            log_abs_det = np.linalg.slogdet(wt)[1]
+            assert -moments.logdet_s_term / 4 == pytest.approx(log_abs_det, rel=1e-12, abs=1e-12)
+
+    def test_lag_next_to_one_is_singular(self):
+        # 1 - 2^-53 passes the grid check, but 1 - coef * lambda_max is ~1e-16
+        sample = random_sample(40, 3, seed=12)
+        with pytest.raises(SingularFilterError, match="numerically singular"):
+            fit_sem(sample, BasisSpec("polynomial", 2), 1, lag_grid=[1.0 - 2.0**-53])
 
 
 class TestFitSscm:
@@ -233,10 +275,43 @@ class TestFitSem:
 
 class TestWhitenCenter:
     def test_centering(self):
+        # the independent model's moments: the design is column-centered,
+        # and its Schur complement is the Gram of the centered [X F]
         rng = np.random.default_rng(15)
         x = rng.standard_normal((20, 3))
         f = rng.standard_normal((20, 2))
-        wd = whiten_center(x, f)
-        np.testing.assert_allclose(wd.x_bar.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(wd.f_bar.mean(axis=0), 0.0, atol=1e-12)
-        assert wd.tag == "identity-centering"
+        rows, shift = design(x, f)
+        np.testing.assert_allclose(rows[:, 1:].mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(shift, np.concatenate([x.mean(axis=0), f.mean(axis=0)]))
+        xf = centered_rows(x, f)[:, 1:]
+        np.testing.assert_allclose(schur(moments_of(rows, 3, shift)), xf.T @ xf, atol=1e-12)
+
+
+class TestInvariance:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["ind", "sscm", "sem"]))
+    @settings(max_examples=15, deadline=None)
+    def test_permuting_locations_changes_no_profile(self, seed, kind):
+        sample = random_sample(40, 3, seed=seed % 10_000)
+        perm = np.random.default_rng(seed).permutation(sample.n)
+        shuffled = SpatialSample(
+            Coordinates(sample.coords.points[perm]), sample.x[perm], sample.y[perm]
+        )
+        spec = BasisSpec("polynomial", 2)
+        for fit, other in zip(rank_fits(sample, kind, spec, [0, 1, 2]),
+                              rank_fits(shuffled, kind, spec, [0, 1, 2])):
+            assert fit.spatial_param == other.spatial_param
+            assert other.loglik == pytest.approx(fit.loglik, rel=1e-10)
+            if kind != "ind":
+                assert [c for c, _ in other.grid] == [c for c, _ in fit.grid]
+                np.testing.assert_allclose(
+                    [ll for _, ll in other.grid], [ll for _, ll in fit.grid], rtol=1e-10
+                )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sem_recovers_the_lag_at_large_n(seed):
+    # SEM data with lag 0.8 at n=600: the profiled lag lies within one grid step
+    cfg = SimConfig(n=600, model="sem", lag_coef=0.8, seed=seed)
+    sample = simulate_sample(cfg, 0)
+    fit = fit_sem(sample, BasisSpec("polynomial", cfg.r), cfg.d)
+    assert abs(fit.lag_coef - 0.8) <= 0.05 + 1e-12

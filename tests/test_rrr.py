@@ -1,23 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from spatialsdr._linalg import EIG_FLOOR, pd_eigh
 from spatialsdr.exceptions import (
     InsufficientSampleError,
     RankOutOfRangeError,
     SingularResidualCovError,
 )
 from spatialsdr.rrr import (
-    WhitenedData,
     apply_reduction,
+    design,
     loglik,
+    ls_fit,
+    moments_of,
+    profiled_mean,
     rrr_mle,
 )
 
-from conftest import span_distance
+from conftest import dense_loglik, span_distance
+
+
+def independent_fit(x, f, logdet_s_term=0.0):
+    """The shared fit of the rows ``[1 x f]`` under independent errors."""
+    rows, shift = design(x, f)
+    return ls_fit(moments_of(rows, x.shape[1], shift, logdet_s_term))
 
 
 def whitened(n, p, r, seed, signal=0.0):
+    """Centered predictors and features and their shared fit."""
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((n, r))
     x = rng.standard_normal((n, p))
@@ -26,35 +39,33 @@ def whitened(n, p, r, seed, signal=0.0):
         x = x + signal * f @ c.T
     x -= x.mean(axis=0)
     f -= f.mean(axis=0)
-    return WhitenedData(x_bar=x, f_bar=f)
+    return x, f, independent_fit(x, f)
 
 
 class TestLsFit:
-    """The full-rank fit ``rrr_mle(data, min(p, r))`` is the LS fit."""
+    """The full-rank fit ``rrr_mle(ls, min(p, r))`` is the LS fit."""
 
     def test_identity_feature_metric(self):
         rng = np.random.default_rng(0)
         n, p, r = 24, 4, 2
-        q, _ = np.linalg.qr(rng.standard_normal((n, r)))
-        f = q * np.sqrt(n)  # f'f/n = I exactly up to rounding
+        q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, r))]))
+        f = q[:, 1:] * np.sqrt(n)  # centered, and f'f/n = I up to rounding
         x = rng.standard_normal((n, p))
-        data = WhitenedData(x_bar=x, f_bar=f)
-        c_ls = rrr_mle(data, min(p, r)).coef
+        c_ls = rrr_mle(independent_fit(x, f), min(p, r)).coef
         np.testing.assert_allclose(c_ls, x.T @ f / n, atol=1e-10)
 
     def test_matches_generic_lstsq(self):
-        data = whitened(8, 3, 2, seed=5)
-        c_ls = rrr_mle(data, 2).coef
-        oracle = np.linalg.lstsq(data.f_bar, data.x_bar, rcond=None)[0].T
+        x, f, ls = whitened(8, 3, 2, seed=5)
+        c_ls = rrr_mle(ls, 2).coef
+        oracle = np.linalg.lstsq(f, x, rcond=None)[0].T
         np.testing.assert_allclose(c_ls, oracle, atol=1e-10)
 
     def test_exact_fit_raises_singular_residuals(self):
         rng = np.random.default_rng(2)
         f = rng.standard_normal((12, 2))
         c = rng.standard_normal((4, 2))
-        data = WhitenedData(x_bar=f @ c.T, f_bar=f)
         with pytest.raises(SingularResidualCovError):
-            rrr_mle(data, 2)
+            rrr_mle(independent_fit(f @ c.T, f), 2)
 
     def test_sample_size_guard(self):
         with pytest.raises(InsufficientSampleError):
@@ -64,20 +75,20 @@ class TestLsFit:
 class TestRrrMle:
     def test_full_rank_collapses_to_ls(self):
         for seed in range(5):
-            data = whitened(40, 5, 2, seed=seed, signal=1.0)
-            c_ls = np.linalg.lstsq(data.f_bar, data.x_bar, rcond=None)[0].T
-            est = rrr_mle(data, rank=2)
+            x, f, ls = whitened(40, 5, 2, seed=seed, signal=1.0)
+            c_ls = np.linalg.lstsq(f, x, rcond=None)[0].T
+            est = rrr_mle(ls, rank=2)
             np.testing.assert_allclose(est.coef, c_ls, atol=1e-8)
 
     def test_matches_numeric_optimizer(self):
         # oracle: derivative-free minimization of log|residual covariance|
-        data = whitened(20, 2, 1, seed=3, signal=0.8)
-        est = rrr_mle(data, rank=1)
+        x, f, ls = whitened(20, 2, 1, seed=3, signal=0.8)
+        est = rrr_mle(ls, rank=1)
 
         def neg_profile(z):
             c = np.outer(z[:2], z[2:3])
-            resid = data.x_bar - data.f_bar @ c.T
-            return np.linalg.slogdet(resid.T @ resid / data.n)[1]
+            resid = x - f @ c.T
+            return np.linalg.slogdet(resid.T @ resid / len(x))[1]
 
         best = np.inf
         for s in range(6):
@@ -89,35 +100,35 @@ class TestRrrMle:
                 options=dict(maxiter=20000, xatol=1e-12, fatol=1e-14),
             )
             best = min(best, res.fun)
-        resid = data.x_bar - data.f_bar @ est.coef.T
-        ours = np.linalg.slogdet(resid.T @ resid / data.n)[1]
+        resid = x - f @ est.coef.T
+        ours = np.linalg.slogdet(resid.T @ resid / len(x))[1]
         assert ours <= best + 1e-4
 
     def test_no_signal_eigenvalues_small(self):
-        data = whitened(2000, 3, 2, seed=11, signal=0.0)
-        est = rrr_mle(data, rank=2)
+        _, _, ls = whitened(2000, 3, 2, seed=11, signal=0.0)
+        est = rrr_mle(ls, rank=2)
         # with independent x and f, n * sum(eig) is approximately chi2(p*r)
         assert est.eigenvalues.max() < 0.05
 
     def test_rank_out_of_range(self):
-        data = whitened(30, 3, 2, seed=1)
+        _, _, ls = whitened(30, 3, 2, seed=1)
         for bad in (-1, 3):
             with pytest.raises(RankOutOfRangeError):
-                rrr_mle(data, bad)
+                rrr_mle(ls, bad)
+            with pytest.raises(RankOutOfRangeError):
+                loglik(ls, bad)
 
     def test_rank_zero_supported(self):
-        data = whitened(30, 3, 2, seed=1)
-        est = rrr_mle(data, 0)
+        x, _, ls = whitened(30, 3, 2, seed=1)
+        est = rrr_mle(ls, 0)
         assert est.a.shape == (3, 0)
         assert est.b.shape == (0, 2)
-        np.testing.assert_allclose(
-            est.resid_cov, data.x_bar.T @ data.x_bar / data.n, atol=1e-12
-        )
+        np.testing.assert_allclose(est.resid_cov, x.T @ x / len(x), atol=1e-12)
 
     def test_covariances_spd_and_eigvals_sorted(self):
         for seed in range(4):
-            data = whitened(50, 4, 3, seed=seed, signal=0.5)
-            est = rrr_mle(data, rank=2)
+            _, _, ls = whitened(50, 4, 3, seed=seed, signal=0.5)
+            est = rrr_mle(ls, rank=2)
             for m in (est.resid_cov, est.resid_cov_ls):
                 np.testing.assert_allclose(m, m.T, atol=1e-10)
                 assert np.linalg.eigvalsh(m)[0] > 0
@@ -125,8 +136,8 @@ class TestRrrMle:
             assert np.all(est.eigenvalues >= 0)
 
     def test_span_invariance_under_reparameterization(self):
-        data = whitened(40, 4, 3, seed=9, signal=0.7)
-        est = rrr_mle(data, rank=2)
+        _, _, ls = whitened(40, 4, 3, seed=9, signal=0.7)
+        est = rrr_mle(ls, rank=2)
         g = np.random.default_rng(0).standard_normal((2, 2))
         a2, b2 = est.a @ g, np.linalg.solve(g, est.b)
         np.testing.assert_allclose(a2 @ b2, est.coef, atol=1e-10)
@@ -135,60 +146,119 @@ class TestRrrMle:
 
 class TestLoglik:
     def test_full_rank_equals_ls_likelihood(self):
-        data = whitened(30, 4, 2, seed=6, signal=0.5)
-        est = rrr_mle(data, rank=2)
-        n, p = data.n, data.p
+        x, _, ls = whitened(30, 4, 2, seed=6, signal=0.5)
+        est = rrr_mle(ls, rank=2)
+        n, p = x.shape
         d_ls = est.resid_cov_ls
         expected = (
             -0.5 * n * p * np.log(2 * np.pi)
             - 0.5 * n * np.linalg.slogdet(d_ls)[1]
             - 0.5 * n * p
         )
-        assert loglik(data, est) == pytest.approx(expected, abs=1e-8)
+        assert loglik(ls, 2) == pytest.approx(expected, abs=1e-8)
 
     def test_scalar_instance_matches_gaussian_formula(self):
         x = np.array([[0.3], [-0.1], [0.7], [0.2]])
         f = np.array([[1.0], [-1.0], [0.5], [-0.5]])
         x = x - x.mean(axis=0)
         f = f - f.mean(axis=0)
-        data = WhitenedData(x_bar=x, f_bar=f)
-        est = rrr_mle(data, 1)
+        ls = independent_fit(x, f)
+        est = rrr_mle(ls, 1)
         resid = x - f * est.coef[0, 0]
         sigma2 = float((resid**2).sum()) / 4
         oracle = -2 * np.log(2 * np.pi) - 2 * np.log(sigma2) - 2.0
-        assert loglik(data, est) == pytest.approx(oracle, abs=1e-10)
+        assert loglik(ls, 1) == pytest.approx(oracle, abs=1e-10)
 
     def test_monotone_in_rank(self):
         for seed in range(6):
-            data = whitened(40, 4, 3, seed=seed, signal=0.4)
-            lls = [loglik(data, rrr_mle(data, d)) for d in range(4)]
+            _, _, ls = whitened(40, 4, 3, seed=seed, signal=0.4)
+            lls = [loglik(ls, d) for d in range(4)]
             assert np.all(np.diff(lls) >= -1e-10)
 
     def test_logdet_s_term_shifts_value(self):
-        data = whitened(30, 3, 2, seed=8)
-        est = rrr_mle(data, 1)
-        assert loglik(data, est, logdet_s_term=2.5) == pytest.approx(
-            loglik(data, est) - 2.5
+        x, f, ls = whitened(30, 3, 2, seed=8)
+        assert loglik(independent_fit(x, f, logdet_s_term=2.5), 1) == pytest.approx(
+            loglik(ls, 1) - 2.5
         )
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4),
+        st.floats(0.0, 3.0), st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_matches_explicit_trace(self, seed, p, r, signal, spatial):
+        # oracle: the matrix-normal density at the fitted mean, coefficient
+        # and residual covariance, with its trace evaluated explicitly, under
+        # a random row covariance (or none)
+        rng = np.random.default_rng(seed)
+        n = p + r + 2 + int(rng.integers(0, 30))
+        f = rng.standard_normal((n, r)) + rng.standard_normal(r)
+        x = rng.standard_normal((n, p)) + signal * f @ rng.standard_normal((p, r)).T + 5.0
+        rows, shift = design(x, f)
+        s_inv_half, s_logdet_term = None, 0.0
+        if spatial:
+            g = rng.standard_normal((n, n))
+            chol = np.linalg.cholesky(g @ g.T / n + np.eye(n))
+            s_inv_half = np.linalg.inv(chol)
+            s_logdet_term = p * float(np.sum(np.log(np.diag(chol))))
+            rows = s_inv_half @ rows
+        ls = ls_fit(moments_of(rows, p, shift, s_logdet_term))
+        for d in range(min(p, r) + 1):
+            est = rrr_mle(ls, d)
+            mu = profiled_mean(ls, est)
+            resid = x - mu - f @ est.coef.T
+            if spatial:
+                resid = s_inv_half @ resid
+            np.testing.assert_allclose(est.resid_cov, resid.T @ resid / n, rtol=1e-9, atol=1e-12)
+            want = dense_loglik(x, f, mu, est.a, est.b, est.resid_cov, s_logdet_term, s_inv_half)
+            assert loglik(ls, d) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-7, 1e-6])
+    def test_collinear_predictor_is_jittered_as_before(self, delta):
+        # x[:, 1] is x[:, 0] plus noise of size delta, so the LS residual
+        # covariance has an eigenvalue near delta^2, below the floor; the
+        # policy (oracle: pd_eigh of the lstsq residual covariance) adds
+        # 1e-8 * trace / p once, which passes, so the fit goes on
+        rng = np.random.default_rng(5)
+        n, p, r = 60, 4, 2
+        f = rng.standard_normal((n, r))
+        x = rng.standard_normal((n, p)) + f @ rng.standard_normal((p, r)).T
+        x[:, 1] = x[:, 0] + delta * rng.standard_normal(n)
+        fc, xc = f - f.mean(axis=0), x - x.mean(axis=0)
+        resid = xc - fc @ np.linalg.lstsq(fc, xc, rcond=None)[0]
+        d_raw = resid.T @ resid / n
+        assert np.linalg.eigvalsh(d_raw)[0] < EIG_FLOOR
+        want = pd_eigh(d_raw, SingularResidualCovError)[2]
+        ls = independent_fit(x, f)
+        for d in range(3):
+            est = rrr_mle(ls, d)
+            np.testing.assert_allclose(est.resid_cov_ls, want, rtol=0, atol=1e-12)
+            assert np.isfinite(loglik(ls, d))
+            # the closed form reads the jittered D_ls; slogdet of a matrix
+            # with condition ~1e9 carries about 1e-7 relative error
+            logdet = np.linalg.slogdet(est.resid_cov)[1]
+            assert loglik(ls, d) == pytest.approx(
+                -0.5 * n * p * (np.log(2 * np.pi) + 1.0) - 0.5 * n * logdet, rel=1e-7
+            )
 
 
 class TestReduction:
     def test_center_maps_to_zero(self):
-        data = whitened(30, 4, 2, seed=10, signal=0.6)
-        est = rrr_mle(data, 2)
+        _, _, ls = whitened(30, 4, 2, seed=10, signal=0.6)
+        est = rrr_mle(ls, 2)
         mu = np.random.default_rng(0).standard_normal(4)
         np.testing.assert_allclose(apply_reduction(mu, mu, est), 0.0, atol=1e-12)
 
     def test_ls_and_mle_covariance_give_identical_directions(self):
-        data = whitened(60, 5, 2, seed=12, signal=0.6)
-        est = rrr_mle(data, 1)
+        _, _, ls = whitened(60, 5, 2, seed=12, signal=0.6)
+        est = rrr_mle(ls, 1)
         np.testing.assert_allclose(
             est.directions(), np.linalg.solve(est.resid_cov_ls, est.a), atol=1e-8
         )
 
     def test_pairwise_distances_ignore_centering(self):
-        data = whitened(30, 4, 2, seed=13, signal=0.6)
-        est = rrr_mle(data, 2)
+        _, _, ls = whitened(30, 4, 2, seed=13, signal=0.6)
+        est = rrr_mle(ls, 2)
         pts = np.random.default_rng(1).standard_normal((6, 4))
         mu = np.random.default_rng(2).standard_normal(4)
         r1 = apply_reduction(pts, mu, est)
@@ -198,8 +268,8 @@ class TestReduction:
         np.testing.assert_allclose(d1, d2, atol=1e-9)
 
     def test_matches_row_by_row_product(self):
-        data = whitened(30, 4, 2, seed=14, signal=0.6)
-        est = rrr_mle(data, 2)
+        _, _, ls = whitened(30, 4, 2, seed=14, signal=0.6)
+        est = rrr_mle(ls, 2)
         mu = np.zeros(4)
         pts = np.random.default_rng(3).standard_normal((5, 4))
         dirs = np.linalg.solve(est.resid_cov, est.a)
@@ -216,10 +286,10 @@ def test_basis_scaling_leaves_fit_invariant():
     x -= x.mean(axis=0)
     f -= f.mean(axis=0)
     scales = np.array([3.0, 0.25])
-    d1 = WhitenedData(x_bar=x, f_bar=f)
-    d2 = WhitenedData(x_bar=x, f_bar=f / scales)
+    d1 = independent_fit(x, f)
+    d2 = independent_fit(x, f / scales)
     e1, e2 = rrr_mle(d1, 1), rrr_mle(d2, 1)
     np.testing.assert_allclose(e1.coef @ f.T, e2.coef @ (f / scales).T, atol=1e-8)
     np.testing.assert_allclose(e1.resid_cov, e2.resid_cov, atol=1e-10)
     assert span_distance(e1.a, e2.a) < 1e-8
-    assert loglik(d1, e1) == pytest.approx(loglik(d2, e2), abs=1e-8)
+    assert loglik(d1, 1) == pytest.approx(loglik(d2, 1), abs=1e-8)

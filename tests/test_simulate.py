@@ -1,5 +1,6 @@
 """The replication harness: golden reports, threading, failures, sampling."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from spatialsdr import sem
+from spatialsdr.basis import BasisSpec
 from spatialsdr.exceptions import NonPositiveDecayError, SingularFilterError
 from spatialsdr.geometry import Coordinates, pairwise_distances
 from spatialsdr.predictor import MODES
@@ -58,11 +60,16 @@ def test_threaded_equals_serial(policy):
 
 @pytest.mark.parametrize("policy", ["fixed", "aic", "cv"])
 def test_failed_sem_fit_records_nan_for_both_modes(monkeypatch, policy):
-    def singular(weights, coef):
-        raise SingularFilterError(f"I - {coef} * W is singular")
+    original = sem.whiten_sem
 
-    # Only the SEM fitter's filter fails; the data are still drawn.
-    monkeypatch.setattr(sem, "spatial_filter", singular)
+    def nan_spectrum(x, f, weights):
+        moments = original(x, f, weights)
+        return dataclasses.replace(moments, spectrum=np.full_like(moments.spectrum, np.nan))
+
+    # Only the SEM fitter's lag guard fails; the data are still drawn.
+    monkeypatch.setattr(sem, "whiten_sem", nan_spectrum)
+    with pytest.raises(SingularFilterError):
+        sem.fit_sem(simulate_sample(small_config("sem"), 0), BasisSpec("polynomial", 2), 1)
     report = run_experiment(small_config("sem"), list(MODES), policy)
     for m in MODES:
         if m.endswith(".SEM"):
