@@ -2,9 +2,10 @@
 
 The conditional mean of the predictors is modeled as linear in a small set
 of response features: polynomial terms by default, or slice indicators for
-a binned response.  Columns are centered; polynomial columns additionally
-carry their standard deviations so fitting can work on a well-conditioned
-scale (rescaling changes neither the fitted mean surface nor the reduction).
+a binned response (Cook & Forzani 2008).  Columns are centered; polynomial
+columns are also scaled to unit standard deviation so fitting works on a
+well-conditioned scale (rescaling changes neither the fitted mean surface
+nor the reduction).
 """
 
 from __future__ import annotations
@@ -49,34 +50,6 @@ class BasisSpec:
             object.__setattr__(self, "slice_bounds", b)
 
 
-@dataclass(frozen=True)
-class FittedBasis:
-    """Everything needed to evaluate the centered features on new responses."""
-
-    spec: BasisSpec
-    means: np.ndarray
-    scales: np.ndarray
-    cuts: np.ndarray | None
-    y_min: float
-    y_max: float
-
-
-@dataclass(frozen=True)
-class BasisMatrix:
-    """Centered training feature matrix plus its fitted metadata.
-
-    ``f`` holds centered, unscaled columns; ``fit_matrix`` divides by the
-    recorded scales and is what the likelihood machinery consumes.
-    """
-
-    f: np.ndarray
-    fitted: FittedBasis
-
-    @property
-    def fit_matrix(self) -> np.ndarray:
-        return self.f / self.fitted.scales
-
-
 def polynomial_features(y: np.ndarray, degree: int) -> np.ndarray:
     """Raw (uncentered) columns ``y, y**2, ..., y**degree``."""
     y = np.asarray(y, dtype=float)
@@ -104,8 +77,9 @@ def _equal_frequency_cuts(y: np.ndarray, n_slices: int) -> np.ndarray:
     return np.asarray(cuts)
 
 
-def build_f(y: np.ndarray, spec: BasisSpec) -> BasisMatrix:
-    """Construct the centered training feature matrix.
+def build_f(y: np.ndarray, spec: BasisSpec) -> np.ndarray:
+    """The centered n x r training feature matrix the fitters use, polynomial
+    columns scaled to unit standard deviation.
 
     Raises ``ConstantResponseError`` for a constant response under the
     polynomial basis and ``RankDeficientBasisError`` when the centered
@@ -119,7 +93,6 @@ def build_f(y: np.ndarray, spec: BasisSpec) -> BasisMatrix:
         if np.ptp(y) == 0.0:
             raise ConstantResponseError("response is constant")
         raw = polynomial_features(y, r)
-        cuts = None
     else:
         cuts = (
             np.asarray(spec.slice_bounds, dtype=float)
@@ -127,39 +100,11 @@ def build_f(y: np.ndarray, spec: BasisSpec) -> BasisMatrix:
             else _equal_frequency_cuts(y, r + 1)
         )
         raw = slice_indicators(y, cuts, r)
-    means = raw.mean(axis=0)
-    centered = raw - means
+    centered = raw - raw.mean(axis=0)
     if np.linalg.matrix_rank(centered) < r:
         raise RankDeficientBasisError(
             f"centered features span fewer than {r} dimensions"
         )
     if spec.kind == POLYNOMIAL:
-        scales = centered.std(axis=0)
-    else:
-        scales = np.ones(r)
-    fitted = FittedBasis(
-        spec=spec,
-        means=means,
-        scales=scales,
-        cuts=cuts,
-        y_min=float(y.min()),
-        y_max=float(y.max()),
-    )
-    return BasisMatrix(f=centered, fitted=fitted)
-
-
-def eval_basis(y_new: float, fitted: FittedBasis) -> tuple[np.ndarray, bool]:
-    """Evaluate the centered (and scaled) features at a new response value.
-
-    Returns ``(vector, out_of_range)``.  For the slice basis a response
-    outside the training range is assigned to the nearest slice and flagged;
-    the polynomial basis never flags.
-    """
-    spec = fitted.spec
-    out_of_range = False
-    if spec.kind == POLYNOMIAL:
-        raw = polynomial_features(np.array([y_new]), spec.degree)[0]
-    else:
-        raw = slice_indicators(np.array([y_new]), fitted.cuts, spec.degree)[0]
-        out_of_range = bool(y_new < fitted.y_min or y_new > fitted.y_max)
-    return (raw - fitted.means) / fitted.scales, out_of_range
+        return centered / centered.std(axis=0)
+    return centered

@@ -119,12 +119,13 @@ RANK_FITS = {"ind": pfc.rank_fits, "sscm": sscm.rank_fits, "sem": sem.rank_fits}
 KIND_LABELS = {"ind": "Ind", "sscm": "SSCM", "sem": "SEM"}
 
 
-def rank_fits(sample, kind, spec, ranks, decay_grid=None, lag_grid=None) -> list:
-    """Fits of ``kind`` at each of ``ranks`` from one profile pass; a rank
-    that failed holds its ``SpatialSdrError`` in place of a fit."""
+def rank_fits(sample, kind, spec, ranks, grid=None) -> list:
+    """Fits of ``kind`` at each of ``ranks`` from one profile pass over
+    ``grid`` (decay rates for ``sscm``, lag coefficients for ``sem``, ignored
+    for ``ind``; the model's default grid when None).  A rank that failed
+    holds its ``SpatialSdrError`` in place of a fit."""
     if kind not in RANK_FITS:
         raise InputError(f"unknown model kind {kind!r}")
-    grid = {"sscm": decay_grid, "sem": lag_grid}.get(kind)
     return RANK_FITS[kind](sample, spec, ranks, grid)
 
 
@@ -132,26 +133,23 @@ def fit_rank_profile(
     sample: SpatialSample,
     kind: str,
     spec: BasisSpec,
-    decay_grid: np.ndarray | None = None,
-    lag_grid: np.ndarray | None = None,
+    grid: np.ndarray | None = None,
 ):
     """Fit every rank 0..min(p, r), each with its own argmax of the spatial
-    parameter.  Returns the list of fits (index = rank)."""
+    parameter over ``grid`` (as in ``rank_fits``).  Returns the list of fits
+    (index = rank)."""
     ranks = range(min(sample.p, spec.degree) + 1)
-    return raise_failure(
-        rank_fits(sample, kind, spec, ranks, decay_grid=decay_grid, lag_grid=lag_grid)
-    )
+    return raise_failure(rank_fits(sample, kind, spec, ranks, grid))
 
 
 def loglik_profile(
     sample: SpatialSample,
     kind: str,
     spec: BasisSpec,
-    decay_grid: np.ndarray | None = None,
-    lag_grid: np.ndarray | None = None,
+    grid: np.ndarray | None = None,
 ) -> np.ndarray:
     """Maximized log-likelihood for each rank 0..min(p, r)."""
-    fits = fit_rank_profile(sample, kind, spec, decay_grid, lag_grid)
+    fits = fit_rank_profile(sample, kind, spec, grid)
     return np.array([f.loglik for f in fits])
 
 
@@ -163,29 +161,22 @@ def select_cv(
     folds: int = 5,
     d_range: tuple[int, ...] | None = None,
     seed: int = 0,
-    loo: bool = False,
-    decay_grid: np.ndarray | None = None,
-    lag_grid: np.ndarray | None = None,
+    grid: np.ndarray | None = None,
 ) -> DimSelection:
     """Rank by minimum K-fold cross-validated prediction error.
 
-    Folds come from a seeded shuffle without spatial stratification; pass
-    ``loo=True`` for leave-one-out.  A fold failure invalidates that rank;
-    if every candidate fails, ``CvFailedError`` is raised.  Ties break to
-    the smallest rank.
+    Folds come from a seeded shuffle without spatial stratification, and
+    each fold is fitted over ``grid`` (as in ``rank_fits``).  A fold failure
+    invalidates that rank; if every candidate fails, ``CvFailedError`` is
+    raised.  Ties break to the smallest rank.
     """
     if kernels not in ("1k", "2k"):
         raise InputError("kernels must be '1k' or '2k'")
-    sels = _cv_selections(
-        sample, kind, spec, (kernels,), folds, d_range, seed, loo, decay_grid, lag_grid
-    )
+    sels = _cv_selections(sample, kind, spec, (kernels,), folds, d_range, seed, grid)
     return raise_failure(sels)[0]
 
 
-def _cv_selections(
-    sample, kind, spec, kernels, folds=5, d_range=None, seed=0, loo=False,
-    decay_grid=None, lag_grid=None,
-) -> list:
+def _cv_selections(sample, kind, spec, kernels, folds=5, d_range=None, seed=0, grid=None) -> list:
     """``select_cv`` for each of ``kernels``: each fold is fitted once for
     all of ``d_range`` and every kernel is scored from those fits.  A kernel
     whose ranks all failed holds a ``CvFailedError`` in place of a result."""
@@ -196,13 +187,12 @@ def _cv_selections(
         d_range = tuple(range(1, m + 1))
     if any(d < 1 or d > m for d in d_range):
         raise InputError(f"d_range must be within 1..{m}")
-    n_folds = sample.n if loo else folds
-    if n_folds < 2 or n_folds > sample.n:
+    if folds < 2 or folds > sample.n:
         raise InputError("folds must be between 2 and n")
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(sample.n)
-    fold_ids = np.array_split(perm, n_folds)
+    fold_ids = np.array_split(perm, folds)
     modes = [f"{k}.{KIND_LABELS[kind]}" for k in kernels]
     ranks = sorted(set(d_range))
     sq_errors = {(mode, d): [] for mode in modes for d in ranks}
@@ -214,7 +204,7 @@ def _cv_selections(
         train_idx = np.setdiff1d(perm, held, assume_unique=True)
         train, test = sample.subset(train_idx), sample.subset(held)
         try:
-            fits = rank_fits(train, kind, spec, live, decay_grid, lag_grid)
+            fits = rank_fits(train, kind, spec, live, grid)
         except SpatialSdrError as exc:
             fits = [exc] * len(live)
         for d, fit in zip(live, fits):

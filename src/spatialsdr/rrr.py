@@ -24,7 +24,7 @@ sufficient-reduction directions ``inv(resid_cov) @ a`` equal ``D_ls^{-1/2} V_d``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -212,17 +212,42 @@ def apply_reduction(x_new: np.ndarray, mu: np.ndarray, est: RrrEstimate) -> np.n
     return (x_new - mu) @ dirs
 
 
-def profile(ranks, params, moments, make) -> list:
+@dataclass(frozen=True)
+class SdrFit:
+    """Fitted reduction of one error model at one rank.
+
+    ``est`` and ``mu`` are the estimate and profiled mean at the argmax of
+    the spatial parameter, ``loglik`` its maximized log-likelihood, and
+    ``grid`` every evaluated (param, loglik) pair in ascending parameter
+    order; independent errors have no parameter and record ``[(None, loglik)]``.
+    """
+
+    kind: str
+    est: RrrEstimate
+    mu: np.ndarray
+    loglik: float
+    grid: list[tuple[float | None, float]] = field(repr=False)
+
+    @property
+    def spatial_param(self) -> float | None:
+        return None
+
+    def reduce(self, x_new: np.ndarray) -> np.ndarray:
+        return apply_reduction(x_new, self.mu, self.est)
+
+
+def profile(fit_type, kind, ranks, params, moments) -> list:
     """Profile a spatial parameter for several ranks in one pass over its grid.
 
     ``moments(param)`` returns a grid point's ``Moments``, whose one
     ``ls_fit`` gives every live rank its closed-form ``loglik``; ties keep the
-    earliest point.  ``rrr_mle`` then runs once per rank, at its argmax, which
-    becomes ``make(param, est, mu, loglik, grid)``.  A ``SpatialSdrError``
-    ends the rank it hits (every live rank when ``moments`` or ``ls_fit``
-    raises) and takes that rank's place in the result.
+    earliest point of ``params``.  ``rrr_mle`` then runs once per rank, at its
+    argmax, giving ``fit_type(kind, est, mu, loglik, grid, param)`` (no
+    ``param`` for a ``None`` one).  A ``SpatialSdrError`` ends the rank it
+    hits (every live rank when ``moments`` or ``ls_fit`` raises) and takes
+    that rank's place in the result.
     """
-    grids, best, failed = {rank: [] for rank in ranks}, {}, {}
+    grids, best, failed = {rank: {} for rank in ranks}, {}, {}
     for param in params:
         live = [rank for rank in ranks if rank not in failed]
         if not live:
@@ -238,14 +263,16 @@ def profile(ranks, params, moments, make) -> list:
             except SpatialSdrError as exc:
                 failed[rank] = exc
                 continue
-            grids[rank].append((param, ll))
+            grids[rank][param] = ll
             if rank not in best or ll > best[rank][2]:
                 best[rank] = (param, ls, ll)
 
     def result(rank):
         param, ls, ll = best[rank]
         est = rrr_mle(ls, rank)
-        return make(param, est, profiled_mean(ls, est), ll, grids[rank])
+        grid = sorted(grids[rank].items())
+        extra = () if param is None else (param,)
+        return fit_type(kind, est, profiled_mean(ls, est), ll, grid, *extra)
 
     return [failed[rank] if rank in failed else result(rank) for rank in ranks]
 

@@ -14,20 +14,21 @@ carries ``+ p log|det Wt|``.  ``W = A D^{-1}`` for the symmetric threshold
 adjacency ``A`` with degrees ``D``, so ``W`` is similar to the symmetric
 ``D^{-1/2} A D^{-1/2}``, whose eigenvalues ``lambda`` give ``log|det Wt| =
 sum log|1 - coef lambda|`` at every lag (Ord 1975).  The lag coefficient is
-profiled over a grid on (-1, 1).
+profiled over a grid on (-1, 1); fits are ``SemFit``, the ``rrr.SdrFit``
+whose spatial parameter is named ``lag_coef``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FittedBasis, build_f
+from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, SingularFilterError
 from .geometry import NeighborWeights, max_min_distance, neighbor_weights, pairwise_distances
-from .rrr import Moments, RrrEstimate, apply_reduction, design, profile, raise_failure
+from .rrr import Moments, SdrFit, design, profile, raise_failure
 
 DEFAULT_GRID = np.round(np.arange(-0.95, 0.951, 0.05), 2)
 COND_LIMIT = 1e14  # largest accepted condition number of I - coef D^{-1/2} A D^{-1/2}
@@ -77,27 +78,14 @@ def whiten_sem(x: np.ndarray, f: np.ndarray, weights: NeighborWeights) -> SemMom
 
 
 @dataclass(frozen=True)
-class SemFit:
-    """Fitted autoregressive-error reduction.
-
-    ``lag_coef`` is the profiled coefficient; ``grid`` records every
-    evaluated (coef, loglik) pair in ascending coefficient order.
-    """
+class SemFit(SdrFit):
+    """``SdrFit`` whose spatial parameter is the lag coefficient."""
 
     lag_coef: float
-    est: RrrEstimate
-    mu: np.ndarray
-    loglik: float
-    grid: list[tuple[float, float]] = field(repr=False)
-    basis: FittedBasis = field(repr=False)
-    kind: str = "sem"
 
     @property
     def spatial_param(self) -> float:
         return self.lag_coef
-
-    def reduce(self, x_new: np.ndarray) -> np.ndarray:
-        return apply_reduction(x_new, self.mu, self.est)
 
 
 def fit_sem(
@@ -119,7 +107,7 @@ def fit_sem(
 def rank_fits(sample, spec, ranks, lag_grid=None) -> list:
     """``fit_sem`` at each of ``ranks`` from one pass over the lag grid, or
     the error that stopped that rank."""
-    bm = build_f(sample.y, spec)
+    f = build_f(sample.y, spec)
     dist = pairwise_distances(sample.coords)
     weights = neighbor_weights(dist, max_min_distance(dist))
 
@@ -131,13 +119,7 @@ def rank_fits(sample, spec, ranks, lag_grid=None) -> list:
     if np.any(np.abs(lag_grid) >= 1.0):
         raise InputError("lag-coefficient grid entries must lie in (-1, 1)")
 
-    def make(coef, est, mu, ll, grid) -> SemFit:
-        # One grid entry per coefficient, in ascending order.
-        grid = sorted(dict(grid).items())
-        return SemFit(coef, est, mu, ll, grid, bm.fitted)
-
     # Scan smallest |coef| first so ties keep the near-independent model.
     order = sorted(lag_grid, key=lambda c: (abs(c), c))
     params = [float(c) for c in order]
-    moments = whiten_sem(sample.x, bm.fit_matrix, weights)
-    return profile(ranks, params, moments.at, make)
+    return profile(SemFit, "sem", ranks, params, whiten_sem(sample.x, f, weights).at)

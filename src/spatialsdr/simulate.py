@@ -14,7 +14,6 @@ stream from (seed, rep), so parallel and serial execution agree.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,7 +22,8 @@ import numpy as np
 from ._linalg import eig_power, pd_eigh
 from .basis import BasisSpec, polynomial_features
 from .data import SpatialSample, train_test_split
-from .dimension import _cv_selections, fit_rank_profile, rank_fits, select_ic, select_lr
+from .dimension import KIND_LABELS, _cv_selections, fit_rank_profile, rank_fits
+from .dimension import select_ic, select_lr
 from .exceptions import CovarianceNotPDError, InputError, SpatialSdrError
 from .exceptions import NearSingularCorrelationError, NonPositiveDecayError
 from .geometry import (
@@ -35,7 +35,6 @@ from .geometry import (
 )
 from .predictor import MODES, predict_tuned
 
-THREAD_ENV_VAR = "SPATIALSDR_THREADS"
 UNSTABLE_FRACTION = 0.2
 # Errors that cost a replication one method's result instead of the run.
 FAILURES = (SpatialSdrError, np.linalg.LinAlgError)
@@ -91,7 +90,6 @@ class MetricsReport:
     d_policy: str
     mse: dict[str, list[float]]
     d_selected: dict[str, list[int]]
-    base_seed: int
     rep_keys: list[int]
     unstable: list[str] = field(default_factory=list)
 
@@ -268,9 +266,10 @@ def _run_rep(cfg: SimConfig, methods: list[str], d_policy: str, rep: int):
         kernels, label = mode.split(".")
         kernels_of.setdefault(label, []).append(kernels)
     picks = {f"{k}.FULL": (0, None) for k in kernels_of.pop("FULL", [])}
+    kind_of = {label: kind for kind, label in KIND_LABELS.items()}
     for label, kernels in kernels_of.items():
         try:
-            found = _kind_fits(train, label.lower(), spec, kernels, d_policy, cfg, rep)
+            found = _kind_fits(train, kind_of[label], spec, kernels, d_policy, cfg, rep)
         except FAILURES as exc:
             found = [(-1, exc)] * len(kernels)
         picks.update((f"{k}.{label}", pick) for k, pick in zip(kernels, found))
@@ -292,25 +291,23 @@ def run_experiment(
     cfg: SimConfig,
     methods: list[str],
     d_policy: str = "fixed",
-    workers: int | None = None,
+    workers: int = 1,
 ) -> MetricsReport:
     """Replicate the train/test protocol and collect per-method MSEs.
 
     A failed replication records NaN for that method and continues;
     methods failing in at least 20% of replications are flagged unstable.
-    ``workers`` defaults to the ``SPATIALSDR_THREADS`` environment variable
-    (serial when unset); results are identical either way.  With
-    ``workers > 1`` set ``OPENBLAS_NUM_THREADS=1`` (or the variable of the
-    BLAS in use) before numpy is imported: each worker's BLAS calls
-    otherwise start their own threads and oversubscribe the cores.
+    ``workers`` threads run the replications; results are identical for
+    any count.  With ``workers > 1`` set ``OPENBLAS_NUM_THREADS=1`` (or
+    the variable of the BLAS in use) before numpy is imported: each
+    worker's BLAS calls otherwise start their own threads and
+    oversubscribe the cores.
     """
     for mode in methods:
         if mode not in MODES:
             raise InputError(f"unknown method {mode!r}")
     if d_policy not in ("fixed", "lr", "aic", "bic", "cv"):
         raise InputError(f"unknown d policy {d_policy!r}")
-    if workers is None:
-        workers = int(os.environ.get(THREAD_ENV_VAR, "1"))
     reps = list(range(cfg.reps))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -333,7 +330,6 @@ def run_experiment(
         d_policy=d_policy,
         mse=mse,
         d_selected=d_selected,
-        base_seed=cfg.seed,
         rep_keys=reps,
         unstable=unstable,
     )

@@ -10,21 +10,22 @@ whose Schur complement on the intercept entry is the Gram matrix of the
 generalized centering ``Hc = I - 1 (1' inv(H) 1)^{-1} 1' inv(H)`` followed by
 ``L^{-1}``; any square root of ``H`` in place of ``L`` gives the same ``M``.
 The decay rate is profiled over a grid; the log-likelihood carries the
-extra ``-(p/2) log|H|`` term.
+extra ``-(p/2) log|H|`` term.  Fits are ``SscmFit``, the ``rrr.SdrFit``
+whose spatial parameter is named ``decay``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .basis import BasisSpec, FittedBasis, build_f
+from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, NonPositiveDecayError
 from .geometry import DistanceMatrix, ExpCorrelation, exp_correlation, pairwise_distances
-from .rrr import Moments, RrrEstimate, apply_reduction, design, moments_of, profile, raise_failure
+from .rrr import Moments, SdrFit, design, moments_of, profile, raise_failure
 
 DEFAULT_GRID_SIZE = 20
 DEFAULT_GRID_SPAN = (0.1, 10.0)  # multiples of 1/median-distance
@@ -48,27 +49,14 @@ def whiten_sscm(x: np.ndarray, f: np.ndarray, corr: ExpCorrelation) -> Moments:
 
 
 @dataclass(frozen=True)
-class SscmFit:
-    """Fitted separable-covariance reduction.
-
-    ``decay`` is the profiled correlation decay rate; ``grid`` records every
-    evaluated (decay, loglik) pair.
-    """
+class SscmFit(SdrFit):
+    """``SdrFit`` whose spatial parameter is the correlation decay rate."""
 
     decay: float
-    est: RrrEstimate
-    mu: np.ndarray
-    loglik: float
-    grid: list[tuple[float, float]] = field(repr=False)
-    basis: FittedBasis = field(repr=False)
-    kind: str = "sscm"
 
     @property
     def spatial_param(self) -> float:
         return self.decay
-
-    def reduce(self, x_new: np.ndarray) -> np.ndarray:
-        return apply_reduction(x_new, self.mu, self.est)
 
 
 def fit_sscm(
@@ -87,8 +75,7 @@ def fit_sscm(
 def rank_fits(sample, spec, ranks, decay_grid=None) -> list:
     """``fit_sscm`` at each of ``ranks`` from one pass over the decay grid,
     or the error that stopped that rank."""
-    bm = build_f(sample.y, spec)
-    f_fit = bm.fit_matrix
+    f = build_f(sample.y, spec)
     dist = pairwise_distances(sample.coords)
     if decay_grid is None:
         decay_grid = default_decay_grid(dist)
@@ -100,6 +87,6 @@ def rank_fits(sample, spec, ranks, decay_grid=None) -> list:
 
     params = [float(decay) for decay in np.sort(decay_grid)]
     return profile(
-        ranks, params, lambda decay: whiten_sscm(sample.x, f_fit, exp_correlation(dist, decay)),
-        lambda decay, est, mu, ll, grid: SscmFit(decay, est, mu, ll, grid, bm.fitted),
+        SscmFit, "sscm", ranks, params,
+        lambda decay: whiten_sscm(sample.x, f, exp_correlation(dist, decay)),
     )

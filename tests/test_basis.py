@@ -3,23 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spatialsdr.basis import (
-    BasisSpec,
-    build_f,
-    eval_basis,
-    polynomial_features,
-)
+from spatialsdr.basis import BasisSpec, build_f, polynomial_features
 from spatialsdr.exceptions import ConstantResponseError, RankDeficientBasisError
+
+
+def slice_of(f):
+    """Slice index of each row: the column whose centered indicator is
+    positive, or the last slice, which has no column."""
+    member = f > 0.0
+    return np.where(member.any(axis=1), member.argmax(axis=1), f.shape[1])
 
 
 class TestBuildPolynomial:
     def test_degree_one_centering(self):
-        bm = build_f(np.array([1.0, 2.0, 3.0]), BasisSpec("polynomial", 1))
-        np.testing.assert_allclose(bm.f[:, 0], [-1.0, 0.0, 1.0])
+        f = build_f(np.array([1.0, 2.0, 3.0]), BasisSpec("polynomial", 1))
+        centered = np.array([-1.0, 0.0, 1.0])
+        np.testing.assert_allclose(f[:, 0], centered / centered.std())
 
     def test_degree_two_centering(self):
-        bm = build_f(np.array([1.0, 2.0, 3.0, 4.0]), BasisSpec("polynomial", 2))
-        np.testing.assert_allclose(bm.f[:, 1], [-6.5, -3.5, 1.5, 8.5])
+        f = build_f(np.array([1.0, 2.0, 3.0, 4.0]), BasisSpec("polynomial", 2))
+        centered = np.array([-6.5, -3.5, 1.5, 8.5])
+        np.testing.assert_allclose(f[:, 1], centered / centered.std())
 
     def test_constant_response(self):
         with pytest.raises(ConstantResponseError):
@@ -34,9 +38,9 @@ class TestBuildPolynomial:
     @settings(max_examples=25, deadline=None)
     def test_columns_centered(self, seed):
         y = np.random.default_rng(seed).standard_normal(20)
-        bm = build_f(y, BasisSpec("polynomial", 3))
-        np.testing.assert_allclose(bm.f.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(bm.fit_matrix.std(axis=0), 1.0, atol=1e-10)
+        f = build_f(y, BasisSpec("polynomial", 3))
+        np.testing.assert_allclose(f.mean(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(f.std(axis=0), 1.0, atol=1e-10)
 
 
 class TestBuildSlices:
@@ -44,59 +48,20 @@ class TestBuildSlices:
         rng = np.random.default_rng(3)
         for n, h in [(30, 3), (31, 3), (20, 4)]:
             y = rng.standard_normal(n)
-            bm = build_f(y, BasisSpec("slice", h - 1))
-            idx = np.searchsorted(bm.fitted.cuts, y, side="left")
+            idx = slice_of(build_f(y, BasisSpec("slice", h - 1)))
             counts = np.bincount(idx, minlength=h)
             assert counts.min() >= n // h
             assert counts.max() <= -(-n // h)
+            # slices are intervals of y, in order
+            assert np.all(np.diff(idx[np.argsort(y)]) >= 0)
 
     def test_explicit_bounds(self):
         y = np.array([0.1, 0.4, 0.6, 0.9, 1.4, 2.0])
-        bm = build_f(y, BasisSpec("slice", 2, slice_bounds=(0.5, 1.0)))
-        np.testing.assert_allclose(bm.fitted.cuts, [0.5, 1.0])
-        raw = bm.f + bm.fitted.means
+        f = build_f(y, BasisSpec("slice", 2, slice_bounds=(0.5, 1.0)))
+        np.testing.assert_array_equal(slice_of(f), [0, 0, 1, 1, 2, 2])
+        raw = f - f.min(axis=0)  # each column is its indicator less its mean
         np.testing.assert_allclose(raw[:, 0], [1, 1, 0, 0, 0, 0])
         np.testing.assert_allclose(raw[:, 1], [0, 0, 1, 1, 0, 0])
-
-
-class TestEvalBasis:
-    def test_training_mean_maps_near_zero(self):
-        y = np.array([1.0, 2.0, 3.0, 5.0])
-        bm = build_f(y, BasisSpec("polynomial", 1))
-        vec, flagged = eval_basis(float(y.mean()), bm.fitted)
-        assert abs(vec[0]) < 1e-12
-        assert not flagged
-
-    def test_polynomial_arithmetic(self):
-        from spatialsdr.basis import FittedBasis
-
-        fitted = FittedBasis(
-            spec=BasisSpec("polynomial", 2),
-            means=np.array([2.5, 7.5]),
-            scales=np.array([1.0, 1.0]),
-            cuts=None,
-            y_min=1.0,
-            y_max=4.0,
-        )
-        vec, flagged = eval_basis(2.0, fitted)
-        np.testing.assert_allclose(vec, [-0.5, -3.5])
-        assert not flagged
-
-    def test_slice_membership(self):
-        y = np.linspace(0, 1, 9)
-        bm = build_f(y, BasisSpec("slice", 2))
-        vec, flagged = eval_basis(0.5, bm.fitted)
-        raw = vec * bm.fitted.scales + bm.fitted.means
-        np.testing.assert_allclose(raw, [0.0, 1.0])
-        assert not flagged
-
-    def test_out_of_range_flagged_nearest_slice(self):
-        y = np.linspace(0, 1, 9)
-        bm = build_f(y, BasisSpec("slice", 2))
-        vec, flagged = eval_basis(5.0, bm.fitted)
-        assert flagged
-        raw = vec * bm.fitted.scales + bm.fitted.means
-        np.testing.assert_allclose(raw, [0.0, 0.0])  # last slice has no column
 
 
 def test_polynomial_features_raw():

@@ -100,10 +100,9 @@ class TestLoglikProfile:
     def test_monotone_for_each_model(self):
         sample = random_sample(60, 4, seed=4, signal=True)
         spec = BasisSpec("polynomial", 2)
-        for kind in ("ind", "sscm", "sem"):
-            lls = loglik_profile(
-                sample, kind, spec, decay_grid=np.array([0.5, 2.0])
-            )
+        grids = {"ind": None, "sscm": np.array([0.5, 2.0]), "sem": np.array([0.0, 0.5])}
+        for kind, grid in grids.items():
+            lls = loglik_profile(sample, kind, spec, grid=grid)
             assert lls.shape == (3,)
             assert np.all(np.diff(lls) >= -1e-8 * np.abs(lls).max())
 
@@ -168,7 +167,7 @@ class TestSelectCv:
                 monkeypatch.setattr(mod, "loglik", fails_at_rank_two)
         sample = random_sample(50, 3, seed=9)
         sel = select_cv(
-            sample, kind, BasisSpec("polynomial", 2), folds=3, lag_grid=[0.0, 0.5]
+            sample, kind, BasisSpec("polynomial", 2), folds=3, grid=[0.0, 0.5]
         )
         assert sel.d_star == 1
         rows = {row["rank"]: row for row in sel.trace}

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spatialsdr.basis import BasisSpec
+from spatialsdr.basis import BasisSpec, build_f
 from spatialsdr.data import SpatialSample
 from spatialsdr.dimension import rank_fits
 from spatialsdr.exceptions import EmptyGridError, InputError, SingularFilterError
@@ -42,6 +42,11 @@ def centered_rows(x, f):
     """``[1 X F]`` with ``X`` and ``F`` less their column means."""
     xf = np.column_stack([x, f])
     return np.column_stack([np.ones(len(xf)), xf - xf.mean(axis=0)])
+
+
+def pairwise_gaps(points):
+    """Euclidean distances between the rows of ``points``."""
+    return np.linalg.norm(points[:, None] - points[None], axis=2)
 
 
 class TestWhitenSscm:
@@ -236,9 +241,16 @@ class TestFitSem:
         assert fit.loglik == max(lls)
 
     def test_grid_reported_in_ascending_order(self):
+        # every kind records one entry per parameter, in ascending order
         sample = random_sample(40, 3, seed=11)
-        fit = fit_sem(sample, BasisSpec("polynomial", 2), 1, lag_grid=[0.4, -0.4, 0.0])
+        spec = BasisSpec("polynomial", 2)
+        fit = fit_sem(sample, spec, 1, lag_grid=[0.4, -0.4, 0.0])
         assert [c for c, _ in fit.grid] == [-0.4, 0.0, 0.4]
+        fit = fit_sscm(sample, spec, 1, decay_grid=[3.0, 0.3, 1.0, 0.3])
+        assert [c for c, _ in fit.grid] == [0.3, 1.0, 3.0]
+        assert fit.loglik == max(ll for _, ll in fit.grid)
+        fit = fit_independent(sample, spec, 1)
+        assert fit.grid == [(None, fit.loglik)]
 
     def test_grid_outside_unit_interval_rejected(self):
         sample = random_sample(40, 3, seed=12)
@@ -263,9 +275,7 @@ class TestFitSem:
         wt = np.eye(40) - 0.5 * w.matrix
         m = wt.T @ wt
         ones = np.ones(40)
-        from spatialsdr.basis import build_f
-
-        f_fit = build_f(sample.y, BasisSpec("polynomial", 2)).fit_matrix
+        f_fit = build_f(sample.y, BasisSpec("polynomial", 2))
         oracle = (
             (sample.x.T - fit.est.coef @ f_fit.T) @ m @ ones
             / (ones @ m @ ones).item()
@@ -306,6 +316,29 @@ class TestInvariance:
                 np.testing.assert_allclose(
                     [ll for _, ll in other.grid], [ll for _, ll in fit.grid], rtol=1e-10
                 )
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["ind", "sscm", "sem"]))
+    @settings(max_examples=15, deadline=None)
+    def test_affine_predictors_shift_the_profile_and_keep_the_reduction(self, seed, kind):
+        # X -> XQ + c multiplies the likelihood by |det Q|^-n at every grid
+        # point and moves the reduced points only by a rotation (the SDR
+        # subspace is equivariant)
+        sample = random_sample(40, 3, seed=seed % 10_000)
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+        moved = SpatialSample(sample.coords, sample.x @ q + rng.standard_normal(3), sample.y)
+        shift = -sample.n * np.linalg.slogdet(q)[1]
+        spec = BasisSpec("polynomial", 2)
+        for fit, other in zip(rank_fits(sample, kind, spec, [0, 1, 2]),
+                              rank_fits(moved, kind, spec, [0, 1, 2])):
+            assert other.spatial_param == fit.spatial_param
+            assert [c for c, _ in other.grid] == [c for c, _ in fit.grid]
+            for (_, ll), (_, ll_moved) in zip(fit.grid, other.grid):
+                assert ll_moved == pytest.approx(ll + shift, rel=1e-8)
+            gaps = pairwise_gaps(fit.reduce(sample.x))
+            np.testing.assert_allclose(
+                pairwise_gaps(other.reduce(moved.x)), gaps, rtol=0, atol=1e-6 * gaps.max()
+            )
 
 
 @pytest.mark.parametrize("seed", range(5))

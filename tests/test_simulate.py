@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,20 @@ def test_golden_reports(model, policy):
         np.testing.assert_allclose(report.mse[m], want["mse"][m], rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("model", ["sscm", "sem"])
+def test_summary_tabulates_the_golden_report(model):
+    # oracle: the stdlib mean and sample standard deviation of the golden MSEs
+    want = GOLDEN["reports"][f"{model}-fixed"]["mse"]
+    cfg = small_config(model)
+    rows = run_experiment(cfg, list(MODES), "fixed").summary()
+    assert [row["method"] for row in rows] == list(MODES)
+    for row in rows:
+        mse = want[row["method"]]
+        assert row["mean_mse"] == pytest.approx(statistics.mean(mse), rel=1e-10)
+        assert row["std_mse"] == pytest.approx(statistics.stdev(mse), rel=1e-8)
+        assert (row["n_ok"], row["n_failed"]) == (cfg.reps, 0)
+
+
 @pytest.mark.parametrize("policy", ["aic", "cv"])
 def test_threaded_equals_serial(policy):
     cfg = small_config("sem")
@@ -79,6 +94,13 @@ def test_failed_sem_fit_records_nan_for_both_modes(monkeypatch, policy):
             assert np.all(np.isfinite(report.mse[m]))
             assert all(d >= 0 for d in report.d_selected[m])
     assert report.unstable == ["1k.SEM", "2k.SEM"]
+    reps = small_config("sem").reps
+    for row in report.summary():
+        if row["method"].endswith(".SEM"):
+            assert (row["n_ok"], row["n_failed"]) == (0, reps)
+            assert np.isnan(row["mean_mse"])
+        else:
+            assert (row["n_ok"], row["n_failed"]) == (reps, 0)
 
 
 def test_replication_draws_the_simulated_sample():
