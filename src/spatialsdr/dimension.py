@@ -16,7 +16,7 @@ from . import pfc, sem, sscm
 from .basis import BasisSpec
 from .data import SpatialSample
 from .exceptions import CvFailedError, InputError, NonMonotoneLogliksError, SpatialSdrError
-from .predictor import predict_tuned
+from .predictor import tune_and_predict
 from .rrr import raise_failure
 
 MONOTONE_SLACK = 1e-8
@@ -207,18 +207,13 @@ def _cv_selections(sample, kind, spec, kernels, folds=5, d_range=None, seed=0, g
             fits = rank_fits(train, kind, spec, live, grid)
         except SpatialSdrError as exc:
             fits = [exc] * len(live)
-        for d, fit in zip(live, fits):
-            for mode in modes:
-                if (mode, d) in failures:
-                    continue
-                try:
-                    if isinstance(fit, SpatialSdrError):
-                        raise fit
-                    yhat = predict_tuned(mode, train, test, fit)
-                except SpatialSdrError as exc:
-                    failures[(mode, d)] = exc
-                else:
-                    sq_errors[(mode, d)].extend((yhat - test.y) ** 2)
+        jobs = [(mode, d, fit) for d, fit in zip(live, fits) for mode in modes if (mode, d) not in failures]
+        preds = tune_and_predict([(mode, fit) for mode, _, fit in jobs], train, test)
+        for (mode, d, _), yhat in zip(jobs, preds):
+            if isinstance(yhat, SpatialSdrError):
+                failures[(mode, d)] = yhat
+            else:
+                sq_errors[(mode, d)].extend((yhat - test.y) ** 2)
 
     selections = []
     for mode in modes:

@@ -6,10 +6,12 @@ distance.  Both kernels are standard Gaussians ``exp(-u^2 / 2)`` and the
 weight vectors are normalized to the simplex.  Bandwidths come from
 leave-one-out cross-validation on the training sample; the two-kernel
 search scores every (h1, h2) pair jointly because the kernels interact.
-Since the product kernel factorises, the search evaluates each h1 and each
-h2 kernel once per block of rows and gets every pair's weighted sums from
-one batched matmul; a block of ``n // grid size`` rows keeps each kernel
-stack near one n x n matrix.
+Every reference of one training sample (one per reduction kind and rank)
+is tuned in one shared pass over blocks of ``n // grid size`` rows: since
+the product kernel factorises, each block evaluates the h2 kernels once for
+all references and each reference's h1 kernels once, and one batched matmul
+per reference gives its one- and two-kernel weighted sums together.  Each
+kernel stack stays near one n x n matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .data import SpatialSample
-from .exceptions import DegenerateGridError, EmptyReferenceError, InputError
+from .exceptions import DegenerateGridError, EmptyReferenceError, InputError, SpatialSdrError
 
 MODES = (
     "1k.FULL",
@@ -61,10 +63,6 @@ class PredictorConfig:
     def two_kernel(self) -> bool:
         return self.mode.startswith("2k")
 
-    @property
-    def reduction_kind(self) -> str:
-        return self.mode.split(".")[1]
-
 
 @dataclass(frozen=True)
 class TrainingReference:
@@ -95,21 +93,18 @@ class TrainingReference:
         return len(self.responses)
 
 
-def build_reference(
-    mode: str, train: SpatialSample, fit=None
-) -> TrainingReference:
-    """Assemble the reference for a mode: reduce the training predictors
+def build_reference(mode: str, train: SpatialSample, fit=None) -> TrainingReference:
+    """Assemble the reference for a mode: the training predictors, reduced
     unless the mode is FULL."""
-    kind = mode.split(".")[1]
-    if kind == "FULL":
-        pts = train.x
-    else:
-        if fit is None:
-            raise InputError(f"mode {mode} needs a fitted reduction")
-        pts = np.atleast_2d(fit.reduce(train.x))
-    return TrainingReference(
-        points=pts, responses=train.y, coords=train.coords.points
-    )
+    return TrainingReference(_reduced(mode, train.x, fit), train.y, train.coords.points)
+
+
+def _reduced(mode: str, x: np.ndarray, fit) -> np.ndarray:
+    if mode.endswith(".FULL"):
+        return x
+    if fit is None:
+        raise InputError(f"mode {mode} needs a fitted reduction")
+    return np.atleast_2d(fit.reduce(x))
 
 
 def _sq_distances(query: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -150,27 +145,11 @@ def predict_many(
     s_query = np.atleast_2d(np.asarray(s_query, dtype=float))
     if config.h1 is None or (config.two_kernel and config.h2 is None):
         raise InputError("bandwidths not set; tune or supply them first")
-    if config.reduction_kind == "FULL":
-        q = x_query
-    else:
-        if fit is None:
-            raise InputError(f"mode {config.mode} needs a fitted reduction")
-        q = np.atleast_2d(fit.reduce(x_query))
-    u2 = _sq_distances(q, ref.points) / config.h1**2
+    u2 = _sq_distances(_reduced(config.mode, x_query, fit), ref.points) / config.h1**2
     if config.two_kernel:
         u2 = u2 + _sq_distances(s_query, ref.coords) / config.h2**2
     w, fell_back = _weights_rows(u2)
     return w @ ref.responses, fell_back
-
-
-def predict_tuned(mode: str, train, test, fit=None) -> np.ndarray:
-    """Predict the ``test`` sample's responses with bandwidths tuned by
-    leave-one-out on the ``train`` sample."""
-    ref = build_reference(mode, train, fit)
-    h1, h2 = loocv_bandwidths(ref, PredictorConfig(mode=mode))
-    config = PredictorConfig(mode=mode, h1=h1, h2=h2)
-    yhat, _ = predict_many(test.x, test.coords.points, ref, config, fit)
-    return yhat
 
 
 def default_bandwidth_grid(points: np.ndarray, size: int = GRID_SIZE) -> np.ndarray:
@@ -190,28 +169,121 @@ def default_bandwidth_grid(points: np.ndarray, size: int = GRID_SIZE) -> np.ndar
     return np.geomspace(GRID_SPAN[0] * q, GRID_SPAN[1] * q, size)
 
 
-def loocv_bandwidths(
-    ref: TrainingReference, config: PredictorConfig
-) -> tuple[float, float | None]:
-    """Leave-one-out bandwidth search on the training reference.
+@dataclass(frozen=True)
+class LooSearch:
+    """One reference's LOO predictions, shape (h1, h2 + 1, n): column ``j <
+    h2`` pairs each h1 with ``h2_grid[j]``, the last is the one-kernel search.
+    ``fell_back`` flags predictions made by the nearest other point because
+    every kernel value underflowed; ``errors`` is their mean squared error."""
 
-    Scores every h1 (and, for two-kernel modes, every (h1, h2) pair) by the
-    LOO squared prediction error; ties break to the smaller bandwidths, h1
-    first.
+    h1_grid: np.ndarray
+    h2_grid: np.ndarray
+    yhat: np.ndarray
+    fell_back: np.ndarray
+    errors: np.ndarray
+
+    def bandwidths(self, two_kernel: bool) -> tuple[float, float | None]:
+        """The least-error bandwidths; ``np.argmin`` takes the first minimum
+        in C order, so ties break to the smaller h1, then the smaller h2."""
+        if not two_kernel:
+            return float(self.h1_grid[np.argmin(self.errors[:, -1])]), None
+        i, j = np.unravel_index(np.argmin(self.errors[:, :-1]), self.errors[:, :-1].shape)
+        return float(self.h1_grid[i]), float(self.h2_grid[j])
+
+
+def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None) -> list:
+    """A ``LooSearch`` for each of ``refs``, which share one training sample,
+    over its h1 grid and (if ``two_kernel``) the shared h2 grid; None takes
+    the default grid of the points or coordinates.  A reference whose grid is
+    degenerate, or every one when n < 3, holds the error instead.
+
+    One pass over blocks of ``n // grid size`` rows, which keep each kernel
+    stack near one n x n matrix, serves all references.  The product kernel
+    factorises, ``exp(-(u1 + u2)/2) = exp(-u1/2) exp(-u2/2)``, so a block
+    evaluates the h2 kernels once and each reference's h1 kernels once, and
+    one batched matmul per reference against ``[k2, 1, k2 y, y]`` gives every
+    (h1, h2) pair's and every one-kernel h1's mass and weighted sum.  A mass
+    below ``TINY_MASS`` may have lost digits to underflow in the products, so
+    that (row, h1, h2) is recomputed from the combined exponent.
     """
-    if ref.n < 3:
-        raise InputError("leave-one-out tuning needs at least 3 points")
-    h1_grid = _search_grid(config.h1_grid, ref.points)
-    d1 = _sq_distances(ref.points, ref.points)
-    h2_grid = d2 = None
-    if config.two_kernel:
-        h2_grid = _search_grid(config.h2_grid, ref.coords)
-        d2 = _sq_distances(ref.coords, ref.coords)
-    yhat, _ = _loo_predictions(d1, ref.responses, h1_grid, d2, h2_grid)
-    errors = np.mean((yhat - ref.responses) ** 2, axis=-1)
-    # argmin takes the first minimum in C order: smaller h1, then smaller h2
-    i, j = np.unravel_index(np.argmin(errors), errors.shape)
-    return float(h1_grid[i]), None if h2_grid is None else float(h2_grid[j])
+    y, coords, n = refs[0].responses, refs[0].coords, refs[0].n
+    if not all(np.array_equal(r.responses, y) and np.array_equal(r.coords, coords) for r in refs):
+        raise InputError("references must share one training sample")
+    if n < 3:
+        return [InputError("leave-one-out tuning needs at least 3 points")] * len(refs)
+    h2_grid = _search_grid(h2_grid, coords) if two_kernel else np.empty(0)
+    g2 = h2_grid.size
+    found, live = [], []
+    for ref, grid in zip(refs, h1_grids or [None] * len(refs)):
+        try:
+            grid = _search_grid(grid, ref.points)
+        except DegenerateGridError as exc:
+            found.append(exc)
+            continue
+        shape = (grid.size, g2 + 1, n)
+        found.append(LooSearch(grid, h2_grid, np.empty(shape), np.zeros(shape, bool), np.empty(shape[:2])))
+        live.append((ref.points, found[-1]))
+    g1 = max([1] + [s.h1_grid.size for _, s in live])
+    step = max(1, n // max(g1, g2))
+    k1_buf = np.empty((g1, step, n))
+    # the h2 kernels, ones, the same kernels times y, then y
+    rhs_buf = np.empty((2 * g2 + 2, step, n))
+    rhs_buf[g2], rhs_buf[-1] = 1.0, y
+    for start in range(0, n if live else 0, step):
+        rows = slice(start, min(start + step, n))
+        size = rows.stop - start
+        rhs = rhs_buf[:, :size]
+        if g2:
+            d2 = _sq_distances(coords[rows], coords)
+            np.multiply(_kernels(d2, h2_grid, rhs[:g2]), y, out=rhs[g2 + 1 : -1])
+        for pts, s in live:
+            d1 = _sq_distances(pts[rows], pts)
+            k1 = _kernels(d1, s.h1_grid, k1_buf[: s.h1_grid.size, :size])
+            k1[:, np.arange(size), np.arange(start, rows.stop)] = 0.0
+            sums = k1.transpose(1, 0, 2) @ rhs.transpose(1, 2, 0)
+            mass, num = sums[..., : g2 + 1], sums[..., g2 + 1 :]
+            tiny = mass < TINY_MASS
+            ratio = np.divide(num, mass, out=np.zeros_like(num), where=~tiny)
+            s.yhat[:, :, rows] = ratio.transpose(1, 2, 0)
+            for b, i, j in zip(*np.nonzero(tiny)):
+                u = d1[b] / s.h1_grid[i] ** 2 + (d2[b] / h2_grid[j] ** 2 if j < g2 else 0.0)
+                s.yhat[i, j, start + b], s.fell_back[i, j, start + b] = _loo_row(u, start + b, y)
+    for _, s in live:
+        s.errors[...] = np.mean((s.yhat - y) ** 2, axis=-1)
+    return found
+
+
+def loocv_bandwidths(ref: TrainingReference, config: PredictorConfig) -> tuple[float, float | None]:
+    """Leave-one-out bandwidth search on the training reference, ``loo_search``
+    of it alone over ``config``'s grids: ties break to the smaller bandwidths,
+    h1 first."""
+    [search] = loo_search([ref], config.two_kernel, [config.h1_grid], config.h2_grid)
+    if isinstance(search, SpatialSdrError):
+        raise search
+    return search.bandwidths(config.two_kernel)
+
+
+def tune_and_predict(jobs: list, train: SpatialSample, test: SpatialSample) -> list:
+    """Predictions of ``test``'s responses for each ``(mode, fit)`` in
+    ``jobs``, with bandwidths from one ``loo_search`` on ``train``; jobs of
+    one kind and one fit share a reference.  A job whose fit is an error, or
+    whose search failed, holds that error instead."""
+    keys = [(mode.split(".")[1], id(fit)) for mode, fit in jobs]
+    refs = {}
+    for (mode, fit), key in zip(jobs, keys):
+        if key not in refs:
+            refs[key] = fit if isinstance(fit, Exception) else build_reference(mode, train, fit)
+    live = [key for key, ref in refs.items() if isinstance(ref, TrainingReference)]
+    two_kernel = any(mode.startswith("2k") for mode, _ in jobs)
+    searches = dict(zip(live, loo_search([refs[k] for k in live], two_kernel) if live else []))
+    out = []
+    for (mode, fit), key in zip(jobs, keys):
+        search = searches.get(key, refs[key])
+        if isinstance(search, LooSearch):
+            config = PredictorConfig(mode, *search.bandwidths(mode.startswith("2k")))
+            search = predict_many(test.x, test.coords.points, refs[key], config, fit)[0]
+        out.append(search)
+    return out
 
 
 def _search_grid(grid: np.ndarray | None, points: np.ndarray) -> np.ndarray:
@@ -221,55 +293,6 @@ def _search_grid(grid: np.ndarray | None, points: np.ndarray) -> np.ndarray:
     if grid.size == 0 or np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
         raise DegenerateGridError("bandwidth grid must be finite and positive")
     return grid
-
-
-def _loo_predictions(
-    d1: np.ndarray, y: np.ndarray, h1_grid: np.ndarray, d2=None, h2_grid=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """LOO predictions for every bandwidth pair, shape (h1, h2, n), and the
-    flags of those made by the nearest other point because every kernel
-    value underflowed.  One-kernel searches (``d2`` None) have one h2 column.
-
-    The two-kernel weight factorises, ``exp(-(u1 + u2)/2) = exp(-u1/2)
-    exp(-u2/2)``, so each block of rows evaluates each h1 and each h2 kernel
-    once and a batched matmul gives every pair's weighted sums.  Blocks of
-    ``n // grid size`` rows keep each kernel stack near one n x n matrix.
-    Where a factorised mass is below ``TINY_MASS`` its products may have
-    lost digits to underflow, so that (row, h1, h2) is recomputed from the
-    combined exponent.
-    """
-    n = y.size
-    g1 = h1_grid.size
-    g2 = 1 if d2 is None else h2_grid.size
-    step = max(1, n // max(g1, g2))
-    k1_buf = np.empty((g1, step, n))
-    # the h2 kernels, then the same kernels times y
-    rhs_buf = np.empty((2 * g2, step, n))
-    if d2 is None:
-        rhs_buf[0], rhs_buf[1] = 1.0, y
-    yhat = np.empty((g1, g2, n))
-    fell_back = np.zeros((g1, g2, n), dtype=bool)
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
-        size = rows.stop - start
-        k1 = _kernels(d1[rows], h1_grid, k1_buf[:, :size])
-        k1[:, np.arange(size), np.arange(start, rows.stop)] = 0.0
-        rhs = rhs_buf[:, :size]
-        if d2 is not None:
-            k2 = _kernels(d2[rows], h2_grid, rhs[:g2])
-            np.multiply(k2, y, out=rhs[g2:])
-        sums = k1.transpose(1, 0, 2) @ rhs.transpose(1, 2, 0)
-        mass, num = sums[..., :g2], sums[..., g2:]
-        tiny = mass < TINY_MASS
-        ratio = np.divide(num, mass, out=np.zeros_like(num), where=~tiny)
-        yhat[:, :, rows] = ratio.transpose(1, 2, 0)
-        for b, i, j in zip(*np.nonzero(tiny)):
-            row = start + b
-            u = d1[row] / h1_grid[i] ** 2
-            if d2 is not None:
-                u = u + d2[row] / h2_grid[j] ** 2
-            yhat[i, j, row], fell_back[i, j, row] = _loo_row(u, row, y)
-    return yhat, fell_back
 
 
 def _kernels(d: np.ndarray, grid: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -116,7 +116,7 @@ def rank_fits(sample, spec, ranks, lag_grid=None) -> list:
     lag_grid = np.asarray(lag_grid, dtype=float)
     if lag_grid.size == 0:
         raise EmptyGridError("lag-coefficient grid is empty")
-    if np.any(np.abs(lag_grid) >= 1.0):
+    if not np.all(np.abs(lag_grid) < 1.0):  # NaN fails the comparison too
         raise InputError("lag-coefficient grid entries must lie in (-1, 1)")
 
     # Scan smallest |coef| first so ties keep the near-independent model.

@@ -33,7 +33,7 @@ from .geometry import (
     pairwise_distances,
     spatial_filter,
 )
-from .predictor import MODES, predict_tuned
+from .predictor import MODES, tune_and_predict
 
 UNSTABLE_FRACTION = 0.2
 # Errors that cost a replication one method's result instead of the run.
@@ -275,15 +275,12 @@ def _run_rep(cfg: SimConfig, methods: list[str], d_policy: str, rep: int):
         picks.update((f"{k}.{label}", pick) for k, pick in zip(kernels, found))
 
     mse, d_sel = {}, {}
-    for mode in methods:
-        rank, fit = picks[mode]
-        try:
-            if isinstance(fit, FAILURES):
-                raise fit
-            yhat = predict_tuned(mode, train, test, fit)
-            mse[mode], d_sel[mode] = float(np.mean((yhat - test.y) ** 2)), rank
-        except FAILURES:
+    preds = tune_and_predict([(mode, picks[mode][1]) for mode in methods], train, test)
+    for mode, yhat in zip(methods, preds):
+        if isinstance(yhat, FAILURES):
             mse[mode], d_sel[mode] = float("nan"), -1
+        else:
+            mse[mode], d_sel[mode] = float(np.mean((yhat - test.y) ** 2)), picks[mode][0]
     return mse, d_sel
 
 

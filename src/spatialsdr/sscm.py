@@ -23,7 +23,7 @@ from scipy.linalg import solve_triangular
 
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
-from .exceptions import EmptyGridError, NonPositiveDecayError
+from .exceptions import EmptyGridError, InputError, NonPositiveDecayError
 from .geometry import DistanceMatrix, ExpCorrelation, exp_correlation, pairwise_distances
 from .rrr import Moments, SdrFit, design, moments_of, profile, raise_failure
 
@@ -82,6 +82,8 @@ def rank_fits(sample, spec, ranks, decay_grid=None) -> list:
     decay_grid = np.asarray(decay_grid, dtype=float)
     if decay_grid.size == 0:
         raise EmptyGridError("decay grid is empty")
+    if not np.all(np.isfinite(decay_grid)):
+        raise InputError("decay grid entries must be finite")
     if np.any(decay_grid <= 0.0):
         raise NonPositiveDecayError("decay grid entries must be > 0")
 

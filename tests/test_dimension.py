@@ -13,10 +13,13 @@ from spatialsdr.dimension import (
     select_lr,
 )
 from spatialsdr.exceptions import (
+    CvFailedError,
     InputError,
     NonMonotoneLogliksError,
     SingularResidualCovError,
 )
+from spatialsdr.rrr import SdrFit
+from spatialsdr.sscm import SscmFit
 
 from conftest import random_sample
 
@@ -149,6 +152,34 @@ class TestSelectCv:
         s2 = select_cv(sample, "ind", spec, folds=4, seed=3)
         assert s1.d_star == s2.d_star
         assert s1.trace == s2.trace
+
+    def test_nan_reduction_fails_only_its_kind(self, monkeypatch):
+        sample = random_sample(50, 3, seed=9)
+        spec = BasisSpec("polynomial", 2)
+        want = {kind: select_cv(sample, kind, spec, folds=3) for kind in ("ind", "sem")}
+        monkeypatch.setattr(SscmFit, "reduce", lambda self, x: SdrFit.reduce(self, x) * np.nan)
+        with pytest.raises(CvFailedError):
+            select_cv(sample, "sscm", spec, folds=3)
+        for kind, sel in want.items():
+            assert select_cv(sample, kind, spec, folds=3) == sel
+
+    def test_nan_reduction_at_one_rank_keeps_the_others(self, monkeypatch):
+        # the rank-2 reference of each fold has a degenerate bandwidth grid;
+        # the rank-1 reference tuned in the same LOO pass is unaffected
+        sample = random_sample(50, 3, seed=9)
+        spec = BasisSpec("polynomial", 2)
+        want = select_cv(sample, "sscm", spec, folds=3)
+
+        def nan_at_rank_two(self, x):
+            z = SdrFit.reduce(self, x)
+            return z * np.nan if z.shape[1] == 2 else z
+
+        monkeypatch.setattr(SscmFit, "reduce", nan_at_rank_two)
+        sel = select_cv(sample, "sscm", spec, folds=3)
+        assert sel.d_star == 1
+        assert sel.trace[0] == want.trace[0]
+        assert sel.trace[1]["cv_error"] is None
+        assert "bandwidth grid" in sel.trace[1]["failure"]
 
     @pytest.mark.parametrize("kind", ["ind", "sem"])
     def test_failure_at_one_rank_keeps_the_others(self, monkeypatch, kind):

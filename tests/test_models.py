@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from spatialsdr.basis import BasisSpec, build_f
 from spatialsdr.data import SpatialSample
 from spatialsdr.dimension import rank_fits
-from spatialsdr.exceptions import EmptyGridError, InputError, SingularFilterError
+from spatialsdr.exceptions import EmptyGridError, InputError, NonPositiveDecayError, SingularFilterError
 from spatialsdr.geometry import (
     Coordinates,
     exp_correlation,
@@ -24,7 +24,23 @@ from spatialsdr.sem import default_lag_grid, fit_sem, whiten_sem
 from spatialsdr.simulate import SimConfig, simulate_sample
 from spatialsdr.sscm import default_decay_grid, fit_sscm, whiten_sscm
 
-from conftest import random_sample, span_distance
+from conftest import random_sample
+
+
+# seed, n, p and rank of a drawn sample and fit
+SAMPLE_DRAWS = (st.integers(0, 2**32 - 1), st.integers(30, 80), st.integers(2, 5), st.integers(0, 2))
+
+
+def assert_reproduces_independent(fit, sample, spec, rank):
+    """``fit`` has the independent fit's log-likelihood (rel 1e-10), mean,
+    coefficients, residual covariance and reduction of the predictors."""
+    ind = fit_independent(sample, spec, rank)
+    assert fit.loglik == pytest.approx(ind.loglik, rel=1e-10)
+    for got, want in ((fit.mu, ind.mu), (fit.est.coef, ind.est.coef), (fit.est.resid_cov, ind.est.resid_cov)):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    reduced, want = fit.reduce(sample.x), ind.reduce(sample.x)
+    assert reduced.shape == want.shape == (sample.n, rank)
+    np.testing.assert_allclose(reduced, want, rtol=0, atol=1e-10 * max(1.0, np.abs(want).max(initial=0)))
 
 
 def three_point_geometry():
@@ -169,18 +185,13 @@ class TestFitSscm:
         np.testing.assert_array_equal(exp_correlation(dist, decay).matrix, np.eye(dist.n))
         return decay
 
-    def test_identity_fit_reproduces_independent(self):
-        sample = random_sample(80, 5, seed=3)
+    @given(*SAMPLE_DRAWS)
+    @settings(max_examples=15, deadline=None)
+    def test_identity_fit_reproduces_independent(self, seed, n, p, rank):
+        sample = random_sample(n, p, seed=seed % 10_000)
         spec = BasisSpec("polynomial", 2)
-        f_id = fit_sscm(sample, spec, 2, decay_grid=[self.identity_decay(sample)])
-        f_ind = fit_independent(sample, spec, 2)
-        assert f_id.loglik == pytest.approx(f_ind.loglik, abs=1e-8)
-        np.testing.assert_allclose(f_id.mu, f_ind.mu, atol=1e-8)
-        np.testing.assert_allclose(f_id.est.coef, f_ind.est.coef, atol=1e-8)
-        np.testing.assert_allclose(
-            f_id.est.resid_cov, f_ind.est.resid_cov, atol=1e-8
-        )
-        assert span_distance(f_id.est.a, f_ind.est.a) < 1e-8
+        fit = fit_sscm(sample, spec, rank, decay_grid=[self.identity_decay(sample)])
+        assert_reproduces_independent(fit, sample, spec, rank)
 
     def test_identity_mu_is_mean_adjusted(self):
         sample = random_sample(40, 3, seed=4)
@@ -193,6 +204,17 @@ class TestFitSscm:
         sample = random_sample(30, 3, seed=5)
         with pytest.raises(EmptyGridError):
             fit_sscm(sample, BasisSpec("polynomial", 2), 1, decay_grid=[])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_decay_rejected(self, bad):
+        # a non-finite decay is an input error, not a non-positive one
+        sample = random_sample(40, 3, seed=1)
+        spec = BasisSpec("polynomial", 2)
+        with pytest.raises(InputError, match="finite") as info:
+            fit_sscm(sample, spec, 1, decay_grid=[1.0, bad])
+        assert not isinstance(info.value, NonPositiveDecayError)
+        with pytest.raises(NonPositiveDecayError):
+            fit_sscm(sample, spec, 1, decay_grid=[1.0, 0.0])
 
     def test_reduce_at_mu_is_zero(self):
         sample = random_sample(40, 3, seed=6)
@@ -219,18 +241,13 @@ class TestFitSscm:
 
 
 class TestFitSem:
-    def test_zero_grid_collapses_to_independent(self):
-        sample = random_sample(80, 5, seed=9)
+    @given(*SAMPLE_DRAWS)
+    @settings(max_examples=15, deadline=None)
+    def test_zero_grid_collapses_to_independent(self, seed, n, p, rank):
+        sample = random_sample(n, p, seed=seed % 10_000)
         spec = BasisSpec("polynomial", 2)
-        f_sem = fit_sem(sample, spec, 2, lag_grid=[0.0])
-        f_ind = fit_independent(sample, spec, 2)
-        assert f_sem.loglik == pytest.approx(f_ind.loglik, abs=1e-8)
-        np.testing.assert_allclose(f_sem.mu, f_ind.mu, atol=1e-8)
-        np.testing.assert_allclose(f_sem.est.coef, f_ind.est.coef, atol=1e-8)
-        np.testing.assert_allclose(
-            f_sem.est.resid_cov, f_ind.est.resid_cov, atol=1e-8
-        )
-        assert span_distance(f_sem.est.a, f_ind.est.a) < 1e-8
+        fit = fit_sem(sample, spec, rank, lag_grid=[0.0])
+        assert_reproduces_independent(fit, sample, spec, rank)
 
     def test_argmax_and_finite_profile(self):
         sample = random_sample(60, 4, seed=10)
@@ -256,6 +273,13 @@ class TestFitSem:
         sample = random_sample(40, 3, seed=12)
         with pytest.raises(InputError):
             fit_sem(sample, BasisSpec("polynomial", 2), 1, lag_grid=[1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lag_rejected(self, bad):
+        # rejected up front, not as a singular filter that loses 0.5 too
+        sample = random_sample(40, 3, seed=1)
+        with pytest.raises(InputError, match=r"\(-1, 1\)"):
+            fit_sem(sample, BasisSpec("polynomial", 2), 1, lag_grid=[0.5, bad])
 
     def test_reduce_d2_matches_dense_oracle(self):
         sample = random_sample(60, 4, seed=13)

@@ -3,21 +3,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spatialsdr import predictor
 from spatialsdr.basis import BasisSpec
 from spatialsdr.data import train_test_split
 from spatialsdr.exceptions import DegenerateGridError, InputError
 from spatialsdr.pfc import fit_independent
 from spatialsdr.predictor import (
+    MODES,
     PredictorConfig,
     TrainingReference,
-    _loo_predictions,
     _sq_distances,
     build_reference,
     default_bandwidth_grid,
+    loo_search,
     loocv_bandwidths,
     predict_many,
 )
-from spatialsdr.simulate import SimConfig, simulate_sample
+from spatialsdr.simulate import SimConfig, run_experiment, simulate_sample
 
 from conftest import random_sample
 
@@ -272,14 +274,37 @@ def oracle_loo(d1, d2, y, h1_grid, h2_grid):
 
 def engine(ref, two_kernel, h1_grid=None, h2_grid=None):
     """The search engine's predictions and flags next to the oracle's."""
-    g1 = default_bandwidth_grid(ref.points) if h1_grid is None else h1_grid
+    [search] = loo_search([ref], two_kernel, [h1_grid], h2_grid)
+    return engine_columns(search, two_kernel), oracle_of(ref, search, two_kernel)
+
+
+def engine_columns(search, two_kernel):
+    """A search's (h1, h2, n) predictions and flags of one kernel count."""
+    cols = slice(0, -1) if two_kernel else slice(-1, None)
+    return search.yhat[:, cols], search.fell_back[:, cols]
+
+
+def oracle_of(ref, search, two_kernel):
+    """``oracle_loo`` over the grids the search used."""
     d1 = _sq_distances(ref.points, ref.points)
-    g2, d2 = [None], None
-    if two_kernel:
-        g2 = default_bandwidth_grid(ref.coords) if h2_grid is None else h2_grid
-        d2 = _sq_distances(ref.coords, ref.coords)
-    got = _loo_predictions(d1, ref.responses, g1, d2, None if d2 is None else g2)
-    return got, oracle_loo(d1, d2, ref.responses, g1, g2)
+    if not two_kernel:
+        return oracle_loo(d1, None, ref.responses, search.h1_grid, [None])
+    d2 = _sq_distances(ref.coords, ref.coords)
+    return oracle_loo(d1, d2, ref.responses, search.h1_grid, search.h2_grid)
+
+
+def far_apart_reference():
+    """Far-apart 1-d points and tiny bandwidths: some rows keep a kernel mass
+    below TINY_MASS but above zero (437.7 has two neighbours whose weights
+    are subnormal, where factorised products lose digits), some lose it all
+    and fall back.  Returns the reference and its h1 and h2 grids."""
+    t = np.array([0.0, 1.0, 2.5, 40.0, 100.0, 135.0, 400.0, 437.7, 475.8, 1e3])
+    ref = TrainingReference(
+        points=t[:, None],
+        responses=np.array([0.3, -1.2, 2.0, 0.7, -0.4, 1.9, 5.0, -2.0, 1.0, 0.1]),
+        coords=np.column_stack([3.0 * t[::-1], np.zeros_like(t)]),
+    )
+    return ref, np.array([1.0, 3.0, 60.0]), np.array([1.0, 50.0, 1e3])
 
 
 class TestLooEngine:
@@ -305,24 +330,24 @@ class TestLooEngine:
 
     @pytest.mark.parametrize("two_kernel", [False, True])
     def test_underflow_fallback_matches_unfactorised_search(self, two_kernel):
-        # far-apart points and tiny bandwidths: some rows keep a kernel mass
-        # below TINY_MASS but above zero (437.7 has two neighbours whose
-        # weights are subnormal, where factorised products lose digits),
-        # some lose it all and fall back
-        t = np.array([0.0, 1.0, 2.5, 40.0, 100.0, 135.0, 400.0, 437.7, 475.8, 1e3])
-        ref = TrainingReference(
-            points=t[:, None],
-            responses=np.array([0.3, -1.2, 2.0, 0.7, -0.4, 1.9, 5.0, -2.0, 1.0, 0.1]),
-            coords=np.column_stack([3.0 * t[::-1], np.zeros_like(t)]),
-        )
-        h1_grid = np.array([1.0, 3.0, 60.0])
-        h2_grid = np.array([1.0, 50.0, 1e3])
+        ref, h1_grid, h2_grid = far_apart_reference()
         (yhat, fell_back), (want, want_fb, _) = engine(
             ref, two_kernel, h1_grid, h2_grid
         )
         assert fell_back.any() and not fell_back.all()
         np.testing.assert_array_equal(fell_back, want_fb)
         np.testing.assert_array_equal(yhat[fell_back], want[fell_back])
+        np.testing.assert_allclose(yhat, want, rtol=1e-12, atol=0.0)
+
+    def test_one_kernel_column_of_a_two_kernel_search_falls_back_alike(self):
+        # the 1k column shares the matmul with the 2k pairs but its
+        # recomputed rows must leave the spatial kernel out
+        ref, h1_grid, h2_grid = far_apart_reference()
+        [search] = loo_search([ref], True, [h1_grid], h2_grid)
+        yhat, fell_back = engine_columns(search, False)
+        want, want_fb, _ = oracle_of(ref, search, False)
+        assert fell_back.any() and not fell_back.all()
+        np.testing.assert_array_equal(fell_back, want_fb)
         np.testing.assert_allclose(yhat, want, rtol=1e-12, atol=0.0)
 
     def test_constant_responses_tie_to_smallest_pair(self):
@@ -358,6 +383,51 @@ class TestLooEngine:
                 two_kernel = mode.startswith("2k")
                 _, (_, _, best) = engine(ref, two_kernel)
                 assert loocv_bandwidths(ref, PredictorConfig(mode=mode)) == best
+
+    def test_references_of_several_dimensions_match_the_oracle(self):
+        # one pass tunes every reference of a sample; a degenerate one
+        # holds its error and leaves the others as tuned alone
+        rng = np.random.default_rng(12)
+        n = 45
+        y, coords = rng.standard_normal(n), rng.uniform(size=(n, 2))
+        refs = [TrainingReference(rng.standard_normal((n, p)), y, coords) for p in (0, 1, 2, 5)]
+        refs.insert(2, TrainingReference(np.full((n, 2), np.nan), y, coords))
+        searches = loo_search(refs)
+        assert isinstance(searches.pop(2), DegenerateGridError)
+        del refs[2]
+        for ref, search in zip(refs, searches):
+            for two_kernel in (False, True):
+                yhat, fell_back = engine_columns(search, two_kernel)
+                want, want_fb, best = oracle_of(ref, search, two_kernel)
+                np.testing.assert_allclose(
+                    np.mean((yhat - y) ** 2, axis=-1), np.mean((want - y) ** 2, axis=-1), rtol=1e-12
+                )
+                np.testing.assert_array_equal(fell_back, want_fb)
+                assert search.bandwidths(two_kernel) == best
+                mode = "2k.FULL" if two_kernel else "1k.FULL"
+                assert loocv_bandwidths(ref, PredictorConfig(mode=mode)) == best
+
+    def test_references_of_different_samples_rejected(self):
+        ref = line_reference([0.0, 1.0, 3.0])
+        with pytest.raises(InputError, match="share"):
+            loo_search([ref, replace(ref, responses=ref.responses + 1.0)])
+
+    def test_one_replication_evaluates_each_kernel_once(self, monkeypatch):
+        # kernel rows x grid points: the h2 kernels once per training sample
+        # and the h1 kernels once per reference (FULL, Ind, SSCM, SEM)
+        counts = []
+        original = predictor._kernels
+
+        def counted(d, grid, out):
+            counts.append(d.shape[0] * grid.size)
+            return original(d, grid, out)
+
+        monkeypatch.setattr(predictor, "_kernels", counted)
+        cfg = SimConfig(n=60, p=4, reps=1)
+        report = run_experiment(cfg, list(MODES), "fixed")
+        assert all(np.isfinite(report.mse[m][0]) for m in MODES)
+        n_train = round(cfg.train_frac * cfg.n)
+        assert sum(counts) == (15 + 4 * 15) * n_train
 
 
 def test_default_grid_scales_with_median_distance():

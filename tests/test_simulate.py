@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spatialsdr import sem
+from spatialsdr import sem, sscm
 from spatialsdr.basis import BasisSpec
 from spatialsdr.exceptions import NonPositiveDecayError, SingularFilterError
 from spatialsdr.geometry import Coordinates, pairwise_distances
 from spatialsdr.predictor import MODES
+from spatialsdr.rrr import SdrFit
 from spatialsdr.simulate import (
     SimConfig,
     _draw_sample,
@@ -101,6 +102,29 @@ def test_failed_sem_fit_records_nan_for_both_modes(monkeypatch, policy):
             assert np.isnan(row["mean_mse"])
         else:
             assert (row["n_ok"], row["n_failed"]) == (reps, 0)
+
+
+def nan_reduce(self, x):
+    """A reduction of the right shape whose every entry is NaN."""
+    return SdrFit.reduce(self, x) * np.nan
+
+
+@pytest.mark.parametrize("policy", ["fixed", "aic", "cv"])
+def test_nan_reduction_fails_only_its_kind(monkeypatch, policy):
+    # NaN reduced points make the SSCM references' bandwidth grids
+    # degenerate; the LOO pass they share still tunes every other mode
+    cfg = small_config("sem")
+    want = run_experiment(cfg, list(MODES), policy)
+    monkeypatch.setattr(sscm.SscmFit, "reduce", nan_reduce)
+    report = run_experiment(cfg, list(MODES), policy)
+    for m in MODES:
+        if m.endswith(".SSCM"):
+            assert np.all(np.isnan(report.mse[m]))
+            assert report.d_selected[m] == [-1] * cfg.reps
+        else:
+            np.testing.assert_array_equal(report.mse[m], want.mse[m])
+            assert report.d_selected[m] == want.d_selected[m]
+    assert report.unstable == ["1k.SSCM", "2k.SSCM"]
 
 
 def test_replication_draws_the_simulated_sample():
