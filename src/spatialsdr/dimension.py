@@ -3,6 +3,11 @@
 The likelihood-based criteria consume only the maximized log-likelihoods
 for ranks 0..min(p, r) and are therefore independent of the prediction
 rule; cross-validated minimum prediction error depends on it by design.
+
+``fit_and_predict`` is the one fit-tune-predict step, which each CV fold
+and the replication harness's test split run: it fits each kind for the
+ranks asked of it, tunes every reference in one leave-one-out pass and
+predicts the held-out responses, isolating the same ``FAILURES`` per job.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from . import pfc, sem, sscm
 from .basis import BasisSpec
 from .data import SpatialSample
 from .exceptions import CvFailedError, InputError, NonMonotoneLogliksError, SpatialSdrError
-from .predictor import tune_and_predict
+from .predictor import PredictorConfig, build_reference, loo_search, predict_many
 from .rrr import raise_failure
 
 MONOTONE_SLACK = 1e-8
@@ -114,9 +119,18 @@ def select_ic(
     return DimSelection(criterion=kind, d_star=d_star, trace=trace)
 
 
-# The one map from a model kind to its fitter, which walks its grid once.
+# The one map from a model kind to its fitter, which walks its grid once,
+# and to the label its predictor modes carry.
 RANK_FITS = {"ind": pfc.rank_fits, "sscm": sscm.rank_fits, "sem": sem.rank_fits}
 KIND_LABELS = {"ind": "Ind", "sscm": "SSCM", "sem": "SEM"}
+# Errors that cost a job its prediction instead of ending the run.
+FAILURES = (SpatialSdrError, np.linalg.LinAlgError)
+
+
+def mode_kind(mode: str) -> str | None:
+    """The reduction kind of predictor ``mode``; None for the FULL modes."""
+    label = mode.split(".")[1]
+    return next((kind for kind, lab in KIND_LABELS.items() if lab == label), None)
 
 
 def rank_fits(sample, kind, spec, ranks, grid=None) -> list:
@@ -129,28 +143,56 @@ def rank_fits(sample, kind, spec, ranks, grid=None) -> list:
     return RANK_FITS[kind](sample, spec, ranks, grid)
 
 
-def fit_rank_profile(
-    sample: SpatialSample,
-    kind: str,
-    spec: BasisSpec,
-    grid: np.ndarray | None = None,
-):
-    """Fit every rank 0..min(p, r), each with its own argmax of the spatial
-    parameter over ``grid`` (as in ``rank_fits``).  Returns the list of fits
-    (index = rank)."""
-    ranks = range(min(sample.p, spec.degree) + 1)
-    return raise_failure(rank_fits(sample, kind, spec, ranks, grid))
-
-
 def loglik_profile(
     sample: SpatialSample,
     kind: str,
     spec: BasisSpec,
     grid: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Maximized log-likelihood for each rank 0..min(p, r)."""
-    fits = fit_rank_profile(sample, kind, spec, grid)
-    return np.array([f.loglik for f in fits])
+    """Maximized log-likelihood for each rank 0..min(p, r), each rank with
+    its own argmax of the spatial parameter over ``grid``."""
+    ranks = range(min(sample.p, spec.degree) + 1)
+    return np.array([f.loglik for f in raise_failure(rank_fits(sample, kind, spec, ranks, grid))])
+
+
+def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec: BasisSpec,
+                    grid=None, fits=None) -> list:
+    """Predictions of ``test``'s responses for each ``(mode, rank)`` in
+    ``jobs``, the rank being ignored for FULL modes.
+
+    Each kind is fitted on ``train`` once for all the ranks its jobs need
+    (over ``grid``, as in ``rank_fits``), except those ``fits`` already
+    holds by ``(kind, rank)``; each distinct fit gets one reference, and one
+    ``loo_search`` tunes them all.  A job whose rank is an error, or whose
+    fit or search failed with one of ``FAILURES``, holds that error.
+    """
+    fits = dict(fits or {})
+    keys = [(mode_kind(mode), rank) for mode, rank in jobs]
+    needed = {(k, d) for k, d in keys if k and (k, d) not in fits and not isinstance(d, FAILURES)}
+    for kind in sorted({kind for kind, _ in needed}):
+        ranks = sorted(d for k, d in needed if k == kind)
+        try:
+            found = rank_fits(train, kind, spec, ranks, grid)
+        except FAILURES as exc:
+            found = [exc] * len(ranks)
+        fits.update(((kind, d), fit) for d, fit in zip(ranks, found))
+
+    refs = {}
+    for (mode, rank), key in zip(jobs, keys):
+        if key not in refs:
+            fit = rank if isinstance(rank, FAILURES) else fits.get(key)
+            refs[key] = fit if isinstance(fit, FAILURES) else build_reference(mode, train, fit)
+    live = [key for key, ref in refs.items() if not isinstance(ref, FAILURES)]
+    two_kernel = any(mode.startswith("2k") for mode, _ in jobs)
+    searches = dict(zip(live, loo_search([refs[k] for k in live], two_kernel) if live else []))
+    out = []
+    for (mode, _), key in zip(jobs, keys):
+        search = searches.get(key, refs[key])
+        if not isinstance(search, FAILURES):
+            config = PredictorConfig(mode, *search.bandwidths(mode.startswith("2k")))
+            search = predict_many(test.x, test.coords.points, refs[key], config, fits.get(key))[0]
+        out.append(search)
+    return out
 
 
 def select_cv(
@@ -172,16 +214,17 @@ def select_cv(
     """
     if kernels not in ("1k", "2k"):
         raise InputError("kernels must be '1k' or '2k'")
-    sels = _cv_selections(sample, kind, spec, (kernels,), folds, d_range, seed, grid)
-    return raise_failure(sels)[0]
-
-
-def _cv_selections(sample, kind, spec, kernels, folds=5, d_range=None, seed=0, grid=None) -> list:
-    """``select_cv`` for each of ``kernels``: each fold is fitted once for
-    all of ``d_range`` and every kernel is scored from those fits.  A kernel
-    whose ranks all failed holds a ``CvFailedError`` in place of a result."""
     if kind not in RANK_FITS:
         raise InputError(f"unknown model kind {kind!r}")
+    mode = f"{kernels}.{KIND_LABELS[kind]}"
+    return raise_failure(_cv_selections(sample, [mode], spec, folds, d_range, seed, grid))[0]
+
+
+def _cv_selections(sample, modes, spec, folds=5, d_range=None, seed=0, grid=None) -> list:
+    """``select_cv`` for each of the reduced ``modes``, of any kinds and
+    kernels: each fold is one ``fit_and_predict`` of every live (mode, rank).
+    A mode whose ranks all failed holds a ``CvFailedError`` in place of a
+    result."""
     m = min(sample.p, spec.degree)
     if d_range is None:
         d_range = tuple(range(1, m + 1))
@@ -192,36 +235,27 @@ def _cv_selections(sample, kind, spec, kernels, folds=5, d_range=None, seed=0, g
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(sample.n)
-    fold_ids = np.array_split(perm, folds)
-    modes = [f"{k}.{KIND_LABELS[kind]}" for k in kernels]
     ranks = sorted(set(d_range))
     sq_errors = {(mode, d): [] for mode in modes for d in ranks}
-    failures: dict[tuple[str, int], SpatialSdrError] = {}
-    for held in fold_ids:
-        live = [d for d in ranks if any((m, d) not in failures for m in modes)]
-        if not live:
+    failures = {}
+    for held in np.array_split(perm, folds):
+        jobs = [job for job in sq_errors if job not in failures]
+        if not jobs:
             break
         train_idx = np.setdiff1d(perm, held, assume_unique=True)
         train, test = sample.subset(train_idx), sample.subset(held)
-        try:
-            fits = rank_fits(train, kind, spec, live, grid)
-        except SpatialSdrError as exc:
-            fits = [exc] * len(live)
-        jobs = [(mode, d, fit) for d, fit in zip(live, fits) for mode in modes if (mode, d) not in failures]
-        preds = tune_and_predict([(mode, fit) for mode, _, fit in jobs], train, test)
-        for (mode, d, _), yhat in zip(jobs, preds):
-            if isinstance(yhat, SpatialSdrError):
-                failures[(mode, d)] = yhat
+        for job, yhat in zip(jobs, fit_and_predict(jobs, train, test, spec, grid)):
+            if isinstance(yhat, FAILURES):
+                failures[job] = yhat
             else:
-                sq_errors[(mode, d)].extend((yhat - test.y) ** 2)
+                sq_errors[job].extend((yhat - test.y) ** 2)
 
     selections = []
     for mode in modes:
         trace, errors = [], {}
-        for d in sorted(d_range):
+        for d in ranks:
             if (mode, d) in failures:
-                failure = str(failures[(mode, d)])
-                trace.append({"rank": d, "cv_error": None, "failure": failure})
+                trace.append({"rank": d, "cv_error": None, "failure": str(failures[(mode, d)])})
                 continue
             errors[d] = float(np.mean(sq_errors[(mode, d)]))
             trace.append({"rank": d, "cv_error": errors[d]})

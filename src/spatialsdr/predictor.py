@@ -11,7 +11,8 @@ is tuned in one shared pass over blocks of ``n // grid size`` rows: since
 the product kernel factorises, each block evaluates the h2 kernels once for
 all references and each reference's h1 kernels once, and one batched matmul
 per reference gives its one- and two-kernel weighted sums together.  Each
-kernel stack stays near one n x n matrix.
+kernel stack stays near one n x n matrix.  ``dimension.fit_and_predict``
+fits the reductions the references are built from.
 """
 
 from __future__ import annotations
@@ -261,29 +262,6 @@ def loocv_bandwidths(ref: TrainingReference, config: PredictorConfig) -> tuple[f
     if isinstance(search, SpatialSdrError):
         raise search
     return search.bandwidths(config.two_kernel)
-
-
-def tune_and_predict(jobs: list, train: SpatialSample, test: SpatialSample) -> list:
-    """Predictions of ``test``'s responses for each ``(mode, fit)`` in
-    ``jobs``, with bandwidths from one ``loo_search`` on ``train``; jobs of
-    one kind and one fit share a reference.  A job whose fit is an error, or
-    whose search failed, holds that error instead."""
-    keys = [(mode.split(".")[1], id(fit)) for mode, fit in jobs]
-    refs = {}
-    for (mode, fit), key in zip(jobs, keys):
-        if key not in refs:
-            refs[key] = fit if isinstance(fit, Exception) else build_reference(mode, train, fit)
-    live = [key for key, ref in refs.items() if isinstance(ref, TrainingReference)]
-    two_kernel = any(mode.startswith("2k") for mode, _ in jobs)
-    searches = dict(zip(live, loo_search([refs[k] for k in live], two_kernel) if live else []))
-    out = []
-    for (mode, fit), key in zip(jobs, keys):
-        search = searches.get(key, refs[key])
-        if isinstance(search, LooSearch):
-            config = PredictorConfig(mode, *search.bandwidths(mode.startswith("2k")))
-            search = predict_many(test.x, test.coords.points, refs[key], config, fit)[0]
-        out.append(search)
-    return out
 
 
 def _search_grid(grid: np.ndarray | None, points: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ covariogram, and predictors from the inverse model ``X = 1 mu' + F (AB)' +
 E`` with spatially correlated errors drawn under either the separable
 exponential-correlation law or the autoregressive-filter law.
 
-The experiment protocol repeats: fresh data, random train/test split, fit
-each requested method on the training part, tune bandwidths by LOO, score
-squared error on the test part.  Every replication derives its own RNG
-stream from (seed, rep), so parallel and serial execution agree.
+The experiment protocol repeats: fresh data, random train/test split, a
+rank per method from the rank policy (CV runs one fold loop for all kinds),
+then ``dimension.fit_and_predict`` on the split, as each fold does, and the
+squared test error.  Every replication derives its own RNG stream from
+(seed, rep), so parallel and serial execution agree.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 from ._linalg import eig_power, pd_eigh
 from .basis import BasisSpec, polynomial_features
 from .data import SpatialSample, train_test_split
-from .dimension import KIND_LABELS, _cv_selections, fit_rank_profile, rank_fits
+from .dimension import FAILURES, _cv_selections, fit_and_predict, mode_kind, rank_fits
 from .dimension import select_ic, select_lr
-from .exceptions import CovarianceNotPDError, InputError, SpatialSdrError
+from .exceptions import CovarianceNotPDError, InputError
 from .exceptions import NearSingularCorrelationError, NonPositiveDecayError
 from .geometry import (
     Coordinates,
@@ -33,11 +34,10 @@ from .geometry import (
     pairwise_distances,
     spatial_filter,
 )
-from .predictor import MODES, tune_and_predict
+from .predictor import MODES
+from .rrr import raise_failure
 
 UNSTABLE_FRACTION = 0.2
-# Errors that cost a replication one method's result instead of the run.
-FAILURES = (SpatialSdrError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,10 @@ class SimConfig:
             raise InputError("reps must be >= 1")
         if self.d > min(self.r, self.p):
             raise InputError("d must not exceed min(r, p)")
+        if self.model == "sem" and not abs(self.lag_coef) < 1.0:  # NaN fails too
+            raise InputError(f"lag_coef must be finite with |lag_coef| < 1, got {self.lag_coef}")
+        if self.model == "sscm" and not 0.0 < self.decay < np.inf:
+            raise InputError(f"decay must be finite and > 0, got {self.decay}")
 
 
 @dataclass(frozen=True)
@@ -233,54 +237,37 @@ def simulate_sample(cfg: SimConfig, rep: int, grf: GrfSpec | None = None) -> Spa
     return _draw_sample(cfg, rep_rng(cfg.seed, rep), grf)
 
 
-def _kind_fits(train, kind, spec, kernels, d_policy, cfg, rep) -> list:
-    """``(rank, fit)`` for each kernel's mode of one kind, the fit being the
-    error that stopped it; the grid is profiled once for all needed ranks."""
-    fits = {}
-    if d_policy == "fixed":
-        chosen = [cfg.d] * len(kernels)
-    elif d_policy == "cv":
-        sels = _cv_selections(train, kind, spec, kernels, seed=rep)
-        chosen = [sel if isinstance(sel, SpatialSdrError) else sel.d_star for sel in sels]
-    else:
-        fits = dict(enumerate(fit_rank_profile(train, kind, spec)))
-        lls = np.array([fit.loglik for fit in fits.values()])
-        if d_policy == "lr":
-            sel = select_lr(lls, train.p, spec.degree, train.n)
-        else:
-            sel = select_ic(lls, train.p, spec.degree, train.n, kind=d_policy)
-        chosen = [sel.d_star] * len(kernels)
-    needed = sorted({d for d in chosen if not isinstance(d, SpatialSdrError)} - set(fits))
-    if needed:
-        fits.update(zip(needed, rank_fits(train, kind, spec, needed)))
-    return [(-1, d) if isinstance(d, SpatialSdrError) else (d, fits[d]) for d in chosen]
-
-
 def _run_rep(cfg: SimConfig, methods: list[str], d_policy: str, rep: int):
     """One replication: returns (mse per method, selected d per method)."""
     rng = rep_rng(cfg.seed, rep)
     train, test = train_test_split(_draw_sample(cfg, rng), cfg.train_frac, rng)
     spec = BasisSpec("polynomial", cfg.r)
-    kernels_of: dict[str, list[str]] = {}
-    for mode in dict.fromkeys(methods):
-        kernels, label = mode.split(".")
-        kernels_of.setdefault(label, []).append(kernels)
-    picks = {f"{k}.FULL": (0, None) for k in kernels_of.pop("FULL", [])}
-    kind_of = {label: kind for kind, label in KIND_LABELS.items()}
-    for label, kernels in kernels_of.items():
-        try:
-            found = _kind_fits(train, kind_of[label], spec, kernels, d_policy, cfg, rep)
-        except FAILURES as exc:
-            found = [(-1, exc)] * len(kernels)
-        picks.update((f"{k}.{label}", pick) for k, pick in zip(kernels, found))
+    reduced = [mode for mode in dict.fromkeys(methods) if mode_kind(mode)]
+    picks, fits = dict.fromkeys(methods, 0), {}
+    if d_policy == "fixed":
+        picks.update(dict.fromkeys(reduced, cfg.d))
+    elif d_policy == "cv":
+        sels = _cv_selections(train, reduced, spec, seed=rep)
+        picks.update((m, s if isinstance(s, FAILURES) else s.d_star) for m, s in zip(reduced, sels))
+    else:
+        for kind in dict.fromkeys(map(mode_kind, reduced)):
+            try:
+                profile = raise_failure(rank_fits(train, kind, spec, range(min(cfg.p, cfg.r) + 1)))
+                args = (np.array([fit.loglik for fit in profile]), train.p, cfg.r, train.n)
+                sel = select_lr(*args) if d_policy == "lr" else select_ic(*args, kind=d_policy)
+                pick = sel.d_star
+                fits.update(((kind, d), fit) for d, fit in enumerate(profile))
+            except FAILURES as exc:
+                pick = exc
+            picks.update((m, pick) for m in reduced if mode_kind(m) == kind)
 
     mse, d_sel = {}, {}
-    preds = tune_and_predict([(mode, picks[mode][1]) for mode in methods], train, test)
+    preds = fit_and_predict([(mode, picks[mode]) for mode in methods], train, test, spec, fits=fits)
     for mode, yhat in zip(methods, preds):
         if isinstance(yhat, FAILURES):
             mse[mode], d_sel[mode] = float("nan"), -1
         else:
-            mse[mode], d_sel[mode] = float(np.mean((yhat - test.y) ** 2)), picks[mode][0]
+            mse[mode], d_sel[mode] = float(np.mean((yhat - test.y) ** 2)), picks[mode]
     return mse, d_sel
 
 

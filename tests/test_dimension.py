@@ -118,6 +118,13 @@ class TestSelectCv:
         )
         assert sel.d_star == 1
 
+    def test_repeated_ranks_trace_once(self):
+        sample = random_sample(40, 3, seed=6)
+        spec = BasisSpec("polynomial", 2)
+        sel = select_cv(sample, "ind", spec, d_range=(1, 1, 2), folds=3)
+        assert [row["rank"] for row in sel.trace] == [1, 2]
+        assert sel == select_cv(sample, "ind", spec, d_range=(1, 2), folds=3)
+
     def test_noiseless_one_dimensional_link(self):
         # response is (almost) a deterministic function of one linear score,
         # so a second reduction direction only dilutes the kernel neighbors
@@ -162,6 +169,18 @@ class TestSelectCv:
             select_cv(sample, "sscm", spec, folds=3)
         for kind, sel in want.items():
             assert select_cv(sample, kind, spec, folds=3) == sel
+
+    def test_linalg_error_in_a_fold_fails_its_ranks(self, monkeypatch):
+        # numpy's LinAlgError is isolated per fold as the test split isolates
+        # it, so it costs the kind its ranks instead of escaping select_cv
+        from spatialsdr import sem
+
+        def fails(x, f, weights):
+            raise np.linalg.LinAlgError("forced whitening failure")
+
+        monkeypatch.setattr(sem, "whiten_sem", fails)
+        with pytest.raises(CvFailedError):
+            select_cv(random_sample(50, 3, seed=9), "sem", BasisSpec("polynomial", 2), folds=3)
 
     def test_nan_reduction_at_one_rank_keeps_the_others(self, monkeypatch):
         # the rank-2 reference of each fold has a degenerate bandwidth grid;

@@ -3,14 +3,15 @@
 import dataclasses
 import json
 import statistics
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spatialsdr import sem, sscm
+from spatialsdr import predictor, sem, sscm
 from spatialsdr.basis import BasisSpec
-from spatialsdr.exceptions import NonPositiveDecayError, SingularFilterError
+from spatialsdr.exceptions import InputError, NonPositiveDecayError, SingularFilterError
 from spatialsdr.geometry import Coordinates, pairwise_distances
 from spatialsdr.predictor import MODES
 from spatialsdr.rrr import SdrFit
@@ -74,17 +75,41 @@ def test_threaded_equals_serial(policy):
     assert_same_report(serial, threaded)
 
 
-@pytest.mark.parametrize("policy", ["fixed", "aic", "cv"])
-def test_failed_sem_fit_records_nan_for_both_modes(monkeypatch, policy):
-    original = sem.whiten_sem
+def nan_spectrum(original):
+    """``whiten_sem`` with a NaN spectrum, so the lag guard fails at every lag."""
 
-    def nan_spectrum(x, f, weights):
+    def whiten(x, f, weights):
         moments = original(x, f, weights)
         return dataclasses.replace(moments, spectrum=np.full_like(moments.spectrum, np.nan))
 
-    # Only the SEM fitter's lag guard fails; the data are still drawn.
-    monkeypatch.setattr(sem, "whiten_sem", nan_spectrum)
-    with pytest.raises(SingularFilterError):
+    return whiten
+
+
+def linalg_failure(original):
+    """``whiten_sem`` raising numpy's ``LinAlgError``, which is no package error."""
+
+    def whiten(x, f, weights):
+        raise np.linalg.LinAlgError("forced whitening failure")
+
+    return whiten
+
+
+# Each fault under each policy; folds and the test split isolate both alike.
+SEM_FAULTS = [
+    pytest.param(policy, fault, error, id=policy + suffix)
+    for fault, error, suffix in [
+        (nan_spectrum, SingularFilterError, ""),
+        (linalg_failure, np.linalg.LinAlgError, "-linalg"),
+    ]
+    for policy in ("fixed", "aic", "cv")
+]
+
+
+@pytest.mark.parametrize("policy, fault, error", SEM_FAULTS)
+def test_failed_sem_fit_records_nan_for_both_modes(monkeypatch, policy, fault, error):
+    # Only the SEM fitter fails; the data are still drawn.
+    monkeypatch.setattr(sem, "whiten_sem", fault(sem.whiten_sem))
+    with pytest.raises(error):
         sem.fit_sem(simulate_sample(small_config("sem"), 0), BasisSpec("polynomial", 2), 1)
     report = run_experiment(small_config("sem"), list(MODES), policy)
     for m in MODES:
@@ -102,6 +127,38 @@ def test_failed_sem_fit_records_nan_for_both_modes(monkeypatch, policy):
             assert np.isnan(row["mean_mse"])
         else:
             assert (row["n_ok"], row["n_failed"]) == (reps, 0)
+
+
+def test_cv_replication_runs_one_loo_pass_per_fold(monkeypatch):
+    # every kind's references of a fold share one LOO pass, and the test
+    # split has one more
+    calls = []
+    original = predictor.loo_search
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # Replace every module-level binding, wherever the engine is looked up.
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("spatialsdr") and getattr(mod, "loo_search", None) is original:
+            monkeypatch.setattr(mod, "loo_search", counted)
+    report = run_experiment(SimConfig(n=60, p=4, reps=1), list(MODES), "cv")
+    assert all(np.isfinite(report.mse[m][0]) for m in MODES)
+    assert len(calls) == 5 + 1
+
+
+@pytest.mark.parametrize(
+    "model, field, value",
+    [("sem", "lag_coef", v) for v in (1.5, -3.0, 1.0, -1.0, np.nan, np.inf)]
+    + [("sscm", "decay", v) for v in (0.0, -0.5, np.nan, np.inf)],
+)
+def test_config_rejects_a_parameter_outside_its_model(model, field, value):
+    with pytest.raises(InputError, match=field):
+        SimConfig(n=60, p=4, reps=2, seed=7, model=model, **{field: value})
+    # the other model's parameter is not used, so it is not checked
+    other = "sscm" if model == "sem" else "sem"
+    assert getattr(SimConfig(model=other, **{field: value}), field) is value
 
 
 def nan_reduce(self, x):
