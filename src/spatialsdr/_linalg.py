@@ -1,13 +1,14 @@
 """Shared dense linear-algebra helpers for symmetric positive-definite work.
 
-Positive definiteness is enforced with a single policy used everywhere:
-eigenvalue floor 1e-10; if the smallest eigenvalue falls below the floor,
-add ``1e-8 * trace/n`` on the diagonal and retry once, then fail.
+Positive definiteness follows one policy everywhere: eigenvalue floor 1e-10,
+certified by a shifted Cholesky factorisation (``pd_cholesky``) or checked by ``eigh``;
+below the floor add ``1e-8 * trace/n`` on the diagonal and retry once, then fail.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky
 
 from .exceptions import EigenFailureError, SpatialSdrError
 
@@ -47,9 +48,26 @@ def pd_eigh(
     return vals, vecs, m2
 
 
-def eig_power(vals: np.ndarray, vecs: np.ndarray, power: float) -> np.ndarray:
-    """Assemble ``V diag(vals**power) V^T`` from an eigendecomposition."""
-    return (vecs * vals**power) @ vecs.T
+def pd_cholesky(m: np.ndarray, err: type[SpatialSdrError]) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factor ``chol`` of a symmetric matrix under the PD policy.
+
+    A Cholesky factorisation of ``m - (EIG_FLOOR + (n+1) n eps max_i m_ii) I`` that
+    succeeds certifies ``lambda_min(m) >= EIG_FLOOR``, as ``(n+1) n eps max_i m_ii``
+    bounds its backward error (Higham 2002, Thm 10.3); otherwise ``pd_eigh`` decides.
+    Returns ``(chol, m_used)``, ``chol @ chol.T = m_used``: ``m`` or its jittered copy.
+    """
+    n = m.shape[0]
+    work = np.array(m, dtype=float, order="F")  # LAPACK's layout: factorise in place
+    work.flat[:: n + 1] -= EIG_FLOOR + (n + 1) * n * np.finfo(float).eps * np.diag(m).max()
+    try:
+        cholesky(work, lower=True, overwrite_a=True, check_finite=False)
+    except LinAlgError:
+        m = pd_eigh(m, err)[2]
+    work[...] = m
+    try:
+        return cholesky(work, lower=True, overwrite_a=True, check_finite=False), m
+    except LinAlgError as exc:  # pragma: no cover - the policy's floor passed
+        raise err(str(exc)) from exc
 
 
 def eig_apply(

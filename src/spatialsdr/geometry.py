@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky
 from scipy.spatial.distance import pdist, squareform
 
-from ._linalg import EIG_FLOOR, pd_eigh
+from ._linalg import pd_cholesky
 from .exceptions import (
     DuplicatePointsError,
     InputError,
@@ -110,25 +109,12 @@ def pairwise_distances(coords: Coordinates) -> DistanceMatrix:
 def exp_correlation(dist: DistanceMatrix, decay: float) -> ExpCorrelation:
     """Exponential correlogram ``exp(-decay * d_ij)`` as a dense matrix.
 
-    A Cholesky factorisation of ``H - (EIG_FLOOR + (n+1) n eps) I`` that succeeds
-    certifies ``lambda_min(H) >= EIG_FLOOR``, as ``(n+1) n eps`` bounds its backward
-    error for a unit-diagonal ``H`` (Higham 2002, Thm 10.3).  Otherwise the shared
-    jitter policy (``pd_eigh``) decides.  ``chol`` factors the matrix returned.
+    ``_linalg.pd_cholesky`` certifies ``H`` above the eigenvalue floor, or
+    jitters it by the shared policy, and factors the matrix returned.
     """
     if not decay > 0.0:
         raise NonPositiveDecayError(f"decay rate must be > 0, got {decay}")
-    h = np.exp(-decay * dist.dist)
-    work = h.copy(order="F")  # LAPACK's layout, so every factorisation is in place
-    work.flat[:: dist.n + 1] -= EIG_FLOOR + (dist.n + 1) * dist.n * np.finfo(float).eps
-    try:
-        cholesky(work, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError:
-        h = pd_eigh(h, NearSingularCorrelationError)[2]
-    work[...] = h
-    try:
-        chol = cholesky(work, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError as exc:  # pragma: no cover - the policy's floor passed
-        raise NearSingularCorrelationError(str(exc)) from exc
+    chol, h = pd_cholesky(np.exp(-decay * dist.dist), NearSingularCorrelationError)
     return ExpCorrelation(decay=float(decay), matrix=h, chol=chol)
 
 

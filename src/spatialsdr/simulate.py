@@ -4,7 +4,8 @@ Data generation: locations uniform on the unit square (or a regular grid),
 a Gaussian random field response with a planar trend and spherical
 covariogram, and predictors from the inverse model ``X = 1 mu' + F (AB)' +
 E`` with spatially correlated errors drawn under either the separable
-exponential-correlation law or the autoregressive-filter law.
+exponential-correlation law or the autoregressive-filter law.  Gaussian draws
+use the lower Cholesky root of each covariance (``_linalg.pd_cholesky``).
 
 The experiment protocol repeats: fresh data, random train/test split, a
 rank per method from the rank policy (CV runs one fold loop for all kinds),
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import eig_power, pd_eigh
+from ._linalg import pd_cholesky
 from .basis import BasisSpec, polynomial_features
 from .data import SpatialSample, train_test_split
 from .dimension import FAILURES, _cv_selections, fit_and_predict, mode_kind, rank_fits
@@ -152,17 +153,13 @@ def spherical_covariance(dist: np.ndarray, sill: float, range_: float) -> np.nda
 
 
 def simulate_y(coords: Coordinates, grf: GrfSpec, seed) -> np.ndarray:
-    """Draw the response field via a symmetric factorization of its
-    covariance."""
+    """Draw the response field as its trend plus the lower Cholesky root of
+    its covariance times standard normals."""
     rng = _as_rng(seed)
     s1, s2 = coords.points[:, 0], coords.points[:, 1]
     mean = grf.trend[0] + grf.trend[1] * s1 + grf.trend[2] * s2
-    cov = spherical_covariance(
-        pairwise_distances(coords).dist, grf.sill, grf.range_
-    )
-    vals, vecs, _ = pd_eigh(cov, CovarianceNotPDError)
-    root = eig_power(vals, vecs, 0.5)
-    return mean + root @ rng.standard_normal(coords.n)
+    cov = spherical_covariance(pairwise_distances(coords).dist, grf.sill, grf.range_)
+    return mean + pd_cholesky(cov, CovarianceNotPDError)[0] @ rng.standard_normal(coords.n)
 
 
 def draw_spatial_errors(
@@ -174,21 +171,19 @@ def draw_spatial_errors(
 ) -> np.ndarray:
     """Error matrix with rows correlated by the chosen spatial law.
 
-    ``sscm``: row covariance ``exp(-param * distance)``; ``sem``: rows solve
-    ``(I - param * W) E = U`` with iid rows of ``U``.  Either way each row
+    ``sscm``: ``E = L_H Z L_noise'`` with the lower Cholesky roots ``L`` of
+    ``exp(-param * distance)`` and ``noise_cov`` and a standard normal ``Z``;
+    ``sem``: rows solve ``(I - param * W) E = Z L_noise'``.  Either way each row
     has covariance ``noise_cov``.
     """
     rng = _as_rng(seed)
-    p = noise_cov.shape[0]
-    vals, vecs, _ = pd_eigh(noise_cov, CovarianceNotPDError)
-    col_root = eig_power(vals, vecs, 0.5)
-    z = rng.standard_normal((coords.n, p)) @ col_root.T
+    col_root = pd_cholesky(noise_cov, CovarianceNotPDError)[0]
+    z = rng.standard_normal((coords.n, noise_cov.shape[0])) @ col_root.T
     if model == "sscm":
         if not param > 0.0:
             raise NonPositiveDecayError(f"decay rate must be > 0, got {param}")
         h = np.exp(-param * pairwise_distances(coords).dist)
-        vals, vecs, _ = pd_eigh(h, NearSingularCorrelationError)
-        return eig_power(vals, vecs, 0.5) @ z
+        return pd_cholesky(h, NearSingularCorrelationError)[0] @ z
     if model == "sem":
         dist = pairwise_distances(coords)
         w = neighbor_weights(dist, max_min_distance(dist))

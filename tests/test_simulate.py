@@ -8,26 +8,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
-from spatialsdr import predictor, sem, sscm
+from spatialsdr import predictor, sem, simulate, sscm
+from spatialsdr._linalg import pd_eigh
 from spatialsdr.basis import BasisSpec
 from spatialsdr.exceptions import InputError, NonPositiveDecayError, SingularFilterError
 from spatialsdr.geometry import Coordinates, pairwise_distances
 from spatialsdr.predictor import MODES
 from spatialsdr.rrr import SdrFit
 from spatialsdr.simulate import (
+    GrfSpec,
     SimConfig,
     _draw_sample,
     draw_spatial_errors,
     rep_rng,
     run_experiment,
     simulate_sample,
+    spherical_covariance,
 )
 
 POLICIES = ("fixed", "lr", "aic", "bic", "cv")
 # MetricsReports of run_experiment(SimConfig(n=60, p=4, reps=2, model=m,
-# seed=7), list(MODES), policy), recorded before the rank profile of each
-# kind was shared between ranks, kernels and the final fit.
+# seed=7), list(MODES), policy), written by data/record_golden.py.  Its config
+# block names the numpy and scipy that recorded them: MSEs compared at rtol
+# 1e-10 after argmax decisions may move under another LAPACK build.
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_reports.json").read_text())
 
 
@@ -194,20 +199,77 @@ def test_replication_draws_the_simulated_sample():
         np.testing.assert_array_equal(drawn.y, want.y)
 
 
-def test_sscm_errors_use_the_symmetric_root():
-    # oracle: the symmetric square roots of the column covariance and of
-    # exp(-decay * distance), so samples do not depend on how fits factor H
-    def sym_root(m):
-        vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
-        return (vecs * vals**0.5) @ vecs.T
-
+def test_sscm_errors_use_the_cholesky_roots():
+    # oracle: scipy's lower Cholesky factors of exp(-decay * distance) and of
+    # the column covariance
     rng = np.random.default_rng(11)
     coords = Coordinates(rng.uniform(size=(40, 2)))
     a = rng.standard_normal((3, 3))
     noise_cov = a @ a.T + np.eye(3)
-    z = np.random.default_rng(5).standard_normal((40, 3)) @ sym_root(noise_cov).T
-    want = sym_root(np.exp(-2.0 * pairwise_distances(coords).dist)) @ z
+    z = np.random.default_rng(5).standard_normal((40, 3))
+    h = np.exp(-2.0 * pairwise_distances(coords).dist)
+    want = cholesky(h, lower=True) @ (z @ cholesky(noise_cov, lower=True).T)
     got = draw_spatial_errors(coords, "sscm", 2.0, noise_cov, 5)
     np.testing.assert_array_equal(got, want)
     with pytest.raises(NonPositiveDecayError):
         draw_spatial_errors(coords, "sscm", 0.0, noise_cov, 5)
+
+
+def test_sample_roots_factor_their_covariances(monkeypatch):
+    # the spherical covariogram, the noise covariance and exp(-decay * distance)
+    # of an sscm sample, each rebuilt by its root to 1e-12 of its largest entry
+    cfg = SimConfig(n=60, model="sscm", seed=7)
+    calls, original = [], simulate.pd_cholesky
+
+    def spy(m, err):
+        chol, used = original(m, err)
+        calls.append((m, chol, used))
+        return chol, used
+
+    monkeypatch.setattr(simulate, "pd_cholesky", spy)
+    sample = simulate_sample(cfg, 0)
+    dist = pairwise_distances(sample.coords).dist
+    grf = GrfSpec()
+    spherical, noise, corr = (m for m, _, _ in calls)
+    np.testing.assert_array_equal(spherical, spherical_covariance(dist, grf.sill, grf.range_))
+    assert noise.shape == (cfg.p, cfg.p)
+    np.testing.assert_array_equal(corr, np.exp(-cfg.decay * dist))
+    for m, chol, used in calls:
+        assert used is m
+        np.testing.assert_array_equal(chol, np.tril(chol))
+        assert np.abs(chol @ chol.T - m).max() <= 1e-12 * np.abs(m).max()
+
+
+def symmetric_root(m, err):
+    """The symmetric square root under the shared PD policy: the oracle sampler."""
+    vals, vecs, used = pd_eigh(m, err)
+    return (vecs * vals**0.5) @ vecs.T, used
+
+
+def mse_z_scores(cfg: SimConfig) -> dict[str, float]:
+    """Per mode, the difference of mean test MSE at fixed rank between the
+    Cholesky sampler and the symmetric root, in combined standard errors.
+
+    A larger run, from the root of a source checkout:
+    ``PYTHONPATH=src:tests python -c "from test_simulate import *;
+    print(mse_z_scores(SimConfig(n=100, p=6, reps=300, seed=11, model='sem')))"``
+    """
+    reports = [run_experiment(cfg, list(MODES), "fixed")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "pd_cholesky", symmetric_root)
+        reports.append(run_experiment(cfg, list(MODES), "fixed"))
+    chol, sym = ({row["method"]: row for row in r.summary()} for r in reports)
+    z = {}
+    for m in MODES:
+        assert chol[m]["n_failed"] == sym[m]["n_failed"] == 0
+        se = np.hypot(*(row[m]["std_mse"] / np.sqrt(row[m]["n_ok"]) for row in (chol, sym)))
+        z[m] = (chol[m]["mean_mse"] - sym[m]["mean_mse"]) / se
+    return z
+
+
+@pytest.mark.parametrize("model", ["sscm", "sem"])
+def test_cholesky_sampler_keeps_the_mse_law(model):
+    # any root R with R R' = cov gives the same Gaussian law, so every mode's
+    # mean MSE agrees with the symmetric-root oracle's within 3 standard errors
+    z = mse_z_scores(SimConfig(n=60, p=4, reps=100, seed=11, model=model))
+    assert max(map(abs, z.values())) < 3.0, z
