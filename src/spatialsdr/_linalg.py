@@ -3,6 +3,7 @@
 Positive definiteness follows one policy everywhere: eigenvalue floor 1e-10,
 certified by a shifted Cholesky factorisation (``pd_cholesky``) or checked by ``eigh``;
 below the floor add ``1e-8 * trace/n`` on the diagonal and retry once, then fail.
+A certificate is carried only along an ascending decay grid (``geometry.exp_correlations``).
 """
 
 from __future__ import annotations
@@ -48,34 +49,23 @@ def pd_eigh(
     return vals, vecs, m2
 
 
-def pd_cholesky(m: np.ndarray, err: type[SpatialSdrError]) -> tuple[np.ndarray, np.ndarray]:
+def pd_cholesky(m, err: type[SpatialSdrError], margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factor ``chol`` of a symmetric matrix under the PD policy.
 
-    A Cholesky factorisation of ``m - (EIG_FLOOR + (n+1) n eps max_i m_ii) I`` that
-    succeeds certifies ``lambda_min(m) >= EIG_FLOOR``, as ``(n+1) n eps max_i m_ii``
-    bounds its backward error (Higham 2002, Thm 10.3); otherwise ``pd_eigh`` decides.
-    Returns ``(chol, m_used)``, ``chol @ chol.T = m_used``: ``m`` or its jittered copy.
+    A Cholesky factorisation of ``m - (EIG_FLOOR + margin + (n+1) n eps max_i m_ii) I``
+    that succeeds certifies ``lambda_min(m) >= EIG_FLOOR + margin``, as ``(n+1) n eps
+    max_i m_ii`` bounds its backward error (Higham 2002, Thm 10.3); otherwise
+    ``pd_eigh`` decides.  Returns ``(chol, m_used)``, ``chol @ chol.T = m_used``:
+    ``m`` itself exactly when the certificate passed, else a copy, jittered or not.
     """
     n = m.shape[0]
     work = np.array(m, dtype=float, order="F")  # LAPACK's layout: factorise in place
-    work.flat[:: n + 1] -= EIG_FLOOR + (n + 1) * n * np.finfo(float).eps * np.diag(m).max()
+    work.flat[:: n + 1] -= EIG_FLOOR + margin + (n + 1) * n * np.finfo(float).eps * np.diag(m).max()
     try:
         cholesky(work, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError:
         m = pd_eigh(m, err)[2]
-    work[...] = m
     try:
-        return cholesky(work, lower=True, overwrite_a=True, check_finite=False), m
+        return cholesky(m, lower=True, check_finite=False), m
     except LinAlgError as exc:  # pragma: no cover - the policy's floor passed
         raise err(str(exc)) from exc
-
-
-def eig_apply(
-    vals: np.ndarray, vecs: np.ndarray, power: float, b: np.ndarray
-) -> np.ndarray:
-    """Apply ``V diag(vals**power) V^T`` to ``b`` without forming the matrix."""
-    scale = vals**power
-    proj = vecs.T @ b
-    if proj.ndim == 1:
-        return vecs @ (proj * scale)
-    return vecs @ (proj * scale[:, None])

@@ -8,9 +8,11 @@ filter ``I - coef * W``.  All operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cholesky
 from scipy.spatial.distance import pdist, squareform
 
 from ._linalg import pd_cholesky
@@ -116,6 +118,25 @@ def exp_correlation(dist: DistanceMatrix, decay: float) -> ExpCorrelation:
         raise NonPositiveDecayError(f"decay rate must be > 0, got {decay}")
     chol, h = pd_cholesky(np.exp(-decay * dist.dist), NearSingularCorrelationError)
     return ExpCorrelation(decay=float(decay), matrix=h, chol=chol)
+
+
+def exp_correlations(dist: DistanceMatrix, decays: Sequence[float]) -> Iterator[ExpCorrelation]:
+    """``exp_correlation`` at each of the ascending ``decays``, factored once after the
+    first decay whose certificate passes with the margin ``2 n (2 + max(decays) max D)
+    eps``: ``n`` times the entrywise rounding bound, for each of two matrices.  As
+    ``exp(-b D) = exp(-a D) o exp(-(b - a) D)``, both factors PD with unit diagonal,
+    ``lambda_min`` does not fall from ``a`` to ``b > a`` (Schur 1911; Horn & Johnson,
+    Topics in Matrix Analysis, 5.3).  A ``pd_eigh`` pass or a jitter is not carried."""
+    margin = 2 * dist.n * (2.0 + max(decays) * dist.dist.max()) * np.finfo(float).eps
+    certified = np.inf  # the smallest decay certified with the margin
+    for decay in decays:
+        h = np.exp(-decay * dist.dist)
+        if decay >= certified:
+            chol = cholesky(h, lower=True, check_finite=False)
+        else:
+            chol, used = pd_cholesky(h, NearSingularCorrelationError, margin)
+            certified, h = (decay if used is h else certified), used
+        yield ExpCorrelation(decay=float(decay), matrix=h, chol=chol)
 
 
 def max_min_distance(dist: DistanceMatrix) -> float:

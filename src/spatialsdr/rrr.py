@@ -16,10 +16,13 @@ V_d``, ``b = V_d' D_ls^{-1/2} C_ls`` (``a @ b`` is ``C_ls`` at d = min(p, r)),
 residual covariance ``D_ls + (C_ls - ab) S_ff (C_ls - ab)'``, and maximized
 log-likelihood
 
-    -np/2 log(2 pi) - logdet_s - n/2 (log|D_ls| + sum_{i>d} log(1 + lambda_i)) - np/2,
+    -np/2 log(2 pi) - logdet_s - n/2 (log|D_ls| + sum_{i>d} log(1 + lambda_i)) - np/2.
 
-so one eigendecomposition of ``D_ls`` and one SVD for ``K`` give every rank.  The
-sufficient-reduction directions ``inv(resid_cov) @ a`` equal ``D_ls^{-1/2} V_d``.
+At each grid point ``ls_fit`` reads both from the certified Cholesky factor ``L`` of
+``D_ls``: ``log|D_ls| = 2 sum log diag L``, and the lambda_i are the squared singular
+values of ``L^{-1} C_ls chol(S_ff)`` (``L^{-1}`` is ``D_ls^{-1/2}`` up to a rotation).
+``rrr_mle``, run at each rank's argmax only, takes the eigendecomposition of ``D_ls`` and
+the SVD for ``V_d``; the reduction directions ``inv(resid_cov) @ a`` are ``D_ls^{-1/2} V_d``.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from ._linalg import eig_apply, pd_eigh, symmetrize
+from ._linalg import pd_cholesky, pd_eigh, symmetrize
 from .exceptions import (
     InsufficientSampleError,
     NonFiniteLoglikError,
@@ -84,30 +88,22 @@ def moments_of(rows: np.ndarray, p: int, shift: np.ndarray, logdet_s_term: float
 
 @dataclass(frozen=True)
 class LsFit:
-    """The full-rank fit at one grid point and the spectrum all ranks share.
-
-    ``d_ls`` is the LS residual covariance as ``pd_eigh`` passed it (``vals``
-    and ``vecs`` its eigendecomposition); ``fit_vals`` (descending) and
-    ``fit_vecs`` (sign-fixed) are the min(p, r) leading eigenpairs of ``K``.
+    """The full-rank fit at one grid point: ``d_ls``, the LS residual covariance
+    as the PD policy passed it, its log-determinant ``logdet_ls``, and the
+    min(p, r) leading eigenvalues ``fit_vals`` of ``K`` (descending).
     """
 
     moments: Moments
     c_ls: np.ndarray
     s_ff: np.ndarray
     d_ls: np.ndarray
-    vals: np.ndarray
-    vecs: np.ndarray
-    whitened_coef: np.ndarray
+    logdet_ls: float
     fit_vals: np.ndarray
-    fit_vecs: np.ndarray
 
 
 def ls_fit(moments: Moments) -> LsFit:
-    """Center by the Schur complement, fit by LS, and decompose ``K``.
-
-    Eigenvector columns are sign-fixed so the entry of largest magnitude is
-    positive, making results deterministic across runs.
-    """
+    """Center by the Schur complement, fit by LS, and take ``K``'s eigenvalues
+    from the certified Cholesky factor of ``D_ls``."""
     mom, p = moments.m, moments.p
     gram = mom[1:, 1:] - np.outer(mom[1:, 0], mom[0, 1:]) / mom[0, 0]
     s = symmetrize(gram) / moments.n
@@ -118,13 +114,10 @@ def ls_fit(moments: Moments) -> LsFit:
             f"feature second-moment matrix is singular (min eig {ff_vals[0]:.3e})"
         )
     c_ls = np.linalg.solve(s_ff, s_xf.T).T
-    vals, vecs, d_ls = pd_eigh(s_xx - c_ls @ s_xf.T, SingularResidualCovError)
-    whitened_coef = eig_apply(vals, vecs, -0.5, c_ls)  # D_ls^{-1/2} C_ls
-    # K = B B' for B = D_ls^{-1/2} C_ls chol(S_ff), so B's singular pairs are K's eigenpairs
-    v, sv, _ = np.linalg.svd(whitened_coef @ np.linalg.cholesky(s_ff), full_matrices=False)
-    lead = np.argmax(np.abs(v), axis=0)
-    v = v * np.where(v[lead, np.arange(v.shape[1])] < 0, -1.0, 1.0)
-    return LsFit(moments, c_ls, s_ff, d_ls, vals, vecs, whitened_coef, sv**2, v)
+    chol, d_ls = pd_cholesky(symmetrize(s_xx - c_ls @ s_xf.T), SingularResidualCovError)
+    root = solve_triangular(chol, c_ls @ np.linalg.cholesky(s_ff), lower=True, check_finite=False)
+    logdet_ls = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return LsFit(moments, c_ls, s_ff, d_ls, logdet_ls, np.linalg.svd(root, compute_uv=False) ** 2)
 
 
 @dataclass(frozen=True)
@@ -175,19 +168,24 @@ def rrr_mle(ls: LsFit, rank: int) -> RrrEstimate:
     ``rank`` may be 0 (pure-mean model with empty factors) up to min(p, r).
     """
     _check_rank(ls, rank)
-    v_d = ls.fit_vecs[:, :rank]
-    a = eig_apply(ls.vals, ls.vecs, 0.5, v_d)
-    b = v_d.T @ ls.whitened_coef
+    vals, vecs, _ = pd_eigh(ls.d_ls, SingularResidualCovError)
+    whitened_coef = vecs @ ((vecs.T @ ls.c_ls) * (vals**-0.5)[:, None])  # D_ls^{-1/2} C_ls
+    # K = B B' for B = D_ls^{-1/2} C_ls chol(S_ff), so B's singular pairs are K's eigenpairs
+    v, sv, _ = np.linalg.svd(whitened_coef @ np.linalg.cholesky(ls.s_ff), full_matrices=False)
+    lead = np.argmax(np.abs(v), axis=0)  # sign-fixed: largest entries positive, for determinism
+    v_d = (v * np.where(v[lead, np.arange(v.shape[1])] < 0, -1.0, 1.0))[:, :rank]
+    a = vecs @ ((vecs.T @ v_d) * (vals**0.5)[:, None])  # D_ls^{1/2} V_d
+    b = v_d.T @ whitened_coef
     gap = ls.c_ls - a @ b
     resid_cov = symmetrize(ls.d_ls + gap @ ls.s_ff @ gap.T)
-    return RrrEstimate(a, b, resid_cov, ls.d_ls, ls.fit_vals, rank)
+    return RrrEstimate(a, b, resid_cov, ls.d_ls, sv**2, rank)
 
 
 def loglik(ls: LsFit, rank: int) -> float:
     """Maximized Gaussian log-likelihood at ``rank``, in closed form."""
     _check_rank(ls, rank)
     n, p = ls.moments.n, ls.moments.p
-    logdet = float(np.sum(np.log(ls.vals))) + float(np.sum(np.log1p(ls.fit_vals[rank:])))
+    logdet = ls.logdet_ls + float(np.sum(np.log1p(ls.fit_vals[rank:])))
     value = -0.5 * n * p * (LOG_2PI + 1.0) - ls.moments.logdet_s_term - 0.5 * n * logdet
     if not np.isfinite(value):
         raise NonFiniteLoglikError(f"log-likelihood is {value}")

@@ -30,6 +30,7 @@ from .exceptions import CovarianceNotPDError, InputError
 from .exceptions import NearSingularCorrelationError, NonPositiveDecayError
 from .geometry import (
     Coordinates,
+    DistanceMatrix,
     max_min_distance,
     neighbor_weights,
     pairwise_distances,
@@ -152,13 +153,14 @@ def spherical_covariance(dist: np.ndarray, sill: float, range_: float) -> np.nda
     return c
 
 
-def simulate_y(coords: Coordinates, grf: GrfSpec, seed) -> np.ndarray:
+def simulate_y(coords: Coordinates, grf: GrfSpec, seed, dist: DistanceMatrix | None = None) -> np.ndarray:
     """Draw the response field as its trend plus the lower Cholesky root of
     its covariance times standard normals."""
     rng = _as_rng(seed)
     s1, s2 = coords.points[:, 0], coords.points[:, 1]
     mean = grf.trend[0] + grf.trend[1] * s1 + grf.trend[2] * s2
-    cov = spherical_covariance(pairwise_distances(coords).dist, grf.sill, grf.range_)
+    dist = pairwise_distances(coords) if dist is None else dist
+    cov = spherical_covariance(dist.dist, grf.sill, grf.range_)
     return mean + pd_cholesky(cov, CovarianceNotPDError)[0] @ rng.standard_normal(coords.n)
 
 
@@ -168,24 +170,24 @@ def draw_spatial_errors(
     param: float,
     noise_cov: np.ndarray,
     seed,
+    dist: DistanceMatrix | None = None,
 ) -> np.ndarray:
     """Error matrix with rows correlated by the chosen spatial law.
 
     ``sscm``: ``E = L_H Z L_noise'`` with the lower Cholesky roots ``L`` of
     ``exp(-param * distance)`` and ``noise_cov`` and a standard normal ``Z``;
     ``sem``: rows solve ``(I - param * W) E = Z L_noise'``.  Either way each row
-    has covariance ``noise_cov``.
+    has covariance ``noise_cov``.  ``dist``, if given, is ``pairwise_distances(coords)``.
     """
     rng = _as_rng(seed)
+    dist = pairwise_distances(coords) if dist is None else dist
     col_root = pd_cholesky(noise_cov, CovarianceNotPDError)[0]
     z = rng.standard_normal((coords.n, noise_cov.shape[0])) @ col_root.T
     if model == "sscm":
         if not param > 0.0:
             raise NonPositiveDecayError(f"decay rate must be > 0, got {param}")
-        h = np.exp(-param * pairwise_distances(coords).dist)
-        return pd_cholesky(h, NearSingularCorrelationError)[0] @ z
+        return pd_cholesky(np.exp(-param * dist.dist), NearSingularCorrelationError)[0] @ z
     if model == "sem":
-        dist = pairwise_distances(coords)
         w = neighbor_weights(dist, max_min_distance(dist))
         filt = spatial_filter(w, param)
         return np.linalg.solve(filt.matrix, z)
@@ -193,7 +195,7 @@ def draw_spatial_errors(
 
 
 def simulate_x(
-    y: np.ndarray, coords: Coordinates, cfg: SimConfig, seed
+    y: np.ndarray, coords: Coordinates, cfg: SimConfig, seed, dist: DistanceMatrix | None = None
 ) -> np.ndarray:
     """Predictors from the inverse model with freshly drawn parameters.
 
@@ -215,15 +217,16 @@ def simulate_x(
     noise_cov = g @ g.T + 0.1 * np.eye(p)
     f_raw = polynomial_features(y, r)
     param = cfg.decay if cfg.model == "sscm" else cfg.lag_coef
-    errors = draw_spatial_errors(coords, cfg.model, param, noise_cov, rng)
+    errors = draw_spatial_errors(coords, cfg.model, param, noise_cov, rng, dist)
     return mu + f_raw @ (a @ b).T + errors
 
 
 def _draw_sample(cfg, rng, grf=None) -> SpatialSample:
     """A full sample drawn from ``rng``, which the caller may go on using."""
     coords = sample_locations(cfg.n, rng, grid=cfg.grid_locations)
-    y = simulate_y(coords, grf or GrfSpec(), rng)
-    x = simulate_x(y, coords, cfg, rng)
+    dist = pairwise_distances(coords)
+    y = simulate_y(coords, grf or GrfSpec(), rng, dist)
+    x = simulate_x(y, coords, cfg, rng, dist)
     return SpatialSample(coords, x, y)
 
 

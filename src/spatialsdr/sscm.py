@@ -9,13 +9,16 @@ law.  At each decay rate the model hands the rank-d core the moment matrix
 whose Schur complement on the intercept entry is the Gram matrix of the
 generalized centering ``Hc = I - 1 (1' inv(H) 1)^{-1} 1' inv(H)`` followed by
 ``L^{-1}``; any square root of ``H`` in place of ``L`` gives the same ``M``.
-The decay rate is profiled over a grid; the log-likelihood carries the
-extra ``-(p/2) log|H|`` term.  Fits are ``SscmFit``, the ``rrr.SdrFit``
-whose spatial parameter is named ``decay``.
+The decay rate is profiled over an ascending grid, on which ``lambda_min(H)``
+does not decrease, so once one ``H`` is certified above the eigenvalue floor
+every larger decay takes a single Cholesky (``geometry.exp_correlations``); the
+log-likelihood carries the extra ``-(p/2) log|H|`` term.  Fits are ``SscmFit``,
+the ``rrr.SdrFit`` whose spatial parameter is named ``decay``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +27,7 @@ from scipy.linalg import solve_triangular
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, NonPositiveDecayError
-from .geometry import DistanceMatrix, ExpCorrelation, exp_correlation, pairwise_distances
+from .geometry import DistanceMatrix, ExpCorrelation, exp_correlations, pairwise_distances
 from .rrr import Moments, SdrFit, design, moments_of, profile, raise_failure
 
 DEFAULT_GRID_SIZE = 20
@@ -39,13 +42,13 @@ def default_decay_grid(dist: DistanceMatrix, size: int = DEFAULT_GRID_SIZE) -> n
     return np.geomspace(lo, hi, size)
 
 
-def whiten_sscm(x: np.ndarray, f: np.ndarray, corr: ExpCorrelation) -> Moments:
-    """Moments ``B'B`` with ``B = L^{-1} [1 X F]`` and ``L = corr.chol``, whose
-    matrix ``exp_correlation`` certified above the eigenvalue floor by a
-    shifted Cholesky factorisation or, failing that, by ``pd_eigh``."""
+def whiten_sscm(x: np.ndarray, f: np.ndarray, corrs: Iterable[ExpCorrelation]) -> Iterator[Moments]:
+    """Moments ``B'B``, ``B = L^{-1} [1 X F]`` for ``L = corr.chol``, at each of ``corrs``
+    in turn from one design ``[1 X F]``, each matrix certified PD by ``geometry``."""
     z, shift = design(x, f)
-    rows = solve_triangular(corr.chol, z, lower=True, check_finite=False)
-    return moments_of(rows, x.shape[1], shift, 0.5 * x.shape[1] * corr.logdet)
+    for corr in corrs:
+        rows = solve_triangular(corr.chol, z, lower=True, check_finite=False)
+        yield moments_of(rows, x.shape[1], shift, 0.5 * x.shape[1] * corr.logdet)
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,6 @@ def rank_fits(sample, spec, ranks, decay_grid=None) -> list:
         raise NonPositiveDecayError("decay grid entries must be > 0")
 
     params = [float(decay) for decay in np.sort(decay_grid)]
-    return profile(
-        SscmFit, "sscm", ranks, params,
-        lambda decay: whiten_sscm(sample.x, f, exp_correlation(dist, decay)),
-    )
+    # profile takes the grid points one at a time, in the order of params
+    points = whiten_sscm(sample.x, f, exp_correlations(dist, params))
+    return profile(SscmFit, "sscm", ranks, params, lambda _: next(points))

@@ -61,3 +61,20 @@ def dense_loglik(x, f_fit, mu, a, b, delta, s_logdet_term, s_inv_half=None):
         - 0.5 * n * logdet
         - 0.5 * quad
     )
+
+
+def eigh_loglik(moments, rank: int) -> float:
+    """Closed-form maximised log-likelihood at ``rank`` from an ``eigh`` of the
+    LS residual covariance and the eigenvalues of the whitened fit matrix ``K``
+    (Reinsel & Velu 1998, Thm 2.2), without any Cholesky factor."""
+    m, n, p = moments.m, moments.n, moments.p
+    gram = m[1:, 1:] - np.outer(m[1:, 0], m[0, 1:]) / m[0, 0]
+    s = (gram + gram.T) / (2.0 * n)
+    s_xx, s_xf, s_ff = s[:p, :p], s[:p, p:], s[p:, p:]
+    c_ls = np.linalg.solve(s_ff, s_xf.T).T
+    vals, vecs = np.linalg.eigh(s_xx - c_ls @ s_xf.T)
+    inv_half = (vecs / np.sqrt(vals)) @ vecs.T
+    k = inv_half @ c_ls @ s_ff @ c_ls.T @ inv_half
+    lam = np.linalg.eigvalsh((k + k.T) / 2.0)[::-1][: min(p, s_ff.shape[0])]
+    logdet = np.sum(np.log(vals)) + np.sum(np.log1p(lam[rank:]))
+    return float(-0.5 * n * p * (np.log(2 * np.pi) + 1.0) - moments.logdet_s_term - 0.5 * n * logdet)

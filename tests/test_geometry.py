@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spatialsdr import _linalg, geometry
 from spatialsdr._linalg import pd_eigh
 from spatialsdr.exceptions import (
     DuplicatePointsError,
@@ -16,6 +17,7 @@ from spatialsdr.geometry import (
     DistanceMatrix,
     NeighborWeights,
     exp_correlation,
+    exp_correlations,
     max_min_distance,
     neighbor_weights,
     pairwise_distances,
@@ -114,6 +116,70 @@ class TestExpCorrelation:
         h2 = exp_correlation(d, lam * factor).matrix
         off = ~np.eye(4, dtype=bool)
         assert np.all(h2[off] <= h1[off] + 1e-15)
+
+
+def count_factorisations(monkeypatch, n):
+    """Count scipy Cholesky factorisations of n x n matrices made through
+    ``_linalg`` and ``geometry``; returns the running list of counted shapes."""
+    counted = []
+
+    def spy(original):
+        def counting(a, *args, **kwargs):
+            if a.shape[0] == n:
+                counted.append(a.shape)
+            return original(a, *args, **kwargs)
+        return counting
+
+    for module in (_linalg, geometry):
+        monkeypatch.setattr(module, "cholesky", spy(module.cholesky))
+    return counted
+
+
+class TestExpCorrelations:
+    @given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0), st.floats(1e-3, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_lambda_min_does_not_fall_as_decay_grows(self, n, seed, log_decay, log_step):
+        # oracle: eigvalsh of both dense matrices; exp(-b D) is exp(-a D)
+        # times a PD unit-diagonal matrix entrywise, so Schur's bound holds
+        d = pairwise_distances(Coordinates(np.random.default_rng(seed).uniform(size=(n, 2))))
+        low, high = 10.0**log_decay, 10.0 ** (log_decay + log_step)
+        lam_low = np.linalg.eigvalsh(np.exp(-low * d.dist))[0]
+        lam_high = np.linalg.eigvalsh(np.exp(-high * d.dist))[0]
+        assert lam_high >= lam_low - 1e-12
+
+    def test_certified_grid_factors_each_later_decay_once(self, monkeypatch):
+        # the smallest decay certifies, so k decays take k + 1 factorisations
+        # (per-decay certificates take 2k), with bit-identical factors
+        d = pairwise_distances(Coordinates(np.random.default_rng(3).uniform(size=(50, 2))))
+        decays = list(np.geomspace(0.5, 30.0, 6))
+        want = [exp_correlation(d, decay) for decay in decays]
+        counted = count_factorisations(monkeypatch, 50)
+        got = list(exp_correlations(d, decays))
+        assert len(counted) == len(decays) + 1
+        for g, w in zip(got, want):
+            assert g.decay == w.decay
+            np.testing.assert_array_equal(g.matrix, w.matrix)
+            np.testing.assert_array_equal(g.chol, w.chol)
+
+    def test_uncertified_decays_match_single_calls_bit_for_bit(self, monkeypatch):
+        # point 1 sits 1e-6 from point 0, so the tiny decays fall below the
+        # floor (jittered) or near it (certificate fails, eigh passes); every
+        # decay's matrix, factor and jitter decision equals exp_correlation's
+        pts = np.random.default_rng(4).uniform(size=(40, 2))
+        pts[1] = pts[0] + [1e-6, 0.0]
+        d = pairwise_distances(Coordinates(pts))
+        decays = list(np.geomspace(1e-5, 10.0, 13))
+        want = [exp_correlation(d, decay) for decay in decays]
+        counted = count_factorisations(monkeypatch, 40)
+        got = list(exp_correlations(d, decays))
+        raw = [np.exp(-decay * d.dist) for decay in decays]
+        jittered = [not np.array_equal(w.matrix, h) for w, h in zip(want, raw)]
+        assert jittered[0] and not jittered[-1]
+        for g, w, h in zip(got, want, raw):
+            np.testing.assert_array_equal(g.matrix, w.matrix)
+            np.testing.assert_array_equal(g.chol, w.chol)
+        # some decays certified and carried: fewer than two factorisations each
+        assert len(counted) < 2 * len(decays)
 
 
 class TestMaxMinDistance:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spatialsdr.basis import BasisSpec, build_f
-from spatialsdr.data import SpatialSample
+from spatialsdr.data import SpatialSample, train_test_split
 from spatialsdr.dimension import rank_fits
 from spatialsdr.exceptions import EmptyGridError, InputError, NonPositiveDecayError, SingularFilterError
 from spatialsdr.geometry import (
@@ -22,9 +22,10 @@ from spatialsdr.pfc import fit_independent
 from spatialsdr.rrr import design, moments_of
 from spatialsdr.sem import default_lag_grid, fit_sem, whiten_sem
 from spatialsdr.simulate import SimConfig, simulate_sample
+from spatialsdr.simulate import _draw_sample, rep_rng
 from spatialsdr.sscm import default_decay_grid, fit_sscm, whiten_sscm
 
-from conftest import random_sample
+from conftest import eigh_loglik, random_sample
 
 
 # seed, n, p and rank of a drawn sample and fit
@@ -74,14 +75,14 @@ class TestWhitenSscm:
         corr = exp_correlation(pairwise_distances(coords), 200.0)
         np.testing.assert_allclose(corr.matrix, np.eye(6), atol=1e-12)
         xc = x - x.mean(axis=0)
-        np.testing.assert_allclose(schur(whiten_sscm(x, f, corr))[:2, :2], xc.T @ xc, atol=1e-10)
+        np.testing.assert_allclose(schur(next(whiten_sscm(x, f, [corr])))[:2, :2], xc.T @ xc, atol=1e-10)
 
     def test_annihilates_constant_vector(self):
         rng = np.random.default_rng(1)
         coords = Coordinates(rng.uniform(size=(8, 2)))
         corr = exp_correlation(pairwise_distances(coords), 1.5)
         ones = np.ones((8, 1))
-        gram = schur(whiten_sscm(ones, np.arange(8.0)[:, None] - 3.5, corr))
+        gram = schur(next(whiten_sscm(ones, np.arange(8.0)[:, None] - 3.5, [corr])))
         np.testing.assert_allclose(gram[0], 0.0, atol=1e-10)
 
     def test_matches_dense_matrix_oracle(self):
@@ -94,7 +95,7 @@ class TestWhitenSscm:
         ones = np.ones((3, 1))
         hc = np.eye(3) - (ones @ ones.T @ h_inv) / (ones.T @ h_inv @ ones).item()
         oracle = np.real(sla.sqrtm(h_inv)) @ hc @ x
-        moments = whiten_sscm(x, x[:, :1], corr)
+        moments = next(whiten_sscm(x, x[:, :1], [corr]))
         # The Schur complement is the Gram of the generalized centering
         # followed by any square root of inv(H).
         np.testing.assert_allclose(schur(moments), np.tile(oracle.T @ oracle, (2, 2)), atol=1e-9)
@@ -363,6 +364,30 @@ class TestInvariance:
             np.testing.assert_allclose(
                 pairwise_gaps(other.reduce(moved.x)), gaps, rtol=0, atol=1e-6 * gaps.max()
             )
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("model", ["sscm", "sem"])
+def test_profile_grids_match_the_eigh_oracle(seed, model):
+    # SimConfig() training splits: every grid value of the SSCM and SEM fits
+    # at ranks 0..2 matches conftest.eigh_loglik of that grid point's moments
+    cfg = SimConfig(model=model, seed=seed)
+    rng = rep_rng(cfg.seed, 0)
+    train, _ = train_test_split(_draw_sample(cfg, rng), cfg.train_frac, rng)
+    spec = BasisSpec("polynomial", cfg.r)
+    f = build_f(train.y, spec)
+    dist = pairwise_distances(train.coords)
+    sem_moments = whiten_sem(train.x, f, neighbor_weights(dist, max_min_distance(dist)))
+    moments = {
+        "sscm": lambda decay: next(whiten_sscm(train.x, f, [exp_correlation(dist, decay)])),
+        "sem": sem_moments.at,
+    }
+    for kind in ("sscm", "sem"):
+        for rank, fit in enumerate(rank_fits(train, kind, spec, [0, 1, 2])):
+            want = {param: eigh_loglik(moments[kind](param), rank) for param, _ in fit.grid}
+            for param, ll in fit.grid:
+                assert ll == pytest.approx(want[param], rel=1e-10)
+            assert fit.spatial_param == max(want, key=want.get)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -11,6 +11,7 @@ from spatialsdr.exceptions import (
     SingularResidualCovError,
 )
 from spatialsdr.rrr import (
+    Moments,
     apply_reduction,
     design,
     loglik,
@@ -20,7 +21,7 @@ from spatialsdr.rrr import (
     rrr_mle,
 )
 
-from conftest import dense_loglik, span_distance
+from conftest import dense_loglik, eigh_loglik, span_distance
 
 
 def independent_fit(x, f, logdet_s_term=0.0):
@@ -240,6 +241,55 @@ class TestLoglik:
             assert loglik(ls, d) == pytest.approx(
                 -0.5 * n * p * (np.log(2 * np.pi) + 1.0) - 0.5 * n * logdet, rel=1e-7
             )
+
+
+class TestTriangularLsFit:
+    """``ls_fit`` reads every rank's log-likelihood from a Cholesky factor."""
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4),
+        st.floats(0.0, 3.0), st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_loglik_matches_eigh_oracle(self, seed, p, r, signal, spatial):
+        # oracle: eigh of D_ls and eigvalsh of K, in conftest.eigh_loglik
+        rng = np.random.default_rng(seed)
+        n = p + r + 3 + int(rng.integers(0, 40))
+        f = rng.standard_normal((n, r))
+        x = rng.standard_normal((n, p)) + signal * f @ rng.standard_normal((p, r)).T
+        rows, shift = design(x, f)
+        if spatial:
+            g = rng.standard_normal((n, n))
+            rows = np.linalg.solve(np.linalg.cholesky(g @ g.T / n + np.eye(n)), rows)
+        moments = moments_of(rows, p, shift)
+        ls = ls_fit(moments)
+        for d in range(min(p, r) + 1):
+            assert loglik(ls, d) == pytest.approx(eigh_loglik(moments, d), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 1e8])
+    def test_jitter_decision_is_pd_eighs(self, scale):
+        # D_ls has lambda_min = scale * EIG_FLOOR; oracle: pd_eigh of D_ls as
+        # ls_fit forms it, which jitters exactly when lambda_min < EIG_FLOOR
+        rng = np.random.default_rng(7)
+        n, p, r = 50, 4, 2
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        d_ls = (q * [scale * EIG_FLOOR, 0.5, 1.0, 2.0]) @ q.T
+        c = rng.standard_normal((p, r))
+        s_ff = np.eye(r) + 0.3
+        s = np.block([[d_ls + c @ s_ff @ c.T, c @ s_ff], [s_ff @ c.T, s_ff]])
+        m = np.zeros((1 + p + r, 1 + p + r))
+        m[0, 0], m[1:, 1:] = n, n * (s + s.T) / 2.0
+        ls = ls_fit(Moments(m, n, p, 0.0, np.zeros(p + r)))
+        s = m[1:, 1:] / n
+        c_ls = np.linalg.solve(s[p:, p:], s[:p, p:].T).T
+        raw = s[:p, :p] - c_ls @ s[:p, p:].T
+        raw = (raw + raw.T) / 2.0
+        want = pd_eigh(raw, SingularResidualCovError)[2]
+        assert np.array_equal(want, raw) == (scale > 1.0)
+        np.testing.assert_array_equal(ls.d_ls, want)
+        # condition numbers up to 2e10 leave about 1e-6 absolute in log lambda_min
+        assert ls.logdet_ls == pytest.approx(np.sum(np.log(np.linalg.eigvalsh(want))), abs=1e-5)
+        np.testing.assert_array_equal(rrr_mle(ls, 1).resid_cov_ls, want)
 
 
 class TestReduction:

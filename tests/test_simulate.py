@@ -24,7 +24,10 @@ from spatialsdr.simulate import (
     draw_spatial_errors,
     rep_rng,
     run_experiment,
+    sample_locations,
     simulate_sample,
+    simulate_x,
+    simulate_y,
     spherical_covariance,
 )
 
@@ -197,6 +200,28 @@ def test_replication_draws_the_simulated_sample():
         np.testing.assert_array_equal(drawn.coords.points, want.coords.points)
         np.testing.assert_array_equal(drawn.x, want.x)
         np.testing.assert_array_equal(drawn.y, want.y)
+
+
+@pytest.mark.parametrize("model", ["sscm", "sem"])
+def test_a_sample_computes_its_distances_once(monkeypatch, model):
+    # both draws share one distance matrix; oracle: the same draws made
+    # without it, each computing its own distances as the public calls do
+    cfg = SimConfig(n=50, p=3, model=model, seed=2)
+    rng = rep_rng(cfg.seed, 1)
+    coords = sample_locations(cfg.n, rng, grid=cfg.grid_locations)
+    y = simulate_y(coords, GrfSpec(), rng)
+    x = simulate_x(y, coords, cfg, rng)
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return pairwise_distances(points)
+
+    monkeypatch.setattr(simulate, "pairwise_distances", counted)
+    drawn = _draw_sample(cfg, rep_rng(cfg.seed, 1))
+    assert len(calls) == 1
+    np.testing.assert_array_equal(drawn.y, y)
+    np.testing.assert_array_equal(drawn.x, x)
 
 
 def test_sscm_errors_use_the_cholesky_roots():
