@@ -3,7 +3,8 @@
 Positive definiteness follows one policy everywhere: eigenvalue floor 1e-10,
 certified by a shifted Cholesky factorisation (``pd_cholesky``) or checked by ``eigh``;
 below the floor add ``1e-8 * trace/n`` on the diagonal and retry once, then fail.
-A certificate is carried only along an ascending decay grid (``geometry.exp_correlations``).
+A stack of small matrices takes one stacked certificate, or ``pd_cholesky`` each if it fails
+(``pd_choleskys``).  A certificate is carried only along an ascending decay grid (``geometry``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ JITTER_SCALE = 1e-8
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def pd_eigh(
@@ -60,7 +61,7 @@ def pd_cholesky(m, err: type[SpatialSdrError], margin: float = 0.0) -> tuple[np.
     """
     n = m.shape[0]
     work = np.array(m, dtype=float, order="F")  # LAPACK's layout: factorise in place
-    work.flat[:: n + 1] -= EIG_FLOOR + margin + (n + 1) * n * np.finfo(float).eps * np.diag(m).max()
+    work.flat[:: n + 1] -= _certificate_shift(m, margin)
     try:
         cholesky(work, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError:
@@ -69,3 +70,27 @@ def pd_cholesky(m, err: type[SpatialSdrError], margin: float = 0.0) -> tuple[np.
         return cholesky(m, lower=True, check_finite=False), m
     except LinAlgError as exc:  # pragma: no cover - the policy's floor passed
         raise err(str(exc)) from exc
+
+
+def _certificate_shift(m: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    n = m.shape[-1]  # of one matrix, or of each of a stack
+    return EIG_FLOOR + margin + (n + 1) * n * np.finfo(float).eps * np.diagonal(m, 0, -2, -1).max(-1)
+
+
+def pd_choleskys(ms: np.ndarray, err: type[SpatialSdrError]) -> tuple:
+    """``(chols, ms_used, error)``: ``pd_cholesky`` of each of the stacked ``ms`` before
+    the first that fails the policy, and its error or None.  numpy's stacked call fails
+    as a whole, so each matrix goes alone unless one stacked certificate passes for all."""
+    try:
+        np.linalg.cholesky(ms - _certificate_shift(ms)[:, None, None] * np.eye(ms.shape[-1]))
+        return np.linalg.cholesky(ms), ms, None
+    except np.linalg.LinAlgError:
+        pairs, error = [], None
+    for m in ms:
+        try:
+            pairs.append(pd_cholesky(m, err))
+        except SpatialSdrError as exc:
+            error = exc
+            break
+    chols, used = np.reshape(pairs, (-1, 2) + ms.shape[1:]).swapaxes(0, 1)
+    return chols, used, error

@@ -139,6 +139,12 @@ def exp_correlations(dist: DistanceMatrix, decays: Sequence[float]) -> Iterator[
         yield ExpCorrelation(decay=float(decay), matrix=h, chol=chol)
 
 
+def sorted_median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-d array without NaNs, bit for bit: ``np.mean`` of its
+    middle one or two after one sort, which beats the median's partition on pairwise distances."""
+    return float(np.mean(np.sort(values)[(values.size - 1) // 2 : values.size // 2 + 1]))
+
+
 def max_min_distance(dist: DistanceMatrix) -> float:
     """Largest nearest-neighbor distance: the smallest threshold at which
     every location still has at least one neighbor."""

@@ -23,4 +23,5 @@ def rank_fits(sample, spec, ranks, grid=None) -> list:
     """``fit_independent`` at each of ``ranks``, or the error that stopped
     it; ``grid`` is ignored, as this model has no spatial parameter."""
     rows, shift = design(sample.x, build_f(sample.y, spec))
-    return profile(SdrFit, "ind", ranks, [None], lambda _: moments_of(rows, sample.p, shift))
+    points = (moments_of(rows, sample.p, shift) for _ in [None])  # lazy: its error fails each rank
+    return profile(SdrFit, "ind", ranks, [None], points)

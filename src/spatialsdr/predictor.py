@@ -24,6 +24,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from .data import SpatialSample
 from .exceptions import DegenerateGridError, EmptyReferenceError, InputError, SpatialSdrError
+from .geometry import sorted_median
 
 MODES = (
     "1k.FULL",
@@ -161,12 +162,12 @@ def default_bandwidth_grid(points: np.ndarray, size: int = GRID_SIZE) -> np.ndar
     if pts.shape[1] == 0:
         return np.array([1.0])
     tri = pdist(pts)
-    q = float(np.median(tri))
+    q = sorted_median(tri)
     if q <= 0.0:
         positive = tri[tri > 0.0]
         if positive.size == 0:
             return np.array([1.0])
-        q = float(np.median(positive))
+        q = sorted_median(positive)
     return np.geomspace(GRID_SPAN[0] * q, GRID_SPAN[1] * q, size)
 
 
@@ -276,8 +277,7 @@ def _search_grid(grid: np.ndarray | None, points: np.ndarray) -> np.ndarray:
 def _kernels(d: np.ndarray, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Gaussian kernels ``exp(-d / (2 h^2))`` of rows of squared distances
     for each ``h`` in ``grid``, written to ``out`` of shape (grid, rows, n)."""
-    np.divide(d, (grid**2)[:, None, None], out=out)
-    out *= -0.5
+    np.divide(d, (-2.0 * grid**2)[:, None, None], out=out)  # as -0.5 * (d / h^2): 2 is exact
     return np.exp(out, out=out)
 
 

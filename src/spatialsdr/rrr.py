@@ -18,21 +18,23 @@ log-likelihood
 
     -np/2 log(2 pi) - logdet_s - n/2 (log|D_ls| + sum_{i>d} log(1 + lambda_i)) - np/2.
 
-At each grid point ``ls_fit`` reads both from the certified Cholesky factor ``L`` of
-``D_ls``: ``log|D_ls| = 2 sum log diag L``, and the lambda_i are the squared singular
-values of ``L^{-1} C_ls chol(S_ff)`` (``L^{-1}`` is ``D_ls^{-1/2}`` up to a rotation).
-``rrr_mle``, run at each rank's argmax only, takes the eigendecomposition of ``D_ls`` and
-the SVD for ``V_d``; the reduction directions ``inv(resid_cov) @ a`` are ``D_ls^{-1/2} V_d``.
+``ls_fits`` reads both at every grid point of a profile in one stacked pass, from the
+certified Cholesky factor ``L`` of each ``D_ls``: ``log|D_ls| = 2 sum log diag L``, and the
+lambda_i are the squared singular values of ``L^{-1} C_ls chol(S_ff)`` (``L^{-1}`` is
+``D_ls^{-1/2}`` up to a rotation).  ``rrr_mle``, run at each rank's argmax only, takes the
+eigendecomposition of ``D_ls`` and the SVD for ``V_d``, once per point; the reduction
+directions ``inv(resid_cov) @ a`` are ``D_ls^{-1/2} V_d``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from ._linalg import pd_cholesky, pd_eigh, symmetrize
+from ._linalg import pd_choleskys, pd_eigh, symmetrize
 from .exceptions import (
     InsufficientSampleError,
     NonFiniteLoglikError,
@@ -100,24 +102,55 @@ class LsFit:
     logdet_ls: float
     fit_vals: np.ndarray
 
+    @cached_property
+    def spectral(self) -> tuple[np.ndarray, ...]:
+        """``rrr_mle``'s work for every rank: ``pd_eigh`` of ``d_ls``, ``B = D_ls^{-1/2} C_ls``
+        and the sign-fixed singular pairs of ``B chol(S_ff)``, which are ``K``'s eigenpairs."""
+        vals, vecs, _ = pd_eigh(self.d_ls, SingularResidualCovError)
+        whitened_coef = vecs @ ((vecs.T @ self.c_ls) * (vals**-0.5)[:, None])
+        v, sv, _ = np.linalg.svd(whitened_coef @ np.linalg.cholesky(self.s_ff), full_matrices=False)
+        lead = np.argmax(np.abs(v), axis=0)  # sign-fixed: largest entries positive, for determinism
+        v = v * np.where(v[lead, np.arange(v.shape[1])] < 0, -1.0, 1.0)
+        return vals, vecs, whitened_coef, v, sv
+
+
+def ls_fits(moments: Iterable[Moments]) -> list:
+    """Center by the Schur complement, fit by LS and take ``K``'s eigenvalues from the
+    certified Cholesky factor of ``D_ls``, at all ``moments`` (of one ``n`` and ``p``) in
+    one stacked pass: an ``LsFit`` per point up to the first that fails (raising in
+    ``moments``, or at ``S_ff`` or ``D_ls``), then its error."""
+    points, stop = [], []  # stop: the error that ends the stack, if any
+    try:
+        points.extend(moments)
+    except SpatialSdrError as exc:
+        stop = [exc]
+    if not points:
+        return stop
+    n, p = points[0].n, points[0].p
+    mom = np.stack([point.m for point in points])
+    s = symmetrize(mom[:, 1:, 1:] - mom[:, 1:, :1] * mom[:, :1, 1:] / mom[:, :1, :1]) / n
+    s_xx, s_fx, s_ff = s[:, :p, :p], s[:, p:, :p], s[:, p:, p:]
+    lo, hi = np.linalg.eigvalsh(s_ff)[:, [0, -1]].T
+    singular = np.flatnonzero(lo / np.where(lo > 0.0, hi, 1.0) < 1e-13)  # lo <= 0 or lo/hi < 1e-13
+    if singular.size:
+        k = singular[0]
+        stop = [SingularFeatureCovError(
+            f"feature second-moment matrix is singular (min eig {lo[k]:.3e})"
+        )]
+        s_xx, s_fx, s_ff, points = s_xx[:k], s_fx[:k], s_ff[:k], points[:k]
+    c_ls = np.linalg.solve(s_ff, s_fx).swapaxes(1, 2)
+    chol, d_ls, failure = pd_choleskys(symmetrize(s_xx - c_ls @ s_fx), SingularResidualCovError)
+    # numpy has no stacked triangular solve; LU with partial pivoting is backward stable on L too
+    root = np.linalg.solve(chol, c_ls[: len(chol)] @ np.linalg.cholesky(s_ff[: len(chol)]))
+    logdet_ls = 2.0 * np.log(np.diagonal(chol, 0, 1, 2)).sum(axis=1)
+    fit_vals = np.linalg.svd(root, compute_uv=False) ** 2  # of L^{-1} C_ls chol(S_ff)
+    fits = zip(points, c_ls, s_ff, d_ls, logdet_ls.tolist(), fit_vals)
+    return [LsFit(*fit) for fit in fits] + ([failure] if failure else stop)
+
 
 def ls_fit(moments: Moments) -> LsFit:
-    """Center by the Schur complement, fit by LS, and take ``K``'s eigenvalues
-    from the certified Cholesky factor of ``D_ls``."""
-    mom, p = moments.m, moments.p
-    gram = mom[1:, 1:] - np.outer(mom[1:, 0], mom[0, 1:]) / mom[0, 0]
-    s = symmetrize(gram) / moments.n
-    s_xx, s_xf, s_ff = s[:p, :p], s[:p, p:], s[p:, p:]
-    ff_vals = np.linalg.eigvalsh(s_ff)
-    if ff_vals[0] <= 0.0 or ff_vals[0] / ff_vals[-1] < 1e-13:
-        raise SingularFeatureCovError(
-            f"feature second-moment matrix is singular (min eig {ff_vals[0]:.3e})"
-        )
-    c_ls = np.linalg.solve(s_ff, s_xf.T).T
-    chol, d_ls = pd_cholesky(symmetrize(s_xx - c_ls @ s_xf.T), SingularResidualCovError)
-    root = solve_triangular(chol, c_ls @ np.linalg.cholesky(s_ff), lower=True, check_finite=False)
-    logdet_ls = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return LsFit(moments, c_ls, s_ff, d_ls, logdet_ls, np.linalg.svd(root, compute_uv=False) ** 2)
+    """``ls_fits`` of one point: its fit, or the error it stops at."""
+    return raise_failure(ls_fits([moments]))[0]
 
 
 @dataclass(frozen=True)
@@ -168,12 +201,8 @@ def rrr_mle(ls: LsFit, rank: int) -> RrrEstimate:
     ``rank`` may be 0 (pure-mean model with empty factors) up to min(p, r).
     """
     _check_rank(ls, rank)
-    vals, vecs, _ = pd_eigh(ls.d_ls, SingularResidualCovError)
-    whitened_coef = vecs @ ((vecs.T @ ls.c_ls) * (vals**-0.5)[:, None])  # D_ls^{-1/2} C_ls
-    # K = B B' for B = D_ls^{-1/2} C_ls chol(S_ff), so B's singular pairs are K's eigenpairs
-    v, sv, _ = np.linalg.svd(whitened_coef @ np.linalg.cholesky(ls.s_ff), full_matrices=False)
-    lead = np.argmax(np.abs(v), axis=0)  # sign-fixed: largest entries positive, for determinism
-    v_d = (v * np.where(v[lead, np.arange(v.shape[1])] < 0, -1.0, 1.0))[:, :rank]
+    vals, vecs, whitened_coef, v, sv = ls.spectral
+    v_d = v[:, :rank]
     a = vecs @ ((vecs.T @ v_d) * (vals**0.5)[:, None])  # D_ls^{1/2} V_d
     b = v_d.T @ whitened_coef
     gap = ls.c_ls - a @ b
@@ -237,23 +266,19 @@ class SdrFit:
 def profile(fit_type, kind, ranks, params, moments) -> list:
     """Profile a spatial parameter for several ranks in one pass over its grid.
 
-    ``moments(param)`` returns a grid point's ``Moments``, whose one
-    ``ls_fit`` gives every live rank its closed-form ``loglik``; ties keep the
-    earliest point of ``params``.  ``rrr_mle`` then runs once per rank, at its
-    argmax, giving ``fit_type(kind, est, mu, loglik, grid, param)`` (no
-    ``param`` for a ``None`` one).  A ``SpatialSdrError`` ends the rank it
-    hits (every live rank when ``moments`` or ``ls_fit`` raises) and takes
+    ``moments`` yields the ``Moments`` of each point of ``params`` in turn (or raises
+    at one); their one stacked ``ls_fits`` gives every live rank its closed-form
+    ``loglik`` at each point; ties keep the earliest point.  ``rrr_mle`` then runs
+    once per rank, at its argmax, giving ``fit_type(kind, est, mu, loglik, grid,
+    param)`` (no ``param`` for a ``None`` one).  A ``SpatialSdrError`` ends the rank
+    it hits (every live rank when it is ``ls_fits``'s error at a point) and takes
     that rank's place in the result.
     """
     grids, best, failed = {rank: {} for rank in ranks}, {}, {}
-    for param in params:
+    for param, ls in zip(params, ls_fits(moments)):
         live = [rank for rank in ranks if rank not in failed]
-        if not live:
-            break
-        try:
-            ls = ls_fit(moments(param))
-        except SpatialSdrError as exc:
-            failed.update(dict.fromkeys(live, exc))
+        if isinstance(ls, SpatialSdrError):
+            failed.update(dict.fromkeys(live, ls))
             break
         for rank in live:
             try:

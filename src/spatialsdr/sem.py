@@ -20,6 +20,7 @@ whose spatial parameter is named ``lag_coef``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,18 +52,27 @@ class SemMoments:
     p: int
     shift: np.ndarray
 
+    def at_each(self, coefs) -> Iterator[Moments]:
+        """Moments at each lag of ``coefs`` in turn, from one broadcast over them; raises
+        ``SingularFilterError`` at the first whose gaps ``|1 - coef lambda|``, the singular
+        values of the symmetrized filter, have a ratio above ``COND_LIMIT``."""
+        coefs = np.asarray(coefs, dtype=float)
+        gaps = np.abs(1.0 - coefs[:, None] * self.spectrum)
+        low = gaps.min(axis=1)
+        singular = ~(low * COND_LIMIT > gaps.max(axis=1))
+        m = self.a0 - coefs[:, None, None] * self.a1 + (coefs * coefs)[:, None, None] * self.a2
+        with np.errstate(divide="ignore"):  # a zero gap fails the ratio first
+            logdet_s_terms = -self.p * np.log(gaps).sum(axis=1)
+        for coef, m_c, term, gap, bad in zip(coefs, m, logdet_s_terms.tolist(), low, singular):
+            if bad:
+                raise SingularFilterError(
+                    f"I - {coef} * W is numerically singular (min |1 - coef lambda| {gap:.2e})"
+                )
+            yield Moments(m_c, self.spectrum.size, self.p, term, self.shift)
+
     def at(self, coef: float) -> Moments:
-        """Moments at one lag.  The gaps ``|1 - coef lambda|`` are the
-        singular values of the symmetrized filter; raises
-        ``SingularFilterError`` when their ratio exceeds ``COND_LIMIT``."""
-        gaps = np.abs(1.0 - coef * self.spectrum)
-        if not gaps.min() * COND_LIMIT > gaps.max():
-            raise SingularFilterError(
-                f"I - {coef} * W is numerically singular (min |1 - coef lambda| {gaps.min():.2e})"
-            )
-        m = self.a0 - coef * self.a1 + coef * coef * self.a2
-        logdet_s_term = -self.p * float(np.sum(np.log(gaps)))
-        return Moments(m, self.spectrum.size, self.p, logdet_s_term, self.shift)
+        """Moments at one lag, as ``at_each``."""
+        return next(self.at_each([coef]))
 
 
 def whiten_sem(x: np.ndarray, f: np.ndarray, weights: NeighborWeights) -> SemMoments:
@@ -122,4 +132,4 @@ def rank_fits(sample, spec, ranks, lag_grid=None) -> list:
     # Scan smallest |coef| first so ties keep the near-independent model.
     order = sorted(lag_grid, key=lambda c: (abs(c), c))
     params = [float(c) for c in order]
-    return profile(SemFit, "sem", ranks, params, whiten_sem(sample.x, f, weights).at)
+    return profile(SemFit, "sem", ranks, params, whiten_sem(sample.x, f, weights).at_each(params))

@@ -27,7 +27,7 @@ from scipy.linalg import solve_triangular
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, NonPositiveDecayError
-from .geometry import DistanceMatrix, ExpCorrelation, exp_correlations, pairwise_distances
+from .geometry import DistanceMatrix, ExpCorrelation, exp_correlations, pairwise_distances, sorted_median
 from .rrr import Moments, SdrFit, design, moments_of, profile, raise_failure
 
 DEFAULT_GRID_SIZE = 20
@@ -36,8 +36,7 @@ DEFAULT_GRID_SPAN = (0.1, 10.0)  # multiples of 1/median-distance
 
 def default_decay_grid(dist: DistanceMatrix, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """Geometric grid spanning 0.1/m .. 10/m with m the median distance."""
-    tri = dist.dist[np.triu_indices(dist.n, k=1)]
-    m = float(np.median(tri))
+    m = sorted_median(dist.dist[np.triu_indices(dist.n, k=1)])
     lo, hi = DEFAULT_GRID_SPAN[0] / m, DEFAULT_GRID_SPAN[1] / m
     return np.geomspace(lo, hi, size)
 
@@ -91,6 +90,5 @@ def rank_fits(sample, spec, ranks, decay_grid=None) -> list:
         raise NonPositiveDecayError("decay grid entries must be > 0")
 
     params = [float(decay) for decay in np.sort(decay_grid)]
-    # profile takes the grid points one at a time, in the order of params
     points = whiten_sscm(sample.x, f, exp_correlations(dist, params))
-    return profile(SscmFit, "sscm", ranks, params, lambda _: next(points))
+    return profile(SscmFit, "sscm", ranks, params, points)

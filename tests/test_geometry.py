@@ -21,6 +21,7 @@ from spatialsdr.geometry import (
     max_min_distance,
     neighbor_weights,
     pairwise_distances,
+    sorted_median,
     spatial_filter,
 )
 
@@ -294,3 +295,23 @@ class TestSpatialFilter:
         assert filt.log_abs_det == float(np.linalg.slogdet(wt)[1])
         q = abs(coef)  # column sums are one
         assert np.linalg.cond(wt, 1) <= (1.0 + q) / (1.0 - q) * (1.0 + 1e-12)
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0]), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1,
+        max_size=300,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_sorted_median_is_np_median_bit_for_bit(values):
+    # odd and even sizes, ties from the sampled values, any finite magnitude
+    values = np.array(values)
+    with np.errstate(over="ignore"):  # the mean of a middle pair may overflow, in both
+        assert sorted_median(values).hex() == float(np.median(values)).hex()
+
+
+@pytest.mark.parametrize("values", [[2.0], [3.0, 1.0], [1.0, 1.0, 2.0, 2.0], [5.0, 1.0, 5.0]])
+def test_sorted_median_small_cases(values):
+    assert sorted_median(np.array(values)) == np.median(values)

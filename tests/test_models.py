@@ -10,6 +10,7 @@ from spatialsdr.basis import BasisSpec, build_f
 from spatialsdr.data import SpatialSample, train_test_split
 from spatialsdr.dimension import rank_fits
 from spatialsdr.exceptions import EmptyGridError, InputError, NonPositiveDecayError, SingularFilterError
+from spatialsdr.exceptions import NearSingularCorrelationError, NonFiniteLoglikError
 from spatialsdr.geometry import (
     Coordinates,
     exp_correlation,
@@ -397,3 +398,71 @@ def test_sem_recovers_the_lag_at_large_n(seed):
     sample = simulate_sample(cfg, 0)
     fit = fit_sem(sample, BasisSpec("polynomial", cfg.r), cfg.d)
     assert abs(fit.lag_coef - 0.8) <= 0.05 + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["sscm", "sem"])
+def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
+    # ranks that share an argmax share its pd_eigh and SVD; each estimate is
+    # bit for bit rrr_mle's on a fresh fit of that grid point
+    from spatialsdr import rrr
+
+    sample = random_sample(60, 4, seed=3)
+    spec = BasisSpec("polynomial", 2)
+    f = build_f(sample.y, spec)
+    dist = pairwise_distances(sample.coords)
+    moments = {
+        "sscm": lambda decay: next(whiten_sscm(sample.x, f, [exp_correlation(dist, decay)])),
+        "sem": whiten_sem(sample.x, f, neighbor_weights(dist, max_min_distance(dist))).at,
+    }[kind]
+    calls, original = [], rrr.pd_eigh
+
+    def spy(m, err):
+        calls.append(m)
+        return original(m, err)
+
+    monkeypatch.setattr(rrr, "pd_eigh", spy)
+    fits = rank_fits(sample, kind, spec, [0, 1, 2], grid=[0.3, 0.6, 0.9] if kind == "sem" else None)
+    argmaxes = {fit.spatial_param for fit in fits}
+    assert len(calls) == len(argmaxes) < 3
+    for rank, fit in enumerate(fits):
+        want = rrr.rrr_mle(rrr.ls_fit(moments(fit.spatial_param)), rank)
+        for got, exp in ((fit.est.a, want.a), (fit.est.b, want.b), (fit.est.resid_cov, want.resid_cov)):
+            np.testing.assert_array_equal(got, exp)
+
+
+def test_a_decay_failing_mid_grid_ends_the_ranks_live_there(monkeypatch):
+    # the third of five decays fails to factor: the first two keep their grid
+    # values, no later decay is factored, and every rank still live holds the
+    # error (rank 2 already failed at the first decay and keeps its own)
+    from spatialsdr import geometry, rrr
+
+    sample = random_sample(50, 3, seed=5)
+    spec = BasisSpec("polynomial", 2)
+    grid = [0.5, 1.0, 2.0, 4.0, 8.0]
+    kept = rank_fits(sample, "sscm", spec, [0, 1], grid[:2])
+    error, factored = NearSingularCorrelationError("forced at the third decay"), []
+
+    def failing_third(original):
+        def factor(h, *args, **kwargs):
+            factored.append(h)
+            if len(factored) == 3:
+                raise error
+            return original(h, *args, **kwargs)
+        return factor
+
+    logged, original_loglik = [], rrr.loglik
+
+    def loglik(ls, rank):
+        if rank == 2:
+            raise NonFiniteLoglikError("forced at rank 2")
+        logged.append((rank, original_loglik(ls, rank)))
+        return logged[-1][1]
+
+    for name in ("pd_cholesky", "cholesky"):
+        monkeypatch.setattr(geometry, name, failing_third(getattr(geometry, name)))
+    monkeypatch.setattr(rrr, "loglik", loglik)
+    fits = rank_fits(sample, "sscm", spec, [0, 1, 2], grid)
+    assert len(factored) == 3
+    assert fits[0] is error and fits[1] is error
+    assert isinstance(fits[2], NonFiniteLoglikError)
+    assert logged == [(rank, kept[rank].grid[i][1]) for i in range(2) for rank in (0, 1)]

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spatialsdr import predictor
 from spatialsdr.basis import BasisSpec
@@ -440,3 +442,21 @@ def test_default_grid_scales_with_median_distance():
     assert grid[0] == pytest.approx(0.1 * q)
     assert grid[-1] == pytest.approx(2.0 * q)
     assert len(grid) == 15
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_kernels_match_the_two_pass_exponent(seed, g, rows, n):
+    # oracle: d / h^2, then times -0.5; dividing by -2 h^2 instead rounds the
+    # same, as scaling by a power of two is exact, so the kernels are bit-equal
+    # d spans 0 to 1e300 and h 1e-150 to 1e150; most d are h^2 times 1e-2 .. 1.6e3
+    # for some h of the grid, where the kernel is neither 1 nor 0
+    rng = np.random.default_rng(seed)
+    grid = 10.0 ** rng.uniform(-150, 150, g)
+    scaled = rng.choice(grid, (rows, n)) ** 2 * 10.0 ** rng.uniform(-2, 3.2, (rows, n))
+    draw = rng.random((rows, n))
+    d = np.where(draw < 0.1, 0.0, np.where(draw < 0.3, 10.0 ** rng.uniform(-300, 300, (rows, n)), scaled))
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.exp(-0.5 * (d / (grid**2)[:, None, None]))
+        got = predictor._kernels(d, grid, np.empty((g, rows, n)))
+    np.testing.assert_array_equal(got, want)

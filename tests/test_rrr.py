@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from spatialsdr import _linalg
 from spatialsdr._linalg import EIG_FLOOR, pd_eigh
 from spatialsdr.exceptions import (
     InsufficientSampleError,
@@ -16,6 +17,7 @@ from spatialsdr.rrr import (
     design,
     loglik,
     ls_fit,
+    ls_fits,
     moments_of,
     profiled_mean,
     rrr_mle,
@@ -290,6 +292,99 @@ class TestTriangularLsFit:
         # condition numbers up to 2e10 leave about 1e-6 absolute in log lambda_min
         assert ls.logdet_ls == pytest.approx(np.sum(np.log(np.linalg.eigvalsh(want))), abs=1e-5)
         np.testing.assert_array_equal(rrr_mle(ls, 1).resid_cov_ls, want)
+
+
+def collinear_moments(delta):
+    """Moments of the sample of ``test_collinear_predictor_is_jittered_as_before``
+    (n=60, p=4, r=2), whose second predictor is the first plus noise of size delta."""
+    rng = np.random.default_rng(5)
+    n, p, r = 60, 4, 2
+    f = rng.standard_normal((n, r))
+    x = rng.standard_normal((n, p)) + f @ rng.standard_normal((p, r)).T
+    x[:, 1] = x[:, 0] + delta * rng.standard_normal(n)
+    rows, shift = design(x, f)
+    return moments_of(rows, p, shift)
+
+
+def assert_same_fit(fit, want, rtol=1e-13):
+    """Equal log|D_ls|, lambda_i and log-likelihood at every rank, to ``rtol``."""
+    assert fit.logdet_ls == pytest.approx(want.logdet_ls, rel=rtol)
+    np.testing.assert_allclose(fit.fit_vals, want.fit_vals, rtol=rtol, atol=0)
+    for d in range(want.fit_vals.size + 1):
+        assert loglik(fit, d) == pytest.approx(loglik(want, d), rel=rtol)
+
+
+class TestStackedLsFits:
+    """``ls_fits`` takes every grid point in one stacked pass; ``ls_fit`` is its
+    stack of one."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_a_stack_matches_stacks_of_one(self, seed, k, p, r):
+        # k points of one sample, each under its own random row covariance
+        rng = np.random.default_rng(seed)
+        n = p + r + 3 + int(rng.integers(0, 30))
+        f = rng.standard_normal((n, r))
+        x = rng.standard_normal((n, p)) + f @ rng.standard_normal((p, r)).T
+        rows, shift = design(x, f)
+        points = []
+        for _ in range(k):
+            g = rng.standard_normal((n, n))
+            chol = np.linalg.cholesky(g @ g.T / n + np.eye(n))
+            logdet_s_term = p * float(np.log(np.diag(chol)).sum())
+            points.append(moments_of(np.linalg.solve(chol, rows), p, shift, logdet_s_term))
+        fits = ls_fits(points)
+        assert len(fits) == k
+        for fit, point in zip(fits, points):
+            assert fit.moments is point
+            assert_same_fit(fit, ls_fit(point))
+
+    def test_a_jittered_point_amid_certified_ones_takes_the_fallback(self, monkeypatch):
+        # numpy's stacked Cholesky fails for the whole stack, so each point goes
+        # through pd_cholesky alone: the collinear point (delta = 1e-7) is jittered
+        # as when it is fitted alone, and its neighbours are certified as before
+        n, p = 60, 4
+        jittered = collinear_moments(1e-7)
+        before, after = (whitened(n, p, 2, seed=seed, signal=0.5)[2].moments for seed in (1, 2))
+        calls, original = [], _linalg.pd_cholesky
+
+        def spy(m, err):
+            calls.append(m)
+            return original(m, err)
+
+        monkeypatch.setattr(_linalg, "pd_cholesky", spy)
+        neighbours = ls_fits([before, after])
+        assert calls == []  # a certified stack takes no per-point fallback
+        fits = ls_fits([before, jittered, after])
+        assert len(calls) == 3 and len(fits) == 3
+        alone = ls_fit(jittered)
+        np.testing.assert_array_equal(fits[1].d_ls, alone.d_ls)
+        assert np.linalg.eigvalsh(calls[1])[0] < EIG_FLOOR <= np.linalg.eigvalsh(alone.d_ls)[0]
+        assert_same_fit(fits[1], alone)
+        for d in range(3):
+            # the closed form at the jittered D_ls, as the collinear test pins it
+            logdet = np.linalg.slogdet(rrr_mle(fits[1], d).resid_cov)[1]
+            assert loglik(fits[1], d) == pytest.approx(
+                -0.5 * n * p * (np.log(2 * np.pi) + 1.0) - 0.5 * n * logdet, rel=1e-7
+            )
+        assert_same_fit(fits[0], neighbours[0])
+        assert_same_fit(fits[2], neighbours[1])
+
+    def test_a_failing_point_ends_the_stack(self):
+        # predictors that the features fit exactly leave D_ls at rounding level,
+        # which fails the policy even after jitter; the point before keeps its
+        # fit, and no point after it is fitted
+        rng = np.random.default_rng(2)
+        f = rng.standard_normal((60, 2))
+        rows, shift = design(f @ rng.standard_normal((4, 2)).T, f)
+        exact = moments_of(rows, 4, shift)
+        good = whitened(60, 4, 2, seed=3, signal=0.5)[2].moments
+        fits = ls_fits([good, exact, good])
+        assert len(fits) == 2
+        assert_same_fit(fits[0], ls_fit(good))
+        assert isinstance(fits[1], SingularResidualCovError)
+        with pytest.raises(SingularResidualCovError):
+            ls_fit(exact)
 
 
 class TestReduction:
