@@ -4,10 +4,14 @@ The likelihood-based criteria consume only the maximized log-likelihoods
 for ranks 0..min(p, r) and are therefore independent of the prediction
 rule; cross-validated minimum prediction error depends on it by design.
 
-``fit_and_predict`` is the one fit-tune-predict step, which each CV fold
-and the replication harness's test split run: it fits each kind for the
-ranks asked of it, tunes every reference in one leave-one-out pass and
-predicts the held-out responses, isolating the same ``FAILURES`` per job.
+``MODELS`` is the one table of model kinds: each kind's predictor-mode
+label and its fitter, which walks its grid once for every rank asked of it.
+``select_ranks`` applies one of the ``POLICIES`` to a sample's reduced
+predictor modes.  ``fit_and_predict`` is the one fit-tune-predict step,
+which each CV fold and the replication harness's test split run: it fits
+each kind for the ranks asked of it, tunes every reference in one
+leave-one-out pass and predicts the held-out responses, isolating the same
+``FAILURES`` per job.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from . import pfc, sem, sscm
 from .basis import BasisSpec
 from .data import SpatialSample
 from .exceptions import CvFailedError, InputError, NonMonotoneLogliksError, SpatialSdrError
-from .predictor import PredictorConfig, build_reference, loo_search, predict_many
+from .predictor import MODES, PredictorConfig, build_reference, loo_search, predict_many
 from .rrr import raise_failure
 
 MONOTONE_SLACK = 1e-8
+POLICIES = ("fixed", "lr", "aic", "bic", "cv")  # rank policies; the first is the default
 
 
 @dataclass(frozen=True)
@@ -119,18 +124,19 @@ def select_ic(
     return DimSelection(criterion=kind, d_star=d_star, trace=trace)
 
 
-# The one map from a model kind to its fitter, which walks its grid once,
-# and to the label its predictor modes carry.
-RANK_FITS = {"ind": pfc.rank_fits, "sscm": sscm.rank_fits, "sem": sem.rank_fits}
-KIND_LABELS = {"ind": "Ind", "sscm": "SSCM", "sem": "SEM"}
+# The one map from a model kind to the label its predictor modes carry and
+# to its fitter, which walks its grid once.
+MODELS = {"ind": ("Ind", pfc.rank_fits), "sscm": ("SSCM", sscm.rank_fits), "sem": ("SEM", sem.rank_fits)}
 # Errors that cost a job its prediction instead of ending the run.
 FAILURES = (SpatialSdrError, np.linalg.LinAlgError)
 
 
 def mode_kind(mode: str) -> str | None:
     """The reduction kind of predictor ``mode``; None for the FULL modes."""
+    if mode not in MODES:
+        raise InputError(f"unknown predictor mode {mode!r}")
     label = mode.split(".")[1]
-    return next((kind for kind, lab in KIND_LABELS.items() if lab == label), None)
+    return next((kind for kind, (lab, _) in MODELS.items() if lab == label), None)
 
 
 def rank_fits(sample, kind, spec, ranks, grid=None) -> list:
@@ -138,9 +144,9 @@ def rank_fits(sample, kind, spec, ranks, grid=None) -> list:
     ``grid`` (decay rates for ``sscm``, lag coefficients for ``sem``, ignored
     for ``ind``; the model's default grid when None).  A rank that failed
     holds its ``SpatialSdrError`` in place of a fit."""
-    if kind not in RANK_FITS:
+    if kind not in MODELS:
         raise InputError(f"unknown model kind {kind!r}")
-    return RANK_FITS[kind](sample, spec, ranks, grid)
+    return MODELS[kind][1](sample, spec, ranks, grid)
 
 
 def loglik_profile(
@@ -214,9 +220,9 @@ def select_cv(
     """
     if kernels not in ("1k", "2k"):
         raise InputError("kernels must be '1k' or '2k'")
-    if kind not in RANK_FITS:
+    if kind not in MODELS:
         raise InputError(f"unknown model kind {kind!r}")
-    mode = f"{kernels}.{KIND_LABELS[kind]}"
+    mode = f"{kernels}.{MODELS[kind][0]}"
     return raise_failure(_cv_selections(sample, [mode], spec, folds, d_range, seed, grid))[0]
 
 
@@ -265,3 +271,34 @@ def _cv_selections(sample, modes, spec, folds=5, d_range=None, seed=0, grid=None
             else CvFailedError("every candidate rank failed during cross-validation")
         )
     return selections
+
+
+def select_ranks(sample, modes, spec, policy, d, seed) -> tuple[dict, dict]:
+    """The rank of each reduced mode of ``modes`` under ``policy``, one of
+    ``POLICIES``, and the ``(kind, rank)`` fits its profiles made.
+
+    ``fixed`` gives every mode ``d``; ``lr``, ``aic`` and ``bic`` choose
+    from one profile of each kind over every rank 0..min(p, r), whose fits
+    are returned; ``cv`` runs ``select_cv`` for every mode in one fold loop
+    seeded by ``seed``.  A mode whose choice failed with one of ``FAILURES``
+    holds that error in place of a rank.
+    """
+    if policy not in POLICIES:
+        raise InputError(f"unknown d policy {policy!r}")
+    reduced = [mode for mode in dict.fromkeys(modes) if mode_kind(mode)]
+    if policy == "fixed":
+        return dict.fromkeys(reduced, d), {}
+    if policy == "cv":
+        sels = _cv_selections(sample, reduced, spec, seed=seed)
+        return {m: s if isinstance(s, FAILURES) else s.d_star for m, s in zip(reduced, sels)}, {}
+    picks, fits = {}, {}
+    for kind in dict.fromkeys(map(mode_kind, reduced)):
+        try:
+            profile = raise_failure(rank_fits(sample, kind, spec, range(min(sample.p, spec.degree) + 1)))
+            args = (np.array([fit.loglik for fit in profile]), sample.p, spec.degree, sample.n)
+            pick = (select_lr(*args) if policy == "lr" else select_ic(*args, kind=policy)).d_star
+            fits.update(((kind, rank), fit) for rank, fit in enumerate(profile))
+        except FAILURES as exc:
+            pick = exc
+        picks.update((m, pick) for m in reduced if mode_kind(m) == kind)
+    return picks, fits

@@ -46,13 +46,11 @@ TINY_MASS = 1e-250
 
 @dataclass(frozen=True)
 class PredictorConfig:
-    """Prediction mode plus bandwidths and optional search grids."""
+    """Prediction mode plus bandwidths."""
 
     mode: str
     h1: float | None = None
     h2: float | None = None
-    h1_grid: np.ndarray | None = None
-    h2_grid: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -154,7 +152,7 @@ def predict_many(
     return w @ ref.responses, fell_back
 
 
-def default_bandwidth_grid(points: np.ndarray, size: int = GRID_SIZE) -> np.ndarray:
+def default_bandwidth_grid(points: np.ndarray) -> np.ndarray:
     """Geometric grid 0.1q .. 2q with q the median pairwise distance."""
     pts = np.atleast_2d(points)
     if pts.shape[0] < 2:
@@ -168,7 +166,7 @@ def default_bandwidth_grid(points: np.ndarray, size: int = GRID_SIZE) -> np.ndar
         if positive.size == 0:
             return np.array([1.0])
         q = sorted_median(positive)
-    return np.geomspace(GRID_SPAN[0] * q, GRID_SPAN[1] * q, size)
+    return np.geomspace(GRID_SPAN[0] * q, GRID_SPAN[1] * q, GRID_SIZE)
 
 
 @dataclass(frozen=True)
@@ -256,10 +254,10 @@ def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None)
 
 
 def loocv_bandwidths(ref: TrainingReference, config: PredictorConfig) -> tuple[float, float | None]:
-    """Leave-one-out bandwidth search on the training reference, ``loo_search``
-    of it alone over ``config``'s grids: ties break to the smaller bandwidths,
-    h1 first."""
-    [search] = loo_search([ref], config.two_kernel, [config.h1_grid], config.h2_grid)
+    """Leave-one-out bandwidth search on the training reference for ``config``'s
+    mode, ``loo_search`` of it alone over the default grids: ties break to the
+    smaller bandwidths, h1 first."""
+    [search] = loo_search([ref], config.two_kernel)
     if isinstance(search, SpatialSdrError):
         raise search
     return search.bandwidths(config.two_kernel)

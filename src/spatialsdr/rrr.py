@@ -18,12 +18,12 @@ log-likelihood
 
     -np/2 log(2 pi) - logdet_s - n/2 (log|D_ls| + sum_{i>d} log(1 + lambda_i)) - np/2.
 
-``ls_fits`` reads both at every grid point of a profile in one stacked pass, from the
-certified Cholesky factor ``L`` of each ``D_ls``: ``log|D_ls| = 2 sum log diag L``, and the
-lambda_i are the squared singular values of ``L^{-1} C_ls chol(S_ff)`` (``L^{-1}`` is
-``D_ls^{-1/2}`` up to a rotation).  ``rrr_mle``, run at each rank's argmax only, takes the
-eigendecomposition of ``D_ls`` and the SVD for ``V_d``, once per point; the reduction
-directions ``inv(resid_cov) @ a`` are ``D_ls^{-1/2} V_d``.
+``ls_fits`` reads both at every grid point of a profile in one stacked pass (one point is a
+stack of one), from the certified Cholesky factor ``L`` of each ``D_ls``: ``log|D_ls| = 2 sum
+log diag L``, and the lambda_i are the squared singular values of ``L^{-1} C_ls chol(S_ff)``
+(``L^{-1}`` is ``D_ls^{-1/2}`` up to a rotation).  ``rrr_mle``, run at each rank's argmax only,
+takes the eigendecomposition of ``D_ls`` and the SVD for ``V_d``, once per point; the
+reduction directions ``inv(resid_cov) @ a`` are ``D_ls^{-1/2} V_d``.
 """
 
 from __future__ import annotations
@@ -146,11 +146,6 @@ def ls_fits(moments: Iterable[Moments]) -> list:
     fit_vals = np.linalg.svd(root, compute_uv=False) ** 2  # of L^{-1} C_ls chol(S_ff)
     fits = zip(points, c_ls, s_ff, d_ls, logdet_ls.tolist(), fit_vals)
     return [LsFit(*fit) for fit in fits] + ([failure] if failure else stop)
-
-
-def ls_fit(moments: Moments) -> LsFit:
-    """``ls_fits`` of one point: its fit, or the error it stops at."""
-    return raise_failure(ls_fits([moments]))[0]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ carries ``+ p log|det Wt|``.  ``W = A D^{-1}`` for the symmetric threshold
 adjacency ``A`` with degrees ``D``, so ``W`` is similar to the symmetric
 ``D^{-1/2} A D^{-1/2}``, whose eigenvalues ``lambda`` give ``log|det Wt| =
 sum log|1 - coef lambda|`` at every lag (Ord 1975).  The lag coefficient is
-profiled over a grid on (-1, 1); fits are ``SemFit``, the ``rrr.SdrFit``
+profiled over a grid on (-1, 1): ``whiten_sem`` yields each lag's moments
+in turn, as ``sscm.whiten_sscm`` yields each decay's, from one broadcast of
+the lag-free parts over the grid.  Fits are ``SemFit``, the ``rrr.SdrFit``
 whose spatial parameter is named ``lag_coef``.
 """
 
@@ -40,51 +42,31 @@ def default_lag_grid() -> np.ndarray:
     return DEFAULT_GRID.copy()
 
 
-@dataclass(frozen=True)
-class SemMoments:
-    """The lag-free parts of ``M(coef)``: ``a0 = Z'Z``, ``a1 = A1 + A1'``,
-    ``a2 = (WZ)'(WZ)``, and ``spectrum``, the eigenvalues of ``W``."""
-
-    a0: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    spectrum: np.ndarray
-    p: int
-    shift: np.ndarray
-
-    def at_each(self, coefs) -> Iterator[Moments]:
-        """Moments at each lag of ``coefs`` in turn, from one broadcast over them; raises
-        ``SingularFilterError`` at the first whose gaps ``|1 - coef lambda|``, the singular
-        values of the symmetrized filter, have a ratio above ``COND_LIMIT``."""
-        coefs = np.asarray(coefs, dtype=float)
-        gaps = np.abs(1.0 - coefs[:, None] * self.spectrum)
-        low = gaps.min(axis=1)
-        singular = ~(low * COND_LIMIT > gaps.max(axis=1))
-        m = self.a0 - coefs[:, None, None] * self.a1 + (coefs * coefs)[:, None, None] * self.a2
-        with np.errstate(divide="ignore"):  # a zero gap fails the ratio first
-            logdet_s_terms = -self.p * np.log(gaps).sum(axis=1)
-        for coef, m_c, term, gap, bad in zip(coefs, m, logdet_s_terms.tolist(), low, singular):
-            if bad:
-                raise SingularFilterError(
-                    f"I - {coef} * W is numerically singular (min |1 - coef lambda| {gap:.2e})"
-                )
-            yield Moments(m_c, self.spectrum.size, self.p, term, self.shift)
-
-    def at(self, coef: float) -> Moments:
-        """Moments at one lag, as ``at_each``."""
-        return next(self.at_each([coef]))
-
-
-def whiten_sem(x: np.ndarray, f: np.ndarray, weights: NeighborWeights) -> SemMoments:
-    """One sample's lag-free moments and the spectrum of ``weights`` from
-    ``neighbor_weights``, whose nonzero pattern is the symmetric adjacency."""
+def whiten_sem(x: np.ndarray, f: np.ndarray, weights: NeighborWeights, coefs) -> Iterator[Moments]:
+    """Moments ``M(coef)`` at each lag of ``coefs`` in turn, from one broadcast of
+    ``Z'Z``, ``Z'WZ + (Z'WZ)'`` and ``(WZ)'(WZ)`` over them, for ``weights`` from
+    ``neighbor_weights``, whose nonzero pattern is the symmetric adjacency.  Raises
+    ``SingularFilterError`` at the first lag whose gaps ``|1 - coef lambda|``, the
+    singular values of the symmetrized filter, have a ratio above ``COND_LIMIT``."""
     z, shift = design(x, f)
     wz = weights.matrix @ z
     cross = z.T @ wz
     adj = weights.matrix != 0.0
     root = np.sqrt(adj.sum(axis=0))
     spectrum = np.linalg.eigvalsh(adj / np.outer(root, root))
-    return SemMoments(z.T @ z, cross + cross.T, wz.T @ wz, spectrum, x.shape[1], shift)
+    coefs = np.asarray(coefs, dtype=float)
+    gaps = np.abs(1.0 - coefs[:, None] * spectrum)
+    low = gaps.min(axis=1)
+    singular = ~(low * COND_LIMIT > gaps.max(axis=1))
+    m = z.T @ z - coefs[:, None, None] * (cross + cross.T) + (coefs * coefs)[:, None, None] * (wz.T @ wz)
+    with np.errstate(divide="ignore"):  # a zero gap fails the ratio first
+        logdet_s_terms = -x.shape[1] * np.log(gaps).sum(axis=1)
+    for coef, m_c, term, gap, bad in zip(coefs, m, logdet_s_terms.tolist(), low, singular):
+        if bad:
+            raise SingularFilterError(
+                f"I - {coef} * W is numerically singular (min |1 - coef lambda| {gap:.2e})"
+            )
+        yield Moments(m_c, x.shape[0], x.shape[1], term, shift)
 
 
 @dataclass(frozen=True)
@@ -132,4 +114,4 @@ def rank_fits(sample, spec, ranks, lag_grid=None) -> list:
     # Scan smallest |coef| first so ties keep the near-independent model.
     order = sorted(lag_grid, key=lambda c: (abs(c), c))
     params = [float(c) for c in order]
-    return profile(SemFit, "sem", ranks, params, whiten_sem(sample.x, f, weights).at_each(params))
+    return profile(SemFit, "sem", ranks, params, whiten_sem(sample.x, f, weights, params))

@@ -8,10 +8,11 @@ exponential-correlation law or the autoregressive-filter law.  Gaussian draws
 use the lower Cholesky root of each covariance (``_linalg.pd_cholesky``).
 
 The experiment protocol repeats: fresh data, random train/test split, a
-rank per method from the rank policy (CV runs one fold loop for all kinds),
-then ``dimension.fit_and_predict`` on the split, as each fold does, and the
-squared test error.  Every replication derives its own RNG stream from
-(seed, rep), so parallel and serial execution agree.
+rank per method from ``dimension.select_ranks`` under the rank policy, then
+``dimension.fit_and_predict`` on the split, as each CV fold does, reusing
+the fits the rank profiles made, and the squared test error.  Every
+replication derives its own RNG stream from (seed, rep), so parallel and
+serial execution agree.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 from ._linalg import pd_cholesky
 from .basis import BasisSpec, polynomial_features
 from .data import SpatialSample, train_test_split
-from .dimension import FAILURES, _cv_selections, fit_and_predict, mode_kind, rank_fits
-from .dimension import select_ic, select_lr
+from .dimension import FAILURES, POLICIES, fit_and_predict, select_ranks
 from .exceptions import CovarianceNotPDError, InputError
 from .exceptions import NearSingularCorrelationError, NonPositiveDecayError
 from .geometry import (
@@ -37,7 +37,6 @@ from .geometry import (
     spatial_filter,
 )
 from .predictor import MODES
-from .rrr import raise_failure
 
 UNSTABLE_FRACTION = 0.2
 
@@ -221,18 +220,18 @@ def simulate_x(
     return mu + f_raw @ (a @ b).T + errors
 
 
-def _draw_sample(cfg, rng, grf=None) -> SpatialSample:
+def _draw_sample(cfg, rng) -> SpatialSample:
     """A full sample drawn from ``rng``, which the caller may go on using."""
     coords = sample_locations(cfg.n, rng, grid=cfg.grid_locations)
     dist = pairwise_distances(coords)
-    y = simulate_y(coords, grf or GrfSpec(), rng, dist)
+    y = simulate_y(coords, GrfSpec(), rng, dist)
     x = simulate_x(y, coords, cfg, rng, dist)
     return SpatialSample(coords, x, y)
 
 
-def simulate_sample(cfg: SimConfig, rep: int, grf: GrfSpec | None = None) -> SpatialSample:
+def simulate_sample(cfg: SimConfig, rep: int) -> SpatialSample:
     """One replication's full sample, deterministic in (cfg.seed, rep)."""
-    return _draw_sample(cfg, rep_rng(cfg.seed, rep), grf)
+    return _draw_sample(cfg, rep_rng(cfg.seed, rep))
 
 
 def _run_rep(cfg: SimConfig, methods: list[str], d_policy: str, rep: int):
@@ -240,39 +239,21 @@ def _run_rep(cfg: SimConfig, methods: list[str], d_policy: str, rep: int):
     rng = rep_rng(cfg.seed, rep)
     train, test = train_test_split(_draw_sample(cfg, rng), cfg.train_frac, rng)
     spec = BasisSpec("polynomial", cfg.r)
-    reduced = [mode for mode in dict.fromkeys(methods) if mode_kind(mode)]
-    picks, fits = dict.fromkeys(methods, 0), {}
-    if d_policy == "fixed":
-        picks.update(dict.fromkeys(reduced, cfg.d))
-    elif d_policy == "cv":
-        sels = _cv_selections(train, reduced, spec, seed=rep)
-        picks.update((m, s if isinstance(s, FAILURES) else s.d_star) for m, s in zip(reduced, sels))
-    else:
-        for kind in dict.fromkeys(map(mode_kind, reduced)):
-            try:
-                profile = raise_failure(rank_fits(train, kind, spec, range(min(cfg.p, cfg.r) + 1)))
-                args = (np.array([fit.loglik for fit in profile]), train.p, cfg.r, train.n)
-                sel = select_lr(*args) if d_policy == "lr" else select_ic(*args, kind=d_policy)
-                pick = sel.d_star
-                fits.update(((kind, d), fit) for d, fit in enumerate(profile))
-            except FAILURES as exc:
-                pick = exc
-            picks.update((m, pick) for m in reduced if mode_kind(m) == kind)
-
+    picks, fits = select_ranks(train, methods, spec, d_policy, cfg.d, rep)
+    jobs = [(mode, picks.get(mode, 0)) for mode in methods]  # FULL modes record rank 0
     mse, d_sel = {}, {}
-    preds = fit_and_predict([(mode, picks[mode]) for mode in methods], train, test, spec, fits=fits)
-    for mode, yhat in zip(methods, preds):
+    for (mode, rank), yhat in zip(jobs, fit_and_predict(jobs, train, test, spec, fits=fits)):
         if isinstance(yhat, FAILURES):
             mse[mode], d_sel[mode] = float("nan"), -1
         else:
-            mse[mode], d_sel[mode] = float(np.mean((yhat - test.y) ** 2)), picks[mode]
+            mse[mode], d_sel[mode] = float(np.mean((yhat - test.y) ** 2)), rank
     return mse, d_sel
 
 
 def run_experiment(
     cfg: SimConfig,
     methods: list[str],
-    d_policy: str = "fixed",
+    d_policy: str = POLICIES[0],
     workers: int = 1,
 ) -> MetricsReport:
     """Replicate the train/test protocol and collect per-method MSEs.
@@ -288,7 +269,7 @@ def run_experiment(
     for mode in methods:
         if mode not in MODES:
             raise InputError(f"unknown method {mode!r}")
-    if d_policy not in ("fixed", "lr", "aic", "bic", "cv"):
+    if d_policy not in POLICIES:
         raise InputError(f"unknown d policy {d_policy!r}")
     reps = list(range(cfg.reps))
     if workers > 1:

@@ -34,11 +34,11 @@ DEFAULT_GRID_SIZE = 20
 DEFAULT_GRID_SPAN = (0.1, 10.0)  # multiples of 1/median-distance
 
 
-def default_decay_grid(dist: DistanceMatrix, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+def default_decay_grid(dist: DistanceMatrix) -> np.ndarray:
     """Geometric grid spanning 0.1/m .. 10/m with m the median distance."""
     m = sorted_median(dist.dist[np.triu_indices(dist.n, k=1)])
     lo, hi = DEFAULT_GRID_SPAN[0] / m, DEFAULT_GRID_SPAN[1] / m
-    return np.geomspace(lo, hi, size)
+    return np.geomspace(lo, hi, DEFAULT_GRID_SIZE)
 
 
 def whiten_sscm(x: np.ndarray, f: np.ndarray, corrs: Iterable[ExpCorrelation]) -> Iterator[Moments]:

@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from spatialsdr.dimension import POLICIES
 from spatialsdr.predictor import MODES
 from spatialsdr.simulate import SimConfig, run_experiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
 CONFIG = dict(n=60, p=4, reps=2, seed=7)
-POLICIES = ("fixed", "lr", "aic", "bic", "cv")
 
 
 def record() -> dict:

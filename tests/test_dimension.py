@@ -5,12 +5,16 @@ import pytest
 
 from spatialsdr.basis import BasisSpec
 from spatialsdr.dimension import (
+    MODELS,
     chi2_sf,
+    fit_and_predict,
     loglik_profile,
+    mode_kind,
     param_count,
     select_cv,
     select_ic,
     select_lr,
+    select_ranks,
 )
 from spatialsdr.exceptions import (
     CvFailedError,
@@ -18,6 +22,7 @@ from spatialsdr.exceptions import (
     NonMonotoneLogliksError,
     SingularResidualCovError,
 )
+from spatialsdr.predictor import MODES
 from spatialsdr.rrr import SdrFit
 from spatialsdr.sscm import SscmFit
 
@@ -175,7 +180,7 @@ class TestSelectCv:
         # it, so it costs the kind its ranks instead of escaping select_cv
         from spatialsdr import sem
 
-        def fails(x, f, weights):
+        def fails(x, f, weights, coefs):
             raise np.linalg.LinAlgError("forced whitening failure")
 
         monkeypatch.setattr(sem, "whiten_sem", fails)
@@ -224,3 +229,61 @@ class TestSelectCv:
         assert np.isfinite(rows[1]["cv_error"])
         assert rows[2]["cv_error"] is None
         assert "forced failure at rank 2" in rows[2]["failure"]
+
+
+class TestModels:
+    def test_every_mode_maps_to_a_model_or_full(self):
+        kinds = {mode: mode_kind(mode) for mode in MODES}
+        for mode, kind in kinds.items():
+            assert (kind is None) == mode.endswith(".FULL")
+            assert kind is None or mode.split(".")[1] == MODELS[kind][0]
+        assert set(kinds.values()) == set(MODELS) | {None}
+
+    @pytest.mark.parametrize("mode", ["bogus", "1k.Foo", "3k.SEM"])
+    def test_malformed_mode_is_rejected_before_any_fit(self, monkeypatch, mode):
+        # a spy on every fitter in the table: the valid job ahead of the
+        # malformed one is not fitted either
+        fitted = []
+        for kind, (label, fitter) in MODELS.items():
+            spy = lambda *args, fitter=fitter: fitted.append(args) or fitter(*args)  # noqa: E731
+            monkeypatch.setitem(MODELS, kind, (label, spy))
+        sample = random_sample(40, 3, seed=1)
+        train, test = sample.subset(np.arange(30)), sample.subset(np.arange(30, 40))
+        with pytest.raises(InputError, match="unknown predictor mode"):
+            fit_and_predict([("2k.SEM", 1), (mode, 1)], train, test, BasisSpec("polynomial", 2))
+        assert fitted == []
+
+
+class TestSelectRanks:
+    modes = ["1k.FULL", "1k.SSCM", "2k.Ind", "2k.SSCM"]
+
+    @pytest.mark.parametrize("policy", ["lr", "aic", "bic"])
+    def test_likelihood_policies_return_their_profile_fits(self, policy):
+        # oracle: each kind's loglik_profile and the criterion applied to it
+        sample = random_sample(50, 3, seed=4)
+        spec = BasisSpec("polynomial", 2)
+        picks, fits = select_ranks(sample, self.modes, spec, policy, 1, 0)
+        assert sorted(fits) == [(kind, d) for kind in ("ind", "sscm") for d in range(3)]
+        for kind, modes in (("ind", ["2k.Ind"]), ("sscm", ["1k.SSCM", "2k.SSCM"])):
+            lls = loglik_profile(sample, kind, spec)
+            np.testing.assert_array_equal([fits[(kind, d)].loglik for d in range(3)], lls)
+            args = (lls, sample.p, 2, sample.n)
+            want = select_lr(*args) if policy == "lr" else select_ic(*args, kind=policy)
+            assert [picks[m] for m in modes] == [want.d_star] * len(modes)
+        assert "1k.FULL" not in picks
+
+    def test_fixed_and_cv(self):
+        sample = random_sample(50, 3, seed=4)
+        spec = BasisSpec("polynomial", 2)
+        assert select_ranks(sample, self.modes, spec, "fixed", 1, 0) == (
+            dict.fromkeys(["1k.SSCM", "2k.Ind", "2k.SSCM"], 1), {}
+        )
+        picks, fits = select_ranks(sample, self.modes, spec, "cv", 1, 3)
+        assert fits == {}
+        for mode in ("1k.SSCM", "2k.Ind", "2k.SSCM"):
+            assert picks[mode] == select_cv(sample, mode_kind(mode), spec, mode[:2], seed=3).d_star
+
+    def test_unknown_policy_rejected(self):
+        sample = random_sample(40, 3, seed=1)
+        with pytest.raises(InputError, match="policy"):
+            select_ranks(sample, self.modes, BasisSpec("polynomial", 2), "mse", 1, 0)

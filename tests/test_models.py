@@ -1,5 +1,8 @@
 """Whitening transforms and profile fits for the three error models."""
 
+import copy
+import statistics
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -22,11 +25,11 @@ from spatialsdr.geometry import (
 from spatialsdr.pfc import fit_independent
 from spatialsdr.rrr import design, moments_of
 from spatialsdr.sem import default_lag_grid, fit_sem, whiten_sem
-from spatialsdr.simulate import SimConfig, simulate_sample
-from spatialsdr.simulate import _draw_sample, rep_rng
+from spatialsdr.simulate import GrfSpec, SimConfig, sample_locations, simulate_sample
+from spatialsdr.simulate import _draw_sample, rep_rng, simulate_x, simulate_y
 from spatialsdr.sscm import default_decay_grid, fit_sscm, whiten_sscm
 
-from conftest import eigh_loglik, random_sample
+from conftest import eigh_loglik, random_sample, span_distance
 
 
 # seed, n, p and rank of a drawn sample and fit
@@ -111,7 +114,7 @@ class TestWhitenSem:
         w = neighbor_weights(dist, 2.0)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 1))
-        moments = whiten_sem(x, x[:, :1], w).at(0.0)
+        moments = next(whiten_sem(x, x[:, :1], w, [0.0]))
         xc = x - x.mean(axis=0)
         np.testing.assert_allclose(schur(moments)[:1, :1], xc.T @ xc, atol=1e-12)
         assert moments.logdet_s_term == 0.0
@@ -119,7 +122,7 @@ class TestWhitenSem:
     def test_annihilates_constant_vector(self):
         coords, dist = three_point_geometry()
         w = neighbor_weights(dist, 2.0)
-        moments = whiten_sem(np.ones((3, 1)), np.arange(3.0)[:, None] - 1.0, w).at(0.6)
+        moments = next(whiten_sem(np.ones((3, 1)), np.arange(3.0)[:, None] - 1.0, w, [0.6]))
         np.testing.assert_allclose(schur(moments)[0], 0.0, atol=1e-12)
 
     def test_matches_dense_matrix_oracle(self):
@@ -133,7 +136,7 @@ class TestWhitenSem:
         ones = np.ones((3, 1))
         wc = np.eye(3) - (ones @ ones.T @ m) / (ones.T @ m @ ones).item()
         oracle = wt @ wc @ x
-        gram = schur(whiten_sem(x, x[:, :1], w).at(0.5))
+        gram = schur(next(whiten_sem(x, x[:, :1], w, [0.5])))
         np.testing.assert_allclose(gram, np.tile(oracle.T @ oracle, (2, 2)), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -143,11 +146,9 @@ class TestWhitenSem:
         dist = pairwise_distances(sample.coords)
         w = neighbor_weights(dist, max_min_distance(dist))
         f = np.random.default_rng(seed).standard_normal((60, 2))
-        sem_moments = whiten_sem(sample.x, f, w)
         rows = centered_rows(sample.x, f)
-        for coef in default_lag_grid():
+        for coef, moments in zip(default_lag_grid(), whiten_sem(sample.x, f, w, default_lag_grid())):
             wt = np.eye(60) - coef * w.matrix
-            moments = sem_moments.at(coef)
             want = (wt @ rows).T @ (wt @ rows)
             np.testing.assert_allclose(moments.m, want, rtol=0, atol=1e-10 * np.abs(want).max())
             log_abs_det = np.linalg.slogdet(wt)[1]
@@ -378,10 +379,10 @@ def test_profile_grids_match_the_eigh_oracle(seed, model):
     spec = BasisSpec("polynomial", cfg.r)
     f = build_f(train.y, spec)
     dist = pairwise_distances(train.coords)
-    sem_moments = whiten_sem(train.x, f, neighbor_weights(dist, max_min_distance(dist)))
+    w = neighbor_weights(dist, max_min_distance(dist))
     moments = {
         "sscm": lambda decay: next(whiten_sscm(train.x, f, [exp_correlation(dist, decay)])),
-        "sem": sem_moments.at,
+        "sem": lambda coef: next(whiten_sem(train.x, f, w, [coef])),
     }
     for kind in ("sscm", "sem"):
         for rank, fit in enumerate(rank_fits(train, kind, spec, [0, 1, 2])):
@@ -400,6 +401,48 @@ def test_sem_recovers_the_lag_at_large_n(seed):
     assert abs(fit.lag_coef - 0.8) <= 0.05 + 1e-12
 
 
+def planted_sample(cfg, rep):
+    """Replication ``rep``'s full sample, drawn as the harness draws it, and its
+    planted reduction ``inv(Delta) A``: ``simulate_x``'s draws of ``A`` and of the
+    noise covariance ``Delta``, replayed on a copy of the replication's rng."""
+    rng = rep_rng(cfg.seed, rep)
+    coords = sample_locations(cfg.n, rng, grid=cfg.grid_locations)
+    dist = pairwise_distances(coords)
+    y = simulate_y(coords, GrfSpec(), rng, dist)
+    replay = copy.deepcopy(rng)
+    x = simulate_x(y, coords, cfg, rng, dist)
+    replay.standard_normal(cfg.p)  # the mean
+    a = replay.standard_normal((cfg.p, cfg.d))
+    replay.standard_normal((cfg.d, cfg.r))  # the second factor
+    g = replay.standard_normal((cfg.p, cfg.p))
+    return SpatialSample(coords, x, y), np.linalg.solve(g @ g.T + 0.1 * np.eye(cfg.p), a)
+
+
+def test_the_planted_sample_is_the_replications():
+    cfg = SimConfig(n=60, model="sscm", seed=5)
+    sample, _ = planted_sample(cfg, 3)
+    want = simulate_sample(cfg, 3)
+    np.testing.assert_array_equal(sample.x, want.x)
+    np.testing.assert_array_equal(sample.y, want.y)
+
+
+def test_sscm_reduction_converges_on_sscm_data():
+    # median span distance to the planted inv(Delta) A over replications 0-11
+    # of SimConfig(model="sscm", seed=5) falls by at least 0.1 from n=100 to
+    # n=900 (about 0.31 to 0.14); seeds, sizes and margin were fixed before
+    # the first run
+    medians = {}
+    for n in (100, 900):
+        cfg = SimConfig(n=n, model="sscm", seed=5)
+        spec = BasisSpec("polynomial", cfg.r)
+        distances = []
+        for rep in range(12):
+            sample, want = planted_sample(cfg, rep)
+            distances.append(span_distance(fit_sscm(sample, spec, cfg.d).est.directions(), want))
+        medians[n] = statistics.median(distances)
+    assert medians[900] <= medians[100] - 0.1, medians
+
+
 @pytest.mark.parametrize("kind", ["sscm", "sem"])
 def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
     # ranks that share an argmax share its pd_eigh and SVD; each estimate is
@@ -410,9 +453,10 @@ def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
     spec = BasisSpec("polynomial", 2)
     f = build_f(sample.y, spec)
     dist = pairwise_distances(sample.coords)
+    w = neighbor_weights(dist, max_min_distance(dist))
     moments = {
         "sscm": lambda decay: next(whiten_sscm(sample.x, f, [exp_correlation(dist, decay)])),
-        "sem": whiten_sem(sample.x, f, neighbor_weights(dist, max_min_distance(dist))).at,
+        "sem": lambda coef: next(whiten_sem(sample.x, f, w, [coef])),
     }[kind]
     calls, original = [], rrr.pd_eigh
 
@@ -425,7 +469,8 @@ def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
     argmaxes = {fit.spatial_param for fit in fits}
     assert len(calls) == len(argmaxes) < 3
     for rank, fit in enumerate(fits):
-        want = rrr.rrr_mle(rrr.ls_fit(moments(fit.spatial_param)), rank)
+        [ls] = rrr.ls_fits([moments(fit.spatial_param)])
+        want = rrr.rrr_mle(ls, rank)
         for got, exp in ((fit.est.a, want.a), (fit.est.b, want.b), (fit.est.resid_cov, want.resid_cov)):
             np.testing.assert_array_equal(got, exp)
 

@@ -190,6 +190,8 @@ class TestPredict:
 
 
 class TestLoocv:
+    """``loo_search`` of one reference over given grids."""
+
     def test_singleton_grids_returned_verbatim(self):
         rng = np.random.default_rng(3)
         ref = TrainingReference(
@@ -197,10 +199,8 @@ class TestLoocv:
             responses=rng.standard_normal(20),
             coords=rng.uniform(size=(20, 2)),
         )
-        config = PredictorConfig(
-            mode="2k.FULL", h1_grid=np.array([0.7]), h2_grid=np.array([1.3])
-        )
-        assert loocv_bandwidths(ref, config) == (0.7, 1.3)
+        [search] = loo_search([ref], True, [np.array([0.7])], np.array([1.3]))
+        assert search.bandwidths(True) == (0.7, 1.3)
 
     def test_smooth_curve_argmin_interior(self):
         rng = np.random.default_rng(4)
@@ -211,8 +211,8 @@ class TestLoocv:
             coords=np.column_stack([t, np.zeros_like(t)]),
         )
         grid = np.geomspace(0.005, 5.0, 25)
-        config = PredictorConfig(mode="1k.FULL", h1_grid=grid)
-        h1, h2 = loocv_bandwidths(ref, config)
+        [search] = loo_search([ref], False, [grid])
+        h1, h2 = search.bandwidths(False)
         assert h2 is None
         assert grid[0] < h1 < grid[-1]
 
@@ -228,23 +228,21 @@ class TestLoocv:
             coords=np.concatenate([coords, coords]),
         )
         grid = np.geomspace(1e-4, 2.0, 20)
-        config = PredictorConfig(mode="1k.FULL", h1_grid=grid)
-        h_base, _ = loocv_bandwidths(base, config)
-        h_doubled, _ = loocv_bandwidths(doubled, config)
+        h_base, _ = loo_search([base], False, [grid])[0].bandwidths(False)
+        h_doubled, _ = loo_search([doubled], False, [grid])[0].bandwidths(False)
         assert h_doubled < h_base
 
     def test_degenerate_grid_rejected(self):
         ref = line_reference([0.0, 1.0, 2.0])
-        config = PredictorConfig(mode="1k.FULL", h1_grid=np.array([-1.0, 2.0]))
-        with pytest.raises(DegenerateGridError):
-            loocv_bandwidths(ref, config)
+        [search] = loo_search([ref], False, [np.array([-1.0, 2.0])])
+        assert isinstance(search, DegenerateGridError)
 
     def test_tie_breaks_to_smaller_h1(self):
         # constant responses: every bandwidth has zero LOO error
         ref = line_reference([0.0, 1.0, 2.0], responses=np.full(3, 2.0))
         grid = np.array([0.5, 1.0, 2.0])
-        config = PredictorConfig(mode="1k.FULL", h1_grid=grid)
-        h1, _ = loocv_bandwidths(ref, config)
+        [search] = loo_search([ref], False, [grid])
+        h1, _ = search.bandwidths(False)
         assert h1 == 0.5
 
 

@@ -16,10 +16,10 @@ from spatialsdr.rrr import (
     apply_reduction,
     design,
     loglik,
-    ls_fit,
     ls_fits,
     moments_of,
     profiled_mean,
+    raise_failure,
     rrr_mle,
 )
 
@@ -27,9 +27,10 @@ from conftest import dense_loglik, eigh_loglik, span_distance
 
 
 def independent_fit(x, f, logdet_s_term=0.0):
-    """The shared fit of the rows ``[1 x f]`` under independent errors."""
+    """The shared fit of the rows ``[1 x f]`` under independent errors; raises
+    the error ``ls_fits`` holds in its place."""
     rows, shift = design(x, f)
-    return ls_fit(moments_of(rows, x.shape[1], shift, logdet_s_term))
+    return raise_failure(ls_fits([moments_of(rows, x.shape[1], shift, logdet_s_term)]))[0]
 
 
 def whitened(n, p, r, seed, signal=0.0):
@@ -205,7 +206,7 @@ class TestLoglik:
             s_inv_half = np.linalg.inv(chol)
             s_logdet_term = p * float(np.sum(np.log(np.diag(chol))))
             rows = s_inv_half @ rows
-        ls = ls_fit(moments_of(rows, p, shift, s_logdet_term))
+        [ls] = ls_fits([moments_of(rows, p, shift, s_logdet_term)])
         for d in range(min(p, r) + 1):
             est = rrr_mle(ls, d)
             mu = profiled_mean(ls, est)
@@ -246,7 +247,7 @@ class TestLoglik:
 
 
 class TestTriangularLsFit:
-    """``ls_fit`` reads every rank's log-likelihood from a Cholesky factor."""
+    """``ls_fits`` reads every rank's log-likelihood from a Cholesky factor."""
 
     @given(
         st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4),
@@ -264,14 +265,14 @@ class TestTriangularLsFit:
             g = rng.standard_normal((n, n))
             rows = np.linalg.solve(np.linalg.cholesky(g @ g.T / n + np.eye(n)), rows)
         moments = moments_of(rows, p, shift)
-        ls = ls_fit(moments)
+        [ls] = ls_fits([moments])
         for d in range(min(p, r) + 1):
             assert loglik(ls, d) == pytest.approx(eigh_loglik(moments, d), rel=1e-12)
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 1e8])
     def test_jitter_decision_is_pd_eighs(self, scale):
         # D_ls has lambda_min = scale * EIG_FLOOR; oracle: pd_eigh of D_ls as
-        # ls_fit forms it, which jitters exactly when lambda_min < EIG_FLOOR
+        # ls_fits forms it, which jitters exactly when lambda_min < EIG_FLOOR
         rng = np.random.default_rng(7)
         n, p, r = 50, 4, 2
         q, _ = np.linalg.qr(rng.standard_normal((p, p)))
@@ -281,7 +282,7 @@ class TestTriangularLsFit:
         s = np.block([[d_ls + c @ s_ff @ c.T, c @ s_ff], [s_ff @ c.T, s_ff]])
         m = np.zeros((1 + p + r, 1 + p + r))
         m[0, 0], m[1:, 1:] = n, n * (s + s.T) / 2.0
-        ls = ls_fit(Moments(m, n, p, 0.0, np.zeros(p + r)))
+        [ls] = ls_fits([Moments(m, n, p, 0.0, np.zeros(p + r))])
         s = m[1:, 1:] / n
         c_ls = np.linalg.solve(s[p:, p:], s[:p, p:].T).T
         raw = s[:p, :p] - c_ls @ s[:p, p:].T
@@ -315,8 +316,8 @@ def assert_same_fit(fit, want, rtol=1e-13):
 
 
 class TestStackedLsFits:
-    """``ls_fits`` takes every grid point in one stacked pass; ``ls_fit`` is its
-    stack of one."""
+    """``ls_fits`` takes every grid point in one stacked pass, each as its own
+    stack of one would."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
@@ -337,7 +338,7 @@ class TestStackedLsFits:
         assert len(fits) == k
         for fit, point in zip(fits, points):
             assert fit.moments is point
-            assert_same_fit(fit, ls_fit(point))
+            assert_same_fit(fit, *ls_fits([point]))
 
     def test_a_jittered_point_amid_certified_ones_takes_the_fallback(self, monkeypatch):
         # numpy's stacked Cholesky fails for the whole stack, so each point goes
@@ -357,7 +358,7 @@ class TestStackedLsFits:
         assert calls == []  # a certified stack takes no per-point fallback
         fits = ls_fits([before, jittered, after])
         assert len(calls) == 3 and len(fits) == 3
-        alone = ls_fit(jittered)
+        [alone] = ls_fits([jittered])
         np.testing.assert_array_equal(fits[1].d_ls, alone.d_ls)
         assert np.linalg.eigvalsh(calls[1])[0] < EIG_FLOOR <= np.linalg.eigvalsh(alone.d_ls)[0]
         assert_same_fit(fits[1], alone)
@@ -381,10 +382,10 @@ class TestStackedLsFits:
         good = whitened(60, 4, 2, seed=3, signal=0.5)[2].moments
         fits = ls_fits([good, exact, good])
         assert len(fits) == 2
-        assert_same_fit(fits[0], ls_fit(good))
+        assert_same_fit(fits[0], *ls_fits([good]))
         assert isinstance(fits[1], SingularResidualCovError)
-        with pytest.raises(SingularResidualCovError):
-            ls_fit(exact)
+        [alone] = ls_fits([exact])
+        assert isinstance(alone, SingularResidualCovError)
 
 
 class TestReduction:

@@ -1,6 +1,5 @@
 """The replication harness: golden reports, threading, failures, sampling."""
 
-import dataclasses
 import json
 import statistics
 import sys
@@ -13,6 +12,7 @@ from scipy.linalg import cholesky
 from spatialsdr import predictor, sem, simulate, sscm
 from spatialsdr._linalg import pd_eigh
 from spatialsdr.basis import BasisSpec
+from spatialsdr.dimension import POLICIES
 from spatialsdr.exceptions import InputError, NonPositiveDecayError, SingularFilterError
 from spatialsdr.geometry import Coordinates, pairwise_distances
 from spatialsdr.predictor import MODES
@@ -31,7 +31,6 @@ from spatialsdr.simulate import (
     spherical_covariance,
 )
 
-POLICIES = ("fixed", "lr", "aic", "bic", "cv")
 # MetricsReports of run_experiment(SimConfig(n=60, p=4, reps=2, model=m,
 # seed=7), list(MODES), policy), written by data/record_golden.py.  Its config
 # block names the numpy and scipy that recorded them: MSEs compared at rtol
@@ -83,12 +82,12 @@ def test_threaded_equals_serial(policy):
     assert_same_report(serial, threaded)
 
 
-def nan_spectrum(original):
-    """``whiten_sem`` with a NaN spectrum, so the lag guard fails at every lag."""
+def nan_lags(original):
+    """``whiten_sem`` at NaN lags, past the grid check: every lag's gaps
+    ``|1 - coef lambda|`` are NaN, so the lag guard fails at every lag."""
 
-    def whiten(x, f, weights):
-        moments = original(x, f, weights)
-        return dataclasses.replace(moments, spectrum=np.full_like(moments.spectrum, np.nan))
+    def whiten(x, f, weights, coefs):
+        return original(x, f, weights, np.full(len(coefs), np.nan))
 
     return whiten
 
@@ -96,7 +95,7 @@ def nan_spectrum(original):
 def linalg_failure(original):
     """``whiten_sem`` raising numpy's ``LinAlgError``, which is no package error."""
 
-    def whiten(x, f, weights):
+    def whiten(x, f, weights, coefs):
         raise np.linalg.LinAlgError("forced whitening failure")
 
     return whiten
@@ -106,7 +105,7 @@ def linalg_failure(original):
 SEM_FAULTS = [
     pytest.param(policy, fault, error, id=policy + suffix)
     for fault, error, suffix in [
-        (nan_spectrum, SingularFilterError, ""),
+        (nan_lags, SingularFilterError, ""),
         (linalg_failure, np.linalg.LinAlgError, "-linalg"),
     ]
     for policy in ("fixed", "aic", "cv")

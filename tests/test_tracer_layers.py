@@ -1,15 +1,20 @@
-"""The benchmark tracer's layer table names functions that exist.
+"""The benchmark still runs against the package's public API.
 
 ``bench/spans.py`` wraps ``module.function`` for each entry of its ``LAYERS``;
 a renamed function there would otherwise show only when a traced benchmark runs.
+``bench/selftest.py --checks`` drives the fitters, the profile and the predictor
+through the benchmark's own checks, so a removed name or argument fails here too.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def load_spans(monkeypatch):
@@ -32,3 +37,13 @@ def test_every_traced_function_exists_and_is_callable(monkeypatch):
     ]
     assert missing == []
     assert set(spans.DISTINCT) <= set(spans.TRACED)
+
+
+def test_benchmark_checks_pass_their_self_test():
+    # one process, one BLAS thread, no bytecode written next to the benchmark
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, str(BENCH / "selftest.py"), "--checks"],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
