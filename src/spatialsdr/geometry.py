@@ -85,27 +85,17 @@ class NeighborWeights:
     threshold: float
 
 
-@dataclass(frozen=True)
-class SpatialFilter:
-    """Autoregressive filter ``I - coef * W`` with its log|det| cached."""
-
-    coef: float
-    matrix: np.ndarray
-    log_abs_det: float
-
-
 def pairwise_distances(coords: Coordinates) -> DistanceMatrix:
     """Euclidean distances between all location pairs.
 
-    Raises ``DuplicatePointsError`` when two locations coincide.
+    Raises ``DuplicatePointsError`` naming the first coinciding pair ``i < j`` in
+    row order, which ``pdist``'s condensed order (pairs ``i < j``, row by row) keeps.
     """
-    dist = squareform(pdist(coords.points))
-    masked = dist.copy()
-    np.fill_diagonal(masked, np.inf)
-    if masked.min() <= 0.0:
-        i, j = divmod(int(np.argmin(masked)), coords.n)
+    tri = pdist(coords.points)
+    if tri.min() <= 0.0:
+        i, j = (int(ij[np.argmin(tri)]) for ij in np.triu_indices(coords.n, 1))
         raise DuplicatePointsError(f"locations {i} and {j} coincide")
-    return DistanceMatrix(dist)
+    return DistanceMatrix(squareform(tri))
 
 
 def exp_correlation(dist: DistanceMatrix, decay: float) -> ExpCorrelation:
@@ -148,8 +138,12 @@ def sorted_median(values: np.ndarray) -> float:
 def max_min_distance(dist: DistanceMatrix) -> float:
     """Largest nearest-neighbor distance: the smallest threshold at which
     every location still has at least one neighbor."""
-    d = dist.dist + np.diag(np.full(dist.n, np.inf))
-    return float(d.min(axis=1).max())
+    n = dist.n
+    # each row's minima before, at and after the diagonal: one reduceat of the flat matrix
+    # cut at i*n, i*(n+1) and i*(n+1)+1, less the empty first two and last pieces
+    cuts = (np.arange(n)[:, None] * [n, n + 1, n + 1] + [0, 0, 1]).ravel()[2:-1]
+    mins = np.concatenate([[np.inf, 0.0], np.minimum.reduceat(dist.dist.ravel(), cuts), [np.inf]])
+    return float(np.minimum(mins[0::3], mins[2::3]).max())
 
 
 def neighbor_weights(dist: DistanceMatrix, threshold: float) -> NeighborWeights:
@@ -169,21 +163,17 @@ def neighbor_weights(dist: DistanceMatrix, threshold: float) -> NeighborWeights:
     return NeighborWeights(matrix=adj / col_sums, threshold=float(threshold))
 
 
-def spatial_filter(weights: NeighborWeights, coef: float) -> SpatialFilter:
-    """Build ``I - coef * W`` and verify invertibility.
+def spatial_filter(weights: NeighborWeights, coef: float) -> np.ndarray:
+    """The autoregressive filter ``I - coef * W``, verified invertible.
 
     For a column-normalized ``W`` the spectral radius is at most one, so any
-    ``|coef| < 1`` is safe; the determinant check catches the rest.  With
-    ``q = |coef| * ||W||_1 < 1`` the Neumann series bounds the 1-norm
-    condition number by ``(1 + q) / (1 - q)``; the explicit ``cond``, which
-    forms an inverse, runs only when that bound does not clear the limit by
-    a wide margin.
+    ``|coef| < 1`` is safe.  With ``q = |coef| * ||W||_1 < 1`` the Neumann
+    series bounds the 1-norm condition number by ``(1 + q) / (1 - q)``; the
+    explicit ``cond``, which forms an inverse and is ``inf`` for an exactly
+    singular filter, runs only when that bound does not clear the limit by a
+    wide margin.
     """
-    n = weights.matrix.shape[0]
-    wt = np.eye(n) - coef * weights.matrix
-    sign, log_abs_det = np.linalg.slogdet(wt)
-    if sign == 0.0 or not np.isfinite(log_abs_det):
-        raise SingularFilterError(f"I - {coef} * W is singular")
+    wt = np.eye(len(weights.matrix)) - coef * weights.matrix
     q = abs(coef) * np.abs(weights.matrix).sum(axis=0).max()
     if not (q < 1.0 and (1.0 + q) / (1.0 - q) <= 1e12):
         cond = np.linalg.cond(wt, 1)
@@ -191,4 +181,4 @@ def spatial_filter(weights: NeighborWeights, coef: float) -> SpatialFilter:
             raise SingularFilterError(
                 f"I - {coef} * W is numerically singular (cond ~ {cond:.2e})"
             )
-    return SpatialFilter(coef=float(coef), matrix=wt, log_abs_det=float(log_abs_det))
+    return wt

@@ -135,7 +135,8 @@ def predict_many(
     config: PredictorConfig,
     fit=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Predict responses for a batch of query rows.
+    """Predict responses for a batch of query rows; the two-kernel modes
+    take one location row of ``s_query`` per predictor row.
 
     Returns ``(y_hat, fell_back)``; the fallback flags mark rows predicted
     by their single nearest reference point because every kernel value
@@ -143,6 +144,8 @@ def predict_many(
     """
     x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
     s_query = np.atleast_2d(np.asarray(s_query, dtype=float))
+    if config.two_kernel and len(x_query) != len(s_query):
+        raise InputError(f"{len(x_query)} predictor rows but {len(s_query)} location rows")
     if config.h1 is None or (config.two_kernel and config.h2 is None):
         raise InputError("bandwidths not set; tune or supply them first")
     u2 = _sq_distances(_reduced(config.mode, x_query, fit), ref.points) / config.h1**2
@@ -193,9 +196,9 @@ class LooSearch:
 
 def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None) -> list:
     """A ``LooSearch`` for each of ``refs``, which share one training sample,
-    over its h1 grid and (if ``two_kernel``) the shared h2 grid; None takes
-    the default grid of the points or coordinates.  A reference whose grid is
-    degenerate, or every one when n < 3, holds the error instead.
+    over its entry of ``h1_grids`` and (if ``two_kernel``) the shared h2 grid;
+    None takes the default grid of the points or coordinates.  A reference
+    whose grid is degenerate, or every one when n < 3, holds the error instead.
 
     One pass over blocks of ``n // grid size`` rows, which keep each kernel
     stack near one n x n matrix, serves all references.  The product kernel
@@ -209,6 +212,8 @@ def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None)
     y, coords, n = refs[0].responses, refs[0].coords, refs[0].n
     if not all(np.array_equal(r.responses, y) and np.array_equal(r.coords, coords) for r in refs):
         raise InputError("references must share one training sample")
+    if h1_grids is not None and len(h1_grids) != len(refs):
+        raise InputError(f"{len(h1_grids)} h1 grids for {len(refs)} references")
     if n < 3:
         return [InputError("leave-one-out tuning needs at least 3 points")] * len(refs)
     h2_grid = _search_grid(h2_grid, coords) if two_kernel else np.empty(0)

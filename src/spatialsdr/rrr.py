@@ -20,10 +20,12 @@ log-likelihood
 
 ``ls_fits`` reads both at every grid point of a profile in one stacked pass (one point is a
 stack of one), from the certified Cholesky factor ``L`` of each ``D_ls``: ``log|D_ls| = 2 sum
-log diag L``, and the lambda_i are the squared singular values of ``L^{-1} C_ls chol(S_ff)``
-(``L^{-1}`` is ``D_ls^{-1/2}`` up to a rotation).  ``rrr_mle``, run at each rank's argmax only,
-takes the eigendecomposition of ``D_ls`` and the SVD for ``V_d``, once per point; the
-reduction directions ``inv(resid_cov) @ a`` are ``D_ls^{-1/2} V_d``.
+log diag L``, and the lambda_i are the squared singular values of ``L^{-1} C_ls chol(S_ff)``.
+As ``L = D_ls^{1/2} U`` for an orthogonal ``U``, that root's leading left singular vectors are
+``U' V_d``; called ``V_d`` from here on, they give ``a = L V_d`` and ``b = V_d' L^{-1} C_ls``,
+the same estimate up to the signs of ``a``'s columns and ``b``'s rows.  ``rrr_mle``, run at
+each rank's argmax only, takes them from one triangular solve and one SVD per point, with no
+eigendecomposition; the reduction directions ``inv(resid_cov) @ a`` are ``L^{-T} V_d``.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from ._linalg import pd_choleskys, pd_eigh, symmetrize
+from ._linalg import pd_choleskys, symmetrize
 from .exceptions import (
     InsufficientSampleError,
     NonFiniteLoglikError,
@@ -91,7 +94,8 @@ def moments_of(rows: np.ndarray, p: int, shift: np.ndarray, logdet_s_term: float
 @dataclass(frozen=True)
 class LsFit:
     """The full-rank fit at one grid point: ``d_ls``, the LS residual covariance
-    as the PD policy passed it, its log-determinant ``logdet_ls``, and the
+    as the PD policy passed it, its certified lower Cholesky factor ``chol``
+    (``L``, ``L L' = d_ls``), its log-determinant ``logdet_ls``, and the
     min(p, r) leading eigenvalues ``fit_vals`` of ``K`` (descending).
     """
 
@@ -99,19 +103,19 @@ class LsFit:
     c_ls: np.ndarray
     s_ff: np.ndarray
     d_ls: np.ndarray
+    chol: np.ndarray
     logdet_ls: float
     fit_vals: np.ndarray
 
     @cached_property
     def spectral(self) -> tuple[np.ndarray, ...]:
-        """``rrr_mle``'s work for every rank: ``pd_eigh`` of ``d_ls``, ``B = D_ls^{-1/2} C_ls``
-        and the sign-fixed singular pairs of ``B chol(S_ff)``, which are ``K``'s eigenpairs."""
-        vals, vecs, _ = pd_eigh(self.d_ls, SingularResidualCovError)
-        whitened_coef = vecs @ ((vecs.T @ self.c_ls) * (vals**-0.5)[:, None])
+        """``rrr_mle``'s work for every rank: ``B = L^{-1} C_ls`` and the sign-fixed
+        singular pairs of ``B chol(S_ff)``, which are ``K``'s eigenpairs in ``L``'s frame."""
+        whitened_coef = solve_triangular(self.chol, self.c_ls, lower=True, check_finite=False)
         v, sv, _ = np.linalg.svd(whitened_coef @ np.linalg.cholesky(self.s_ff), full_matrices=False)
         lead = np.argmax(np.abs(v), axis=0)  # sign-fixed: largest entries positive, for determinism
         v = v * np.where(v[lead, np.arange(v.shape[1])] < 0, -1.0, 1.0)
-        return vals, vecs, whitened_coef, v, sv
+        return whitened_coef, v, sv
 
 
 def ls_fits(moments: Iterable[Moments]) -> list:
@@ -144,7 +148,7 @@ def ls_fits(moments: Iterable[Moments]) -> list:
     root = np.linalg.solve(chol, c_ls[: len(chol)] @ np.linalg.cholesky(s_ff[: len(chol)]))
     logdet_ls = 2.0 * np.log(np.diagonal(chol, 0, 1, 2)).sum(axis=1)
     fit_vals = np.linalg.svd(root, compute_uv=False) ** 2  # of L^{-1} C_ls chol(S_ff)
-    fits = zip(points, c_ls, s_ff, d_ls, logdet_ls.tolist(), fit_vals)
+    fits = zip(points, c_ls, s_ff, d_ls, chol, logdet_ls.tolist(), fit_vals)
     return [LsFit(*fit) for fit in fits] + ([failure] if failure else stop)
 
 
@@ -196,9 +200,9 @@ def rrr_mle(ls: LsFit, rank: int) -> RrrEstimate:
     ``rank`` may be 0 (pure-mean model with empty factors) up to min(p, r).
     """
     _check_rank(ls, rank)
-    vals, vecs, whitened_coef, v, sv = ls.spectral
+    whitened_coef, v, sv = ls.spectral
     v_d = v[:, :rank]
-    a = vecs @ ((vecs.T @ v_d) * (vals**0.5)[:, None])  # D_ls^{1/2} V_d
+    a = ls.chol @ v_d
     b = v_d.T @ whitened_coef
     gap = ls.c_ls - a @ b
     resid_cov = symmetrize(ls.d_ls + gap @ ls.s_ff @ gap.T)

@@ -188,8 +188,7 @@ def draw_spatial_errors(
         return pd_cholesky(np.exp(-param * dist.dist), NearSingularCorrelationError)[0] @ z
     if model == "sem":
         w = neighbor_weights(dist, max_min_distance(dist))
-        filt = spatial_filter(w, param)
-        return np.linalg.solve(filt.matrix, z)
+        return np.linalg.solve(spatial_filter(w, param), z)
     raise InputError(f"unknown error model {model!r}")
 
 

@@ -63,18 +63,43 @@ def dense_loglik(x, f_fit, mu, a, b, delta, s_logdet_term, s_inv_half=None):
     )
 
 
-def eigh_loglik(moments, rank: int) -> float:
-    """Closed-form maximised log-likelihood at ``rank`` from an ``eigh`` of the
-    LS residual covariance and the eigenvalues of the whitened fit matrix ``K``
-    (Reinsel & Velu 1998, Thm 2.2), without any Cholesky factor."""
+def _eigh_whitened(moments):
+    """``S_ff``, ``C_ls``, ``D_ls`` of the moment matrix's Schur complement, and ``D_ls``'s
+    eigenvalues and eigenvectors, ``D_ls^{-1/2}`` and ``K``, by ``eigh``."""
     m, n, p = moments.m, moments.n, moments.p
     gram = m[1:, 1:] - np.outer(m[1:, 0], m[0, 1:]) / m[0, 0]
     s = (gram + gram.T) / (2.0 * n)
     s_xx, s_xf, s_ff = s[:p, :p], s[:p, p:], s[p:, p:]
     c_ls = np.linalg.solve(s_ff, s_xf.T).T
-    vals, vecs = np.linalg.eigh(s_xx - c_ls @ s_xf.T)
+    d_ls = s_xx - c_ls @ s_xf.T
+    vals, vecs = np.linalg.eigh(d_ls)
     inv_half = (vecs / np.sqrt(vals)) @ vecs.T
     k = inv_half @ c_ls @ s_ff @ c_ls.T @ inv_half
-    lam = np.linalg.eigvalsh((k + k.T) / 2.0)[::-1][: min(p, s_ff.shape[0])]
+    return s_ff, c_ls, d_ls, vals, vecs, inv_half, (k + k.T) / 2.0
+
+
+def eigh_loglik(moments, rank: int) -> float:
+    """Closed-form maximised log-likelihood at ``rank`` from an ``eigh`` of the
+    LS residual covariance and the eigenvalues of the whitened fit matrix ``K``
+    (Reinsel & Velu 1998, Thm 2.2), without any Cholesky factor."""
+    n, p = moments.n, moments.p
+    s_ff, _, _, vals, _, _, k = _eigh_whitened(moments)
+    lam = np.linalg.eigvalsh(k)[::-1][: min(p, s_ff.shape[0])]
     logdet = np.sum(np.log(vals)) + np.sum(np.log1p(lam[rank:]))
     return float(-0.5 * n * p * (np.log(2 * np.pi) + 1.0) - moments.logdet_s_term - 0.5 * n * logdet)
+
+
+def eigh_estimate(moments, rank: int):
+    """The symmetric-root rank-``rank`` estimate of Reinsel & Velu (1998, Thm 2.2)
+    from ``eigh`` alone: ``a = D_ls^{1/2} V_d`` and ``b = V_d' D_ls^{-1/2} C_ls`` for
+    ``K``'s leading eigenvectors ``V_d``, the residual covariance ``D_ls + G S_ff G'``
+    with ``G = C_ls - ab``, and the profiled mean; as ``(a, b, resid_cov, mu)``."""
+    p = moments.p
+    s_ff, c_ls, d_ls, vals, vecs, inv_half, k = _eigh_whitened(moments)
+    v_d = np.linalg.eigh(k)[1][:, ::-1][:, :rank]
+    a, b = (vecs * np.sqrt(vals)) @ vecs.T @ v_d, v_d.T @ inv_half @ c_ls
+    coef = a @ b
+    resid_cov = d_ls + (c_ls - coef) @ s_ff @ (c_ls - coef).T
+    col, shift = moments.m[:, 0], moments.shift
+    mu = (col[1 : p + 1] - coef @ col[p + 1 :]) / col[0] + shift[:p] - coef @ shift[p:]
+    return a, b, resid_cov, mu

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from spatialsdr import _linalg, geometry
 from spatialsdr._linalg import pd_eigh
@@ -38,6 +39,26 @@ class TestPairwiseDistances:
     def test_duplicate_points_rejected(self):
         with pytest.raises(DuplicatePointsError):
             pairwise_distances(coords((0, 0), (0, 0)))
+
+    def test_duplicate_error_names_the_first_pair_in_row_order(self):
+        with pytest.raises(DuplicatePointsError, match="^locations 0 and 4 coincide$"):
+            pairwise_distances(coords((0, 0), (1, 0), (2, 0), (1, 0), (0, 0)))
+
+    @given(st.integers(0, 10_000), st.integers(2, 12), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_masked_dense_oracle(self, seed, n, copies):
+        # oracle: the full matrix with an infinite diagonal; its first minimum
+        # in row order names the duplicate pair
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 3, size=(n, 2)).astype(float) + rng.uniform(size=(n, 2)) * (copies == 0)
+        dist = squareform(pdist(pts))
+        masked = dist + np.diag(np.full(n, np.inf))
+        if masked.min() > 0.0:
+            np.testing.assert_array_equal(pairwise_distances(Coordinates(pts)).dist, dist)
+        else:
+            i, j = divmod(int(np.argmin(masked)), n)
+            with pytest.raises(DuplicatePointsError, match=f"^locations {i} and {j} coincide$"):
+                pairwise_distances(Coordinates(pts))
 
     def test_collinear_matrix(self):
         d = pairwise_distances(coords((0, 0), (0, 1), (0, 3)))
@@ -208,6 +229,18 @@ class TestMaxMinDistance:
         assert max_min_distance(d) == pytest.approx(brute)
 
 
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_masked_dense_oracle(self, seed, n, ties):
+        # any zero-diagonal matrix, asymmetric and with zero or tied
+        # off-diagonal entries too: the row minima off the diagonal, bit for bit
+        rng = np.random.default_rng(seed)
+        d = rng.integers(0, 3, size=(n, n)).astype(float) if ties else rng.uniform(size=(n, n))
+        np.fill_diagonal(d, 0.0)
+        want = float((d + np.diag(np.full(n, np.inf))).min(axis=1).max())
+        assert max_min_distance(DistanceMatrix(d)) == want
+
+
 class TestNeighborWeights:
     def test_three_point_example(self):
         d = pairwise_distances(coords((0, 0), (0, 1), (0, 3)))
@@ -258,14 +291,12 @@ class TestSpatialFilter:
     def test_zero_coef_is_identity(self):
         d = pairwise_distances(coords((0, 0), (1, 0)))
         w = neighbor_weights(d, 1.0)
-        np.testing.assert_array_equal(spatial_filter(w, 0.0).matrix, np.eye(2))
+        np.testing.assert_array_equal(spatial_filter(w, 0.0), np.eye(2))
 
     def test_two_by_two_arithmetic(self):
         d = pairwise_distances(coords((0, 0), (1, 0)))
         w = neighbor_weights(d, 1.0)
-        filt = spatial_filter(w, 0.8)
-        np.testing.assert_allclose(filt.matrix, [[1.0, -0.8], [-0.8, 1.0]])
-        assert np.exp(filt.log_abs_det) == pytest.approx(0.36)
+        np.testing.assert_allclose(spatial_filter(w, 0.8), [[1.0, -0.8], [-0.8, 1.0]])
 
     def test_singular_filter_detected(self):
         d = pairwise_distances(coords((0, 0), (1, 0)))
@@ -290,9 +321,7 @@ class TestSpatialFilter:
         d = pairwise_distances(Coordinates(rng.uniform(size=(15, 2))))
         w = neighbor_weights(d, max_min_distance(d) * 1.5)
         wt = np.eye(15) - coef * w.matrix
-        filt = spatial_filter(w, coef)
-        np.testing.assert_array_equal(filt.matrix, wt)
-        assert filt.log_abs_det == float(np.linalg.slogdet(wt)[1])
+        np.testing.assert_array_equal(spatial_filter(w, coef), wt)
         q = abs(coef)  # column sums are one
         assert np.linalg.cond(wt, 1) <= (1.0 + q) / (1.0 - q) * (1.0 + 1e-12)
 

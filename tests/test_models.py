@@ -23,13 +23,13 @@ from spatialsdr.geometry import (
     spatial_filter,
 )
 from spatialsdr.pfc import fit_independent
-from spatialsdr.rrr import design, moments_of
+from spatialsdr.rrr import design, loglik, ls_fits, moments_of
 from spatialsdr.sem import default_lag_grid, fit_sem, whiten_sem
 from spatialsdr.simulate import GrfSpec, SimConfig, sample_locations, simulate_sample
 from spatialsdr.simulate import _draw_sample, rep_rng, simulate_x, simulate_y
 from spatialsdr.sscm import default_decay_grid, fit_sscm, whiten_sscm
 
-from conftest import eigh_loglik, random_sample, span_distance
+from conftest import eigh_estimate, eigh_loglik, random_sample, span_distance
 
 
 # seed, n, p and rank of a drawn sample and fit
@@ -128,10 +128,9 @@ class TestWhitenSem:
     def test_matches_dense_matrix_oracle(self):
         coords, dist = three_point_geometry()
         w = neighbor_weights(dist, 2.0)
-        filt = spatial_filter(w, 0.5)
+        wt = spatial_filter(w, 0.5)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 1))
-        wt = filt.matrix
         m = wt.T @ wt
         ones = np.ones((3, 1))
         wc = np.eye(3) - (ones @ ones.T @ m) / (ones.T @ m @ ones).item()
@@ -392,6 +391,42 @@ def test_profile_grids_match_the_eigh_oracle(seed, model):
             assert fit.spatial_param == max(want, key=want.get)
 
 
+def assert_close_to(got, want, rel):
+    """``got`` has ``want``'s shape and lies within ``rel`` of its largest entry."""
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=rel * np.abs(want).max(initial=0.0))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_estimates_match_the_symmetric_root_oracle(seed):
+    # every kind at ranks 0..2: the log-likelihood is the closed form at the
+    # argmax bit for bit, and coef, resid_cov, mu and the reduced points'
+    # distances are conftest.eigh_estimate's (the D_ls^{1/2} V_d root) to 1e-10
+    sample = random_sample(80, 4, seed=seed, rank=2)
+    spec = BasisSpec("polynomial", 2)
+    f = build_f(sample.y, spec)
+    dist = pairwise_distances(sample.coords)
+    w = neighbor_weights(dist, max_min_distance(dist))
+    rows, shift = design(sample.x, f)
+    moments = {
+        "ind": lambda _: moments_of(rows, sample.p, shift),
+        "sscm": lambda decay: next(whiten_sscm(sample.x, f, [exp_correlation(dist, decay)])),
+        "sem": lambda coef: next(whiten_sem(sample.x, f, w, [coef])),
+    }
+    for kind, at in moments.items():
+        for rank, fit in enumerate(rank_fits(sample, kind, spec, [0, 1, 2])):
+            m = at(fit.spatial_param)
+            [ls] = ls_fits([m])
+            assert fit.loglik == loglik(ls, rank) == dict(fit.grid)[fit.spatial_param]
+            a, b, resid_cov, mu = eigh_estimate(m, rank)
+            assert fit.est.a.shape == a.shape == (4, rank) and fit.est.b.shape == b.shape == (rank, 2)
+            assert_close_to(fit.est.coef, a @ b, 1e-10)
+            assert_close_to(fit.est.resid_cov, resid_cov, 1e-10)
+            assert_close_to(fit.mu, mu, 1e-10)
+            reduced = (sample.x - mu) @ np.linalg.solve(resid_cov, a)
+            assert_close_to(pairwise_gaps(fit.reduce(sample.x)), pairwise_gaps(reduced), 1e-10)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_sem_recovers_the_lag_at_large_n(seed):
     # SEM data with lag 0.8 at n=600: the profiled lag lies within one grid step
@@ -445,8 +480,8 @@ def test_sscm_reduction_converges_on_sscm_data():
 
 @pytest.mark.parametrize("kind", ["sscm", "sem"])
 def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
-    # ranks that share an argmax share its pd_eigh and SVD; each estimate is
-    # bit for bit rrr_mle's on a fresh fit of that grid point
+    # ranks that share an argmax share its one SVD with vectors; each estimate
+    # is bit for bit rrr_mle's on a fresh fit of that grid point
     from spatialsdr import rrr
 
     sample = random_sample(60, 4, seed=3)
@@ -458,13 +493,14 @@ def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
         "sscm": lambda decay: next(whiten_sscm(sample.x, f, [exp_correlation(dist, decay)])),
         "sem": lambda coef: next(whiten_sem(sample.x, f, w, [coef])),
     }[kind]
-    calls, original = [], rrr.pd_eigh
+    calls, original = [], np.linalg.svd
 
-    def spy(m, err):
-        calls.append(m)
-        return original(m, err)
+    def spy(m, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            calls.append(m)
+        return original(m, *args, **kwargs)
 
-    monkeypatch.setattr(rrr, "pd_eigh", spy)
+    monkeypatch.setattr(np.linalg, "svd", spy)
     fits = rank_fits(sample, kind, spec, [0, 1, 2], grid=[0.3, 0.6, 0.9] if kind == "sem" else None)
     argmaxes = {fit.spatial_param for fit in fits}
     assert len(calls) == len(argmaxes) < 3

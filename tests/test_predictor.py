@@ -188,6 +188,14 @@ class TestPredict:
         y2, _ = predict_many(queries @ q, ref.coords, ref_rot, config)
         np.testing.assert_allclose(y1, y2, atol=1e-9)
 
+    @pytest.mark.parametrize("locations", [1, 3])
+    def test_two_kernel_location_rows_must_match_predictor_rows(self, locations):
+        # one location row used to broadcast to every query, three raised numpy's ValueError
+        ref = line_reference([0.0, 1.0, 3.0])
+        config = PredictorConfig(mode="2k.FULL", h1=1.0, h2=1.0)
+        with pytest.raises(InputError, match="5 predictor rows but"):
+            predict_many(np.zeros((5, 1)), np.zeros((locations, 2)), ref, config)
+
 
 class TestLoocv:
     """``loo_search`` of one reference over given grids."""
@@ -406,6 +414,13 @@ class TestLooEngine:
                 assert search.bandwidths(two_kernel) == best
                 mode = "2k.FULL" if two_kernel else "1k.FULL"
                 assert loocv_bandwidths(ref, PredictorConfig(mode=mode)) == best
+
+    @pytest.mark.parametrize("grids", [1, 3])
+    def test_one_h1_grid_per_reference(self, grids):
+        # zip used to drop the references past the last grid
+        ref = line_reference([0.0, 1.0, 3.0])
+        with pytest.raises(InputError, match=f"{grids} h1 grids for 2 references"):
+            loo_search([ref, ref], False, [np.array([1.0])] * grids)
 
     def test_references_of_different_samples_rejected(self):
         ref = line_reference([0.0, 1.0, 3.0])
