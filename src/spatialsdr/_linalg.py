@@ -58,6 +58,8 @@ def pd_cholesky(m, err: type[SpatialSdrError], margin: float = 0.0) -> tuple[np.
     max_i m_ii`` bounds its backward error (Higham 2002, Thm 10.3); otherwise
     ``pd_eigh`` decides.  Returns ``(chol, m_used)``, ``chol @ chol.T = m_used``:
     ``m`` itself exactly when the certificate passed, else a copy, jittered or not.
+    ``m`` is left unchanged: the certificate and then ``chol`` are factored in place
+    in one column-major work buffer, which ``chol`` is.
     """
     n = m.shape[0]
     work = np.array(m, dtype=float, order="F")  # LAPACK's layout: factorise in place
@@ -66,8 +68,9 @@ def pd_cholesky(m, err: type[SpatialSdrError], margin: float = 0.0) -> tuple[np.
         cholesky(work, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError:
         m = pd_eigh(m, err)[2]
+    np.copyto(work, m)
     try:
-        return cholesky(m, lower=True, check_finite=False), m
+        return cholesky(work, lower=True, overwrite_a=True, check_finite=False), m
     except LinAlgError as exc:  # pragma: no cover - the policy's floor passed
         raise err(str(exc)) from exc
 

@@ -182,6 +182,7 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
         except FAILURES as exc:
             found = [exc] * len(ranks)
         fits.update(((kind, d), fit) for d, fit in zip(ranks, found))
+    vars(train.coords).pop("distances", None)  # the spatial fits shared them; free them before the search
 
     refs = {}
     for (mode, rank), key in zip(jobs, keys):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky
@@ -48,6 +49,12 @@ class Coordinates:
     def n(self) -> int:
         return self.points.shape[0]
 
+    @cached_property
+    def distances(self) -> DistanceMatrix:
+        """``pairwise_distances`` of these locations, computed once for every fit of them;
+        ``dimension.fit_and_predict`` drops it from ``vars`` once its fits are made."""
+        return pairwise_distances(self)
+
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -59,6 +66,13 @@ class DistanceMatrix:
     def n(self) -> int:
         return self.dist.shape[0]
 
+    @property
+    def tri(self) -> np.ndarray:
+        """The entries above the diagonal in ``pdist``'s condensed order (pairs i < j, row
+        by row), gathered afresh: keeping ``pdist``'s own vector would hold n^2 / 2 more
+        floats for as long as the matrix lives."""
+        return squareform(self.dist, checks=False)
+
 
 @dataclass(frozen=True)
 class ExpCorrelation:
@@ -66,10 +80,11 @@ class ExpCorrelation:
 
     ``chol`` is the lower Cholesky factor (``chol @ chol.T = matrix``) of
     the (possibly jittered) matrix, so downstream whitening does not repeat it.
+    ``matrix`` is None where the factor was computed in the matrix's own buffer.
     """
 
     decay: float
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     chol: np.ndarray = field(repr=False)
 
     @property
@@ -106,7 +121,7 @@ def exp_correlation(dist: DistanceMatrix, decay: float) -> ExpCorrelation:
     """
     if not decay > 0.0:
         raise NonPositiveDecayError(f"decay rate must be > 0, got {decay}")
-    chol, h = pd_cholesky(np.exp(-decay * dist.dist), NearSingularCorrelationError)
+    chol, h = pd_cholesky(exp_matrix(dist, decay), NearSingularCorrelationError)
     return ExpCorrelation(decay=float(decay), matrix=h, chol=chol)
 
 
@@ -116,23 +131,38 @@ def exp_correlations(dist: DistanceMatrix, decays: Sequence[float]) -> Iterator[
     eps``: ``n`` times the entrywise rounding bound, for each of two matrices.  As
     ``exp(-b D) = exp(-a D) o exp(-(b - a) D)``, both factors PD with unit diagonal,
     ``lambda_min`` does not fall from ``a`` to ``b > a`` (Schur 1911; Horn & Johnson,
-    Topics in Matrix Analysis, 5.3).  A ``pd_eigh`` pass or a jitter is not carried."""
+    Topics in Matrix Analysis, 5.3).  A ``pd_eigh`` pass or a jitter is not carried.
+
+    Each decay's matrix is built in a buffer of its own, which a certified decay's
+    Cholesky factor then overwrites, so the items carry ``matrix=None``."""
     margin = 2 * dist.n * (2.0 + max(decays) * dist.dist.max()) * np.finfo(float).eps
     certified = np.inf  # the smallest decay certified with the margin
     for decay in decays:
-        h = np.exp(-decay * dist.dist)
+        h = exp_matrix(dist, decay)
         if decay >= certified:
-            chol = cholesky(h, lower=True, check_finite=False)
+            chol = cholesky(h, lower=True, overwrite_a=True, check_finite=False)
         else:
             chol, used = pd_cholesky(h, NearSingularCorrelationError, margin)
-            certified, h = (decay if used is h else certified), used
-        yield ExpCorrelation(decay=float(decay), matrix=h, chol=chol)
+            certified = decay if used is h else certified
+        yield ExpCorrelation(decay=float(decay), matrix=None, chol=chol)
+
+
+def exp_matrix(dist: DistanceMatrix, decay: float) -> np.ndarray:
+    """``exp(-decay * dist)`` built in one fresh buffer, returned in LAPACK's column-major
+    layout as its transpose, the same matrix since ``dist`` is symmetric."""
+    h = np.multiply(dist.dist, -decay)
+    return np.exp(h, out=h).T
 
 
 def sorted_median(values: np.ndarray) -> float:
-    """``np.median`` of a non-empty 1-d array without NaNs, bit for bit: ``np.mean`` of its
-    middle one or two after one sort, which beats the median's partition on pairwise distances."""
-    return float(np.mean(np.sort(values)[(values.size - 1) // 2 : values.size // 2 + 1]))
+    """``np.median`` of a non-empty 1-d array without NaNs, bit for bit: the lower middle
+    value from one partition, averaged with the least value above it when the size is even.
+    A zero median takes ``np.median`` itself, since the sign of a zero depends on where each
+    partition puts the zeros."""
+    k = (values.size - 1) // 2
+    part = np.partition(values, k)
+    median = part[k] if values.size % 2 else (part[k] + part[k + 1 :].min()) / 2.0
+    return float(median) if median != 0.0 else float(np.median(values))
 
 
 def max_min_distance(dist: DistanceMatrix) -> float:
@@ -160,7 +190,8 @@ def neighbor_weights(dist: DistanceMatrix, threshold: float) -> NeighborWeights:
         raise IsolatedPointError(
             f"location {lone} has no neighbor within threshold {threshold}"
         )
-    return NeighborWeights(matrix=adj / col_sums, threshold=float(threshold))
+    adj /= col_sums
+    return NeighborWeights(matrix=adj, threshold=float(threshold))
 
 
 def spatial_filter(weights: NeighborWeights, coef: float) -> np.ndarray:
@@ -173,8 +204,11 @@ def spatial_filter(weights: NeighborWeights, coef: float) -> np.ndarray:
     singular filter, runs only when that bound does not clear the limit by a
     wide margin.
     """
-    wt = np.eye(len(weights.matrix)) - coef * weights.matrix
-    q = abs(coef) * np.abs(weights.matrix).sum(axis=0).max()
+    wt = np.abs(weights.matrix)
+    q = abs(coef) * wt.sum(axis=0).max()
+    # I - coef W in the same buffer, bit for bit: 0 - x off the diagonal, 1 + (0 - x) = 1 - x on it
+    np.subtract(0.0, np.multiply(weights.matrix, coef, out=wt), out=wt)
+    wt.flat[:: len(wt) + 1] += 1.0
     if not (q < 1.0 and (1.0 + q) / (1.0 - q) <= 1e12):
         cond = np.linalg.cond(wt, 1)
         if not np.isfinite(cond) or cond > 1e14:

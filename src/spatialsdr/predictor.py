@@ -10,9 +10,10 @@ Every reference of one training sample (one per reduction kind and rank)
 is tuned in one shared pass over blocks of ``n // grid size`` rows: since
 the product kernel factorises, each block evaluates the h2 kernels once for
 all references and each reference's h1 kernels once, and one batched matmul
-per reference gives its one- and two-kernel weighted sums together.  Each
-kernel stack stays near one n x n matrix.  ``dimension.fit_and_predict``
-fits the reductions the references are built from.
+per reference gives its one- and two-kernel weighted sums together.  Every
+block reuses one buffer each for its kernels, right-hand sides and sums,
+about three n x n matrices in all, and divides straight into the outputs.
+``dimension.fit_and_predict`` fits the reductions the references are built from.
 """
 
 from __future__ import annotations
@@ -188,6 +189,8 @@ class LooSearch:
     def bandwidths(self, two_kernel: bool) -> tuple[float, float | None]:
         """The least-error bandwidths; ``np.argmin`` takes the first minimum
         in C order, so ties break to the smaller h1, then the smaller h2."""
+        if two_kernel and not self.h2_grid.size:
+            raise InputError("a one-kernel search has no two-kernel bandwidths")
         if not two_kernel:
             return float(self.h1_grid[np.argmin(self.errors[:, -1])]), None
         i, j = np.unravel_index(np.argmin(self.errors[:, :-1]), self.errors[:, :-1].shape)
@@ -205,9 +208,12 @@ def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None)
     factorises, ``exp(-(u1 + u2)/2) = exp(-u1/2) exp(-u2/2)``, so a block
     evaluates the h2 kernels once and each reference's h1 kernels once, and
     one batched matmul per reference against ``[k2, 1, k2 y, y]`` gives every
-    (h1, h2) pair's and every one-kernel h1's mass and weighted sum.  A mass
+    (h1, h2) pair's and every one-kernel h1's mass and weighted sum.  The
+    kernels, the right-hand sides and the sums of every block overwrite one
+    buffer each, and each ratio is divided straight into ``yhat``.  A mass
     below ``TINY_MASS`` may have lost digits to underflow in the products, so
-    that (row, h1, h2) is recomputed from the combined exponent.
+    that (row, h1, h2) is recomputed from the combined exponent; a block whose
+    masses all clear it skips that scan.
     """
     y, coords, n = refs[0].responses, refs[0].coords, refs[0].n
     if not all(np.array_equal(r.responses, y) and np.array_equal(r.coords, coords) for r in refs):
@@ -228,13 +234,27 @@ def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None)
         shape = (grid.size, g2 + 1, n)
         found.append(LooSearch(grid, h2_grid, np.empty(shape), np.zeros(shape, bool), np.empty(shape[:2])))
         live.append((ref.points, found[-1]))
-    g1 = max([1] + [s.h1_grid.size for _, s in live])
+    if live:
+        _loo_pass(live, y, coords, h2_grid)
+    for _, s in live:
+        s.errors[...] = np.mean((s.yhat - y) ** 2, axis=-1)
+    return found
+
+
+def _loo_pass(live: list, y: np.ndarray, coords: np.ndarray, h2_grid: np.ndarray) -> None:
+    """``yhat`` and ``fell_back`` of each ``(points, LooSearch)`` in ``live``, in one pass
+    over blocks of rows that writes the kernels, the right-hand sides and the weighted sums
+    of every block into the same three buffers, freed on return."""
+    n, g2 = y.size, h2_grid.size
+    g1 = max(s.h1_grid.size for _, s in live)
     step = max(1, n // max(g1, g2))
     k1_buf = np.empty((g1, step, n))
     # the h2 kernels, ones, the same kernels times y, then y
     rhs_buf = np.empty((2 * g2 + 2, step, n))
     rhs_buf[g2], rhs_buf[-1] = 1.0, y
-    for start in range(0, n if live else 0, step):
+    sums_buf = np.empty(step * g1 * (2 * g2 + 2))
+    diag = np.arange(n)
+    for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
         size = rows.stop - start
         rhs = rhs_buf[:, :size]
@@ -244,18 +264,17 @@ def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None)
         for pts, s in live:
             d1 = _sq_distances(pts[rows], pts)
             k1 = _kernels(d1, s.h1_grid, k1_buf[: s.h1_grid.size, :size])
-            k1[:, np.arange(size), np.arange(start, rows.stop)] = 0.0
-            sums = k1.transpose(1, 0, 2) @ rhs.transpose(1, 2, 0)
+            k1[:, diag[:size], diag[rows]] = 0.0
+            sums = sums_buf[: size * k1.shape[0] * rhs.shape[0]].reshape(size, k1.shape[0], -1)
+            np.matmul(k1.transpose(1, 0, 2), rhs.transpose(1, 2, 0), out=sums)
             mass, num = sums[..., : g2 + 1], sums[..., g2 + 1 :]
-            tiny = mass < TINY_MASS
-            ratio = np.divide(num, mass, out=np.zeros_like(num), where=~tiny)
-            s.yhat[:, :, rows] = ratio.transpose(1, 2, 0)
-            for b, i, j in zip(*np.nonzero(tiny)):
+            with np.errstate(divide="ignore", invalid="ignore"):  # tiny masses are redone below
+                np.divide(num.transpose(1, 2, 0), mass.transpose(1, 2, 0), out=s.yhat[:, :, rows])
+            if mass.min() >= TINY_MASS:
+                continue
+            for b, i, j in zip(*np.nonzero(mass < TINY_MASS)):
                 u = d1[b] / s.h1_grid[i] ** 2 + (d2[b] / h2_grid[j] ** 2 if j < g2 else 0.0)
                 s.yhat[i, j, start + b], s.fell_back[i, j, start + b] = _loo_row(u, start + b, y)
-    for _, s in live:
-        s.errors[...] = np.mean((s.yhat - y) ** 2, axis=-1)
-    return found
 
 
 def loocv_bandwidths(ref: TrainingReference, config: PredictorConfig) -> tuple[float, float | None]:

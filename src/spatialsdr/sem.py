@@ -30,7 +30,7 @@ import numpy as np
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, SingularFilterError
-from .geometry import NeighborWeights, max_min_distance, neighbor_weights, pairwise_distances
+from .geometry import NeighborWeights, max_min_distance, neighbor_weights
 from .rrr import Moments, SdrFit, design, profile, raise_failure
 
 DEFAULT_GRID = np.round(np.arange(-0.95, 0.951, 0.05), 2)
@@ -100,7 +100,7 @@ def rank_fits(sample, spec, ranks, lag_grid=None) -> list:
     """``fit_sem`` at each of ``ranks`` from one pass over the lag grid, or
     the error that stopped that rank."""
     f = build_f(sample.y, spec)
-    dist = pairwise_distances(sample.coords)
+    dist = sample.coords.distances
     weights = neighbor_weights(dist, max_min_distance(dist))
 
     if lag_grid is None:

@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from ._linalg import pd_cholesky
 from .basis import BasisSpec, polynomial_features
@@ -31,6 +32,7 @@ from .exceptions import NearSingularCorrelationError, NonPositiveDecayError
 from .geometry import (
     Coordinates,
     DistanceMatrix,
+    exp_matrix,
     max_min_distance,
     neighbor_weights,
     pairwise_distances,
@@ -145,7 +147,7 @@ def sample_locations(n: int, seed, grid: bool = False) -> Coordinates:
 
 
 def spherical_covariance(dist: np.ndarray, sill: float, range_: float) -> np.ndarray:
-    """Spherical covariogram: positive inside the range, zero beyond."""
+    """Spherical covariogram of an array of distances: positive inside the range, zero beyond."""
     h = dist / range_
     c = sill * (1.0 - 1.5 * h + 0.5 * h**3)
     c[h >= 1.0] = 0.0
@@ -159,8 +161,11 @@ def simulate_y(coords: Coordinates, grf: GrfSpec, seed, dist: DistanceMatrix | N
     s1, s2 = coords.points[:, 0], coords.points[:, 1]
     mean = grf.trend[0] + grf.trend[1] * s1 + grf.trend[2] * s2
     dist = pairwise_distances(coords) if dist is None else dist
-    cov = spherical_covariance(dist.dist, grf.sill, grf.range_)
-    return mean + pd_cholesky(cov, CovarianceNotPDError)[0] @ rng.standard_normal(coords.n)
+    # the covariogram of each pair once, mirrored; at distance 0 it is the sill
+    cov = squareform(spherical_covariance(dist.tri, grf.sill, grf.range_))
+    np.fill_diagonal(cov, grf.sill)
+    # symmetric, so its transpose is the same matrix in the factor's column-major layout
+    return mean + pd_cholesky(cov.T, CovarianceNotPDError)[0] @ rng.standard_normal(coords.n)
 
 
 def draw_spatial_errors(
@@ -185,7 +190,7 @@ def draw_spatial_errors(
     if model == "sscm":
         if not param > 0.0:
             raise NonPositiveDecayError(f"decay rate must be > 0, got {param}")
-        return pd_cholesky(np.exp(-param * dist.dist), NearSingularCorrelationError)[0] @ z
+        return pd_cholesky(exp_matrix(dist, param), NearSingularCorrelationError)[0] @ z
     if model == "sem":
         w = neighbor_weights(dist, max_min_distance(dist))
         return np.linalg.solve(spatial_filter(w, param), z)

@@ -27,7 +27,7 @@ from scipy.linalg import solve_triangular
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, NonPositiveDecayError
-from .geometry import DistanceMatrix, ExpCorrelation, exp_correlations, pairwise_distances, sorted_median
+from .geometry import DistanceMatrix, ExpCorrelation, exp_correlations, sorted_median
 from .rrr import Moments, SdrFit, design, moments_of, profile, raise_failure
 
 DEFAULT_GRID_SIZE = 20
@@ -36,15 +36,17 @@ DEFAULT_GRID_SPAN = (0.1, 10.0)  # multiples of 1/median-distance
 
 def default_decay_grid(dist: DistanceMatrix) -> np.ndarray:
     """Geometric grid spanning 0.1/m .. 10/m with m the median distance."""
-    m = sorted_median(dist.dist[np.triu_indices(dist.n, k=1)])
+    m = sorted_median(dist.tri)
     lo, hi = DEFAULT_GRID_SPAN[0] / m, DEFAULT_GRID_SPAN[1] / m
     return np.geomspace(lo, hi, DEFAULT_GRID_SIZE)
 
 
 def whiten_sscm(x: np.ndarray, f: np.ndarray, corrs: Iterable[ExpCorrelation]) -> Iterator[Moments]:
     """Moments ``B'B``, ``B = L^{-1} [1 X F]`` for ``L = corr.chol``, at each of ``corrs``
-    in turn from one design ``[1 X F]``, each matrix certified PD by ``geometry``."""
+    in turn from one design ``[1 X F]``, each matrix certified PD by ``geometry``.  The
+    design is column-major, the layout the triangular solve copies it to."""
     z, shift = design(x, f)
+    z = np.asfortranarray(z)
     for corr in corrs:
         rows = solve_triangular(corr.chol, z, lower=True, check_finite=False)
         yield moments_of(rows, x.shape[1], shift, 0.5 * x.shape[1] * corr.logdet)
@@ -78,7 +80,7 @@ def rank_fits(sample, spec, ranks, decay_grid=None) -> list:
     """``fit_sscm`` at each of ``ranks`` from one pass over the decay grid,
     or the error that stopped that rank."""
     f = build_f(sample.y, spec)
-    dist = pairwise_distances(sample.coords)
+    dist = sample.coords.distances
     if decay_grid is None:
         decay_grid = default_decay_grid(dist)
     decay_grid = np.asarray(decay_grid, dtype=float)

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from spatialsdr import geometry
 from spatialsdr.basis import BasisSpec
 from spatialsdr.dimension import (
     MODELS,
@@ -24,6 +25,7 @@ from spatialsdr.exceptions import (
 )
 from spatialsdr.predictor import MODES
 from spatialsdr.rrr import SdrFit
+from spatialsdr.simulate import SimConfig, simulate_sample
 from spatialsdr.sscm import SscmFit
 
 from conftest import random_sample
@@ -287,3 +289,23 @@ class TestSelectRanks:
         sample = random_sample(40, 3, seed=1)
         with pytest.raises(InputError, match="policy"):
             select_ranks(sample, self.modes, BasisSpec("polynomial", 2), "mse", 1, 0)
+
+
+def test_the_spatial_fits_of_a_sample_share_its_distances(monkeypatch):
+    # SSCM and SEM fits of one training sample compute its distances once, and
+    # the search after them does not keep the n x n matrix alive
+    calls = []
+    original = geometry.pairwise_distances
+
+    def counted(coords):
+        calls.append(coords)
+        return original(coords)
+
+    monkeypatch.setattr(geometry, "pairwise_distances", counted)
+    sample = simulate_sample(SimConfig(n=60, p=4, seed=3), 0)
+    train, test = sample.subset(np.arange(45)), sample.subset(np.arange(45, 60))
+    jobs = [(mode, 1) for mode in ("1k.SSCM", "2k.SSCM", "1k.SEM", "2k.SEM")]
+    out = fit_and_predict(jobs, train, test, BasisSpec("polynomial", 2))
+    assert all(np.all(np.isfinite(yhat)) for yhat in out)
+    assert len(calls) == 1 and calls[0] is train.coords
+    assert "distances" not in vars(train.coords)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cholesky
 from scipy.spatial.distance import pdist, squareform
 
 from spatialsdr import _linalg, geometry
@@ -171,22 +172,24 @@ class TestExpCorrelations:
 
     def test_certified_grid_factors_each_later_decay_once(self, monkeypatch):
         # the smallest decay certifies, so k decays take k + 1 factorisations
-        # (per-decay certificates take 2k), with bit-identical factors
+        # (per-decay certificates take 2k), with bit-identical factors; each
+        # matrix is unjittered, as exp_correlation's is
         d = pairwise_distances(Coordinates(np.random.default_rng(3).uniform(size=(50, 2))))
         decays = list(np.geomspace(0.5, 30.0, 6))
         want = [exp_correlation(d, decay) for decay in decays]
         counted = count_factorisations(monkeypatch, 50)
         got = list(exp_correlations(d, decays))
         assert len(counted) == len(decays) + 1
-        for g, w in zip(got, want):
+        for g, w, decay in zip(got, want, decays):
             assert g.decay == w.decay
-            np.testing.assert_array_equal(g.matrix, w.matrix)
+            assert g.matrix is None
+            np.testing.assert_array_equal(w.matrix, np.exp(-decay * d.dist))
             np.testing.assert_array_equal(g.chol, w.chol)
 
     def test_uncertified_decays_match_single_calls_bit_for_bit(self, monkeypatch):
         # point 1 sits 1e-6 from point 0, so the tiny decays fall below the
         # floor (jittered) or near it (certificate fails, eigh passes); every
-        # decay's matrix, factor and jitter decision equals exp_correlation's
+        # decay's factor and jitter decision equals exp_correlation's
         pts = np.random.default_rng(4).uniform(size=(40, 2))
         pts[1] = pts[0] + [1e-6, 0.0]
         d = pairwise_distances(Coordinates(pts))
@@ -197,9 +200,12 @@ class TestExpCorrelations:
         raw = [np.exp(-decay * d.dist) for decay in decays]
         jittered = [not np.array_equal(w.matrix, h) for w, h in zip(want, raw)]
         assert jittered[0] and not jittered[-1]
-        for g, w, h in zip(got, want, raw):
-            np.testing.assert_array_equal(g.matrix, w.matrix)
+        for g, w, h, jitter in zip(got, want, raw, jittered):
+            assert g.matrix is None
             np.testing.assert_array_equal(g.chol, w.chol)
+            # the jitter decision: the factor of the raw matrix, or of pd_eigh's jittered one
+            used = pd_eigh(h, NearSingularCorrelationError)[2] if jitter else h
+            np.testing.assert_array_equal(g.chol, cholesky(used, lower=True))
         # some decays certified and carried: fewer than two factorisations each
         assert len(counted) < 2 * len(decays)
 
@@ -325,6 +331,18 @@ class TestSpatialFilter:
         q = abs(coef)  # column sums are one
         assert np.linalg.cond(wt, 1) <= (1.0 + q) / (1.0 - q) * (1.0 + 1e-12)
 
+    @given(st.integers(0, 10_000), st.sampled_from([0.0, -0.0, 0.5, -0.5]) | st.floats(-0.99, 0.99))
+    @settings(max_examples=40, deadline=None)
+    def test_filter_is_the_dense_formula_to_the_sign_of_zero(self, seed, coef):
+        # oracle: I - coef * W with a fresh identity; the bytes compare the
+        # sign of every zero, which assert_array_equal does not
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(size=(12, 12)) * (rng.uniform(size=(12, 12)) < 0.5)
+        w[rng.integers(0, 12), rng.integers(0, 12)] = -0.0
+        weights = NeighborWeights(matrix=w / 40.0, threshold=1.0)
+        want = np.eye(12) - coef * weights.matrix
+        assert spatial_filter(weights, coef).tobytes() == want.tobytes()
+
 
 @given(
     st.lists(
@@ -339,6 +357,13 @@ def test_sorted_median_is_np_median_bit_for_bit(values):
     values = np.array(values)
     with np.errstate(over="ignore"):  # the mean of a middle pair may overflow, in both
         assert sorted_median(values).hex() == float(np.median(values)).hex()
+
+
+@pytest.mark.parametrize("n", [279, 280, 400])
+def test_sorted_median_of_distances_is_np_median_bit_for_bit(n):
+    # the default grids' use: pdist's distances of a simulation-sized sample
+    tri = pdist(np.random.default_rng(n).uniform(size=(n, 2)))
+    assert sorted_median(tri).hex() == float(np.median(tri)).hex()
 
 
 @pytest.mark.parametrize("values", [[2.0], [3.0, 1.0], [1.0, 1.0, 2.0, 2.0], [5.0, 1.0, 5.0]])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import cholesky
+from scipy.spatial.distance import pdist, squareform
 
 from spatialsdr._linalg import EIG_FLOOR, pd_cholesky, pd_eigh
 from spatialsdr.exceptions import CovarianceNotPDError, NearSingularCorrelationError
@@ -41,3 +42,15 @@ def test_matrix_failing_after_jitter_raises_the_callers_error(err):
     with pytest.raises(err) as info:
         pd_cholesky(m, err)
     assert info.type is err
+
+
+@pytest.mark.parametrize("n", [280, 400])
+def test_root_is_scipys_factor_of_the_matrix_itself(n):
+    # oracle: scipy's Cholesky factor, bit for bit, of a certified exponential
+    # correlation matrix of the simulation's size; the argument is not written to
+    m = np.exp(-0.1 * squareform(pdist(np.random.default_rng(n).uniform(size=(n, 2)))))
+    before = m.copy()
+    chol, used = pd_cholesky(m, NearSingularCorrelationError)
+    assert used is m
+    np.testing.assert_array_equal(m, before)
+    assert chol.tobytes() == cholesky(m, lower=True).tobytes()

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -426,6 +427,32 @@ class TestLooEngine:
         ref = line_reference([0.0, 1.0, 3.0])
         with pytest.raises(InputError, match="share"):
             loo_search([ref, replace(ref, responses=ref.responses + 1.0)])
+
+    def test_one_kernel_search_has_no_two_kernel_bandwidths(self):
+        # its h2 grid is empty: a named error, not numpy's argmin of an empty sequence
+        ref = line_reference([0.0, 1.0, 3.0, 4.5])
+        [search] = loo_search([ref], False)
+        assert search.bandwidths(False)[1] is None
+        with pytest.raises(InputError, match="one-kernel search"):
+            search.bandwidths(True)
+
+    def test_working_memory_of_a_replication_sized_search(self):
+        # the four references of a SimConfig() training split (n = 280): beyond
+        # its outputs the search holds its three block buffers (the kernels, the
+        # right-hand sides and the sums, about 3.1 n x n matrices) and a few
+        # rows; the squared errors' temporary comes after the buffers are freed
+        rng = np.random.default_rng(15)
+        n = 280
+        y, coords = rng.standard_normal(n), rng.uniform(size=(n, 2))
+        refs = [TrainingReference(rng.standard_normal((n, p)), y, coords) for p in (24, 2, 2, 2)]
+        tracemalloc.start()
+        try:
+            searches = loo_search(refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(s.yhat.nbytes + s.fell_back.nbytes + s.errors.nbytes for s in searches)
+        assert peak - outputs <= 3.75 * n * n * 8
 
     def test_one_replication_evaluates_each_kernel_once(self, monkeypatch):
         # kernel rows x grid points: the h2 kernels once per training sample
