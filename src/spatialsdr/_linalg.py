@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky
 
-from .exceptions import EigenFailureError, SpatialSdrError
+from .exceptions import SpatialSdrError
 
 EIG_FLOOR = 1e-10
 JITTER_SCALE = 1e-8
@@ -32,10 +32,7 @@ def pd_eigh(
     Raises ``err`` when the retry still leaves an eigenvalue below the floor.
     """
     m = symmetrize(np.asarray(m, dtype=float))
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
-        raise EigenFailureError(str(exc)) from exc
+    vals, vecs = np.linalg.eigh(m)
     if vals[0] >= EIG_FLOOR:
         return vals, vecs, m
     eps = JITTER_SCALE * float(np.trace(m)) / m.shape[0]

@@ -29,6 +29,7 @@ from .predictor import MODES, PredictorConfig, build_reference, loo_search, pred
 from .rrr import raise_failure
 
 MONOTONE_SLACK = 1e-8
+FOLDS = 5  # cross-validation folds
 POLICIES = ("fixed", "lr", "aic", "bic", "cv")  # rank policies; the first is the default
 
 
@@ -139,38 +140,33 @@ def mode_kind(mode: str) -> str | None:
     return next((kind for kind, (lab, _) in MODELS.items() if lab == label), None)
 
 
-def rank_fits(sample, kind, spec, ranks, grid=None) -> list:
-    """Fits of ``kind`` at each of ``ranks`` from one profile pass over
-    ``grid`` (decay rates for ``sscm``, lag coefficients for ``sem``, ignored
-    for ``ind``; the model's default grid when None).  A rank that failed
+def rank_fits(sample, kind, spec, ranks) -> list:
+    """Fits of ``kind`` at each of ``ranks`` from one profile pass over the
+    model's default grid of its spatial parameter (decay rates for ``sscm``,
+    lag coefficients for ``sem``, none for ``ind``).  A rank that failed
     holds its ``SpatialSdrError`` in place of a fit."""
     if kind not in MODELS:
         raise InputError(f"unknown model kind {kind!r}")
-    return MODELS[kind][1](sample, spec, ranks, grid)
+    return MODELS[kind][1](sample, spec, ranks)
 
 
-def loglik_profile(
-    sample: SpatialSample,
-    kind: str,
-    spec: BasisSpec,
-    grid: np.ndarray | None = None,
-) -> np.ndarray:
+def loglik_profile(sample: SpatialSample, kind: str, spec: BasisSpec) -> np.ndarray:
     """Maximized log-likelihood for each rank 0..min(p, r), each rank with
-    its own argmax of the spatial parameter over ``grid``."""
+    its own argmax of the spatial parameter over the default grid."""
     ranks = range(min(sample.p, spec.degree) + 1)
-    return np.array([f.loglik for f in raise_failure(rank_fits(sample, kind, spec, ranks, grid))])
+    return np.array([f.loglik for f in raise_failure(rank_fits(sample, kind, spec, ranks))])
 
 
 def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec: BasisSpec,
-                    grid=None, fits=None) -> list:
+                    fits=None) -> list:
     """Predictions of ``test``'s responses for each ``(mode, rank)`` in
     ``jobs``, the rank being ignored for FULL modes.
 
-    Each kind is fitted on ``train`` once for all the ranks its jobs need
-    (over ``grid``, as in ``rank_fits``), except those ``fits`` already
-    holds by ``(kind, rank)``; each distinct fit gets one reference, and one
-    ``loo_search`` tunes them all.  A job whose rank is an error, or whose
-    fit or search failed with one of ``FAILURES``, holds that error.
+    Each kind is fitted on ``train`` once for all the ranks its jobs need,
+    except those ``fits`` already holds by ``(kind, rank)``; each distinct
+    fit gets one reference, and one ``loo_search`` tunes them all.  A job
+    whose rank is an error, or whose fit or search failed with one of
+    ``FAILURES``, holds that error.
     """
     fits = dict(fits or {})
     keys = [(mode_kind(mode), rank) for mode, rank in jobs]
@@ -178,7 +174,7 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
     for kind in sorted({kind for kind, _ in needed}):
         ranks = sorted(d for k, d in needed if k == kind)
         try:
-            found = rank_fits(train, kind, spec, ranks, grid)
+            found = rank_fits(train, kind, spec, ranks)
         except FAILURES as exc:
             found = [exc] * len(ranks)
         fits.update(((kind, d), fit) for d, fit in zip(ranks, found))
@@ -203,55 +199,43 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
 
 
 def select_cv(
-    sample: SpatialSample,
-    kind: str,
-    spec: BasisSpec,
-    kernels: str = "2k",
-    folds: int = 5,
-    d_range: tuple[int, ...] | None = None,
-    seed: int = 0,
-    grid: np.ndarray | None = None,
+    sample: SpatialSample, kind: str, spec: BasisSpec, kernels: str = "2k", seed: int = 0
 ) -> DimSelection:
-    """Rank by minimum K-fold cross-validated prediction error.
+    """Rank among 1..min(p, r) by minimum ``FOLDS``-fold cross-validated
+    prediction error.
 
-    Folds come from a seeded shuffle without spatial stratification, and
-    each fold is fitted over ``grid`` (as in ``rank_fits``).  A fold failure
-    invalidates that rank; if every candidate fails, ``CvFailedError`` is
-    raised.  Ties break to the smallest rank.
+    Folds come from a shuffle seeded by ``seed`` alone, without spatial
+    stratification; the harness passes the replication index, not
+    ``cfg.seed``, so experiments that differ only in their seed share each
+    replication's fold permutation.  A fold failure invalidates that rank;
+    if every candidate fails, ``CvFailedError`` is raised.  Ties break to
+    the smallest rank.
     """
     if kernels not in ("1k", "2k"):
         raise InputError("kernels must be '1k' or '2k'")
     if kind not in MODELS:
         raise InputError(f"unknown model kind {kind!r}")
     mode = f"{kernels}.{MODELS[kind][0]}"
-    return raise_failure(_cv_selections(sample, [mode], spec, folds, d_range, seed, grid))[0]
+    return raise_failure(_cv_selections(sample, [mode], spec, seed))[0]
 
 
-def _cv_selections(sample, modes, spec, folds=5, d_range=None, seed=0, grid=None) -> list:
+def _cv_selections(sample, modes, spec, seed=0) -> list:
     """``select_cv`` for each of the reduced ``modes``, of any kinds and
     kernels: each fold is one ``fit_and_predict`` of every live (mode, rank).
     A mode whose ranks all failed holds a ``CvFailedError`` in place of a
     result."""
-    m = min(sample.p, spec.degree)
-    if d_range is None:
-        d_range = tuple(range(1, m + 1))
-    if any(d < 1 or d > m for d in d_range):
-        raise InputError(f"d_range must be within 1..{m}")
-    if folds < 2 or folds > sample.n:
-        raise InputError("folds must be between 2 and n")
-
     rng = np.random.default_rng(seed)
     perm = rng.permutation(sample.n)
-    ranks = sorted(set(d_range))
+    ranks = range(1, min(sample.p, spec.degree) + 1)
     sq_errors = {(mode, d): [] for mode in modes for d in ranks}
     failures = {}
-    for held in np.array_split(perm, folds):
+    for held in np.array_split(perm, FOLDS):
         jobs = [job for job in sq_errors if job not in failures]
         if not jobs:
             break
         train_idx = np.setdiff1d(perm, held, assume_unique=True)
         train, test = sample.subset(train_idx), sample.subset(held)
-        for job, yhat in zip(jobs, fit_and_predict(jobs, train, test, spec, grid)):
+        for job, yhat in zip(jobs, fit_and_predict(jobs, train, test, spec)):
             if isinstance(yhat, FAILURES):
                 failures[job] = yhat
             else:
@@ -281,8 +265,9 @@ def select_ranks(sample, modes, spec, policy, d, seed) -> tuple[dict, dict]:
     ``fixed`` gives every mode ``d``; ``lr``, ``aic`` and ``bic`` choose
     from one profile of each kind over every rank 0..min(p, r), whose fits
     are returned; ``cv`` runs ``select_cv`` for every mode in one fold loop
-    seeded by ``seed``.  A mode whose choice failed with one of ``FAILURES``
-    holds that error in place of a rank.
+    seeded by ``seed`` alone: ``simulate`` passes the replication index, so
+    the folds do not depend on ``cfg.seed``.  A mode whose choice failed
+    with one of ``FAILURES`` holds that error in place of a rank.
     """
     if policy not in POLICIES:
         raise InputError(f"unknown d policy {policy!r}")

@@ -64,16 +64,8 @@ class RankOutOfRangeError(InputError):
     """Requested rank outside 0..min(p, r)."""
 
 
-class EigenFailureError(NumericalError):
-    """Symmetric eigendecomposition failed to converge."""
-
-
 class NonFiniteLoglikError(NumericalError):
     """Log-likelihood evaluated to NaN or infinity."""
-
-
-class SingularReductionCovError(NumericalError):
-    """Residual covariance cannot be inverted to form reduction directions."""
 
 
 # --- fitting / selection ----------------------------------------------------
@@ -91,10 +83,6 @@ class CvFailedError(NumericalError):
 
 
 # --- prediction -------------------------------------------------------------
-
-class EmptyReferenceError(InputError):
-    """Kernel weights need at least one training point."""
-
 
 class DegenerateGridError(InputError):
     """Bandwidth grid is empty or contains nonpositive values."""

@@ -51,8 +51,9 @@ class Coordinates:
 
     @cached_property
     def distances(self) -> DistanceMatrix:
-        """``pairwise_distances`` of these locations, computed once for every fit of them;
-        ``dimension.fit_and_predict`` drops it from ``vars`` once its fits are made."""
+        """``pairwise_distances`` of these locations, computed once for every draw or fit of
+        them; ``simulate`` and ``dimension.fit_and_predict`` drop it from ``vars`` once
+        their draws or fits are made."""
         return pairwise_distances(self)
 
 
@@ -90,14 +91,6 @@ class ExpCorrelation:
     @property
     def logdet(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
-
-
-@dataclass(frozen=True)
-class NeighborWeights:
-    """Column-normalized adjacency from a distance threshold."""
-
-    matrix: np.ndarray
-    threshold: float
 
 
 def pairwise_distances(coords: Coordinates) -> DistanceMatrix:
@@ -176,7 +169,7 @@ def max_min_distance(dist: DistanceMatrix) -> float:
     return float(np.minimum(mins[0::3], mins[2::3]).max())
 
 
-def neighbor_weights(dist: DistanceMatrix, threshold: float) -> NeighborWeights:
+def neighbor_weights(dist: DistanceMatrix, threshold: float) -> np.ndarray:
     """Binary adjacency at ``distance <= threshold`` (ties included), zero
     diagonal, each column normalized to sum to one.
 
@@ -191,11 +184,11 @@ def neighbor_weights(dist: DistanceMatrix, threshold: float) -> NeighborWeights:
             f"location {lone} has no neighbor within threshold {threshold}"
         )
     adj /= col_sums
-    return NeighborWeights(matrix=adj, threshold=float(threshold))
+    return adj
 
 
-def spatial_filter(weights: NeighborWeights, coef: float) -> np.ndarray:
-    """The autoregressive filter ``I - coef * W``, verified invertible.
+def spatial_filter(weights: np.ndarray, coef: float) -> np.ndarray:
+    """The autoregressive filter ``I - coef * W`` for ``W = weights``, verified invertible.
 
     For a column-normalized ``W`` the spectral radius is at most one, so any
     ``|coef| < 1`` is safe.  With ``q = |coef| * ||W||_1 < 1`` the Neumann
@@ -204,10 +197,10 @@ def spatial_filter(weights: NeighborWeights, coef: float) -> np.ndarray:
     singular filter, runs only when that bound does not clear the limit by a
     wide margin.
     """
-    wt = np.abs(weights.matrix)
+    wt = np.abs(weights)
     q = abs(coef) * wt.sum(axis=0).max()
     # I - coef W in the same buffer, bit for bit: 0 - x off the diagonal, 1 + (0 - x) = 1 - x on it
-    np.subtract(0.0, np.multiply(weights.matrix, coef, out=wt), out=wt)
+    np.subtract(0.0, np.multiply(weights, coef, out=wt), out=wt)
     wt.flat[:: len(wt) + 1] += 1.0
     if not (q < 1.0 and (1.0 + q) / (1.0 - q) <= 1e12):
         cond = np.linalg.cond(wt, 1)

@@ -19,9 +19,9 @@ def fit_independent(sample: SpatialSample, spec: BasisSpec, rank: int) -> SdrFit
     return raise_failure(rank_fits(sample, spec, [rank]))[0]
 
 
-def rank_fits(sample, spec, ranks, grid=None) -> list:
+def rank_fits(sample, spec, ranks) -> list:
     """``fit_independent`` at each of ``ranks``, or the error that stopped
-    it; ``grid`` is ignored, as this model has no spatial parameter."""
+    it."""
     rows, shift = design(sample.x, build_f(sample.y, spec))
     points = (moments_of(rows, sample.p, shift) for _ in [None])  # lazy: its error fails each rank
     return profile(SdrFit, "ind", ranks, [None], points)

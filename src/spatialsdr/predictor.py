@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .data import SpatialSample
-from .exceptions import DegenerateGridError, EmptyReferenceError, InputError, SpatialSdrError
+from .exceptions import DegenerateGridError, InputError, SpatialSdrError
 from .geometry import sorted_median
 
 MODES = (
@@ -82,7 +82,7 @@ class TrainingReference:
         resp = np.asarray(self.responses, dtype=float).ravel()
         crd = np.atleast_2d(np.asarray(self.coords, dtype=float))
         if len(pts) == 0 or resp.size == 0:
-            raise EmptyReferenceError("empty training reference")
+            raise InputError("empty training reference")
         if len(pts) != resp.size or len(pts) != len(crd):
             raise InputError("reference rows disagree")
         object.__setattr__(self, "points", pts)

@@ -43,7 +43,6 @@ from .exceptions import (
     NonFiniteLoglikError,
     RankOutOfRangeError,
     SingularFeatureCovError,
-    SingularReductionCovError,
     SingularResidualCovError,
     SpatialSdrError,
 )
@@ -178,14 +177,12 @@ class RrrEstimate:
         """Reduction direction matrix ``inv(resid_cov) @ a`` (p x d).
 
         It equals ``inv(resid_cov_ls) @ a`` for estimates produced by
-        ``rrr_mle``.
+        ``rrr_mle``, whose ``resid_cov`` is the certified PD ``D_ls`` plus a
+        PSD term, so the solve needs no guard.
         """
         if self.rank == 0:
             return np.zeros((self.resid_cov.shape[0], 0))
-        try:
-            return np.linalg.solve(self.resid_cov, self.a)
-        except np.linalg.LinAlgError as exc:
-            raise SingularReductionCovError(str(exc)) from exc
+        return np.linalg.solve(self.resid_cov, self.a)
 
 
 def _check_rank(ls: LsFit, rank: int) -> None:

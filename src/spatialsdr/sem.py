@@ -30,28 +30,23 @@ import numpy as np
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, SingularFilterError
-from .geometry import NeighborWeights, max_min_distance, neighbor_weights
+from .geometry import max_min_distance, neighbor_weights
 from .rrr import Moments, SdrFit, design, profile, raise_failure
 
-DEFAULT_GRID = np.round(np.arange(-0.95, 0.951, 0.05), 2)
+DEFAULT_GRID = np.round(np.arange(-0.95, 0.951, 0.05), 2)  # -0.95 .. 0.95 in steps of 0.05
 COND_LIMIT = 1e14  # largest accepted condition number of I - coef D^{-1/2} A D^{-1/2}
 
 
-def default_lag_grid() -> np.ndarray:
-    """-0.95 .. 0.95 in steps of 0.05 (39 points)."""
-    return DEFAULT_GRID.copy()
-
-
-def whiten_sem(x: np.ndarray, f: np.ndarray, weights: NeighborWeights, coefs) -> Iterator[Moments]:
+def whiten_sem(x: np.ndarray, f: np.ndarray, weights: np.ndarray, coefs) -> Iterator[Moments]:
     """Moments ``M(coef)`` at each lag of ``coefs`` in turn, from one broadcast of
     ``Z'Z``, ``Z'WZ + (Z'WZ)'`` and ``(WZ)'(WZ)`` over them, for ``weights`` from
     ``neighbor_weights``, whose nonzero pattern is the symmetric adjacency.  Raises
     ``SingularFilterError`` at the first lag whose gaps ``|1 - coef lambda|``, the
     singular values of the symmetrized filter, have a ratio above ``COND_LIMIT``."""
     z, shift = design(x, f)
-    wz = weights.matrix @ z
+    wz = weights @ z
     cross = z.T @ wz
-    adj = weights.matrix != 0.0
+    adj = weights != 0.0
     root = np.sqrt(adj.sum(axis=0))
     spectrum = np.linalg.eigvalsh(adj / np.outer(root, root))
     coefs = np.asarray(coefs, dtype=float)
@@ -103,9 +98,7 @@ def rank_fits(sample, spec, ranks, lag_grid=None) -> list:
     dist = sample.coords.distances
     weights = neighbor_weights(dist, max_min_distance(dist))
 
-    if lag_grid is None:
-        lag_grid = default_lag_grid()
-    lag_grid = np.asarray(lag_grid, dtype=float)
+    lag_grid = np.asarray(DEFAULT_GRID if lag_grid is None else lag_grid, dtype=float)
     if lag_grid.size == 0:
         raise EmptyGridError("lag-coefficient grid is empty")
     if not np.all(np.abs(lag_grid) < 1.0):  # NaN fails the comparison too

@@ -29,15 +29,7 @@ from .data import SpatialSample, train_test_split
 from .dimension import FAILURES, POLICIES, fit_and_predict, select_ranks
 from .exceptions import CovarianceNotPDError, InputError
 from .exceptions import NearSingularCorrelationError, NonPositiveDecayError
-from .geometry import (
-    Coordinates,
-    DistanceMatrix,
-    exp_matrix,
-    max_min_distance,
-    neighbor_weights,
-    pairwise_distances,
-    spatial_filter,
-)
+from .geometry import Coordinates, exp_matrix, max_min_distance, neighbor_weights, spatial_filter
 from .predictor import MODES
 
 UNSTABLE_FRACTION = 0.2
@@ -154,37 +146,31 @@ def spherical_covariance(dist: np.ndarray, sill: float, range_: float) -> np.nda
     return c
 
 
-def simulate_y(coords: Coordinates, grf: GrfSpec, seed, dist: DistanceMatrix | None = None) -> np.ndarray:
+def simulate_y(coords: Coordinates, grf: GrfSpec, seed) -> np.ndarray:
     """Draw the response field as its trend plus the lower Cholesky root of
     its covariance times standard normals."""
     rng = _as_rng(seed)
     s1, s2 = coords.points[:, 0], coords.points[:, 1]
     mean = grf.trend[0] + grf.trend[1] * s1 + grf.trend[2] * s2
-    dist = pairwise_distances(coords) if dist is None else dist
     # the covariogram of each pair once, mirrored; at distance 0 it is the sill
-    cov = squareform(spherical_covariance(dist.tri, grf.sill, grf.range_))
+    cov = squareform(spherical_covariance(coords.distances.tri, grf.sill, grf.range_))
     np.fill_diagonal(cov, grf.sill)
     # symmetric, so its transpose is the same matrix in the factor's column-major layout
     return mean + pd_cholesky(cov.T, CovarianceNotPDError)[0] @ rng.standard_normal(coords.n)
 
 
 def draw_spatial_errors(
-    coords: Coordinates,
-    model: str,
-    param: float,
-    noise_cov: np.ndarray,
-    seed,
-    dist: DistanceMatrix | None = None,
+    coords: Coordinates, model: str, param: float, noise_cov: np.ndarray, seed
 ) -> np.ndarray:
     """Error matrix with rows correlated by the chosen spatial law.
 
     ``sscm``: ``E = L_H Z L_noise'`` with the lower Cholesky roots ``L`` of
     ``exp(-param * distance)`` and ``noise_cov`` and a standard normal ``Z``;
     ``sem``: rows solve ``(I - param * W) E = Z L_noise'``.  Either way each row
-    has covariance ``noise_cov``.  ``dist``, if given, is ``pairwise_distances(coords)``.
+    has covariance ``noise_cov``.
     """
     rng = _as_rng(seed)
-    dist = pairwise_distances(coords) if dist is None else dist
+    dist = coords.distances
     col_root = pd_cholesky(noise_cov, CovarianceNotPDError)[0]
     z = rng.standard_normal((coords.n, noise_cov.shape[0])) @ col_root.T
     if model == "sscm":
@@ -197,9 +183,7 @@ def draw_spatial_errors(
     raise InputError(f"unknown error model {model!r}")
 
 
-def simulate_x(
-    y: np.ndarray, coords: Coordinates, cfg: SimConfig, seed, dist: DistanceMatrix | None = None
-) -> np.ndarray:
+def simulate_x(y: np.ndarray, coords: Coordinates, cfg: SimConfig, seed) -> np.ndarray:
     """Predictors from the inverse model with freshly drawn parameters.
 
     The mean intercept and both factor matrices are standard normal
@@ -220,16 +204,16 @@ def simulate_x(
     noise_cov = g @ g.T + 0.1 * np.eye(p)
     f_raw = polynomial_features(y, r)
     param = cfg.decay if cfg.model == "sscm" else cfg.lag_coef
-    errors = draw_spatial_errors(coords, cfg.model, param, noise_cov, rng, dist)
+    errors = draw_spatial_errors(coords, cfg.model, param, noise_cov, rng)
     return mu + f_raw @ (a @ b).T + errors
 
 
 def _draw_sample(cfg, rng) -> SpatialSample:
     """A full sample drawn from ``rng``, which the caller may go on using."""
     coords = sample_locations(cfg.n, rng, grid=cfg.grid_locations)
-    dist = pairwise_distances(coords)
-    y = simulate_y(coords, GrfSpec(), rng, dist)
-    x = simulate_x(y, coords, cfg, rng, dist)
+    y = simulate_y(coords, GrfSpec(), rng)
+    x = simulate_x(y, coords, cfg, rng)
+    vars(coords).pop("distances")  # both draws shared them; free them with the draw, as the fits do
     return SpatialSample(coords, x, y)
 
 

@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spatialsdr.basis import BasisSpec, build_f, polynomial_features
-from spatialsdr.exceptions import ConstantResponseError, RankDeficientBasisError
-
-
-def slice_of(f):
-    """Slice index of each row: the column whose centered indicator is
-    positive, or the last slice, which has no column."""
-    member = f > 0.0
-    return np.where(member.any(axis=1), member.argmax(axis=1), f.shape[1])
+from spatialsdr.exceptions import ConstantResponseError, InputError, RankDeficientBasisError
 
 
 class TestBuildPolynomial:
@@ -43,25 +36,10 @@ class TestBuildPolynomial:
         np.testing.assert_allclose(f.std(axis=0), 1.0, atol=1e-10)
 
 
-class TestBuildSlices:
-    def test_equal_frequency_counts(self):
-        rng = np.random.default_rng(3)
-        for n, h in [(30, 3), (31, 3), (20, 4)]:
-            y = rng.standard_normal(n)
-            idx = slice_of(build_f(y, BasisSpec("slice", h - 1)))
-            counts = np.bincount(idx, minlength=h)
-            assert counts.min() >= n // h
-            assert counts.max() <= -(-n // h)
-            # slices are intervals of y, in order
-            assert np.all(np.diff(idx[np.argsort(y)]) >= 0)
-
-    def test_explicit_bounds(self):
-        y = np.array([0.1, 0.4, 0.6, 0.9, 1.4, 2.0])
-        f = build_f(y, BasisSpec("slice", 2, slice_bounds=(0.5, 1.0)))
-        np.testing.assert_array_equal(slice_of(f), [0, 0, 1, 1, 2, 2])
-        raw = f - f.min(axis=0)  # each column is its indicator less its mean
-        np.testing.assert_allclose(raw[:, 0], [1, 1, 0, 0, 0, 0])
-        np.testing.assert_allclose(raw[:, 1], [0, 0, 1, 1, 0, 0])
+@pytest.mark.parametrize("kind, degree", [("slice", 2), ("polynomial", 0)])
+def test_spec_rejects_other_kinds_and_degrees(kind, degree):
+    with pytest.raises(InputError):
+        BasisSpec(kind, degree)
 
 
 def test_polynomial_features_raw():

@@ -12,6 +12,7 @@ from spatialsdr.dimension import (
     loglik_profile,
     mode_kind,
     param_count,
+    rank_fits,
     select_cv,
     select_ic,
     select_lr,
@@ -110,27 +111,23 @@ class TestLoglikProfile:
     def test_monotone_for_each_model(self):
         sample = random_sample(60, 4, seed=4, signal=True)
         spec = BasisSpec("polynomial", 2)
-        grids = {"ind": None, "sscm": np.array([0.5, 2.0]), "sem": np.array([0.0, 0.5])}
-        for kind, grid in grids.items():
-            lls = loglik_profile(sample, kind, spec, grid=grid)
+        for kind in MODELS:
+            lls = loglik_profile(sample, kind, spec)
             assert lls.shape == (3,)
             assert np.all(np.diff(lls) >= -1e-8 * np.abs(lls).max())
 
 
 class TestSelectCv:
     def test_singleton_range(self):
-        sample = random_sample(40, 3, seed=6)
-        sel = select_cv(
-            sample, "ind", BasisSpec("polynomial", 2), d_range=(1,), folds=3
-        )
+        # min(p, r) = 1 leaves the one candidate rank
+        sel = select_cv(random_sample(40, 3, seed=6), "ind", BasisSpec("polynomial", 1))
         assert sel.d_star == 1
+        assert [row["rank"] for row in sel.trace] == [1]
 
-    def test_repeated_ranks_trace_once(self):
-        sample = random_sample(40, 3, seed=6)
-        spec = BasisSpec("polynomial", 2)
-        sel = select_cv(sample, "ind", spec, d_range=(1, 1, 2), folds=3)
-        assert [row["rank"] for row in sel.trace] == [1, 2]
-        assert sel == select_cv(sample, "ind", spec, d_range=(1, 2), folds=3)
+    @pytest.mark.parametrize("p, r", [(3, 2), (2, 3)])
+    def test_candidate_ranks_are_one_to_min_p_r(self, p, r):
+        sel = select_cv(random_sample(40, p, seed=6), "ind", BasisSpec("polynomial", r))
+        assert [row["rank"] for row in sel.trace] == list(range(1, min(p, r) + 1))
 
     def test_noiseless_one_dimensional_link(self):
         # response is (almost) a deterministic function of one linear score,
@@ -147,8 +144,7 @@ class TestSelectCv:
         y = x @ beta + 0.1 * rng.standard_normal(n)
         sample = SpatialSample(Coordinates(rng.uniform(size=(n, 2))), x, y)
         sel = select_cv(
-            sample, "ind", BasisSpec("polynomial", 2), kernels="1k",
-            folds=5, seed=1,
+            sample, "ind", BasisSpec("polynomial", 2), kernels="1k", seed=1
         )
         errs = {row["rank"]: row["cv_error"] for row in sel.trace}
         assert errs[1] < errs[2]
@@ -157,25 +153,25 @@ class TestSelectCv:
     def test_unknown_kind_rejected(self):
         sample = random_sample(40, 3, seed=6)
         with pytest.raises(InputError, match="bogus"):
-            select_cv(sample, "bogus", BasisSpec("polynomial", 2), folds=3)
+            select_cv(sample, "bogus", BasisSpec("polynomial", 2))
 
     def test_seeded_folds_reproducible(self):
         sample = random_sample(50, 3, seed=8)
         spec = BasisSpec("polynomial", 2)
-        s1 = select_cv(sample, "ind", spec, folds=4, seed=3)
-        s2 = select_cv(sample, "ind", spec, folds=4, seed=3)
+        s1 = select_cv(sample, "ind", spec, seed=3)
+        s2 = select_cv(sample, "ind", spec, seed=3)
         assert s1.d_star == s2.d_star
         assert s1.trace == s2.trace
 
     def test_nan_reduction_fails_only_its_kind(self, monkeypatch):
         sample = random_sample(50, 3, seed=9)
         spec = BasisSpec("polynomial", 2)
-        want = {kind: select_cv(sample, kind, spec, folds=3) for kind in ("ind", "sem")}
+        want = {kind: select_cv(sample, kind, spec) for kind in ("ind", "sem")}
         monkeypatch.setattr(SscmFit, "reduce", lambda self, x: SdrFit.reduce(self, x) * np.nan)
         with pytest.raises(CvFailedError):
-            select_cv(sample, "sscm", spec, folds=3)
+            select_cv(sample, "sscm", spec)
         for kind, sel in want.items():
-            assert select_cv(sample, kind, spec, folds=3) == sel
+            assert select_cv(sample, kind, spec) == sel
 
     def test_linalg_error_in_a_fold_fails_its_ranks(self, monkeypatch):
         # numpy's LinAlgError is isolated per fold as the test split isolates
@@ -187,21 +183,21 @@ class TestSelectCv:
 
         monkeypatch.setattr(sem, "whiten_sem", fails)
         with pytest.raises(CvFailedError):
-            select_cv(random_sample(50, 3, seed=9), "sem", BasisSpec("polynomial", 2), folds=3)
+            select_cv(random_sample(50, 3, seed=9), "sem", BasisSpec("polynomial", 2))
 
     def test_nan_reduction_at_one_rank_keeps_the_others(self, monkeypatch):
         # the rank-2 reference of each fold has a degenerate bandwidth grid;
         # the rank-1 reference tuned in the same LOO pass is unaffected
         sample = random_sample(50, 3, seed=9)
         spec = BasisSpec("polynomial", 2)
-        want = select_cv(sample, "sscm", spec, folds=3)
+        want = select_cv(sample, "sscm", spec)
 
         def nan_at_rank_two(self, x):
             z = SdrFit.reduce(self, x)
             return z * np.nan if z.shape[1] == 2 else z
 
         monkeypatch.setattr(SscmFit, "reduce", nan_at_rank_two)
-        sel = select_cv(sample, "sscm", spec, folds=3)
+        sel = select_cv(sample, "sscm", spec)
         assert sel.d_star == 1
         assert sel.trace[0] == want.trace[0]
         assert sel.trace[1]["cv_error"] is None
@@ -223,9 +219,7 @@ class TestSelectCv:
             if name.startswith("spatialsdr") and getattr(mod, "loglik", None) is original:
                 monkeypatch.setattr(mod, "loglik", fails_at_rank_two)
         sample = random_sample(50, 3, seed=9)
-        sel = select_cv(
-            sample, kind, BasisSpec("polynomial", 2), folds=3, grid=[0.0, 0.5]
-        )
+        sel = select_cv(sample, kind, BasisSpec("polynomial", 2))
         assert sel.d_star == 1
         rows = {row["rank"]: row for row in sel.trace}
         assert np.isfinite(rows[1]["cv_error"])
@@ -301,11 +295,25 @@ def test_the_spatial_fits_of_a_sample_share_its_distances(monkeypatch):
         calls.append(coords)
         return original(coords)
 
+    sample = simulate_sample(SimConfig(n=60, p=4, seed=3), 0)  # its draws measure it alone
     monkeypatch.setattr(geometry, "pairwise_distances", counted)
-    sample = simulate_sample(SimConfig(n=60, p=4, seed=3), 0)
     train, test = sample.subset(np.arange(45)), sample.subset(np.arange(45, 60))
     jobs = [(mode, 1) for mode in ("1k.SSCM", "2k.SSCM", "1k.SEM", "2k.SEM")]
     out = fit_and_predict(jobs, train, test, BasisSpec("polynomial", 2))
     assert all(np.all(np.isfinite(yhat)) for yhat in out)
     assert len(calls) == 1 and calls[0] is train.coords
     assert "distances" not in vars(train.coords)
+
+
+def test_independent_errors_lr_test_holds_its_size():
+    # 2 (l_2 - l_1) referred to chi-square with (r - 1)(p - 1) = 23 degrees of
+    # freedom at alpha 0.05, on 200 samples of independent errors whose true
+    # rank is 1: the rejection count lies in [2, 21], the central 99.9% of
+    # Binomial(200, 0.05)
+    cfg = SimConfig(model="sem", lag_coef=0.0, d=1, r=2, seed=11)
+    spec = BasisSpec("polynomial", cfg.r)
+    rejected = 0
+    for rep in range(200):
+        one, two = rank_fits(simulate_sample(cfg, rep), "ind", spec, [1, 2])
+        rejected += chi2_sf(2.0 * (two.loglik - one.loglik), (cfg.r - 1) * (cfg.p - 1)) < 0.05
+    assert 2 <= rejected <= 21, rejected

@@ -17,7 +17,6 @@ from spatialsdr.exceptions import (
 from spatialsdr.geometry import (
     Coordinates,
     DistanceMatrix,
-    NeighborWeights,
     exp_correlation,
     exp_correlations,
     max_min_distance,
@@ -250,7 +249,7 @@ class TestMaxMinDistance:
 class TestNeighborWeights:
     def test_three_point_example(self):
         d = pairwise_distances(coords((0, 0), (0, 1), (0, 3)))
-        w = neighbor_weights(d, 2.0).matrix
+        w = neighbor_weights(d, 2.0)
         np.testing.assert_allclose(w.sum(axis=0), [1.0, 1.0, 1.0], atol=1e-12)
         assert w[1, 0] == pytest.approx(1.0)
         assert w[0, 1] == pytest.approx(0.5)
@@ -262,7 +261,7 @@ class TestNeighborWeights:
     def test_two_point_symmetry(self):
         d = pairwise_distances(coords((0, 0), (1, 0)))
         np.testing.assert_allclose(
-            neighbor_weights(d, 1.0).matrix, [[0, 1], [1, 0]]
+            neighbor_weights(d, 1.0), [[0, 1], [1, 0]]
         )
 
     def test_isolated_point(self):
@@ -273,7 +272,7 @@ class TestNeighborWeights:
     def test_threshold_is_inclusive(self):
         d = pairwise_distances(coords((0, 0), (2, 0)))
         w = neighbor_weights(d, 2.0)  # distance exactly at the threshold
-        assert w.matrix[0, 1] == 1.0
+        assert w[0, 1] == 1.0
 
     def test_max_min_distance_is_smallest_safe_threshold(self):
         rng = np.random.default_rng(7)
@@ -289,8 +288,8 @@ class TestNeighborWeights:
         rng = np.random.default_rng(seed)
         d = pairwise_distances(Coordinates(rng.uniform(size=(15, 2))))
         w = neighbor_weights(d, max_min_distance(d) * 1.5)
-        np.testing.assert_allclose(w.matrix.sum(axis=0), 1.0, atol=1e-12)
-        assert np.all(w.matrix >= 0.0)
+        np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-12)
+        assert np.all(w >= 0.0)
 
 
 class TestSpatialFilter:
@@ -313,10 +312,7 @@ class TestSpatialFilter:
     def test_singular_with_large_column_norm_detected(self):
         # ||W||_1 = 2, so the Neumann bound does not apply at coef 0.5; the
         # determinant is 2^-50 > 0 and only the condition number catches it
-        w = NeighborWeights(
-            matrix=np.array([[0.0, 2.0 * (1.0 - 2.0**-50)], [2.0, 0.0]]),
-            threshold=1.0,
-        )
+        w = np.array([[0.0, 2.0 * (1.0 - 2.0**-50)], [2.0, 0.0]])
         with pytest.raises(SingularFilterError, match="numerically singular"):
             spatial_filter(w, 0.5)
 
@@ -326,7 +322,7 @@ class TestSpatialFilter:
         rng = np.random.default_rng(seed)
         d = pairwise_distances(Coordinates(rng.uniform(size=(15, 2))))
         w = neighbor_weights(d, max_min_distance(d) * 1.5)
-        wt = np.eye(15) - coef * w.matrix
+        wt = np.eye(15) - coef * w
         np.testing.assert_array_equal(spatial_filter(w, coef), wt)
         q = abs(coef)  # column sums are one
         assert np.linalg.cond(wt, 1) <= (1.0 + q) / (1.0 - q) * (1.0 + 1e-12)
@@ -339,8 +335,8 @@ class TestSpatialFilter:
         rng = np.random.default_rng(seed)
         w = rng.uniform(size=(12, 12)) * (rng.uniform(size=(12, 12)) < 0.5)
         w[rng.integers(0, 12), rng.integers(0, 12)] = -0.0
-        weights = NeighborWeights(matrix=w / 40.0, threshold=1.0)
-        want = np.eye(12) - coef * weights.matrix
+        weights = w / 40.0
+        want = np.eye(12) - coef * weights
         assert spatial_filter(weights, coef).tobytes() == want.tobytes()
 
 

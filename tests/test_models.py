@@ -9,6 +9,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spatialsdr import sem, sscm
 from spatialsdr.basis import BasisSpec, build_f
 from spatialsdr.data import SpatialSample, train_test_split
 from spatialsdr.dimension import rank_fits
@@ -24,7 +25,7 @@ from spatialsdr.geometry import (
 )
 from spatialsdr.pfc import fit_independent
 from spatialsdr.rrr import design, loglik, ls_fits, moments_of
-from spatialsdr.sem import default_lag_grid, fit_sem, whiten_sem
+from spatialsdr.sem import DEFAULT_GRID, fit_sem, whiten_sem
 from spatialsdr.simulate import GrfSpec, SimConfig, sample_locations, simulate_sample
 from spatialsdr.simulate import _draw_sample, rep_rng, simulate_x, simulate_y
 from spatialsdr.sscm import default_decay_grid, fit_sscm, whiten_sscm
@@ -146,8 +147,8 @@ class TestWhitenSem:
         w = neighbor_weights(dist, max_min_distance(dist))
         f = np.random.default_rng(seed).standard_normal((60, 2))
         rows = centered_rows(sample.x, f)
-        for coef, moments in zip(default_lag_grid(), whiten_sem(sample.x, f, w, default_lag_grid())):
-            wt = np.eye(60) - coef * w.matrix
+        for coef, moments in zip(DEFAULT_GRID, whiten_sem(sample.x, f, w, DEFAULT_GRID)):
+            wt = np.eye(60) - coef * w
             want = (wt @ rows).T @ (wt @ rows)
             np.testing.assert_allclose(moments.m, want, rtol=0, atol=1e-10 * np.abs(want).max())
             log_abs_det = np.linalg.slogdet(wt)[1]
@@ -298,7 +299,7 @@ class TestFitSem:
             pairwise_distances(sample.coords),
             max_min_distance(pairwise_distances(sample.coords)),
         )
-        wt = np.eye(40) - 0.5 * w.matrix
+        wt = np.eye(40) - 0.5 * w
         m = wt.T @ wt
         ones = np.ones(40)
         f_fit = build_f(sample.y, BasisSpec("polynomial", 2))
@@ -442,10 +443,9 @@ def planted_sample(cfg, rep):
     noise covariance ``Delta``, replayed on a copy of the replication's rng."""
     rng = rep_rng(cfg.seed, rep)
     coords = sample_locations(cfg.n, rng, grid=cfg.grid_locations)
-    dist = pairwise_distances(coords)
-    y = simulate_y(coords, GrfSpec(), rng, dist)
+    y = simulate_y(coords, GrfSpec(), rng)
     replay = copy.deepcopy(rng)
-    x = simulate_x(y, coords, cfg, rng, dist)
+    x = simulate_x(y, coords, cfg, rng)
     replay.standard_normal(cfg.p)  # the mean
     a = replay.standard_normal((cfg.p, cfg.d))
     replay.standard_normal((cfg.d, cfg.r))  # the second factor
@@ -501,7 +501,8 @@ def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
         return original(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    fits = rank_fits(sample, kind, spec, [0, 1, 2], grid=[0.3, 0.6, 0.9] if kind == "sem" else None)
+    fits = (sscm.rank_fits(sample, spec, [0, 1, 2]) if kind == "sscm"
+            else sem.rank_fits(sample, spec, [0, 1, 2], [0.3, 0.6, 0.9]))
     argmaxes = {fit.spatial_param for fit in fits}
     assert len(calls) == len(argmaxes) < 3
     for rank, fit in enumerate(fits):
@@ -520,7 +521,7 @@ def test_a_decay_failing_mid_grid_ends_the_ranks_live_there(monkeypatch):
     sample = random_sample(50, 3, seed=5)
     spec = BasisSpec("polynomial", 2)
     grid = [0.5, 1.0, 2.0, 4.0, 8.0]
-    kept = rank_fits(sample, "sscm", spec, [0, 1], grid[:2])
+    kept = sscm.rank_fits(sample, spec, [0, 1], grid[:2])
     error, factored = NearSingularCorrelationError("forced at the third decay"), []
 
     def failing_third(original):
@@ -542,7 +543,7 @@ def test_a_decay_failing_mid_grid_ends_the_ranks_live_there(monkeypatch):
     for name in ("pd_cholesky", "cholesky"):
         monkeypatch.setattr(geometry, name, failing_third(getattr(geometry, name)))
     monkeypatch.setattr(rrr, "loglik", loglik)
-    fits = rank_fits(sample, "sscm", spec, [0, 1, 2], grid)
+    fits = sscm.rank_fits(sample, spec, [0, 1, 2], grid)
     assert len(factored) == 3
     assert fits[0] is error and fits[1] is error
     assert isinstance(fits[2], NonFiniteLoglikError)

@@ -162,6 +162,10 @@ class TestPredict:
         got = predict_one(np.array([1.5]), np.array([0.0, 0.0]), ref, config)
         assert got == pytest.approx(oracle, abs=1e-12)
 
+    def test_reference_without_rows_rejected(self):
+        with pytest.raises(InputError, match="empty training reference"):
+            TrainingReference(points=np.zeros((0, 2)), responses=np.zeros(0), coords=np.zeros((0, 2)))
+
     def test_reduced_mode_requires_fit(self):
         ref = line_reference([0.0, 1.0])
         config = PredictorConfig(mode="1k.Ind", h1=1.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky
 
-from spatialsdr import predictor, sem, simulate, sscm
+from spatialsdr import geometry, predictor, sem, simulate, sscm
 from spatialsdr._linalg import pd_eigh
 from spatialsdr.basis import BasisSpec
 from spatialsdr.dimension import POLICIES
@@ -203,22 +203,24 @@ def test_replication_draws_the_simulated_sample():
 
 @pytest.mark.parametrize("model", ["sscm", "sem"])
 def test_a_sample_computes_its_distances_once(monkeypatch, model):
-    # both draws share one distance matrix; oracle: the same draws made
-    # without it, each computing its own distances as the public calls do
+    # both draws share one distance matrix and free it with the draw; oracle:
+    # the same draws made on fresh locations, whose distances each draw
+    # computes anew from a copy of the points
     cfg = SimConfig(n=50, p=3, model=model, seed=2)
     rng = rep_rng(cfg.seed, 1)
     coords = sample_locations(cfg.n, rng, grid=cfg.grid_locations)
-    y = simulate_y(coords, GrfSpec(), rng)
-    x = simulate_x(y, coords, cfg, rng)
+    y = simulate_y(Coordinates(coords.points.copy()), GrfSpec(), rng)
+    x = simulate_x(y, Coordinates(coords.points.copy()), cfg, rng)
     calls = []
 
     def counted(points):
         calls.append(points)
         return pairwise_distances(points)
 
-    monkeypatch.setattr(simulate, "pairwise_distances", counted)
+    monkeypatch.setattr(geometry, "pairwise_distances", counted)
     drawn = _draw_sample(cfg, rep_rng(cfg.seed, 1))
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0] is drawn.coords
+    assert "distances" not in vars(drawn.coords)
     np.testing.assert_array_equal(drawn.y, y)
     np.testing.assert_array_equal(drawn.x, x)
 
