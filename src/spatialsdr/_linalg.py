@@ -5,6 +5,8 @@ certified by a shifted Cholesky factorisation (``pd_cholesky``) or checked by ``
 below the floor add ``1e-8 * trace/n`` on the diagonal and retry once, then fail.
 A stack of small matrices takes one stacked certificate, or ``pd_cholesky`` each if it fails
 (``pd_choleskys``).  A certificate is carried only along an ascending decay grid (``geometry``).
+A draw multiplies by its root and never solves with it, so it needs no certificate: its root
+is one plain Cholesky, and the policy decides only when that fails (``draw_root``).
 """
 
 from __future__ import annotations
@@ -70,6 +72,16 @@ def pd_cholesky(m, err: type[SpatialSdrError], margin: float = 0.0) -> tuple[np.
         return cholesky(work, lower=True, overwrite_a=True, check_finite=False), m
     except LinAlgError as exc:  # pragma: no cover - the policy's floor passed
         raise err(str(exc)) from exc
+
+
+def draw_root(build, err: type[SpatialSdrError]) -> np.ndarray:
+    """Lower Cholesky root of the symmetric ``build()``, factored in place in that new buffer;
+    if it fails, ``pd_cholesky`` decides, jitter or raise ``err``, on a second ``build()``,
+    since the failed factor overwrote the first."""
+    try:
+        return cholesky(build(), lower=True, overwrite_a=True, check_finite=False)
+    except LinAlgError:
+        return pd_cholesky(build(), err)[0]
 
 
 def _certificate_shift(m: np.ndarray, margin: float = 0.0) -> np.ndarray:

@@ -26,8 +26,6 @@ from .exceptions import (
     SingularFilterError,
 )
 
-COLUMN_SUM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Coordinates:

@@ -5,7 +5,8 @@ a Gaussian random field response with a planar trend and spherical
 covariogram, and predictors from the inverse model ``X = 1 mu' + F (AB)' +
 E`` with spatially correlated errors drawn under either the separable
 exponential-correlation law or the autoregressive-filter law.  Gaussian draws
-use the lower Cholesky root of each covariance (``_linalg.pd_cholesky``).
+use the lower Cholesky root of each covariance (``_linalg.draw_root``), and the
+filter ``(I - rho A D^-1)^-1 = D (D - rho A)^-1`` the Cholesky factor of ``D - rho A``.
 
 The experiment protocol repeats: fresh data, random train/test split, a
 rank per method from ``dimension.select_ranks`` under the rank policy, then
@@ -21,16 +22,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_solve, lapack
 from scipy.spatial.distance import squareform
 
-from ._linalg import pd_cholesky
+from ._linalg import draw_root
 from .basis import BasisSpec, polynomial_features
 from .data import SpatialSample, train_test_split
 from .dimension import FAILURES, POLICIES, fit_and_predict, select_ranks
 from .exceptions import CovarianceNotPDError, InputError
-from .exceptions import NearSingularCorrelationError, NonPositiveDecayError
-from .geometry import Coordinates, exp_matrix, max_min_distance, neighbor_weights, spatial_filter
+from .exceptions import NearSingularCorrelationError, NonPositiveDecayError, SingularFilterError
+from .geometry import Coordinates, DistanceMatrix, exp_matrix, max_min_distance
 from .predictor import MODES
+from .sem import COND_LIMIT
 
 UNSTABLE_FRACTION = 0.2
 
@@ -52,18 +55,22 @@ class SimConfig:
     grid_locations: bool = False
 
     def __post_init__(self) -> None:
-        if self.model not in ("sscm", "sem"):
-            raise InputError("model must be 'sscm' or 'sem'")
+        check_error_law(self.model, self.decay if self.model == "sscm" else self.lag_coef)
         if not 0.0 < self.train_frac < 1.0:
             raise InputError("train_frac must be in (0, 1)")
         if self.reps < 1:
             raise InputError("reps must be >= 1")
         if self.d > min(self.r, self.p):
             raise InputError("d must not exceed min(r, p)")
-        if self.model == "sem" and not abs(self.lag_coef) < 1.0:  # NaN fails too
-            raise InputError(f"lag_coef must be finite with |lag_coef| < 1, got {self.lag_coef}")
-        if self.model == "sscm" and not 0.0 < self.decay < np.inf:
-            raise InputError(f"decay must be finite and > 0, got {self.decay}")
+
+
+def check_error_law(model: str, param: float) -> None:
+    """Reject an unknown model, a SEM lag outside (-1, 1) and an SSCM decay that is not
+    finite, with ``NonPositiveDecayError`` for one that is not > 0; NaN fails either."""
+    if model == "sscm" and not param > 0.0:
+        raise NonPositiveDecayError(f"decay rate must be > 0, got {param}")
+    if not (model == "sscm" and param < np.inf or model == "sem" and abs(param) < 1.0):
+        raise InputError(f"need 'sscm' and a finite decay or 'sem' and |lag_coef| < 1: {model!r}, {param}")
 
 
 @dataclass(frozen=True)
@@ -138,12 +145,16 @@ def sample_locations(n: int, seed, grid: bool = False) -> Coordinates:
     return Coordinates(rng.uniform(size=(n, 2)))
 
 
-def spherical_covariance(dist: np.ndarray, sill: float, range_: float) -> np.ndarray:
-    """Spherical covariogram of an array of distances: positive inside the range, zero beyond."""
-    h = dist / range_
-    c = sill * (1.0 - 1.5 * h + 0.5 * h**3)
+def spherical_covariance(dist: DistanceMatrix, grf: GrfSpec) -> np.ndarray:
+    """``grf``'s spherical covariogram of every pair: positive inside the range, zero beyond,
+    the sill at distance 0.  Each pair once, mirrored, and returned in LAPACK's column-major
+    layout as its transpose, the same matrix since it is symmetric."""
+    h = dist.tri / grf.range_
+    c = grf.sill * (1.0 - 1.5 * h + 0.5 * h**3)
     c[h >= 1.0] = 0.0
-    return c
+    cov = squareform(c)
+    np.fill_diagonal(cov, grf.sill)
+    return cov.T
 
 
 def simulate_y(coords: Coordinates, grf: GrfSpec, seed) -> np.ndarray:
@@ -152,11 +163,8 @@ def simulate_y(coords: Coordinates, grf: GrfSpec, seed) -> np.ndarray:
     rng = _as_rng(seed)
     s1, s2 = coords.points[:, 0], coords.points[:, 1]
     mean = grf.trend[0] + grf.trend[1] * s1 + grf.trend[2] * s2
-    # the covariogram of each pair once, mirrored; at distance 0 it is the sill
-    cov = squareform(spherical_covariance(coords.distances.tri, grf.sill, grf.range_))
-    np.fill_diagonal(cov, grf.sill)
-    # symmetric, so its transpose is the same matrix in the factor's column-major layout
-    return mean + pd_cholesky(cov.T, CovarianceNotPDError)[0] @ rng.standard_normal(coords.n)
+    root = draw_root(lambda: spherical_covariance(coords.distances, grf), CovarianceNotPDError)
+    return mean + root @ rng.standard_normal(coords.n)
 
 
 def draw_spatial_errors(
@@ -166,21 +174,32 @@ def draw_spatial_errors(
 
     ``sscm``: ``E = L_H Z L_noise'`` with the lower Cholesky roots ``L`` of
     ``exp(-param * distance)`` and ``noise_cov`` and a standard normal ``Z``;
-    ``sem``: rows solve ``(I - param * W) E = Z L_noise'``.  Either way each row
-    has covariance ``noise_cov``.
+    ``sem``: rows solve ``(I - param * W) E = Z L_noise'`` for ``W = A D^-1``, the threshold
+    adjacency ``A`` at ``max_min_distance`` over its degrees ``D``, so ``E = D (D - param *
+    A)^-1 Z L_noise'`` by the Cholesky factor of the symmetric ``D - param * A``, PD for
+    ``|param| < 1`` (Ord 1975), or ``Z L_noise'`` itself at ``param = 0``; ``SingularFilterError``
+    when its condition number passes ``sem.COND_LIMIT``.  Either way each row has covariance
+    ``noise_cov``.
     """
+    check_error_law(model, param)
     rng = _as_rng(seed)
     dist = coords.distances
-    col_root = pd_cholesky(noise_cov, CovarianceNotPDError)[0]
+    col_root = draw_root(lambda: np.array(noise_cov, dtype=float, order="F"), CovarianceNotPDError)
     z = rng.standard_normal((coords.n, noise_cov.shape[0])) @ col_root.T
     if model == "sscm":
-        if not param > 0.0:
-            raise NonPositiveDecayError(f"decay rate must be > 0, got {param}")
-        return pd_cholesky(exp_matrix(dist, param), NearSingularCorrelationError)[0] @ z
-    if model == "sem":
-        w = neighbor_weights(dist, max_min_distance(dist))
-        return np.linalg.solve(spatial_filter(w, param), z)
-    raise InputError(f"unknown error model {model!r}")
+        return draw_root(lambda: exp_matrix(dist, param), NearSingularCorrelationError) @ z
+    if param == 0.0:
+        return z  # exactly: the factor of D alone would round it
+    adj = dist.dist <= max_min_distance(dist)  # the diagonal too, at distance 0
+    deg = adj.sum(axis=0) - 1.0
+    filt = np.multiply(adj, -param).T  # symmetric: D - param * A in LAPACK's column-major layout
+    np.fill_diagonal(filt, deg)
+    chol, info = lapack.dpotrf(filt, lower=1, overwrite_a=1, clean=1)  # scipy's cholesky, in place
+    # LAPACK's estimate from the factor and the 1-norm (1 + |param|) max D, held to the fits' limit
+    rcond = lapack.dpocon(chol, (1.0 + abs(param)) * deg.max(), uplo="L")[0] if info == 0 else 0.0
+    if not rcond * COND_LIMIT >= 1.0:
+        raise SingularFilterError(f"D - {param} * A is numerically singular (rcond ~ {rcond:.2e})")
+    return deg[:, None] * cho_solve((chol, True), z, overwrite_b=True, check_finite=False)
 
 
 def simulate_x(y: np.ndarray, coords: Coordinates, cfg: SimConfig, seed) -> np.ndarray:

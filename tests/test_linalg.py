@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
+from scipy.linalg import LinAlgError, cholesky
 from scipy.spatial.distance import pdist, squareform
 
-from spatialsdr._linalg import EIG_FLOOR, pd_cholesky, pd_eigh
+from spatialsdr._linalg import EIG_FLOOR, draw_root, pd_cholesky, pd_eigh
 from spatialsdr.exceptions import CovarianceNotPDError, NearSingularCorrelationError
 
 
@@ -54,3 +54,54 @@ def test_root_is_scipys_factor_of_the_matrix_itself(n):
     assert used is m
     np.testing.assert_array_equal(m, before)
     assert chol.tobytes() == cholesky(m, lower=True).tobytes()
+
+
+def fresh(m):
+    """A ``build`` function returning column-major copies of ``m``, counting its calls."""
+    calls = []
+
+    def build():
+        calls.append(1)
+        return np.array(m, order="F")
+
+    build.calls = calls
+    return build
+
+
+@pytest.mark.parametrize("n", [280, 400])
+def test_draw_root_of_a_certified_matrix_is_pd_choleskys_root(n):
+    m = np.exp(-0.1 * squareform(pdist(np.random.default_rng(n).uniform(size=(n, 2)))))
+    before = m.copy()
+    build = fresh(m)
+    want = pd_cholesky(m, NearSingularCorrelationError)[0]
+    assert draw_root(build, NearSingularCorrelationError).tobytes() == want.tobytes()
+    assert len(build.calls) == 1
+    np.testing.assert_array_equal(m, before)
+
+
+def test_draw_root_uses_a_factorable_matrix_below_the_floor_unjittered():
+    # a draw never solves with its root, so it needs no certificate; pd_cholesky jitters
+    m = with_spectrum([1e-11, 1.0, 2.0, 4.0, 8.0])
+    assert 0.0 < np.linalg.eigvalsh(m)[0] < EIG_FLOOR
+    root = draw_root(fresh(m), CovarianceNotPDError)
+    np.testing.assert_array_equal(root, cholesky(m, lower=True))
+    assert pd_cholesky(m, CovarianceNotPDError)[1] is not m
+    assert not np.array_equal(root, pd_cholesky(m, CovarianceNotPDError)[0])
+
+
+def test_draw_root_of_a_matrix_that_does_not_factor_follows_pd_cholesky():
+    # the jitter, on a second build: the failed factor overwrote the first buffer
+    m = with_spectrum([-1e-9, 1.0, 2.0, 4.0, 8.0])
+    with pytest.raises(LinAlgError):
+        cholesky(m, lower=True)
+    build = fresh(m)
+    want = pd_cholesky(m, CovarianceNotPDError)[0]
+    assert draw_root(build, CovarianceNotPDError).tobytes() == want.tobytes()
+    assert len(build.calls) == 2
+
+
+@pytest.mark.parametrize("err", [CovarianceNotPDError, NearSingularCorrelationError])
+def test_draw_root_of_a_matrix_failing_after_jitter_raises_the_callers_error(err):
+    with pytest.raises(err) as info:
+        draw_root(fresh(with_spectrum([-1.0, 1.0, 2.0])), err)
+    assert info.type is err

@@ -14,7 +14,7 @@ from spatialsdr._linalg import pd_eigh
 from spatialsdr.basis import BasisSpec
 from spatialsdr.dimension import POLICIES
 from spatialsdr.exceptions import InputError, NonPositiveDecayError, SingularFilterError
-from spatialsdr.geometry import Coordinates, pairwise_distances
+from spatialsdr.geometry import Coordinates, max_min_distance, neighbor_weights, pairwise_distances
 from spatialsdr.predictor import MODES
 from spatialsdr.rrr import SdrFit
 from spatialsdr.simulate import (
@@ -28,7 +28,6 @@ from spatialsdr.simulate import (
     simulate_sample,
     simulate_x,
     simulate_y,
-    spherical_covariance,
 )
 
 # MetricsReports of run_experiment(SimConfig(n=60, p=4, reps=2, model=m,
@@ -235,41 +234,97 @@ def test_sscm_errors_use_the_cholesky_roots():
     z = np.random.default_rng(5).standard_normal((40, 3))
     h = np.exp(-2.0 * pairwise_distances(coords).dist)
     want = cholesky(h, lower=True) @ (z @ cholesky(noise_cov, lower=True).T)
+    before = noise_cov.copy()
     got = draw_spatial_errors(coords, "sscm", 2.0, noise_cov, 5)
     np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(noise_cov, before)  # its root is factored in a copy
     with pytest.raises(NonPositiveDecayError):
         draw_spatial_errors(coords, "sscm", 0.0, noise_cov, 5)
+
+
+def sem_draw_inputs(n=120, k=3):
+    """Locations, a noise covariance and the draw's ``Z L_noise'`` for seed 5."""
+    rng = np.random.default_rng(21)
+    coords = Coordinates(rng.uniform(size=(n, 2)))
+    a = rng.standard_normal((k, k))
+    noise_cov = a @ a.T + np.eye(k)
+    z = np.random.default_rng(5).standard_normal((n, k)) @ cholesky(noise_cov, lower=True).T
+    return coords, noise_cov, z
+
+
+@pytest.mark.parametrize("lag", [-0.95, -0.5, 0.8, 0.95])
+def test_sem_errors_solve_the_filter(lag):
+    # oracle: an LU solve with I - lag * W, W the column-normalised threshold weights
+    coords, noise_cov, z = sem_draw_inputs()
+    dist = pairwise_distances(coords)
+    w = neighbor_weights(dist, max_min_distance(dist))
+    want = np.linalg.solve(np.eye(coords.n) - lag * w, z)
+    got = draw_spatial_errors(coords, "sem", lag, noise_cov, 5)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_sem_errors_at_lag_zero_are_the_noise_itself():
+    coords, noise_cov, z = sem_draw_inputs()
+    for lag in (0.0, -0.0):
+        np.testing.assert_array_equal(draw_spatial_errors(coords, "sem", lag, noise_cov, 5), z)
+
+
+@pytest.mark.parametrize(
+    "model, param, error",
+    [("sem", v, InputError) for v in (1.5, -3.0, 1.0, -1.0, np.nan, np.inf)]
+    + [("sscm", np.inf, InputError), ("sscm", 0.0, NonPositiveDecayError)]
+    + [("sscm", v, NonPositiveDecayError) for v in (-0.5, np.nan, -np.inf)]
+    + [("car", 0.5, InputError)],
+)
+def test_draw_rejects_a_parameter_outside_its_law(model, param, error):
+    # as SimConfig does: a lag in (-1, 1), a finite decay > 0, and a known model
+    coords, noise_cov, _ = sem_draw_inputs(n=30)
+    with pytest.raises(error) as info:
+        draw_spatial_errors(coords, model, param, noise_cov, 5)
+    assert error is NonPositiveDecayError or not isinstance(info.value, NonPositiveDecayError)
+
+
+@pytest.mark.parametrize("lag", [1.0 - 1e-14, 1.0 - 2.0**-53])
+def test_sem_filter_next_to_one_is_singular(lag):
+    # inside (-1, 1), but cond(D - lag * A) ~ 1 / (1 - lag) passes sem.COND_LIMIT
+    coords, noise_cov, _ = sem_draw_inputs(n=100)
+    with pytest.raises(SingularFilterError, match="numerically singular"):
+        draw_spatial_errors(coords, "sem", lag, noise_cov, 5)
+    assert np.isfinite(draw_spatial_errors(coords, "sem", 1.0 - 1e-12, noise_cov, 5)).all()
 
 
 def test_sample_roots_factor_their_covariances(monkeypatch):
     # the spherical covariogram, the noise covariance and exp(-decay * distance)
     # of an sscm sample, each rebuilt by its root to 1e-12 of its largest entry
     cfg = SimConfig(n=60, model="sscm", seed=7)
-    calls, original = [], simulate.pd_cholesky
+    calls, original = [], simulate.draw_root
 
-    def spy(m, err):
-        chol, used = original(m, err)
-        calls.append((m, chol, used))
-        return chol, used
+    def spy(build, err):
+        m = np.array(build())  # a copy: the root is factored in the buffer build returns
+        chol = original(build, err)
+        calls.append((m, chol))
+        return chol
 
-    monkeypatch.setattr(simulate, "pd_cholesky", spy)
+    monkeypatch.setattr(simulate, "draw_root", spy)
     sample = simulate_sample(cfg, 0)
     dist = pairwise_distances(sample.coords).dist
     grf = GrfSpec()
-    spherical, noise, corr = (m for m, _, _ in calls)
-    np.testing.assert_array_equal(spherical, spherical_covariance(dist, grf.sill, grf.range_))
+    spherical, noise, corr = (m for m, _ in calls)
+    h = dist / grf.range_
+    covariogram = np.where(h < 1.0, grf.sill * (1.0 - 1.5 * h + 0.5 * h**3), 0.0)
+    np.testing.assert_array_equal(spherical, covariogram)
     assert noise.shape == (cfg.p, cfg.p)
     np.testing.assert_array_equal(corr, np.exp(-cfg.decay * dist))
-    for m, chol, used in calls:
-        assert used is m
+    for m, chol in calls:
+        np.testing.assert_array_equal(chol, cholesky(m, lower=True))  # unjittered
         np.testing.assert_array_equal(chol, np.tril(chol))
         assert np.abs(chol @ chol.T - m).max() <= 1e-12 * np.abs(m).max()
 
 
-def symmetric_root(m, err):
-    """The symmetric square root under the shared PD policy: the oracle sampler."""
-    vals, vecs, used = pd_eigh(m, err)
-    return (vecs * vals**0.5) @ vecs.T, used
+def symmetric_root(build, err):
+    """The symmetric square root of ``build()`` under the shared PD policy: the oracle sampler."""
+    vals, vecs, _ = pd_eigh(build(), err)
+    return (vecs * vals**0.5) @ vecs.T
 
 
 def mse_z_scores(cfg: SimConfig) -> dict[str, float]:
@@ -282,7 +337,7 @@ def mse_z_scores(cfg: SimConfig) -> dict[str, float]:
     """
     reports = [run_experiment(cfg, list(MODES), "fixed")]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulate, "pd_cholesky", symmetric_root)
+        patch.setattr(simulate, "draw_root", symmetric_root)
         reports.append(run_experiment(cfg, list(MODES), "fixed"))
     chol, sym = ({row["method"]: row for row in r.summary()} for r in reports)
     z = {}
