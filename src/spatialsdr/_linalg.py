@@ -3,7 +3,7 @@
 Positive definiteness follows one policy everywhere: eigenvalue floor 1e-10,
 certified by a shifted Cholesky factorisation (``pd_cholesky``) or checked by ``eigh``;
 below the floor add ``1e-8 * trace/n`` on the diagonal and retry once, then fail.
-A stack of small matrices takes one stacked certificate, or ``pd_cholesky`` each if it fails
+A stack takes one stacked certificate, or else ``pd_cholesky`` each, the first failure raising
 (``pd_choleskys``).  A certificate is carried only along an ascending decay grid (``geometry``).
 A draw multiplies by its root and never solves with it, so it needs no certificate: its root
 is one plain Cholesky, and the policy decides only when that fails (``draw_root``).
@@ -90,19 +90,12 @@ def _certificate_shift(m: np.ndarray, margin: float = 0.0) -> np.ndarray:
 
 
 def pd_choleskys(ms: np.ndarray, err: type[SpatialSdrError]) -> tuple:
-    """``(chols, ms_used, error)``: ``pd_cholesky`` of each of the stacked ``ms`` before
-    the first that fails the policy, and its error or None.  numpy's stacked call fails
-    as a whole, so each matrix goes alone unless one stacked certificate passes for all."""
+    """``(chols, ms_used)``: ``pd_cholesky`` of each of the stacked ``ms``, raising the first
+    failing matrix's ``err``.  numpy's stacked call fails as a whole, so each matrix goes
+    alone unless one stacked certificate passes for all."""
     try:
         np.linalg.cholesky(ms - _certificate_shift(ms)[:, None, None] * np.eye(ms.shape[-1]))
-        return np.linalg.cholesky(ms), ms, None
+        return np.linalg.cholesky(ms), ms
     except np.linalg.LinAlgError:
-        pairs, error = [], None
-    for m in ms:
-        try:
-            pairs.append(pd_cholesky(m, err))
-        except SpatialSdrError as exc:
-            error = exc
-            break
-    chols, used = np.reshape(pairs, (-1, 2) + ms.shape[1:]).swapaxes(0, 1)
-    return chols, used, error
+        chols, used = np.array([pd_cholesky(m, err) for m in ms]).swapaxes(0, 1)
+        return chols, used

@@ -52,10 +52,11 @@ class SpatialSample:
 def train_test_split(
     sample: SpatialSample, train_frac: float, rng: np.random.Generator
 ) -> tuple[SpatialSample, SpatialSample]:
-    """Uniformly random split without spatial stratification."""
+    """Uniformly random split without spatial stratification, two points or more a side."""
     if not 0.0 < train_frac < 1.0:
         raise InputError("train_frac must be in (0, 1)")
-    n_train = int(round(train_frac * sample.n))
-    n_train = min(max(n_train, 2), sample.n - 1)
+    if sample.n < 4:
+        raise InputError(f"a split needs n >= 4, two points on each side, got n={sample.n}")
+    n_train = min(max(int(round(train_frac * sample.n)), 2), sample.n - 2)
     perm = rng.permutation(sample.n)
     return sample.subset(perm[:n_train]), sample.subset(perm[n_train:])

@@ -5,13 +5,14 @@ for ranks 0..min(p, r) and are therefore independent of the prediction
 rule; cross-validated minimum prediction error depends on it by design.
 
 ``MODELS`` is the one table of model kinds: each kind's predictor-mode
-label and its fitter, which walks its grid once for every rank asked of it.
-``select_ranks`` applies one of the ``POLICIES`` to a sample's reduced
-predictor modes.  ``fit_and_predict`` is the one fit-tune-predict step,
-which each CV fold and the replication harness's test split run: it fits
-each kind for the ranks asked of it, tunes every reference in one
-leave-one-out pass and predicts the held-out responses, isolating the same
-``FAILURES`` per job.
+label and its fitter, which walks its grid once for every rank asked of it
+and returns their fits or raises.  ``select_ranks`` applies one of the
+``POLICIES`` to a sample's reduced predictor modes.  ``fit_and_predict`` is
+the one fit-tune-predict step, which each CV fold and the replication
+harness's test split run: it fits each kind for the ranks asked of it, tunes
+every reference in one leave-one-out pass and predicts the held-out
+responses.  One of ``FAILURES`` costs only the jobs it hits: a kind's failed
+profile each of that kind's jobs, a failed reference or search its own.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .basis import BasisSpec
 from .data import SpatialSample
 from .exceptions import CvFailedError, InputError, NonMonotoneLogliksError, SpatialSdrError
 from .predictor import MODES, PredictorConfig, build_reference, loo_search, predict_many
-from .rrr import raise_failure
 
 MONOTONE_SLACK = 1e-8
 FOLDS = 5  # cross-validation folds
@@ -143,8 +143,8 @@ def mode_kind(mode: str) -> str | None:
 def rank_fits(sample, kind, spec, ranks) -> list:
     """Fits of ``kind`` at each of ``ranks`` from one profile pass over the
     model's default grid of its spatial parameter (decay rates for ``sscm``,
-    lag coefficients for ``sem``, none for ``ind``).  A rank that failed
-    holds its ``SpatialSdrError`` in place of a fit."""
+    lag coefficients for ``sem``, none for ``ind``).  The profile fails as a
+    whole: its first ``SpatialSdrError``, at any grid point or rank, is raised."""
     if kind not in MODELS:
         raise InputError(f"unknown model kind {kind!r}")
     return MODELS[kind][1](sample, spec, ranks)
@@ -154,7 +154,7 @@ def loglik_profile(sample: SpatialSample, kind: str, spec: BasisSpec) -> np.ndar
     """Maximized log-likelihood for each rank 0..min(p, r), each rank with
     its own argmax of the spatial parameter over the default grid."""
     ranks = range(min(sample.p, spec.degree) + 1)
-    return np.array([f.loglik for f in raise_failure(rank_fits(sample, kind, spec, ranks))])
+    return np.array([f.loglik for f in rank_fits(sample, kind, spec, ranks)])
 
 
 def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec: BasisSpec,
@@ -207,16 +207,19 @@ def select_cv(
     Folds come from a shuffle seeded by ``seed`` alone, without spatial
     stratification; the harness passes the replication index, not
     ``cfg.seed``, so experiments that differ only in their seed share each
-    replication's fold permutation.  A fold failure invalidates that rank;
-    if every candidate fails, ``CvFailedError`` is raised.  Ties break to
-    the smallest rank.
+    replication's fold permutation.  A failure in a fold invalidates the
+    ranks it hits, every rank when it fails the profile; if every candidate
+    fails, ``CvFailedError`` is raised.  Ties break to the smallest rank.
     """
     if kernels not in ("1k", "2k"):
         raise InputError("kernels must be '1k' or '2k'")
     if kind not in MODELS:
         raise InputError(f"unknown model kind {kind!r}")
     mode = f"{kernels}.{MODELS[kind][0]}"
-    return raise_failure(_cv_selections(sample, [mode], spec, seed))[0]
+    [selection] = _cv_selections(sample, [mode], spec, seed)
+    if isinstance(selection, CvFailedError):
+        raise selection
+    return selection
 
 
 def _cv_selections(sample, modes, spec, seed=0) -> list:
@@ -280,7 +283,7 @@ def select_ranks(sample, modes, spec, policy, d, seed) -> tuple[dict, dict]:
     picks, fits = {}, {}
     for kind in dict.fromkeys(map(mode_kind, reduced)):
         try:
-            profile = raise_failure(rank_fits(sample, kind, spec, range(min(sample.p, spec.degree) + 1)))
+            profile = rank_fits(sample, kind, spec, range(min(sample.p, spec.degree) + 1))
             args = (np.array([fit.loglik for fit in profile]), sample.p, spec.degree, sample.n)
             pick = (select_lr(*args) if policy == "lr" else select_ic(*args, kind=policy)).d_star
             fits.update(((kind, rank), fit) for rank, fit in enumerate(profile))

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
-from .rrr import SdrFit, design, moments_of, profile, raise_failure
+from .rrr import SdrFit, design, moments_of, profile
 
 
 def fit_independent(sample: SpatialSample, spec: BasisSpec, rank: int) -> SdrFit:
-    """Rank-constrained PFC fit assuming independent errors."""
-    return raise_failure(rank_fits(sample, spec, [rank]))[0]
+    """Rank-constrained PFC fit assuming independent errors; raises if it fails."""
+    return rank_fits(sample, spec, [rank])[0]
 
 
 def rank_fits(sample, spec, ranks) -> list:
-    """``fit_independent`` at each of ``ranks``, or the error that stopped
-    it."""
+    """``fit_independent`` at each of ``ranks``; the first error fails them all."""
     rows, shift = design(sample.x, build_f(sample.y, spec))
-    points = (moments_of(rows, sample.p, shift) for _ in [None])  # lazy: its error fails each rank
-    return profile(SdrFit, "ind", ranks, [None], points)
+    return profile(SdrFit, "ind", ranks, [None], [moments_of(rows, sample.p, shift)])

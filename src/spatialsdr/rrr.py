@@ -26,6 +26,7 @@ As ``L = D_ls^{1/2} U`` for an orthogonal ``U``, that root's leading left singul
 the same estimate up to the signs of ``a``'s columns and ``b``'s rows.  ``rrr_mle``, run at
 each rank's argmax only, takes them from one triangular solve and one SVD per point, with no
 eigendecomposition; the reduction directions ``inv(resid_cov) @ a`` are ``L^{-T} V_d``.
+``profile`` returns fits only: an error at any point or rank fails the whole profile.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .exceptions import (
     RankOutOfRangeError,
     SingularFeatureCovError,
     SingularResidualCovError,
-    SpatialSdrError,
 )
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -117,18 +117,12 @@ class LsFit:
         return whitened_coef, v, sv
 
 
-def ls_fits(moments: Iterable[Moments]) -> list:
+def ls_fits(moments: Iterable[Moments]) -> list[LsFit]:
     """Center by the Schur complement, fit by LS and take ``K``'s eigenvalues from the
     certified Cholesky factor of ``D_ls``, at all ``moments`` (of one ``n`` and ``p``) in
-    one stacked pass: an ``LsFit`` per point up to the first that fails (raising in
-    ``moments``, or at ``S_ff`` or ``D_ls``), then its error."""
-    points, stop = [], []  # stop: the error that ends the stack, if any
-    try:
-        points.extend(moments)
-    except SpatialSdrError as exc:
-        stop = [exc]
-    if not points:
-        return stop
+    one stacked pass: an ``LsFit`` per point, or the first error, raised in ``moments``
+    or at a singular ``S_ff`` or ``D_ls``."""
+    points = list(moments)
     n, p = points[0].n, points[0].p
     mom = np.stack([point.m for point in points])
     s = symmetrize(mom[:, 1:, 1:] - mom[:, 1:, :1] * mom[:, :1, 1:] / mom[:, :1, :1]) / n
@@ -136,19 +130,17 @@ def ls_fits(moments: Iterable[Moments]) -> list:
     lo, hi = np.linalg.eigvalsh(s_ff)[:, [0, -1]].T
     singular = np.flatnonzero(lo / np.where(lo > 0.0, hi, 1.0) < 1e-13)  # lo <= 0 or lo/hi < 1e-13
     if singular.size:
-        k = singular[0]
-        stop = [SingularFeatureCovError(
-            f"feature second-moment matrix is singular (min eig {lo[k]:.3e})"
-        )]
-        s_xx, s_fx, s_ff, points = s_xx[:k], s_fx[:k], s_ff[:k], points[:k]
+        raise SingularFeatureCovError(
+            f"feature second-moment matrix is singular (min eig {lo[singular[0]]:.3e})"
+        )
     c_ls = np.linalg.solve(s_ff, s_fx).swapaxes(1, 2)
-    chol, d_ls, failure = pd_choleskys(symmetrize(s_xx - c_ls @ s_fx), SingularResidualCovError)
+    chol, d_ls = pd_choleskys(symmetrize(s_xx - c_ls @ s_fx), SingularResidualCovError)
     # numpy has no stacked triangular solve; LU with partial pivoting is backward stable on L too
-    root = np.linalg.solve(chol, c_ls[: len(chol)] @ np.linalg.cholesky(s_ff[: len(chol)]))
+    root = np.linalg.solve(chol, c_ls @ np.linalg.cholesky(s_ff))
     logdet_ls = 2.0 * np.log(np.diagonal(chol, 0, 1, 2)).sum(axis=1)
     fit_vals = np.linalg.svd(root, compute_uv=False) ** 2  # of L^{-1} C_ls chol(S_ff)
     fits = zip(points, c_ls, s_ff, d_ls, chol, logdet_ls.tolist(), fit_vals)
-    return [LsFit(*fit) for fit in fits] + ([failure] if failure else stop)
+    return [LsFit(*fit) for fit in fits]
 
 
 @dataclass(frozen=True)
@@ -262,26 +254,16 @@ class SdrFit:
 def profile(fit_type, kind, ranks, params, moments) -> list:
     """Profile a spatial parameter for several ranks in one pass over its grid.
 
-    ``moments`` yields the ``Moments`` of each point of ``params`` in turn (or raises
-    at one); their one stacked ``ls_fits`` gives every live rank its closed-form
-    ``loglik`` at each point; ties keep the earliest point.  ``rrr_mle`` then runs
-    once per rank, at its argmax, giving ``fit_type(kind, est, mu, loglik, grid,
-    param)`` (no ``param`` for a ``None`` one).  A ``SpatialSdrError`` ends the rank
-    it hits (every live rank when it is ``ls_fits``'s error at a point) and takes
-    that rank's place in the result.
+    ``moments`` yields the ``Moments`` of each point of ``params`` in turn; their one
+    stacked ``ls_fits`` gives every rank its closed-form ``loglik`` at each point; ties
+    keep the earliest point.  ``rrr_mle`` then runs once per rank, at its argmax, giving
+    ``fit_type(kind, est, mu, loglik, grid, param)`` (no ``param`` for a ``None`` one).
+    The first ``SpatialSdrError``, of any point or rank, fails the whole profile.
     """
-    grids, best, failed = {rank: {} for rank in ranks}, {}, {}
+    grids, best = {rank: {} for rank in ranks}, {}
     for param, ls in zip(params, ls_fits(moments)):
-        live = [rank for rank in ranks if rank not in failed]
-        if isinstance(ls, SpatialSdrError):
-            failed.update(dict.fromkeys(live, ls))
-            break
-        for rank in live:
-            try:
-                ll = loglik(ls, rank)
-            except SpatialSdrError as exc:
-                failed[rank] = exc
-                continue
+        for rank in ranks:
+            ll = loglik(ls, rank)
             grids[rank][param] = ll
             if rank not in best or ll > best[rank][2]:
                 best[rank] = (param, ls, ll)
@@ -293,12 +275,4 @@ def profile(fit_type, kind, ranks, params, moments) -> list:
         extra = () if param is None else (param,)
         return fit_type(kind, est, profiled_mean(ls, est), ll, grid, *extra)
 
-    return [failed[rank] if rank in failed else result(rank) for rank in ranks]
-
-
-def raise_failure(results: list) -> list:
-    """Raise the first error in a ``profile`` result, else return it."""
-    for res in results:
-        if isinstance(res, SpatialSdrError):
-            raise res
-    return results
+    return [result(rank) for rank in ranks]

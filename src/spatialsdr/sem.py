@@ -31,7 +31,7 @@ from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, SingularFilterError
 from .geometry import max_min_distance, neighbor_weights
-from .rrr import Moments, SdrFit, design, profile, raise_failure
+from .rrr import Moments, SdrFit, design, profile
 
 DEFAULT_GRID = np.round(np.arange(-0.95, 0.951, 0.05), 2)  # -0.95 .. 0.95 in steps of 0.05
 COND_LIMIT = 1e14  # largest accepted condition number of I - coef D^{-1/2} A D^{-1/2}
@@ -86,14 +86,14 @@ def fit_sem(
     The neighbor matrix is the distance-threshold construction at the
     largest nearest-neighbor distance.  Ties in the profile likelihood
     break toward the coefficient of smallest magnitude (the model closest
-    to independence).
+    to independence); a lag that fails raises its error.
     """
-    return raise_failure(rank_fits(sample, spec, [rank], lag_grid))[0]
+    return rank_fits(sample, spec, [rank], lag_grid)[0]
 
 
 def rank_fits(sample, spec, ranks, lag_grid=None) -> list:
-    """``fit_sem`` at each of ``ranks`` from one pass over the lag grid, or
-    the error that stopped that rank."""
+    """``fit_sem`` at each of ``ranks`` from one pass over the lag grid; the
+    first error, at any lag or rank, fails them all."""
     f = build_f(sample.y, spec)
     dist = sample.coords.distances
     weights = neighbor_weights(dist, max_min_distance(dist))

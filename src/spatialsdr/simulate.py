@@ -60,8 +60,10 @@ class SimConfig:
             raise InputError("train_frac must be in (0, 1)")
         if self.reps < 1:
             raise InputError("reps must be >= 1")
-        if self.d > min(self.r, self.p):
-            raise InputError("d must not exceed min(r, p)")
+        if self.p < 1 or self.r < 1:
+            raise InputError(f"need p >= 1 and r >= 1, got p={self.p}, r={self.r}")
+        if not 0 <= self.d <= min(self.r, self.p):
+            raise InputError(f"d must lie in 0..min(r, p), got d={self.d}")
 
 
 def check_error_law(model: str, param: float) -> None:
@@ -268,10 +270,10 @@ def run_experiment(
     A failed replication records NaN for that method and continues;
     methods failing in at least 20% of replications are flagged unstable.
     ``workers`` threads run the replications; results are identical for
-    any count.  With ``workers > 1`` set ``OPENBLAS_NUM_THREADS=1`` (or
-    the variable of the BLAS in use) before numpy is imported: each
-    worker's BLAS calls otherwise start their own threads and
-    oversubscribe the cores.
+    any count.  For any count set ``OPENBLAS_NUM_THREADS=1`` (or the
+    variable of the BLAS in use) before numpy is imported: BLAS threads slow
+    the small products of a serial run too, and with ``workers > 1`` each
+    worker's BLAS calls otherwise start their own and oversubscribe the cores.
     """
     for mode in methods:
         if mode not in MODES:

@@ -28,7 +28,7 @@ from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, NonPositiveDecayError
 from .geometry import DistanceMatrix, ExpCorrelation, exp_correlations, sorted_median
-from .rrr import Moments, SdrFit, design, moments_of, profile, raise_failure
+from .rrr import Moments, SdrFit, design, moments_of, profile
 
 DEFAULT_GRID_SIZE = 20
 DEFAULT_GRID_SPAN = (0.1, 10.0)  # multiples of 1/median-distance
@@ -71,14 +71,14 @@ def fit_sscm(
 ) -> SscmFit:
     """Profile the decay rate over a grid and keep the argmax fit.
 
-    Ties break to the smallest decay.
+    Ties break to the smallest decay; a decay that fails raises its error.
     """
-    return raise_failure(rank_fits(sample, spec, [rank], decay_grid))[0]
+    return rank_fits(sample, spec, [rank], decay_grid)[0]
 
 
 def rank_fits(sample, spec, ranks, decay_grid=None) -> list:
-    """``fit_sscm`` at each of ``ranks`` from one pass over the decay grid,
-    or the error that stopped that rank."""
+    """``fit_sscm`` at each of ``ranks`` from one pass over the decay grid;
+    the first error, at any decay or rank, fails them all."""
     f = build_f(sample.y, spec)
     dist = sample.coords.distances
     if decay_grid is None:

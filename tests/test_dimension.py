@@ -204,13 +204,17 @@ class TestSelectCv:
         assert "bandwidth grid" in sel.trace[1]["failure"]
 
     @pytest.mark.parametrize("kind", ["ind", "sem"])
-    def test_failure_at_one_rank_keeps_the_others(self, monkeypatch, kind):
+    def test_failure_at_one_rank_fails_the_kind(self, monkeypatch, kind):
+        # a profile fails as a whole, so the forced rank-2 failure costs the
+        # kind both ranks in the first fold, and no later fold is run; the
+        # failure of one rank's reference keeps the others (see above)
         from spatialsdr import rrr
 
-        original = rrr.loglik
+        original, failed = rrr.loglik, []
 
         def fails_at_rank_two(ls, rank):
             if rank == 2:
+                failed.append(ls)
                 raise SingularResidualCovError("forced failure at rank 2")
             return original(ls, rank)
 
@@ -219,12 +223,9 @@ class TestSelectCv:
             if name.startswith("spatialsdr") and getattr(mod, "loglik", None) is original:
                 monkeypatch.setattr(mod, "loglik", fails_at_rank_two)
         sample = random_sample(50, 3, seed=9)
-        sel = select_cv(sample, kind, BasisSpec("polynomial", 2))
-        assert sel.d_star == 1
-        rows = {row["rank"]: row for row in sel.trace}
-        assert np.isfinite(rows[1]["cv_error"])
-        assert rows[2]["cv_error"] is None
-        assert "forced failure at rank 2" in rows[2]["failure"]
+        with pytest.raises(CvFailedError):
+            select_cv(sample, kind, BasisSpec("polynomial", 2))
+        assert len(failed) == 1
 
 
 class TestModels:

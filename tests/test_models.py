@@ -14,7 +14,7 @@ from spatialsdr.basis import BasisSpec, build_f
 from spatialsdr.data import SpatialSample, train_test_split
 from spatialsdr.dimension import rank_fits
 from spatialsdr.exceptions import EmptyGridError, InputError, NonPositiveDecayError, SingularFilterError
-from spatialsdr.exceptions import NearSingularCorrelationError, NonFiniteLoglikError
+from spatialsdr.exceptions import NearSingularCorrelationError
 from spatialsdr.geometry import (
     Coordinates,
     exp_correlation,
@@ -513,15 +513,14 @@ def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
 
 
 def test_a_decay_failing_mid_grid_ends_the_ranks_live_there(monkeypatch):
-    # the third of five decays fails to factor: the first two keep their grid
-    # values, no later decay is factored, and every rank still live holds the
-    # error (rank 2 already failed at the first decay and keeps its own)
-    from spatialsdr import geometry, rrr
+    # the third of five decays fails to factor: the profile raises that error
+    # for every rank before any log-likelihood is read, and no later decay is
+    # factored; a fit-and-predict step gives the error to each rank's job
+    from spatialsdr import dimension, geometry, rrr
 
     sample = random_sample(50, 3, seed=5)
     spec = BasisSpec("polynomial", 2)
     grid = [0.5, 1.0, 2.0, 4.0, 8.0]
-    kept = sscm.rank_fits(sample, spec, [0, 1], grid[:2])
     error, factored = NearSingularCorrelationError("forced at the third decay"), []
 
     def failing_third(original):
@@ -535,16 +534,19 @@ def test_a_decay_failing_mid_grid_ends_the_ranks_live_there(monkeypatch):
     logged, original_loglik = [], rrr.loglik
 
     def loglik(ls, rank):
-        if rank == 2:
-            raise NonFiniteLoglikError("forced at rank 2")
-        logged.append((rank, original_loglik(ls, rank)))
-        return logged[-1][1]
+        logged.append(rank)
+        return original_loglik(ls, rank)
 
     for name in ("pd_cholesky", "cholesky"):
         monkeypatch.setattr(geometry, name, failing_third(getattr(geometry, name)))
     monkeypatch.setattr(rrr, "loglik", loglik)
-    fits = sscm.rank_fits(sample, spec, [0, 1, 2], grid)
+    with pytest.raises(NearSingularCorrelationError) as raised:
+        sscm.rank_fits(sample, spec, [0, 1, 2], grid)
+    assert raised.value is error
     assert len(factored) == 3
-    assert fits[0] is error and fits[1] is error
-    assert isinstance(fits[2], NonFiniteLoglikError)
-    assert logged == [(rank, kept[rank].grid[i][1]) for i in range(2) for rank in (0, 1)]
+    factored.clear()
+    jobs = [("2k.SSCM", rank) for rank in (0, 1, 2)]
+    train, test = sample.subset(np.arange(40)), sample.subset(np.arange(40, 50))
+    assert all(out is error for out in dimension.fit_and_predict(jobs, train, test, spec))
+    assert len(factored) == 3
+    assert logged == []

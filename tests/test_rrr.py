@@ -19,7 +19,6 @@ from spatialsdr.rrr import (
     ls_fits,
     moments_of,
     profiled_mean,
-    raise_failure,
     rrr_mle,
 )
 
@@ -28,9 +27,9 @@ from conftest import dense_loglik, eigh_loglik, span_distance
 
 def independent_fit(x, f, logdet_s_term=0.0):
     """The shared fit of the rows ``[1 x f]`` under independent errors; raises
-    the error ``ls_fits`` holds in its place."""
+    the error ``ls_fits`` raises."""
     rows, shift = design(x, f)
-    return raise_failure(ls_fits([moments_of(rows, x.shape[1], shift, logdet_s_term)]))[0]
+    return ls_fits([moments_of(rows, x.shape[1], shift, logdet_s_term)])[0]
 
 
 def whitened(n, p, r, seed, signal=0.0):
@@ -373,19 +372,17 @@ class TestStackedLsFits:
 
     def test_a_failing_point_ends_the_stack(self):
         # predictors that the features fit exactly leave D_ls at rounding level,
-        # which fails the policy even after jitter; the point before keeps its
-        # fit, and no point after it is fitted
+        # which fails the policy even after jitter; the stack raises its error,
+        # with good points around it or alone
         rng = np.random.default_rng(2)
         f = rng.standard_normal((60, 2))
         rows, shift = design(f @ rng.standard_normal((4, 2)).T, f)
         exact = moments_of(rows, 4, shift)
         good = whitened(60, 4, 2, seed=3, signal=0.5)[2].moments
-        fits = ls_fits([good, exact, good])
-        assert len(fits) == 2
-        assert_same_fit(fits[0], *ls_fits([good]))
-        assert isinstance(fits[1], SingularResidualCovError)
-        [alone] = ls_fits([exact])
-        assert isinstance(alone, SingularResidualCovError)
+        with pytest.raises(SingularResidualCovError):
+            ls_fits([good, exact, good])
+        with pytest.raises(SingularResidualCovError):
+            ls_fits([exact])
 
 
 class TestReduction:

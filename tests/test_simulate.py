@@ -1,5 +1,6 @@
 """The replication harness: golden reports, threading, failures, sampling."""
 
+import dataclasses
 import json
 import statistics
 import sys
@@ -12,8 +13,10 @@ from scipy.linalg import cholesky
 from spatialsdr import geometry, predictor, sem, simulate, sscm
 from spatialsdr._linalg import pd_eigh
 from spatialsdr.basis import BasisSpec
+from spatialsdr.data import train_test_split
 from spatialsdr.dimension import POLICIES
 from spatialsdr.exceptions import InputError, NonPositiveDecayError, SingularFilterError
+from spatialsdr.exceptions import SingularFeatureCovError
 from spatialsdr.geometry import Coordinates, max_min_distance, neighbor_weights, pairwise_distances
 from spatialsdr.predictor import MODES
 from spatialsdr.rrr import SdrFit
@@ -100,12 +103,26 @@ def linalg_failure(original):
     return whiten
 
 
+def zeroed_features(original):
+    """``whiten_sem`` whose moments have every feature row and column zeroed, so that
+    ``S_ff`` is 0 at every lag and ``ls_fits`` raises for the whole profile."""
+
+    def whiten(x, f, weights, coefs):
+        for moments in original(x, f, weights, coefs):
+            m = moments.m.copy()
+            m[x.shape[1] + 1 :] = m[:, x.shape[1] + 1 :] = 0.0
+            yield dataclasses.replace(moments, m=m)
+
+    return whiten
+
+
 # Each fault under each policy; folds and the test split isolate both alike.
 SEM_FAULTS = [
     pytest.param(policy, fault, error, id=policy + suffix)
     for fault, error, suffix in [
         (nan_lags, SingularFilterError, ""),
         (linalg_failure, np.linalg.LinAlgError, "-linalg"),
+        (zeroed_features, SingularFeatureCovError, "-singular-features"),
     ]
     for policy in ("fixed", "aic", "cv")
 ]
@@ -157,14 +174,49 @@ def test_cv_replication_runs_one_loo_pass_per_fold(monkeypatch):
 @pytest.mark.parametrize(
     "model, field, value",
     [("sem", "lag_coef", v) for v in (1.5, -3.0, 1.0, -1.0, np.nan, np.inf)]
-    + [("sscm", "decay", v) for v in (0.0, -0.5, np.nan, np.inf)],
+    + [("sscm", "decay", v) for v in (0.0, -0.5, np.nan, np.inf)]
+    + [(model, field, v) for model in ("sscm", "sem")
+       for field, v in (("d", -1), ("p", 0), ("r", 0))],
 )
 def test_config_rejects_a_parameter_outside_its_model(model, field, value):
-    with pytest.raises(InputError, match=field):
-        SimConfig(n=60, p=4, reps=2, seed=7, model=model, **{field: value})
-    # the other model's parameter is not used, so it is not checked
-    other = "sscm" if model == "sem" else "sem"
-    assert getattr(SimConfig(model=other, **{field: value}), field) is value
+    # d = 0 lies in 0..min(r, p) for any p and r, so p and r are checked on their own
+    kwargs = {"p": 4, "d": 0 if field in ("p", "r") else 2, field: value}
+    with pytest.raises(InputError, match=rf"\b{field}\b"):
+        SimConfig(n=60, reps=2, seed=7, model=model, **kwargs)
+    if field in ("decay", "lag_coef"):
+        # the other model's parameter is not used, so it is not checked
+        other = "sscm" if model == "sem" else "sem"
+        assert getattr(SimConfig(model=other, **{field: value}), field) is value
+
+
+@pytest.mark.parametrize("model", ["sscm", "sem"])
+def test_rank_zero_config_runs(model):
+    # d = 0 is a valid true rank: the data carry no mean signal, and every mode still predicts
+    report = run_experiment(SimConfig(n=60, p=4, reps=1, d=0, seed=7, model=model), list(MODES))
+    assert all(np.isfinite(report.mse[m][0]) for m in MODES)
+    assert all(report.d_selected[m] == [0] for m in MODES)
+
+
+@pytest.mark.parametrize("n, train_frac, sizes", [(60, 0.99, (58, 2)), (60, 0.01, (2, 58)),
+                                                  (4, 0.7, (2, 2)), (400, 0.7, (280, 120))])
+def test_split_leaves_two_points_a_side(n, train_frac, sizes):
+    # Coordinates needs two locations, so each side keeps two, and the paper's split is unchanged
+    sample = _draw_sample(SimConfig(n=n, p=2, reps=1), np.random.default_rng(0))
+    train, test = train_test_split(sample, train_frac, np.random.default_rng(1))
+    assert (train.n, test.n) == sizes
+    assert sorted(map(tuple, np.vstack([train.x, test.x]))) == sorted(map(tuple, sample.x))
+
+
+def test_a_config_that_rounds_to_one_test_point_runs():
+    report = run_experiment(SimConfig(n=60, p=4, reps=1, seed=7, train_frac=0.99), ["2k.FULL"])
+    assert np.isfinite(report.mse["2k.FULL"][0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_split_rejects_a_sample_too_small_to_split(n):
+    sample = _draw_sample(SimConfig(n=4, p=1, d=1), np.random.default_rng(0)).subset(np.arange(n))
+    with pytest.raises(InputError, match=f"n={n}"):
+        train_test_split(sample, 0.5, np.random.default_rng(1))
 
 
 def nan_reduce(self, x):
