@@ -187,7 +187,7 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
             refs[key] = fit if isinstance(fit, FAILURES) else build_reference(mode, train, fit)
     live = [key for key, ref in refs.items() if not isinstance(ref, FAILURES)]
     two_kernel = any(mode.startswith("2k") for mode, _ in jobs)
-    searches = dict(zip(live, loo_search([refs[k] for k in live], two_kernel) if live else []))
+    searches = dict(zip(live, loo_search([refs[k] for k in live], two_kernel)))
     out = []
     for (mode, _), key in zip(jobs, keys):
         search = searches.get(key, refs[key])
@@ -209,7 +209,8 @@ def select_cv(
     ``cfg.seed``, so experiments that differ only in their seed share each
     replication's fold permutation.  A failure in a fold invalidates the
     ranks it hits, every rank when it fails the profile; if every candidate
-    fails, ``CvFailedError`` is raised.  Ties break to the smallest rank.
+    fails, or a fold would hold fewer than two points (n < 2 * ``FOLDS``),
+    ``CvFailedError`` is raised.  Ties break to the smallest rank.
     """
     if kernels not in ("1k", "2k"):
         raise InputError("kernels must be '1k' or '2k'")
@@ -225,8 +226,10 @@ def select_cv(
 def _cv_selections(sample, modes, spec, seed=0) -> list:
     """``select_cv`` for each of the reduced ``modes``, of any kinds and
     kernels: each fold is one ``fit_and_predict`` of every live (mode, rank).
-    A mode whose ranks all failed holds a ``CvFailedError`` in place of a
-    result."""
+    A mode whose ranks all failed, or every mode when a fold would have fewer
+    than two points, holds a ``CvFailedError`` in place of a result."""
+    if sample.n < 2 * FOLDS:
+        return [CvFailedError(f"cross-validation needs n >= {2 * FOLDS}, got n={sample.n}")] * len(modes)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(sample.n)
     ranks = range(1, min(sample.p, spec.degree) + 1)

@@ -11,8 +11,9 @@ is tuned in one shared pass over blocks of ``n // grid size`` rows: since
 the product kernel factorises, each block evaluates the h2 kernels once for
 all references and each reference's h1 kernels once, and one batched matmul
 per reference gives its one- and two-kernel weighted sums together.  Every
-block reuses one buffer each for its kernels, right-hand sides and sums,
-about three n x n matrices in all, and divides straight into the outputs.
+block reuses one buffer each for its kernels, right-hand sides, sums and
+predictions, about three n x n matrices in all, and adds its squared errors
+straight into per-bandwidth sums.
 ``dimension.fit_and_predict`` fits the reductions the references are built from.
 """
 
@@ -114,21 +115,6 @@ def _sq_distances(query: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return cdist(query, pts, metric="sqeuclidean")
 
 
-def _weights_rows(u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Simplex weights per row of squared scaled distances, with the
-    nearest-point fallback for rows whose kernel mass underflows."""
-    k = np.exp(-0.5 * u2)
-    sums = k.sum(axis=1)
-    fell_back = sums <= 0.0
-    if np.any(fell_back):
-        k = k.copy()
-        for i in np.flatnonzero(fell_back):
-            k[i] = 0.0
-            k[i, np.argmin(u2[i])] = 1.0
-        sums = k.sum(axis=1)
-    return k / sums[:, None], fell_back
-
-
 def predict_many(
     x_query: np.ndarray,
     s_query: np.ndarray,
@@ -152,8 +138,11 @@ def predict_many(
     u2 = _sq_distances(_reduced(config.mode, x_query, fit), ref.points) / config.h1**2
     if config.two_kernel:
         u2 = u2 + _sq_distances(s_query, ref.coords) / config.h2**2
-    w, fell_back = _weights_rows(u2)
-    return w @ ref.responses, fell_back
+    k = np.exp(-0.5 * u2)
+    fell_back = k.sum(axis=1) <= 0.0
+    rows = np.flatnonzero(fell_back)  # every kernel value zero: the nearest point alone
+    k[rows, np.argmin(u2[rows], axis=1)] = 1.0
+    return (k / k.sum(axis=1)[:, None]) @ ref.responses, fell_back
 
 
 def default_bandwidth_grid(points: np.ndarray) -> np.ndarray:
@@ -175,14 +164,13 @@ def default_bandwidth_grid(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LooSearch:
-    """One reference's LOO predictions, shape (h1, h2 + 1, n): column ``j <
+    """One reference's LOO mean squared errors, shape (h1, h2 + 1): column ``j <
     h2`` pairs each h1 with ``h2_grid[j]``, the last is the one-kernel search.
-    ``fell_back`` flags predictions made by the nearest other point because
-    every kernel value underflowed; ``errors`` is their mean squared error."""
+    ``fell_back``, shape (h1, h2 + 1, n), flags the points predicted by the
+    nearest other point because every kernel value underflowed."""
 
     h1_grid: np.ndarray
     h2_grid: np.ndarray
-    yhat: np.ndarray
     fell_back: np.ndarray
     errors: np.ndarray
 
@@ -209,17 +197,20 @@ def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None)
     evaluates the h2 kernels once and each reference's h1 kernels once, and
     one batched matmul per reference against ``[k2, 1, k2 y, y]`` gives every
     (h1, h2) pair's and every one-kernel h1's mass and weighted sum.  The
-    kernels, the right-hand sides and the sums of every block overwrite one
-    buffer each, and each ratio is divided straight into ``yhat``.  A mass
-    below ``TINY_MASS`` may have lost digits to underflow in the products, so
-    that (row, h1, h2) is recomputed from the combined exponent; a block whose
-    masses all clear it skips that scan.
+    kernels, the right-hand sides, the sums and the predictions of every block
+    overwrite one buffer each, and each block's squared errors are added to
+    ``errors``, divided by n after the last block.  A mass below ``TINY_MASS``
+    may have lost digits to underflow in the products, so that (row, h1, h2)
+    is recomputed from the combined exponent; a block whose masses all clear
+    it skips that scan.
     """
+    if h1_grids is not None and len(h1_grids) != len(refs):
+        raise InputError(f"{len(h1_grids)} h1 grids for {len(refs)} references")
+    if not refs:
+        return []
     y, coords, n = refs[0].responses, refs[0].coords, refs[0].n
     if not all(np.array_equal(r.responses, y) and np.array_equal(r.coords, coords) for r in refs):
         raise InputError("references must share one training sample")
-    if h1_grids is not None and len(h1_grids) != len(refs):
-        raise InputError(f"{len(h1_grids)} h1 grids for {len(refs)} references")
     if n < 3:
         return [InputError("leave-one-out tuning needs at least 3 points")] * len(refs)
     h2_grid = _search_grid(h2_grid, coords) if two_kernel else np.empty(0)
@@ -232,19 +223,17 @@ def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None)
             found.append(exc)
             continue
         shape = (grid.size, g2 + 1, n)
-        found.append(LooSearch(grid, h2_grid, np.empty(shape), np.zeros(shape, bool), np.empty(shape[:2])))
+        found.append(LooSearch(grid, h2_grid, np.zeros(shape, bool), np.zeros(shape[:2])))
         live.append((ref.points, found[-1]))
     if live:
         _loo_pass(live, y, coords, h2_grid)
-    for _, s in live:
-        s.errors[...] = np.mean((s.yhat - y) ** 2, axis=-1)
     return found
 
 
 def _loo_pass(live: list, y: np.ndarray, coords: np.ndarray, h2_grid: np.ndarray) -> None:
-    """``yhat`` and ``fell_back`` of each ``(points, LooSearch)`` in ``live``, in one pass
-    over blocks of rows that writes the kernels, the right-hand sides and the weighted sums
-    of every block into the same three buffers, freed on return."""
+    """``errors`` and ``fell_back`` of each ``(points, LooSearch)`` in ``live``, in one pass
+    over blocks of rows that writes the kernels, the right-hand sides, the weighted sums and
+    the predictions of every block into the same four buffers, freed on return."""
     n, g2 = y.size, h2_grid.size
     g1 = max(s.h1_grid.size for _, s in live)
     step = max(1, n // max(g1, g2))
@@ -253,6 +242,7 @@ def _loo_pass(live: list, y: np.ndarray, coords: np.ndarray, h2_grid: np.ndarray
     rhs_buf = np.empty((2 * g2 + 2, step, n))
     rhs_buf[g2], rhs_buf[-1] = 1.0, y
     sums_buf = np.empty(step * g1 * (2 * g2 + 2))
+    pred_buf = np.empty(step * g1 * (g2 + 1))
     diag = np.arange(n)
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
@@ -268,13 +258,17 @@ def _loo_pass(live: list, y: np.ndarray, coords: np.ndarray, h2_grid: np.ndarray
             sums = sums_buf[: size * k1.shape[0] * rhs.shape[0]].reshape(size, k1.shape[0], -1)
             np.matmul(k1.transpose(1, 0, 2), rhs.transpose(1, 2, 0), out=sums)
             mass, num = sums[..., : g2 + 1], sums[..., g2 + 1 :]
+            pred = pred_buf[: mass.size].reshape(mass.shape)
             with np.errstate(divide="ignore", invalid="ignore"):  # tiny masses are redone below
-                np.divide(num.transpose(1, 2, 0), mass.transpose(1, 2, 0), out=s.yhat[:, :, rows])
-            if mass.min() >= TINY_MASS:
-                continue
-            for b, i, j in zip(*np.nonzero(mass < TINY_MASS)):
-                u = d1[b] / s.h1_grid[i] ** 2 + (d2[b] / h2_grid[j] ** 2 if j < g2 else 0.0)
-                s.yhat[i, j, start + b], s.fell_back[i, j, start + b] = _loo_row(u, start + b, y)
+                np.divide(num, mass, out=pred)
+            if mass.min() < TINY_MASS:
+                for b, i, j in zip(*np.nonzero(mass < TINY_MASS)):
+                    u = d1[b] / s.h1_grid[i] ** 2 + (d2[b] / h2_grid[j] ** 2 if j < g2 else 0.0)
+                    pred[b, i, j], s.fell_back[i, j, start + b] = _loo_row(u, start + b, y)
+            pred -= y[rows, None, None]
+            s.errors[...] += np.square(pred, out=pred).sum(axis=0)
+    for _, s in live:
+        s.errors[...] /= n
 
 
 def loocv_bandwidths(ref: TrainingReference, config: PredictorConfig) -> tuple[float, float | None]:

@@ -155,6 +155,13 @@ class TestSelectCv:
         with pytest.raises(InputError, match="bogus"):
             select_cv(sample, "bogus", BasisSpec("polynomial", 2))
 
+    def test_every_fold_needs_two_points(self):
+        # 9 points leave a fold of one; 10 give every fold two
+        spec = BasisSpec("polynomial", 1)
+        with pytest.raises(CvFailedError, match="n=9"):
+            select_cv(random_sample(9, 2, seed=6), "ind", spec)
+        assert select_cv(random_sample(10, 2, seed=6), "ind", spec).d_star == 1
+
     def test_seeded_folds_reproducible(self):
         sample = random_sample(50, 3, seed=8)
         spec = BasisSpec("polynomial", 2)

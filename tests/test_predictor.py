@@ -286,15 +286,20 @@ def oracle_loo(d1, d2, y, h1_grid, h2_grid):
 
 
 def engine(ref, two_kernel, h1_grid=None, h2_grid=None):
-    """The search engine's predictions and flags next to the oracle's."""
+    """The search engine's errors and flags next to the oracle's predictions and flags."""
     [search] = loo_search([ref], two_kernel, [h1_grid], h2_grid)
     return engine_columns(search, two_kernel), oracle_of(ref, search, two_kernel)
 
 
 def engine_columns(search, two_kernel):
-    """A search's (h1, h2, n) predictions and flags of one kernel count."""
+    """A search's (h1, h2) errors and (h1, h2, n) flags of one kernel count."""
     cols = slice(0, -1) if two_kernel else slice(-1, None)
-    return search.yhat[:, cols], search.fell_back[:, cols]
+    return search.errors[:, cols], search.fell_back[:, cols]
+
+
+def mean_sq_errors(yhat, y):
+    """Per-column mean squared error of (h1, h2, n) predictions."""
+    return np.mean((yhat - y) ** 2, axis=-1)
 
 
 def oracle_of(ref, search, two_kernel):
@@ -330,12 +335,9 @@ class TestLooEngine:
             responses=rng.standard_normal(n),
             coords=rng.uniform(size=(n, 2)),
         )
-        (yhat, fell_back), (want, want_fb, best) = engine(ref, two_kernel)
-        y = ref.responses
+        (errors, fell_back), (want, want_fb, best) = engine(ref, two_kernel)
         np.testing.assert_allclose(
-            np.mean((yhat - y) ** 2, axis=-1),
-            np.mean((want - y) ** 2, axis=-1),
-            rtol=1e-12,
+            errors, mean_sq_errors(want, ref.responses), rtol=1e-12, atol=0.0
         )
         np.testing.assert_array_equal(fell_back, want_fb)
         mode = "2k.FULL" if two_kernel else "1k.FULL"
@@ -344,24 +346,27 @@ class TestLooEngine:
     @pytest.mark.parametrize("two_kernel", [False, True])
     def test_underflow_fallback_matches_unfactorised_search(self, two_kernel):
         ref, h1_grid, h2_grid = far_apart_reference()
-        (yhat, fell_back), (want, want_fb, _) = engine(
+        (errors, fell_back), (want, want_fb, _) = engine(
             ref, two_kernel, h1_grid, h2_grid
         )
         assert fell_back.any() and not fell_back.all()
         np.testing.assert_array_equal(fell_back, want_fb)
-        np.testing.assert_array_equal(yhat[fell_back], want[fell_back])
-        np.testing.assert_allclose(yhat, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            errors, mean_sq_errors(want, ref.responses), rtol=1e-12, atol=0.0
+        )
 
     def test_one_kernel_column_of_a_two_kernel_search_falls_back_alike(self):
         # the 1k column shares the matmul with the 2k pairs but its
         # recomputed rows must leave the spatial kernel out
         ref, h1_grid, h2_grid = far_apart_reference()
         [search] = loo_search([ref], True, [h1_grid], h2_grid)
-        yhat, fell_back = engine_columns(search, False)
+        errors, fell_back = engine_columns(search, False)
         want, want_fb, _ = oracle_of(ref, search, False)
         assert fell_back.any() and not fell_back.all()
         np.testing.assert_array_equal(fell_back, want_fb)
-        np.testing.assert_allclose(yhat, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            errors, mean_sq_errors(want, ref.responses), rtol=1e-12, atol=0.0
+        )
 
     def test_constant_responses_tie_to_smallest_pair(self):
         rng = np.random.default_rng(8)
@@ -410,11 +415,9 @@ class TestLooEngine:
         del refs[2]
         for ref, search in zip(refs, searches):
             for two_kernel in (False, True):
-                yhat, fell_back = engine_columns(search, two_kernel)
+                errors, fell_back = engine_columns(search, two_kernel)
                 want, want_fb, best = oracle_of(ref, search, two_kernel)
-                np.testing.assert_allclose(
-                    np.mean((yhat - y) ** 2, axis=-1), np.mean((want - y) ** 2, axis=-1), rtol=1e-12
-                )
+                np.testing.assert_allclose(errors, mean_sq_errors(want, y), rtol=1e-12, atol=0.0)
                 np.testing.assert_array_equal(fell_back, want_fb)
                 assert search.bandwidths(two_kernel) == best
                 mode = "2k.FULL" if two_kernel else "1k.FULL"
@@ -426,6 +429,9 @@ class TestLooEngine:
         ref = line_reference([0.0, 1.0, 3.0])
         with pytest.raises(InputError, match=f"{grids} h1 grids for 2 references"):
             loo_search([ref, ref], False, [np.array([1.0])] * grids)
+
+    def test_no_references_no_searches(self):
+        assert loo_search([]) == []
 
     def test_references_of_different_samples_rejected(self):
         ref = line_reference([0.0, 1.0, 3.0])
@@ -441,10 +447,11 @@ class TestLooEngine:
             search.bandwidths(True)
 
     def test_working_memory_of_a_replication_sized_search(self):
-        # the four references of a SimConfig() training split (n = 280): beyond
-        # its outputs the search holds its three block buffers (the kernels, the
-        # right-hand sides and the sums, about 3.1 n x n matrices) and a few
-        # rows; the squared errors' temporary comes after the buffers are freed
+        # the four references of a SimConfig() training split (n = 280): the
+        # whole traced peak, outputs included, is the block buffers (the kernels
+        # and the right-hand sides, about 3 n x n matrices), the per-point
+        # fallback flags (0.43) and a few rows, about 3.96 in all; keeping each
+        # reference's (h1, h2 + 1, n) LOO predictions would take it past 7
         rng = np.random.default_rng(15)
         n = 280
         y, coords = rng.standard_normal(n), rng.uniform(size=(n, 2))
@@ -455,8 +462,8 @@ class TestLooEngine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        outputs = sum(s.yhat.nbytes + s.fell_back.nbytes + s.errors.nbytes for s in searches)
-        assert peak - outputs <= 3.75 * n * n * 8
+        assert all(s.errors.shape == (15, 16) for s in searches)
+        assert peak <= 4.25 * n * n * 8
 
     def test_one_replication_evaluates_each_kernel_once(self, monkeypatch):
         # kernel rows x grid points: the h2 kernels once per training sample

@@ -212,6 +212,16 @@ def test_a_config_that_rounds_to_one_test_point_runs():
     assert np.isfinite(report.mse["2k.FULL"][0])
 
 
+def test_cv_folds_of_one_point_fail_the_cv_modes_only():
+    # a training split of 8 gives folds of one or two points: each cv mode
+    # records the failure; at n = 16 (folds of two or three) cv still selects
+    report = run_experiment(SimConfig(n=12, p=3, reps=1, seed=0), ["1k.Ind", "2k.SEM", "2k.FULL"], "cv")
+    assert all(np.isnan(report.mse[m][0]) and report.d_selected[m] == [-1] for m in ("1k.Ind", "2k.SEM"))
+    assert np.isfinite(report.mse["2k.FULL"][0])
+    report = run_experiment(SimConfig(n=16, p=3, reps=1, seed=0), ["1k.Ind", "2k.SEM"], "cv")
+    assert all(np.isfinite(report.mse[m][0]) and report.d_selected[m] == [1] for m in report.methods)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_split_rejects_a_sample_too_small_to_split(n):
     sample = _draw_sample(SimConfig(n=4, p=1, d=1), np.random.default_rng(0)).subset(np.arange(n))
