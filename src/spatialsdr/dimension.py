@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
 from . import pfc, sem, sscm
 from .basis import BasisSpec
 from .data import SpatialSample
 from .exceptions import CvFailedError, InputError, NonMonotoneLogliksError, SpatialSdrError
-from .predictor import MODES, PredictorConfig, build_reference, loo_search, predict_many
+from .predictor import MODES, PredictorConfig, build_reference, distance_grid, loo_search, predict_many
 
 MONOTONE_SLACK = 1e-8
 FOLDS = 5  # cross-validation folds
@@ -59,6 +58,7 @@ def chi2_sf(x: float, dof: int) -> float:
     incomplete gamma function."""
     if dof == 0:
         return 1.0 if x <= 0.0 else 0.0
+    from scipy.special import gammaincc  # on first use: only the ``lr`` policy calls it
     return float(gammaincc(dof / 2.0, x / 2.0))
 
 
@@ -178,7 +178,10 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
         except FAILURES as exc:
             found = [exc] * len(ranks)
         fits.update(((kind, d), fit) for d, fit in zip(ranks, found))
-    vars(train.coords).pop("distances", None)  # the spatial fits shared them; free them before the search
+    two_kernel = any(mode.startswith("2k") for mode, _ in jobs)
+    dist = vars(train.coords).pop("distances", None)  # the matrix the spatial fits shared
+    h2_grid = distance_grid(dist.tri) if two_kernel and dist is not None else None
+    del dist  # freed before the search
 
     refs = {}
     for (mode, rank), key in zip(jobs, keys):
@@ -186,8 +189,7 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
             fit = rank if isinstance(rank, FAILURES) else fits.get(key)
             refs[key] = fit if isinstance(fit, FAILURES) else build_reference(mode, train, fit)
     live = [key for key, ref in refs.items() if not isinstance(ref, FAILURES)]
-    two_kernel = any(mode.startswith("2k") for mode, _ in jobs)
-    searches = dict(zip(live, loo_search([refs[k] for k in live], two_kernel)))
+    searches = dict(zip(live, loo_search([refs[k] for k in live], two_kernel, h2_grid=h2_grid)))
     out = []
     for (mode, _), key in zip(jobs, keys):
         search = searches.get(key, refs[key])

@@ -4,6 +4,9 @@ Geostatistical association uses an exponential correlation matrix
 ``exp(-decay * distance)``; lattice association uses a column-normalized
 distance-threshold neighbor matrix ``W`` together with the autoregressive
 filter ``I - coef * W``.  All operations are pure functions of their inputs.
+
+Distances come from ``sq_distances`` in numpy, so the package loads numpy and ``scipy.linalg``
+alone: ``scipy.spatial`` would load ``scipy.sparse`` and ``scipy.special``, about 10 MB and 40 ms.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky
-from scipy.spatial.distance import pdist, squareform
 
 from ._linalg import pd_cholesky
 from .exceptions import (
@@ -67,10 +69,10 @@ class DistanceMatrix:
 
     @property
     def tri(self) -> np.ndarray:
-        """The entries above the diagonal in ``pdist``'s condensed order (pairs i < j, row
-        by row), gathered afresh: keeping ``pdist``'s own vector would hold n^2 / 2 more
-        floats for as long as the matrix lives."""
-        return squareform(self.dist, checks=False)
+        """The entries above the diagonal in SciPy's condensed order (pairs i < j, row by
+        row), gathered afresh: keeping them would hold n^2 / 2 more floats for as long as
+        the matrix lives."""
+        return self.dist[~np.tri(self.n, dtype=bool)]
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,36 @@ class ExpCorrelation:
 def pairwise_distances(coords: Coordinates) -> DistanceMatrix:
     """Euclidean distances between all location pairs.
 
-    Raises ``DuplicatePointsError`` naming the first coinciding pair ``i < j`` in
-    row order, which ``pdist``'s condensed order (pairs ``i < j``, row by row) keeps.
+    Raises ``DuplicatePointsError`` naming the first coinciding pair ``i < j`` in row order.
     """
-    tri = pdist(coords.points)
-    if tri.min() <= 0.0:
-        i, j = (int(ij[np.argmin(tri)]) for ij in np.triu_indices(coords.n, 1))
+    dist = sq_distances(coords.points, coords.points)
+    np.sqrt(dist, out=dist)
+    if np.count_nonzero(dist == 0.0) > coords.n:  # the diagonal's zeros are exact
+        i, j = np.argwhere(np.triu(dist == 0.0, 1))[0]
         raise DuplicatePointsError(f"locations {i} and {j} coincide")
-    return DistanceMatrix(squareform(tri))
+    return DistanceMatrix(dist)
+
+
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and of ``b``.  One or two features:
+    SciPy's ``cdist`` bit for bit, in row blocks; else one BLAS product of the rows centred on
+    ``b``'s mean, clamped at 0, within a few eps of the in-order sum and several times faster."""
+    if not 0 < a.shape[1] <= 2:  # with no features, exact zeros: a rank-0 reduction's rows coincide
+        a, b = a - b.mean(axis=0), b - b.mean(axis=0)
+        sq = a @ b.T
+        sq *= -2.0  # in place: a fresh n x n temporary costs more than the product
+        sq += np.einsum("ij,ij->i", a, a)[:, None]
+        sq += np.einsum("ij,ij->i", b, b)
+        return np.maximum(sq, 0.0, out=sq)
+    at, bt = np.ascontiguousarray(a.T)[:, :, None], np.ascontiguousarray(b.T)[:, None, :]
+    sq = np.empty((len(a), len(b)))
+    step = max(1, 2**14 // len(b))  # rows per block: 128 kB of differences per feature
+    diff = np.empty((a.shape[1], min(step, len(a)), len(b)))
+    for start in range(0, len(a), step):
+        rows, d = sq[start : start + step], diff[:, : min(step, len(a) - start)]
+        np.square(np.subtract(at[:, start : start + step], bt, out=d), out=d)
+        np.add(d[0], d[1] if len(d) > 1 else 0.0, out=rows)  # one feature: + 0, exactly
+    return sq
 
 
 def exp_correlation(dist: DistanceMatrix, decay: float) -> ExpCorrelation:

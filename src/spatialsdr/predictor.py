@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .data import SpatialSample
 from .exceptions import DegenerateGridError, InputError, SpatialSdrError
-from .geometry import sorted_median
+from .geometry import sorted_median, sq_distances
 
 MODES = (
     "1k.FULL",
@@ -109,12 +108,6 @@ def _reduced(mode: str, x: np.ndarray, fit) -> np.ndarray:
     return np.atleast_2d(fit.reduce(x))
 
 
-def _sq_distances(query: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    if pts.shape[1] == 0:  # rank-0 reduction: all points coincide
-        return np.zeros((query.shape[0], pts.shape[0]))
-    return cdist(query, pts, metric="sqeuclidean")
-
-
 def predict_many(
     x_query: np.ndarray,
     s_query: np.ndarray,
@@ -135,9 +128,9 @@ def predict_many(
         raise InputError(f"{len(x_query)} predictor rows but {len(s_query)} location rows")
     if config.h1 is None or (config.two_kernel and config.h2 is None):
         raise InputError("bandwidths not set; tune or supply them first")
-    u2 = _sq_distances(_reduced(config.mode, x_query, fit), ref.points) / config.h1**2
+    u2 = sq_distances(_reduced(config.mode, x_query, fit), ref.points) / config.h1**2
     if config.two_kernel:
-        u2 = u2 + _sq_distances(s_query, ref.coords) / config.h2**2
+        u2 = u2 + sq_distances(s_query, ref.coords) / config.h2**2
     k = np.exp(-0.5 * u2)
     fell_back = k.sum(axis=1) <= 0.0
     rows = np.flatnonzero(fell_back)  # every kernel value zero: the nearest point alone
@@ -146,13 +139,17 @@ def predict_many(
 
 
 def default_bandwidth_grid(points: np.ndarray) -> np.ndarray:
-    """Geometric grid 0.1q .. 2q with q the median pairwise distance."""
+    """``distance_grid`` of the distances between the rows of ``points``."""
     pts = np.atleast_2d(points)
     if pts.shape[0] < 2:
         raise DegenerateGridError("need at least two points to scale a grid")
-    if pts.shape[1] == 0:
-        return np.array([1.0])
-    tri = pdist(pts)
+    tri = sq_distances(pts, pts)[~np.tri(len(pts), dtype=bool)]  # the pairs i < j, row by row
+    return distance_grid(np.sqrt(tri, out=tri))
+
+
+def distance_grid(tri: np.ndarray) -> np.ndarray:
+    """Geometric grid 0.1q .. 2q with q the median of the pairwise distances ``tri``, or
+    of the positive ones when that is 0; ``[1]`` when none is positive."""
     q = sorted_median(tri)
     if q <= 0.0:
         positive = tri[tri > 0.0]
@@ -249,10 +246,10 @@ def _loo_pass(live: list, y: np.ndarray, coords: np.ndarray, h2_grid: np.ndarray
         size = rows.stop - start
         rhs = rhs_buf[:, :size]
         if g2:
-            d2 = _sq_distances(coords[rows], coords)
+            d2 = sq_distances(coords[rows], coords)
             np.multiply(_kernels(d2, h2_grid, rhs[:g2]), y, out=rhs[g2 + 1 : -1])
         for pts, s in live:
-            d1 = _sq_distances(pts[rows], pts)
+            d1 = sq_distances(pts[rows], pts)
             k1 = _kernels(d1, s.h1_grid, k1_buf[: s.h1_grid.size, :size])
             k1[:, diag[:size], diag[rows]] = 0.0
             sums = sums_buf[: size * k1.shape[0] * rhs.shape[0]].reshape(size, k1.shape[0], -1)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, lapack
-from scipy.spatial.distance import squareform
 
 from ._linalg import draw_root
 from .basis import BasisSpec, polynomial_features
@@ -149,13 +148,15 @@ def sample_locations(n: int, seed, grid: bool = False) -> Coordinates:
 
 def spherical_covariance(dist: DistanceMatrix, grf: GrfSpec) -> np.ndarray:
     """``grf``'s spherical covariogram of every pair: positive inside the range, zero beyond,
-    the sill at distance 0.  Each pair once, mirrored, and returned in LAPACK's column-major
-    layout as its transpose, the same matrix since it is symmetric."""
-    h = dist.tri / grf.range_
-    c = grf.sill * (1.0 - 1.5 * h + 0.5 * h**3)
-    c[h >= 1.0] = 0.0
-    cov = squareform(c)
-    np.fill_diagonal(cov, grf.sill)
+    the sill at distance 0.  Built in blocks of n / 16 rows, whose temporaries stay small, and
+    returned in LAPACK's column-major layout as its transpose, the same since it is symmetric."""
+    cov = np.empty_like(dist.dist)
+    step = max(1, dist.n // 16)
+    for start in range(0, dist.n, step):
+        h = dist.dist[start : start + step] / grf.range_
+        block = cov[start : start + step]
+        np.multiply(grf.sill, 1.0 - 1.5 * h + 0.5 * h**3, out=block)
+        block[h >= 1.0] = 0.0
     return cov.T
 
 

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cholesky
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from spatialsdr import _linalg, geometry
 from spatialsdr._linalg import pd_eigh
+from spatialsdr.data import train_test_split
 from spatialsdr.exceptions import (
     DuplicatePointsError,
     IsolatedPointError,
@@ -24,7 +25,9 @@ from spatialsdr.geometry import (
     pairwise_distances,
     sorted_median,
     spatial_filter,
+    sq_distances,
 )
+from spatialsdr.simulate import SimConfig, simulate_sample
 
 
 def coords(*pts):
@@ -357,9 +360,35 @@ def test_sorted_median_is_np_median_bit_for_bit(values):
 
 @pytest.mark.parametrize("n", [279, 280, 400])
 def test_sorted_median_of_distances_is_np_median_bit_for_bit(n):
-    # the default grids' use: pdist's distances of a simulation-sized sample
-    tri = pdist(np.random.default_rng(n).uniform(size=(n, 2)))
+    # the default grids' use: the distances of a simulation-sized sample, which
+    # are scipy's pdist and squareform bit for bit
+    pts = np.random.default_rng(n).uniform(size=(n, 2))
+    dist = pairwise_distances(Coordinates(pts))
+    tri = pdist(pts)
+    assert dist.dist.tobytes() == squareform(tri).tobytes()
+    assert dist.tri.tobytes() == tri.tobytes()
     assert sorted_median(tri).hex() == float(np.median(tri)).hex()
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 24])
+def test_sq_distances_match_cdist(p):
+    # oracle: scipy's cdist, bit for bit up to two features (coordinates and
+    # reductions of rank 1 or 2); the raw predictors' BLAS route within 1e-13
+    # of it off the diagonal, and never negative; a rank-0 reduction's rows coincide
+    cfg = SimConfig()
+    train, test = train_test_split(simulate_sample(cfg, 0), cfg.train_frac, np.random.default_rng(0))
+    pts, query = train.x[:, :p], test.x[:, :p]
+    if p == 0:
+        assert sq_distances(query, pts).tobytes() == np.zeros((len(query), len(pts))).tobytes()
+        return
+    if p <= 2:
+        for a, b in ((query, pts), (pts, pts), (train.coords.points, train.coords.points)):
+            assert sq_distances(a, b).tobytes() == cdist(a, b, "sqeuclidean").tobytes()
+        return
+    got, want = sq_distances(pts, pts), cdist(pts, pts, "sqeuclidean")
+    off = ~np.eye(len(pts), dtype=bool)
+    assert got.min() >= 0.0
+    np.testing.assert_allclose(got[off], want[off], rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("values", [[2.0], [3.0, 1.0], [1.0, 1.0, 2.0, 2.0], [5.0, 1.0, 5.0]])

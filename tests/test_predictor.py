@@ -10,12 +10,12 @@ from spatialsdr import predictor
 from spatialsdr.basis import BasisSpec
 from spatialsdr.data import train_test_split
 from spatialsdr.exceptions import DegenerateGridError, InputError
+from spatialsdr.geometry import sq_distances
 from spatialsdr.pfc import fit_independent
 from spatialsdr.predictor import (
     MODES,
     PredictorConfig,
     TrainingReference,
-    _sq_distances,
     build_reference,
     default_bandwidth_grid,
     loo_search,
@@ -304,10 +304,10 @@ def mean_sq_errors(yhat, y):
 
 def oracle_of(ref, search, two_kernel):
     """``oracle_loo`` over the grids the search used."""
-    d1 = _sq_distances(ref.points, ref.points)
+    d1 = sq_distances(ref.points, ref.points)
     if not two_kernel:
         return oracle_loo(d1, None, ref.responses, search.h1_grid, [None])
-    d2 = _sq_distances(ref.coords, ref.coords)
+    d2 = sq_distances(ref.coords, ref.coords)
     return oracle_loo(d1, d2, ref.responses, search.h1_grid, search.h2_grid)
 
 
@@ -484,15 +484,17 @@ class TestLooEngine:
 
 
 def test_default_grid_scales_with_median_distance():
-    rng = np.random.default_rng(7)
-    pts = rng.standard_normal((40, 2))
-    grid = default_bandwidth_grid(pts)
+    # oracle: the grid of scipy's pdist distances, bit for bit up to two features
     from scipy.spatial.distance import pdist
 
-    q = np.median(pdist(pts))
-    assert grid[0] == pytest.approx(0.1 * q)
-    assert grid[-1] == pytest.approx(2.0 * q)
-    assert len(grid) == 15
+    for p in (1, 2):
+        pts = np.random.default_rng(7).standard_normal((40, p))
+        grid = default_bandwidth_grid(pts)
+        q = np.median(pdist(pts))
+        assert grid.tobytes() == np.geomspace(0.1 * q, 2.0 * q, 15).tobytes()
+        assert grid[0] == pytest.approx(0.1 * q)
+        assert grid[-1] == pytest.approx(2.0 * q)
+        assert len(grid) == 15
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5), st.integers(1, 6))

@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import os
 import statistics
+import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +162,7 @@ def test_cv_replication_runs_one_loo_pass_per_fold(monkeypatch):
     original = predictor.loo_search
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return original(*args, **kwargs)
 
     # Replace every module-level binding, wherever the engine is looked up.
@@ -169,6 +172,11 @@ def test_cv_replication_runs_one_loo_pass_per_fold(monkeypatch):
     report = run_experiment(SimConfig(n=60, p=4, reps=1), list(MODES), "cv")
     assert all(np.isfinite(report.mse[m][0]) for m in MODES)
     assert len(calls) == 5 + 1
+    # each pass takes its h2 grid from the distance matrix the spatial fits shared,
+    # bit for bit the default grid of its coordinates
+    for (refs, _), kwargs in calls:
+        want = predictor.default_bandwidth_grid(refs[0].coords)
+        assert kwargs["h2_grid"].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -284,6 +292,35 @@ def test_a_sample_computes_its_distances_once(monkeypatch, model):
     assert "distances" not in vars(drawn.coords)
     np.testing.assert_array_equal(drawn.y, y)
     np.testing.assert_array_equal(drawn.x, x)
+
+
+@pytest.mark.parametrize("model", ["sscm", "sem"])
+def test_a_default_draw_peaks_within_2_4_matrices(model):
+    # the distances and the covariogram, built on the square in row blocks, are
+    # the two n x n matrices a draw holds at once; the covariogram's condensed
+    # temporaries used to take the traced peak to 3.0 n^2 doubles
+    n = SimConfig().n
+    tracemalloc.start()
+    try:
+        simulate_sample(SimConfig(model=model), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * n * n * 8
+
+
+def test_importing_the_package_loads_no_scipy_spatial_sparse_or_special():
+    # scipy.spatial would pull in scipy.sparse and scipy.special, about 10 MB of
+    # resident memory; chi2_sf imports scipy.special on its first call
+    src = Path(simulate.__file__).parents[1]
+    code = (
+        "import sys, spatialsdr.simulate, spatialsdr.dimension; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'spatial'], ['scipy', 'sparse'], ['scipy', 'special'])))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_sscm_errors_use_the_cholesky_roots():
