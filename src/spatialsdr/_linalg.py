@@ -1,18 +1,18 @@
 """Shared dense linear-algebra helpers for symmetric positive-definite work.
 
 Positive definiteness follows one policy everywhere: eigenvalue floor 1e-10,
-certified by a shifted Cholesky factorisation (``pd_cholesky``) or checked by ``eigh``;
+certified by a shifted Cholesky factorisation (``pd_certified``) or checked by ``eigh``;
 below the floor add ``1e-8 * trace/n`` on the diagonal and retry once, then fail.
 A stack takes one stacked certificate, or else ``pd_cholesky`` each, the first failure raising
 (``pd_choleskys``).  A certificate is carried only along an ascending decay grid (``geometry``).
 A draw multiplies by its root and never solves with it, so it needs no certificate: its root
 is one plain Cholesky, and the policy decides only when that fails (``draw_root``).
+Every factor is numpy's, which leaves its argument unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky
 
 from .exceptions import SpatialSdrError
 
@@ -49,39 +49,40 @@ def pd_eigh(
     return vals, vecs, m2
 
 
+def pd_certified(m: np.ndarray, err: type[SpatialSdrError], margin: float = 0.0) -> np.ndarray:
+    """``m`` itself when a Cholesky factorisation of ``m - (EIG_FLOOR + margin + (n+1) n eps
+    max_i m_ii) I`` succeeds, which certifies ``lambda_min(m) >= EIG_FLOOR + margin``, as
+    ``(n+1) n eps max_i m_ii`` bounds its backward error (Higham 2002, Thm 10.3); otherwise
+    ``pd_eigh``'s copy, jittered or not.  ``m`` is left unchanged."""
+    shifted = np.array(m, dtype=float)
+    shifted.flat[:: len(shifted) + 1] -= _certificate_shift(m, margin)
+    try:
+        np.linalg.cholesky(shifted)
+        return m
+    except np.linalg.LinAlgError:
+        return pd_eigh(m, err)[2]
+
+
 def pd_cholesky(m, err: type[SpatialSdrError], margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factor ``chol`` of a symmetric matrix under the PD policy.
 
-    A Cholesky factorisation of ``m - (EIG_FLOOR + margin + (n+1) n eps max_i m_ii) I``
-    that succeeds certifies ``lambda_min(m) >= EIG_FLOOR + margin``, as ``(n+1) n eps
-    max_i m_ii`` bounds its backward error (Higham 2002, Thm 10.3); otherwise
-    ``pd_eigh`` decides.  Returns ``(chol, m_used)``, ``chol @ chol.T = m_used``:
-    ``m`` itself exactly when the certificate passed, else a copy, jittered or not.
-    ``m`` is left unchanged: the certificate and then ``chol`` are factored in place
-    in one column-major work buffer, which ``chol`` is.
+    Returns ``(chol, m_used)``, ``chol @ chol.T = m_used``, for ``m_used`` from
+    ``pd_certified``: ``m`` itself exactly when the certificate passed, else a copy.
     """
-    n = m.shape[0]
-    work = np.array(m, dtype=float, order="F")  # LAPACK's layout: factorise in place
-    work.flat[:: n + 1] -= _certificate_shift(m, margin)
+    m = pd_certified(m, err, margin)
     try:
-        cholesky(work, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError:
-        m = pd_eigh(m, err)[2]
-    np.copyto(work, m)
-    try:
-        return cholesky(work, lower=True, overwrite_a=True, check_finite=False), m
-    except LinAlgError as exc:  # pragma: no cover - the policy's floor passed
+        return np.linalg.cholesky(m), m
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - the policy's floor passed
         raise err(str(exc)) from exc
 
 
-def draw_root(build, err: type[SpatialSdrError]) -> np.ndarray:
-    """Lower Cholesky root of the symmetric ``build()``, factored in place in that new buffer;
-    if it fails, ``pd_cholesky`` decides, jitter or raise ``err``, on a second ``build()``,
-    since the failed factor overwrote the first."""
+def draw_root(m: np.ndarray, err: type[SpatialSdrError]) -> np.ndarray:
+    """Lower Cholesky root of the symmetric ``m``; if it fails, ``pd_cholesky`` decides,
+    jitter or raise ``err``."""
     try:
-        return cholesky(build(), lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError:
-        return pd_cholesky(build(), err)[0]
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return pd_cholesky(m, err)[0]
 
 
 def _certificate_shift(m: np.ndarray, margin: float = 0.0) -> np.ndarray:

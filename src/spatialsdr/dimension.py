@@ -17,6 +17,7 @@ profile each of that kind's jobs, a failed reference or search its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,12 +55,25 @@ def param_count(p: int, delta: int, r: int) -> int:
 
 
 def chi2_sf(x: float, dof: int) -> float:
-    """Upper-tail chi-square probability via the regularized upper
-    incomplete gamma function."""
-    if dof == 0:
+    """Upper-tail chi-square probability at an integer ``dof``, in closed form (Abramowitz &
+    Stegun 26.4.4-5): ``exp(-x/2)`` times the first ``dof / 2`` terms of ``sum_k (x/2)^k / k!``
+    at an even ``dof``; ``erfc(sqrt(x/2)) + sqrt(2/pi) exp(-x/2)`` times the first ``(dof - 1)
+    / 2`` terms of ``sum_k x^(k - 1/2) / (1 3 ... (2k - 1))`` at an odd one.  The running term
+    is rescaled before it overflows and ``exp(-x/2)`` taken in the log of the sum, so neither
+    leaves the range of a float by itself."""
+    if dof == 0 or x <= 0.0:
         return 1.0 if x <= 0.0 else 0.0
-    from scipy.special import gammaincc  # on first use: only the ``lr`` policy calls it
-    return float(gammaincc(dof / 2.0, x / 2.0))
+    odd = dof % 2
+    term, series, log_scale = math.sqrt(x) if odd else 1.0, 0.0, -x / 2.0
+    for k in range(dof // 2):
+        series += term
+        term *= x / (2 * k + 2 + odd)
+        if term > 1e300:
+            series, term, log_scale = series * 1e-300, term * 1e-300, log_scale + 300 * math.log(10.0)
+    if odd:
+        log_scale += 0.5 * math.log(2.0 / math.pi)
+    tail = math.erfc(math.sqrt(x / 2.0)) if odd else 0.0
+    return tail + (math.exp(log_scale + math.log(series)) if series else 0.0)
 
 
 def _check_logliks(logliks: np.ndarray, p: int, r: int) -> np.ndarray:

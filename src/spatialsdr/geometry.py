@@ -5,8 +5,8 @@ Geostatistical association uses an exponential correlation matrix
 distance-threshold neighbor matrix ``W`` together with the autoregressive
 filter ``I - coef * W``.  All operations are pure functions of their inputs.
 
-Distances come from ``sq_distances`` in numpy, so the package loads numpy and ``scipy.linalg``
-alone: ``scipy.spatial`` would load ``scipy.sparse`` and ``scipy.special``, about 10 MB and 40 ms.
+Distances come from ``sq_distances`` and factors from ``numpy.linalg``, so the package loads
+numpy alone: ``scipy.linalg`` would add about 28 MB and 0.13 s to every process.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky
 
-from ._linalg import pd_cholesky
+from ._linalg import EIG_FLOOR, pd_certified, pd_cholesky
 from .exceptions import (
     DuplicatePointsError,
     InputError,
@@ -51,9 +50,9 @@ class Coordinates:
 
     @cached_property
     def distances(self) -> DistanceMatrix:
-        """``pairwise_distances`` of these locations, computed once for every draw or fit of
-        them; ``simulate`` and ``dimension.fit_and_predict`` drop it from ``vars`` once
-        their draws or fits are made."""
+        """``pairwise_distances`` of these locations, computed once for every fit of them;
+        ``dimension.fit_and_predict`` drops it from ``vars`` once its fits are made.  The
+        errors' draw of ``simulate`` computes its own and builds its matrix in their buffer."""
         return pairwise_distances(self)
 
 
@@ -81,12 +80,14 @@ class ExpCorrelation:
 
     ``chol`` is the lower Cholesky factor (``chol @ chol.T = matrix``) of
     the (possibly jittered) matrix, so downstream whitening does not repeat it.
-    ``matrix`` is None where the factor was computed in the matrix's own buffer.
+    ``matrix`` is None where the matrix was built in a buffer reused for the next decay;
+    ``whitened`` is ``L^{-1} Z`` for the ``Z`` that ``exp_correlations`` bordered on.
     """
 
     decay: float
     matrix: np.ndarray | None
     chol: np.ndarray = field(repr=False)
+    whitened: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def logdet(self) -> float:
@@ -140,33 +141,49 @@ def exp_correlation(dist: DistanceMatrix, decay: float) -> ExpCorrelation:
     return ExpCorrelation(decay=float(decay), matrix=h, chol=chol)
 
 
-def exp_correlations(dist: DistanceMatrix, decays: Sequence[float]) -> Iterator[ExpCorrelation]:
-    """``exp_correlation`` at each of the ascending ``decays``, factored once after the
-    first decay whose certificate passes with the margin ``2 n (2 + max(decays) max D)
-    eps``: ``n`` times the entrywise rounding bound, for each of two matrices.  As
-    ``exp(-b D) = exp(-a D) o exp(-(b - a) D)``, both factors PD with unit diagonal,
-    ``lambda_min`` does not fall from ``a`` to ``b > a`` (Schur 1911; Horn & Johnson,
-    Topics in Matrix Analysis, 5.3).  A ``pd_eigh`` pass or a jitter is not carried.
+def exp_correlations(
+    dist: DistanceMatrix, decays: Sequence[float], border: np.ndarray
+) -> Iterator[ExpCorrelation]:
+    """``exp_correlation`` at each of the ascending ``decays``, certified until the first
+    decay whose certificate passes with the margin ``2 n (2 + max(decays) max D) eps``:
+    ``n`` times the entrywise rounding bound, for each of two matrices.  As ``exp(-b D) =
+    exp(-a D) o exp(-(b - a) D)``, both factors PD with unit diagonal, ``lambda_min`` does
+    not fall from ``a`` to ``b > a`` (Schur 1911; Horn & Johnson, Topics in Matrix Analysis,
+    5.3), so each later decay takes one Cholesky alone.  A ``pd_eigh`` pass or a jitter is
+    not carried.
 
-    Each decay's matrix is built in a buffer of its own, which a certified decay's
-    Cholesky factor then overwrites, so the items carry ``matrix=None``."""
-    margin = 2 * dist.n * (2.0 + max(decays) * dist.dist.max()) * np.finfo(float).eps
+    Each decay factors ``H`` with the n x k ``border`` ``Z`` bordered on, ``[[H, Z], [Z',
+    s I]]`` for ``s = 2 ||Z||_F^2 / EIG_FLOOR``: its Schur complement ``s I - Z' H^{-1} Z``
+    is at least ``s / 2`` whenever ``lambda_min(H) >= EIG_FLOOR``, so the factor exists, and
+    its top-left block is ``L`` and its bottom-left block ``(L^{-1} Z)'``, whatever ``s``.
+    One factorisation thus gives ``chol`` and ``whitened``.  The bordered matrix is built
+    once, each decay's ``H`` in its top-left block, so the items carry ``matrix=None``."""
+    n, k = border.shape
+    margin = 2 * n * (2.0 + max(decays) * dist.dist.max()) * np.finfo(float).eps
+    bordered = np.empty((n + k, n + k), order="F")  # numpy's factor copies to this layout
+    bordered[:n, n:], bordered[n:, :n] = border, border.T
+    bordered[n:, n:] = np.eye(k) * (2.0 * np.sum(border * border) / EIG_FLOOR)
+    h, scaled = bordered[:n, :n], np.empty_like(dist.dist)  # a product into h costs twice as much
     certified = np.inf  # the smallest decay certified with the margin
     for decay in decays:
-        h = exp_matrix(dist, decay)
-        if decay >= certified:
-            chol = cholesky(h, lower=True, overwrite_a=True, check_finite=False)
-        else:
-            chol, used = pd_cholesky(h, NearSingularCorrelationError, margin)
-            certified = decay if used is h else certified
-        yield ExpCorrelation(decay=float(decay), matrix=None, chol=chol)
+        np.exp(np.multiply(dist.dist, -decay, out=scaled), out=h.T)  # h.T: row-major, as is D
+        if decay < certified:
+            used = pd_certified(h, NearSingularCorrelationError, margin)
+            if used is h:
+                certified = decay
+            else:
+                h[...] = used
+        try:
+            factor = np.linalg.cholesky(bordered)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - the policy's floor passed
+            raise NearSingularCorrelationError(str(exc)) from exc
+        yield ExpCorrelation(float(decay), None, factor[:n, :n], factor[n:, :n].T)
 
 
 def exp_matrix(dist: DistanceMatrix, decay: float) -> np.ndarray:
-    """``exp(-decay * dist)`` built in one fresh buffer, returned in LAPACK's column-major
-    layout as its transpose, the same matrix since ``dist`` is symmetric."""
+    """``exp(-decay * dist)`` built in one fresh buffer."""
     h = np.multiply(dist.dist, -decay)
-    return np.exp(h, out=h).T
+    return np.exp(h, out=h)
 
 
 def sorted_median(values: np.ndarray) -> float:

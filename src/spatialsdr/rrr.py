@@ -24,7 +24,7 @@ log diag L``, and the lambda_i are the squared singular values of ``L^{-1} C_ls 
 As ``L = D_ls^{1/2} U`` for an orthogonal ``U``, that root's leading left singular vectors are
 ``U' V_d``; called ``V_d`` from here on, they give ``a = L V_d`` and ``b = V_d' L^{-1} C_ls``,
 the same estimate up to the signs of ``a``'s columns and ``b``'s rows.  ``rrr_mle``, run at
-each rank's argmax only, takes them from one triangular solve and one SVD per point, with no
+each rank's argmax only, takes them from one solve with ``L`` and one SVD per point, with no
 eigendecomposition; the reduction directions ``inv(resid_cov) @ a`` are ``L^{-T} V_d``.
 ``profile`` returns fits only: an error at any point or rank fails the whole profile.
 """
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ._linalg import pd_choleskys, symmetrize
 from .exceptions import (
@@ -110,7 +109,7 @@ class LsFit:
     def spectral(self) -> tuple[np.ndarray, ...]:
         """``rrr_mle``'s work for every rank: ``B = L^{-1} C_ls`` and the sign-fixed
         singular pairs of ``B chol(S_ff)``, which are ``K``'s eigenpairs in ``L``'s frame."""
-        whitened_coef = solve_triangular(self.chol, self.c_ls, lower=True, check_finite=False)
+        whitened_coef = np.linalg.solve(self.chol, self.c_ls)  # LU, as ls_fits solves with L
         v, sv, _ = np.linalg.svd(whitened_coef @ np.linalg.cholesky(self.s_ff), full_matrices=False)
         lead = np.argmax(np.abs(v), axis=0)  # sign-fixed: largest entries positive, for determinism
         v = v * np.where(v[lead, np.arange(v.shape[1])] < 0, -1.0, 1.0)

@@ -6,7 +6,10 @@ covariogram, and predictors from the inverse model ``X = 1 mu' + F (AB)' +
 E`` with spatially correlated errors drawn under either the separable
 exponential-correlation law or the autoregressive-filter law.  Gaussian draws
 use the lower Cholesky root of each covariance (``_linalg.draw_root``), and the
-filter ``(I - rho A D^-1)^-1 = D (D - rho A)^-1`` the Cholesky factor of ``D - rho A``.
+filter ``(I - rho A D^-1)^-1 = D (D - rho A)^-1`` an LU solve with ``D - rho A``.
+The errors' draw computes the sample's one distance matrix and builds its matrix in that
+buffer, and the response's covariogram takes its distances row block by row block, so a
+draw holds at most two n x n matrices at once: the one it factors and the factor.
 
 The experiment protocol repeats: fresh data, random train/test split, a
 rank per method from ``dimension.select_ranks`` under the rank policy, then
@@ -22,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack
 
 from ._linalg import draw_root
 from .basis import BasisSpec, polynomial_features
@@ -30,7 +32,7 @@ from .data import SpatialSample, train_test_split
 from .dimension import FAILURES, POLICIES, fit_and_predict, select_ranks
 from .exceptions import CovarianceNotPDError, InputError
 from .exceptions import NearSingularCorrelationError, NonPositiveDecayError, SingularFilterError
-from .geometry import Coordinates, DistanceMatrix, exp_matrix, max_min_distance
+from .geometry import Coordinates, max_min_distance, pairwise_distances, sq_distances
 from .predictor import MODES
 from .sem import COND_LIMIT
 
@@ -146,14 +148,17 @@ def sample_locations(n: int, seed, grid: bool = False) -> Coordinates:
     return Coordinates(rng.uniform(size=(n, 2)))
 
 
-def spherical_covariance(dist: DistanceMatrix, grf: GrfSpec) -> np.ndarray:
-    """``grf``'s spherical covariogram of every pair: positive inside the range, zero beyond,
-    the sill at distance 0.  Built in blocks of n / 16 rows, whose temporaries stay small, and
-    returned in LAPACK's column-major layout as its transpose, the same since it is symmetric."""
-    cov = np.empty_like(dist.dist)
-    step = max(1, dist.n // 16)
-    for start in range(0, dist.n, step):
-        h = dist.dist[start : start + step] / grf.range_
+def spherical_covariance(coords: Coordinates, grf: GrfSpec) -> np.ndarray:
+    """``grf``'s spherical covariogram of every pair of ``coords``: positive inside the range,
+    zero beyond, the sill at distance 0.  Built in blocks of n / 16 rows, each from the
+    distances of its rows alone (``pairwise_distances``'s rows bit for bit), so no n x n
+    distance matrix is held, and returned column-major, the layout numpy's Cholesky copies
+    it to, as its transpose."""
+    pts = coords.points
+    cov = np.empty((coords.n, coords.n))
+    step = max(1, coords.n // 16)
+    for start in range(0, coords.n, step):
+        h = np.sqrt(sq_distances(pts[start : start + step], pts)) / grf.range_
         block = cov[start : start + step]
         np.multiply(grf.sill, 1.0 - 1.5 * h + 0.5 * h**3, out=block)
         block[h >= 1.0] = 0.0
@@ -166,7 +171,7 @@ def simulate_y(coords: Coordinates, grf: GrfSpec, seed) -> np.ndarray:
     rng = _as_rng(seed)
     s1, s2 = coords.points[:, 0], coords.points[:, 1]
     mean = grf.trend[0] + grf.trend[1] * s1 + grf.trend[2] * s2
-    root = draw_root(lambda: spherical_covariance(coords.distances, grf), CovarianceNotPDError)
+    root = draw_root(spherical_covariance(coords, grf), CovarianceNotPDError)
     return mean + root @ rng.standard_normal(coords.n)
 
 
@@ -179,30 +184,36 @@ def draw_spatial_errors(
     ``exp(-param * distance)`` and ``noise_cov`` and a standard normal ``Z``;
     ``sem``: rows solve ``(I - param * W) E = Z L_noise'`` for ``W = A D^-1``, the threshold
     adjacency ``A`` at ``max_min_distance`` over its degrees ``D``, so ``E = D (D - param *
-    A)^-1 Z L_noise'`` by the Cholesky factor of the symmetric ``D - param * A``, PD for
-    ``|param| < 1`` (Ord 1975), or ``Z L_noise'`` itself at ``param = 0``; ``SingularFilterError``
-    when its condition number passes ``sem.COND_LIMIT``.  Either way each row has covariance
-    ``noise_cov``.
+    A)^-1 Z L_noise'`` by an LU solve with the symmetric ``D - param * A``, or ``Z L_noise'``
+    itself at ``param = 0``; ``SingularFilterError`` when ``filter_cond_bound`` passes
+    ``sem.COND_LIMIT``.  Either way each row has covariance ``noise_cov``.
     """
     check_error_law(model, param)
     rng = _as_rng(seed)
-    dist = coords.distances
-    col_root = draw_root(lambda: np.array(noise_cov, dtype=float, order="F"), CovarianceNotPDError)
+    col_root = draw_root(np.asarray(noise_cov, dtype=float), CovarianceNotPDError)
     z = rng.standard_normal((coords.n, noise_cov.shape[0])) @ col_root.T
-    if model == "sscm":
-        return draw_root(lambda: exp_matrix(dist, param), NearSingularCorrelationError) @ z
     if param == 0.0:
-        return z  # exactly: the factor of D alone would round it
+        return z  # a SEM lag of 0, exactly: the solve with D alone would round it
+    dist = pairwise_distances(coords)  # the draw's own: its matrix is built in their buffer
+    if model == "sscm":
+        h = np.exp(np.multiply(dist.dist, -param, out=dist.dist), out=dist.dist)
+        return draw_root(h.T, NearSingularCorrelationError) @ z  # column-major, as numpy copies it
     adj = dist.dist <= max_min_distance(dist)  # the diagonal too, at distance 0
     deg = adj.sum(axis=0) - 1.0
-    filt = np.multiply(adj, -param).T  # symmetric: D - param * A in LAPACK's column-major layout
+    filt = np.multiply(adj, -param, out=dist.dist).T  # symmetric: D - param * A, column-major
     np.fill_diagonal(filt, deg)
-    chol, info = lapack.dpotrf(filt, lower=1, overwrite_a=1, clean=1)  # scipy's cholesky, in place
-    # LAPACK's estimate from the factor and the 1-norm (1 + |param|) max D, held to the fits' limit
-    rcond = lapack.dpocon(chol, (1.0 + abs(param)) * deg.max(), uplo="L")[0] if info == 0 else 0.0
-    if not rcond * COND_LIMIT >= 1.0:
-        raise SingularFilterError(f"D - {param} * A is numerically singular (rcond ~ {rcond:.2e})")
-    return deg[:, None] * cho_solve((chol, True), z, overwrite_b=True, check_finite=False)
+    bound = filter_cond_bound(deg, param)
+    if not bound <= COND_LIMIT:
+        raise SingularFilterError(f"D - {param} * A is numerically singular (cond <= {bound:.2e})")
+    return deg[:, None] * np.linalg.solve(filt, z)
+
+
+def filter_cond_bound(deg: np.ndarray, param: float) -> float:
+    """``(1 + |param|) / (1 - |param|) * max D / min D``, at least ``cond_2(D - param * A)``
+    for the symmetric adjacency ``A`` with degrees ``deg``: ``D^{-1/2} (D - param * A)
+    D^{-1/2}`` has its spectrum in ``[1 - |param|, 1 + |param|]`` (Ord 1975), and each
+    ``D^{1/2}`` has condition number ``sqrt(max D / min D)``."""
+    return (1.0 + abs(param)) / (1.0 - abs(param)) * (deg.max() / deg.min())
 
 
 def simulate_x(y: np.ndarray, coords: Coordinates, cfg: SimConfig, seed) -> np.ndarray:
@@ -235,7 +246,6 @@ def _draw_sample(cfg, rng) -> SpatialSample:
     coords = sample_locations(cfg.n, rng, grid=cfg.grid_locations)
     y = simulate_y(coords, GrfSpec(), rng)
     x = simulate_x(y, coords, cfg, rng)
-    vars(coords).pop("distances")  # both draws shared them; free them with the draw, as the fits do
     return SpatialSample(coords, x, y)
 
 
@@ -272,9 +282,10 @@ def run_experiment(
     methods failing in at least 20% of replications are flagged unstable.
     ``workers`` threads run the replications; results are identical for
     any count.  For any count set ``OPENBLAS_NUM_THREADS=1`` (or the
-    variable of the BLAS in use) before numpy is imported: BLAS threads slow
-    the small products of a serial run too, and with ``workers > 1`` each
-    worker's BLAS calls otherwise start their own and oversubscribe the cores.
+    variable of the BLAS numpy links, the only one the package loads) before
+    numpy is imported: BLAS threads slow the small products of a serial run
+    too, and with ``workers > 1`` each worker's BLAS calls otherwise start
+    their own and oversubscribe the cores.
     """
     for mode in methods:
         if mode not in MODES:

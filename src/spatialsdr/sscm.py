@@ -11,23 +11,23 @@ generalized centering ``Hc = I - 1 (1' inv(H) 1)^{-1} 1' inv(H)`` followed by
 ``L^{-1}``; any square root of ``H`` in place of ``L`` gives the same ``M``.
 The decay rate is profiled over an ascending grid, on which ``lambda_min(H)``
 does not decrease, so once one ``H`` is certified above the eigenvalue floor
-every larger decay takes a single Cholesky (``geometry.exp_correlations``); the
+every larger decay takes a single Cholesky (``geometry.exp_correlations``), of ``H``
+with ``[1 X F]`` bordered on, which gives ``L`` and ``B`` at once; the
 log-likelihood carries the extra ``-(p/2) log|H|`` term.  Fits are ``SscmFit``,
 the ``rrr.SdrFit`` whose spatial parameter is named ``decay``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, NonPositiveDecayError
-from .geometry import DistanceMatrix, ExpCorrelation, exp_correlations, sorted_median
+from .geometry import DistanceMatrix, exp_correlations, sorted_median
 from .rrr import Moments, SdrFit, design, moments_of, profile
 
 DEFAULT_GRID_SIZE = 20
@@ -41,15 +41,13 @@ def default_decay_grid(dist: DistanceMatrix) -> np.ndarray:
     return np.geomspace(lo, hi, DEFAULT_GRID_SIZE)
 
 
-def whiten_sscm(x: np.ndarray, f: np.ndarray, corrs: Iterable[ExpCorrelation]) -> Iterator[Moments]:
-    """Moments ``B'B``, ``B = L^{-1} [1 X F]`` for ``L = corr.chol``, at each of ``corrs``
-    in turn from one design ``[1 X F]``, each matrix certified PD by ``geometry``.  The
-    design is column-major, the layout the triangular solve copies it to."""
+def whiten_sscm(x: np.ndarray, f: np.ndarray, dist: DistanceMatrix, decays) -> Iterator[Moments]:
+    """Moments ``B'B``, ``B = L^{-1} [1 X F]`` for the lower Cholesky factor ``L`` of
+    ``exp(-decay * dist)``, at each of the ascending ``decays`` in turn from one design
+    ``[1 X F]``, bordered on each matrix that ``geometry.exp_correlations`` certifies PD."""
     z, shift = design(x, f)
-    z = np.asfortranarray(z)
-    for corr in corrs:
-        rows = solve_triangular(corr.chol, z, lower=True, check_finite=False)
-        yield moments_of(rows, x.shape[1], shift, 0.5 * x.shape[1] * corr.logdet)
+    for corr in exp_correlations(dist, decays, z):
+        yield moments_of(corr.whitened, x.shape[1], shift, 0.5 * x.shape[1] * corr.logdet)
 
 
 @dataclass(frozen=True)
@@ -92,5 +90,4 @@ def rank_fits(sample, spec, ranks, decay_grid=None) -> list:
         raise NonPositiveDecayError("decay grid entries must be > 0")
 
     params = [float(decay) for decay in np.sort(decay_grid)]
-    points = whiten_sscm(sample.x, f, exp_correlations(dist, params))
-    return profile(SscmFit, "sscm", ranks, params, points)
+    return profile(SscmFit, "sscm", ranks, params, whiten_sscm(sample.x, f, dist, params))

@@ -51,6 +51,18 @@ class TestChi2Tail:
                 chi2_sf_even_dof_oracle(x, dof), rel=1e-10
             )
 
+    def test_against_scipys_incomplete_gamma(self):
+        # oracle: scipy's regularized upper incomplete gamma Q(dof/2, x/2), for
+        # dof 0..48 and x from 0 to 2000, to 1e-12 relative; a value below the
+        # normal range (underflow) cannot carry 12 digits and is held to it in absolute
+        from scipy.special import gammaincc
+
+        xs = np.concatenate([np.linspace(0.0, 2000.0, 2001), np.geomspace(1e-6, 2000.0, 200)])
+        for dof in range(49):
+            got = np.array([chi2_sf(float(x), dof) for x in xs])
+            want = gammaincc(dof / 2.0, xs / 2.0) if dof else (xs <= 0.0).astype(float)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=np.finfo(float).tiny)
+
     def test_textbook_point(self):
         assert chi2_sf(9.488, 4) == pytest.approx(0.05, abs=5e-4)
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cholesky
+from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from spatialsdr import _linalg, geometry
 from spatialsdr._linalg import pd_eigh
+from spatialsdr.basis import BasisSpec, build_f
 from spatialsdr.data import train_test_split
 from spatialsdr.exceptions import (
     DuplicatePointsError,
@@ -27,7 +27,9 @@ from spatialsdr.geometry import (
     spatial_filter,
     sq_distances,
 )
-from spatialsdr.simulate import SimConfig, simulate_sample
+from spatialsdr.rrr import design
+from spatialsdr.simulate import SimConfig, _draw_sample, rep_rng, simulate_sample
+from spatialsdr.sscm import default_decay_grid
 
 
 def coords(*pts):
@@ -144,20 +146,22 @@ class TestExpCorrelation:
 
 
 def count_factorisations(monkeypatch, n):
-    """Count scipy Cholesky factorisations of n x n matrices made through
-    ``_linalg`` and ``geometry``; returns the running list of counted shapes."""
-    counted = []
+    """Count numpy Cholesky factorisations of n x n matrices; returns the running
+    list of counted shapes."""
+    counted, original = [], np.linalg.cholesky
 
-    def spy(original):
-        def counting(a, *args, **kwargs):
-            if a.shape[0] == n:
-                counted.append(a.shape)
-            return original(a, *args, **kwargs)
-        return counting
+    def counting(a, *args, **kwargs):
+        if a.shape == (n, n):
+            counted.append(a.shape)
+        return original(a, *args, **kwargs)
 
-    for module in (_linalg, geometry):
-        monkeypatch.setattr(module, "cholesky", spy(module.cholesky))
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
     return counted
+
+
+def no_border(n):
+    """An n x 0 border: ``exp_correlations`` then factors each matrix alone."""
+    return np.empty((n, 0))
 
 
 class TestExpCorrelations:
@@ -180,7 +184,7 @@ class TestExpCorrelations:
         decays = list(np.geomspace(0.5, 30.0, 6))
         want = [exp_correlation(d, decay) for decay in decays]
         counted = count_factorisations(monkeypatch, 50)
-        got = list(exp_correlations(d, decays))
+        got = list(exp_correlations(d, decays, no_border(50)))
         assert len(counted) == len(decays) + 1
         for g, w, decay in zip(got, want, decays):
             assert g.decay == w.decay
@@ -198,7 +202,8 @@ class TestExpCorrelations:
         decays = list(np.geomspace(1e-5, 10.0, 13))
         want = [exp_correlation(d, decay) for decay in decays]
         counted = count_factorisations(monkeypatch, 40)
-        got = list(exp_correlations(d, decays))
+        got = list(exp_correlations(d, decays, no_border(40)))
+        factorisations = len(counted)
         raw = [np.exp(-decay * d.dist) for decay in decays]
         jittered = [not np.array_equal(w.matrix, h) for w, h in zip(want, raw)]
         assert jittered[0] and not jittered[-1]
@@ -207,9 +212,28 @@ class TestExpCorrelations:
             np.testing.assert_array_equal(g.chol, w.chol)
             # the jitter decision: the factor of the raw matrix, or of pd_eigh's jittered one
             used = pd_eigh(h, NearSingularCorrelationError)[2] if jitter else h
-            np.testing.assert_array_equal(g.chol, cholesky(used, lower=True))
+            np.testing.assert_array_equal(g.chol, np.linalg.cholesky(used))
         # some decays certified and carried: fewer than two factorisations each
-        assert len(counted) < 2 * len(decays)
+        assert factorisations < 2 * len(decays)
+
+    @pytest.mark.parametrize("model", ["sscm", "sem"])
+    def test_bordered_factor_whitens_the_border(self, model):
+        # oracle: scipy's triangular solve of [1 X F] with the plain factor of
+        # each matrix, and that factor's log-determinant, both to 1e-12
+        # relative, at both ends of the default grid of a SimConfig() training split
+        cfg = SimConfig(model=model, seed=3)
+        rng = rep_rng(cfg.seed, 0)
+        train, _ = train_test_split(_draw_sample(cfg, rng), cfg.train_frac, rng)
+        z, _ = design(train.x, build_f(train.y, BasisSpec("polynomial", cfg.r)))
+        d = pairwise_distances(train.coords)
+        grid = list(default_decay_grid(d))
+        decays = grid[:3] + grid[-3:]
+        plain = list(exp_correlations(d, decays, no_border(d.n)))
+        for corr, alone in zip(exp_correlations(d, decays, z), plain):
+            assert corr.decay == alone.decay
+            want = solve_triangular(alone.chol, z, lower=True)
+            assert np.abs(corr.whitened - want).max() <= 1e-12 * np.abs(want).max()
+            assert corr.logdet == pytest.approx(alone.logdet, rel=1e-12)
 
 
 class TestMaxMinDistance:

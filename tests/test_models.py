@@ -77,17 +77,16 @@ class TestWhitenSscm:
         x = rng.standard_normal((6, 2))
         f = rng.standard_normal((6, 1))
         coords = Coordinates(rng.uniform(0, 10, size=(6, 2)))
-        corr = exp_correlation(pairwise_distances(coords), 200.0)
-        np.testing.assert_allclose(corr.matrix, np.eye(6), atol=1e-12)
+        dist = pairwise_distances(coords)
+        np.testing.assert_allclose(exp_correlation(dist, 200.0).matrix, np.eye(6), atol=1e-12)
         xc = x - x.mean(axis=0)
-        np.testing.assert_allclose(schur(next(whiten_sscm(x, f, [corr])))[:2, :2], xc.T @ xc, atol=1e-10)
+        np.testing.assert_allclose(schur(next(whiten_sscm(x, f, dist, [200.0])))[:2, :2], xc.T @ xc, atol=1e-10)
 
     def test_annihilates_constant_vector(self):
         rng = np.random.default_rng(1)
         coords = Coordinates(rng.uniform(size=(8, 2)))
-        corr = exp_correlation(pairwise_distances(coords), 1.5)
         ones = np.ones((8, 1))
-        gram = schur(next(whiten_sscm(ones, np.arange(8.0)[:, None] - 3.5, [corr])))
+        gram = schur(next(whiten_sscm(ones, np.arange(8.0)[:, None] - 3.5, pairwise_distances(coords), [1.5])))
         np.testing.assert_allclose(gram[0], 0.0, atol=1e-10)
 
     def test_matches_dense_matrix_oracle(self):
@@ -100,7 +99,7 @@ class TestWhitenSscm:
         ones = np.ones((3, 1))
         hc = np.eye(3) - (ones @ ones.T @ h_inv) / (ones.T @ h_inv @ ones).item()
         oracle = np.real(sla.sqrtm(h_inv)) @ hc @ x
-        moments = next(whiten_sscm(x, x[:, :1], [corr]))
+        moments = next(whiten_sscm(x, x[:, :1], dist, [1.0]))
         # The Schur complement is the Gram of the generalized centering
         # followed by any square root of inv(H).
         np.testing.assert_allclose(schur(moments), np.tile(oracle.T @ oracle, (2, 2)), atol=1e-9)
@@ -381,7 +380,7 @@ def test_profile_grids_match_the_eigh_oracle(seed, model):
     dist = pairwise_distances(train.coords)
     w = neighbor_weights(dist, max_min_distance(dist))
     moments = {
-        "sscm": lambda decay: next(whiten_sscm(train.x, f, [exp_correlation(dist, decay)])),
+        "sscm": lambda decay: next(whiten_sscm(train.x, f, dist, [decay])),
         "sem": lambda coef: next(whiten_sem(train.x, f, w, [coef])),
     }
     for kind in ("sscm", "sem"):
@@ -411,7 +410,7 @@ def test_estimates_match_the_symmetric_root_oracle(seed):
     rows, shift = design(sample.x, f)
     moments = {
         "ind": lambda _: moments_of(rows, sample.p, shift),
-        "sscm": lambda decay: next(whiten_sscm(sample.x, f, [exp_correlation(dist, decay)])),
+        "sscm": lambda decay: next(whiten_sscm(sample.x, f, dist, [decay])),
         "sem": lambda coef: next(whiten_sem(sample.x, f, w, [coef])),
     }
     for kind, at in moments.items():
@@ -490,7 +489,7 @@ def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
     dist = pairwise_distances(sample.coords)
     w = neighbor_weights(dist, max_min_distance(dist))
     moments = {
-        "sscm": lambda decay: next(whiten_sscm(sample.x, f, [exp_correlation(dist, decay)])),
+        "sscm": lambda decay: next(whiten_sscm(sample.x, f, dist, [decay])),
         "sem": lambda coef: next(whiten_sem(sample.x, f, w, [coef])),
     }[kind]
     calls, original = [], np.linalg.svd
@@ -516,20 +515,20 @@ def test_a_decay_failing_mid_grid_ends_the_ranks_live_there(monkeypatch):
     # the third of five decays fails to factor: the profile raises that error
     # for every rank before any log-likelihood is read, and no later decay is
     # factored; a fit-and-predict step gives the error to each rank's job
-    from spatialsdr import dimension, geometry, rrr
+    from spatialsdr import dimension, rrr
 
     sample = random_sample(50, 3, seed=5)
     spec = BasisSpec("polynomial", 2)
     grid = [0.5, 1.0, 2.0, 4.0, 8.0]
-    error, factored = NearSingularCorrelationError("forced at the third decay"), []
+    error, factored, original = NearSingularCorrelationError("forced at the third decay"), [], np.linalg.cholesky
+    bordered = {(n + 6, n + 6) for n in (50, 40)}  # [1 X F], 6 columns, on the sample's or train's H
 
-    def failing_third(original):
-        def factor(h, *args, **kwargs):
+    def failing_third(h, *args, **kwargs):
+        if h.shape in bordered:
             factored.append(h)
             if len(factored) == 3:
                 raise error
-            return original(h, *args, **kwargs)
-        return factor
+        return original(h, *args, **kwargs)
 
     logged, original_loglik = [], rrr.loglik
 
@@ -537,8 +536,7 @@ def test_a_decay_failing_mid_grid_ends_the_ranks_live_there(monkeypatch):
         logged.append(rank)
         return original_loglik(ls, rank)
 
-    for name in ("pd_cholesky", "cholesky"):
-        monkeypatch.setattr(geometry, name, failing_third(getattr(geometry, name)))
+    monkeypatch.setattr(np.linalg, "cholesky", failing_third)
     monkeypatch.setattr(rrr, "loglik", loglik)
     with pytest.raises(NearSingularCorrelationError) as raised:
         sscm.rank_fits(sample, spec, [0, 1, 2], grid)

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
 
 from spatialsdr import geometry, predictor, sem, simulate, sscm
 from spatialsdr._linalg import pd_eigh
@@ -28,6 +27,7 @@ from spatialsdr.simulate import (
     SimConfig,
     _draw_sample,
     draw_spatial_errors,
+    filter_cond_bound,
     rep_rng,
     run_experiment,
     sample_locations,
@@ -272,9 +272,9 @@ def test_replication_draws_the_simulated_sample():
 
 @pytest.mark.parametrize("model", ["sscm", "sem"])
 def test_a_sample_computes_its_distances_once(monkeypatch, model):
-    # both draws share one distance matrix and free it with the draw; oracle:
-    # the same draws made on fresh locations, whose distances each draw
-    # computes anew from a copy of the points
+    # the errors' draw computes the one distance matrix and frees it, so the
+    # sample caches none; the response's covariogram takes its distances row
+    # block by row block; oracle: the same draws made on fresh locations
     cfg = SimConfig(n=50, p=3, model=model, seed=2)
     rng = rep_rng(cfg.seed, 1)
     coords = sample_locations(cfg.n, rng, grid=cfg.grid_locations)
@@ -286,6 +286,7 @@ def test_a_sample_computes_its_distances_once(monkeypatch, model):
         calls.append(points)
         return pairwise_distances(points)
 
+    monkeypatch.setattr(simulate, "pairwise_distances", counted)
     monkeypatch.setattr(geometry, "pairwise_distances", counted)
     drawn = _draw_sample(cfg, rep_rng(cfg.seed, 1))
     assert len(calls) == 1 and calls[0] is drawn.coords
@@ -309,22 +310,29 @@ def test_a_default_draw_peaks_within_2_4_matrices(model):
     assert peak <= 2.4 * n * n * 8
 
 
-def test_importing_the_package_loads_no_scipy_spatial_sparse_or_special():
-    # scipy.spatial would pull in scipy.sparse and scipy.special, about 10 MB of
-    # resident memory; chi2_sf imports scipy.special on its first call
+def test_the_package_loads_no_scipy_under_any_policy():
+    # numpy alone: scipy.linalg would add about 28 MB of resident memory and a
+    # second OpenBLAS; checked after the imports and again after one small
+    # replication of each model under every rank policy
     src = Path(simulate.__file__).parents[1]
     code = (
-        "import sys, spatialsdr.simulate, spatialsdr.dimension; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'spatial'], ['scipy', 'sparse'], ['scipy', 'special'])))"
+        "import sys\n"
+        "import spatialsdr.dimension, spatialsdr.simulate as s\n"
+        "from spatialsdr.predictor import MODES\n"
+        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy())\n"
+        "for model in ('sscm', 'sem'):\n"
+        "    for policy in s.POLICIES:\n"
+        "        s.run_experiment(s.SimConfig(n=60, p=4, reps=1, model=model), list(MODES), policy)\n"
+        "print(scipy())\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n") == ["[]", "[]", ""]
 
 
 def test_sscm_errors_use_the_cholesky_roots():
-    # oracle: scipy's lower Cholesky factors of exp(-decay * distance) and of
+    # oracle: numpy's lower Cholesky factors of exp(-decay * distance) and of
     # the column covariance
     rng = np.random.default_rng(11)
     coords = Coordinates(rng.uniform(size=(40, 2)))
@@ -332,11 +340,11 @@ def test_sscm_errors_use_the_cholesky_roots():
     noise_cov = a @ a.T + np.eye(3)
     z = np.random.default_rng(5).standard_normal((40, 3))
     h = np.exp(-2.0 * pairwise_distances(coords).dist)
-    want = cholesky(h, lower=True) @ (z @ cholesky(noise_cov, lower=True).T)
+    want = np.linalg.cholesky(h) @ (z @ np.linalg.cholesky(noise_cov).T)
     before = noise_cov.copy()
     got = draw_spatial_errors(coords, "sscm", 2.0, noise_cov, 5)
     np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(noise_cov, before)  # its root is factored in a copy
+    np.testing.assert_array_equal(noise_cov, before)
     with pytest.raises(NonPositiveDecayError):
         draw_spatial_errors(coords, "sscm", 0.0, noise_cov, 5)
 
@@ -347,7 +355,7 @@ def sem_draw_inputs(n=120, k=3):
     coords = Coordinates(rng.uniform(size=(n, 2)))
     a = rng.standard_normal((k, k))
     noise_cov = a @ a.T + np.eye(k)
-    z = np.random.default_rng(5).standard_normal((n, k)) @ cholesky(noise_cov, lower=True).T
+    z = np.random.default_rng(5).standard_normal((n, k)) @ np.linalg.cholesky(noise_cov).T
     return coords, noise_cov, z
 
 
@@ -392,15 +400,28 @@ def test_sem_filter_next_to_one_is_singular(lag):
     assert np.isfinite(draw_spatial_errors(coords, "sem", 1.0 - 1e-12, noise_cov, 5)).all()
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_filter_cond_bound_holds_on_threshold_graphs(seed):
+    # oracle: numpy's 2-norm condition number of D - lag * A, for the threshold
+    # adjacency A at max_min_distance of locations from sample_locations
+    coords = sample_locations(150, seed)
+    dist = pairwise_distances(coords)
+    adj = (dist.dist <= max_min_distance(dist)).astype(float)
+    np.fill_diagonal(adj, 0.0)
+    deg = adj.sum(axis=0)
+    for lag in (-0.95, -0.5, 0.5, 0.95, 1.0 - 1e-12):
+        cond = np.linalg.cond(np.diag(deg) - lag * adj)
+        assert filter_cond_bound(deg, lag) >= cond
+
+
 def test_sample_roots_factor_their_covariances(monkeypatch):
     # the spherical covariogram, the noise covariance and exp(-decay * distance)
     # of an sscm sample, each rebuilt by its root to 1e-12 of its largest entry
     cfg = SimConfig(n=60, model="sscm", seed=7)
     calls, original = [], simulate.draw_root
 
-    def spy(build, err):
-        m = np.array(build())  # a copy: the root is factored in the buffer build returns
-        chol = original(build, err)
+    def spy(m, err):
+        chol = original(m, err)
         calls.append((m, chol))
         return chol
 
@@ -415,14 +436,14 @@ def test_sample_roots_factor_their_covariances(monkeypatch):
     assert noise.shape == (cfg.p, cfg.p)
     np.testing.assert_array_equal(corr, np.exp(-cfg.decay * dist))
     for m, chol in calls:
-        np.testing.assert_array_equal(chol, cholesky(m, lower=True))  # unjittered
+        np.testing.assert_array_equal(chol, np.linalg.cholesky(m))  # unjittered
         np.testing.assert_array_equal(chol, np.tril(chol))
         assert np.abs(chol @ chol.T - m).max() <= 1e-12 * np.abs(m).max()
 
 
-def symmetric_root(build, err):
-    """The symmetric square root of ``build()`` under the shared PD policy: the oracle sampler."""
-    vals, vecs, _ = pd_eigh(build(), err)
+def symmetric_root(m, err):
+    """The symmetric square root of ``m`` under the shared PD policy: the oracle sampler."""
+    vals, vecs, _ = pd_eigh(m, err)
     return (vecs * vals**0.5) @ vecs.T
 
 
