@@ -8,9 +8,21 @@ A stack takes one stacked certificate, or else ``pd_cholesky`` each, the first f
 A draw multiplies by its root and never solves with it, so it needs no certificate: its root
 is one plain Cholesky, and the policy decides only when that fails (``draw_root``).
 Every factor is numpy's, which leaves its argument unchanged.
+
+The harness calls two process helpers, and importing the module calls neither.  ``keep_heap``
+keeps freed buffers in glibc's heap for the life of the process, so a replication reuses the
+pages the last one faulted in; ``one_blas_thread`` runs a block on one OpenBLAS thread, so results
+do not depend on the count.  Each does nothing where glibc, or numpy's OpenBLAS, is absent.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import glob
+import os
+import platform
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -100,3 +112,40 @@ def pd_choleskys(ms: np.ndarray, err: type[SpatialSdrError]) -> tuple:
     except np.linalg.LinAlgError:
         chols, used = np.array([pd_cholesky(m, err) for m in ms]).swapaxes(0, 1)
         return chols, used
+
+
+@functools.cache
+def keep_heap() -> None:
+    """Once per process: M_MMAP_THRESHOLD to its 64-bit maximum, 32 MiB, then M_TRIM_THRESHOLD
+    to twice that, as glibc's dynamic rule would set it."""
+    if platform.libc_ver()[0] == "glibc":  # from os.confstr("CS_GNU_LIBC_VERSION")
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20) and mallopt(-1, 64 << 20)
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS numpy loaded, or None."""
+    paths = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas*.so")
+    if not paths and os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps") as maps:
+            paths = [line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]]
+    lib = ctypes.CDLL(paths[0]) if paths else None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        if hasattr(lib, name.format("get")):
+            get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            get.argtypes, get.restype, put.argtypes, put.restype = (), ctypes.c_int, (ctypes.c_int,), None
+            return get, put
+
+
+@contextmanager
+def one_blas_thread():
+    """One OpenBLAS thread inside the block, and the count before it restored on leaving."""
+    get, put = _openblas_threads() or (lambda: None, lambda _: None)
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)

@@ -16,7 +16,8 @@ rank per method from ``dimension.select_ranks`` under the rank policy, then
 ``dimension.fit_and_predict`` on the split, as each CV fold does, reusing
 the fits the rank profiles made, and the squared test error.  Every
 replication derives its own RNG stream from (seed, rep), so parallel and
-serial execution agree.
+serial execution agree.  ``run_experiment`` computes on one OpenBLAS thread and leaves glibc's
+heap thresholds raised for the rest of the process (``_linalg.keep_heap``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import draw_root
+from ._linalg import draw_root, keep_heap, one_blas_thread
 from .basis import BasisSpec, polynomial_features
 from .data import SpatialSample, train_test_split
 from .dimension import FAILURES, POLICIES, fit_and_predict, select_ranks
@@ -281,25 +282,23 @@ def run_experiment(
     A failed replication records NaN for that method and continues;
     methods failing in at least 20% of replications are flagged unstable.
     ``workers`` threads run the replications; results are identical for
-    any count.  For any count set ``OPENBLAS_NUM_THREADS=1`` (or the
-    variable of the BLAS numpy links, the only one the package loads) before
-    numpy is imported: BLAS threads slow the small products of a serial run
-    too, and with ``workers > 1`` each worker's BLAS calls otherwise start
-    their own and oversubscribe the cores.
+    any count, and for any BLAS thread count: numpy's OpenBLAS runs on one
+    thread until the call returns, then gets its count back.  The first call
+    raises glibc's mmap and trim thresholds, and they stay raised.
     """
     for mode in methods:
         if mode not in MODES:
             raise InputError(f"unknown method {mode!r}")
     if d_policy not in POLICIES:
         raise InputError(f"unknown d policy {d_policy!r}")
+    keep_heap()
     reps = list(range(cfg.reps))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda rep: _run_rep(cfg, methods, d_policy, rep), reps)
-            )
-    else:
-        results = [_run_rep(cfg, methods, d_policy, rep) for rep in reps]
+    with one_blas_thread():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(lambda rep: _run_rep(cfg, methods, d_policy, rep), reps))
+        else:
+            results = [_run_rep(cfg, methods, d_policy, rep) for rep in reps]
 
     mse = {m: [res[0][m] for res in results] for m in methods}
     d_selected = {m: [res[1][m] for res in results] for m in methods}

@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg as sla
 from scipy.spatial.distance import pdist, squareform
 
-from spatialsdr._linalg import EIG_FLOOR, draw_root, pd_cholesky, pd_eigh
-from spatialsdr.exceptions import CovarianceNotPDError, NearSingularCorrelationError
+from spatialsdr._linalg import EIG_FLOOR, _openblas_threads, draw_root, one_blas_thread
+from spatialsdr._linalg import pd_cholesky, pd_eigh
+from spatialsdr.exceptions import CovarianceNotPDError, InputError, NearSingularCorrelationError
 
 
 def with_spectrum(vals, seed=0):
@@ -96,3 +97,13 @@ def test_draw_root_of_a_matrix_failing_after_jitter_raises_the_callers_error(err
     with pytest.raises(err) as info:
         draw_root(with_spectrum([-1.0, 1.0, 2.0]), err)
     assert info.type is err
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="numpy loaded no OpenBLAS")
+def test_one_blas_thread_restores_the_count_on_an_exception():
+    get = _openblas_threads()[0]
+    before = get()
+    with pytest.raises(InputError), one_blas_thread():
+        assert get() == 1
+        raise InputError("inside the block")
+    assert get() == before
