@@ -1,7 +1,7 @@
 """Shared dense linear-algebra helpers for symmetric positive-definite work.
 
 Positive definiteness follows one policy everywhere: eigenvalue floor 1e-10,
-certified by a shifted Cholesky factorisation (``pd_certified``) or checked by ``eigh``;
+certified by a shifted Cholesky factorisation (``pd_certified``) or checked by ``eigvalsh``;
 below the floor add ``1e-8 * trace/n`` on the diagonal and retry once, then fail.
 A stack takes one stacked certificate, or else ``pd_cholesky`` each, the first failure raising
 (``pd_choleskys``).  A certificate is carried only along an ascending decay grid (``geometry``).
@@ -22,6 +22,7 @@ import functools
 import glob
 import os
 import platform
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -36,43 +37,36 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
-def pd_eigh(
-    m: np.ndarray, err: type[SpatialSdrError]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecompose a symmetric matrix, enforcing the PD jitter policy.
-
-    Returns ``(eigvals, eigvecs, m_used)`` with eigenvalues ascending;
-    ``m_used`` is ``m`` itself or the jittered copy that passed the floor.
-    Raises ``err`` when the retry still leaves an eigenvalue below the floor.
-    """
+def _jittered(m: np.ndarray, err: type[SpatialSdrError]) -> np.ndarray:
+    """The symmetrized ``m`` when its least eigenvalue clears ``EIG_FLOOR``, else a copy with
+    ``JITTER_SCALE * trace / n`` added on the diagonal.  Raises ``err`` when that copy still
+    has an eigenvalue below the floor."""
     m = symmetrize(np.asarray(m, dtype=float))
-    vals, vecs = np.linalg.eigh(m)
-    if vals[0] >= EIG_FLOOR:
-        return vals, vecs, m
+    low = np.linalg.eigvalsh(m)[0]
+    if low >= EIG_FLOOR:
+        return m
     eps = JITTER_SCALE * float(np.trace(m)) / m.shape[0]
     if eps <= 0.0:
-        raise err(f"matrix not positive definite (min eig {vals[0]:.3e})")
+        raise err(f"matrix not positive definite (min eig {low:.3e})")
     m2 = m + eps * np.eye(m.shape[0])
-    vals, vecs = np.linalg.eigh(m2)
-    if vals[0] < EIG_FLOOR:
-        raise err(
-            f"matrix not positive definite after jitter (min eig {vals[0]:.3e})"
-        )
-    return vals, vecs, m2
+    low = np.linalg.eigvalsh(m2)[0]
+    if low < EIG_FLOOR:
+        raise err(f"matrix not positive definite after jitter (min eig {low:.3e})")
+    return m2
 
 
 def pd_certified(m: np.ndarray, err: type[SpatialSdrError], margin: float = 0.0) -> np.ndarray:
     """``m`` itself when a Cholesky factorisation of ``m - (EIG_FLOOR + margin + (n+1) n eps
     max_i m_ii) I`` succeeds, which certifies ``lambda_min(m) >= EIG_FLOOR + margin``, as
     ``(n+1) n eps max_i m_ii`` bounds its backward error (Higham 2002, Thm 10.3); otherwise
-    ``pd_eigh``'s copy, jittered or not.  ``m`` is left unchanged."""
+    ``_jittered``'s copy, jittered or not.  ``m`` is left unchanged."""
     shifted = np.array(m, dtype=float)
     shifted.flat[:: len(shifted) + 1] -= _certificate_shift(m, margin)
     try:
         np.linalg.cholesky(shifted)
         return m
     except np.linalg.LinAlgError:
-        return pd_eigh(m, err)[2]
+        return _jittered(m, err)
 
 
 def pd_cholesky(m, err: type[SpatialSdrError], margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -139,13 +133,21 @@ def _openblas_threads():
             return get, put
 
 
+_BLAS_LOCK, _blas_blocks = threading.Lock(), []  # per open block, the count before the first
+
+
 @contextmanager
 def one_blas_thread():
-    """One OpenBLAS thread inside the block, and the count before it restored on leaving."""
+    """One OpenBLAS thread inside the block.  Of blocks that overlap, in threads, the first to
+    enter saves the count and sets 1, and the last to leave, on an exception too, restores it."""
     get, put = _openblas_threads() or (lambda: None, lambda _: None)
-    before = get()
-    put(1)
+    with _BLAS_LOCK:
+        _blas_blocks.append(_blas_blocks[0] if _blas_blocks else get())
+        put(1)
     try:
         yield
     finally:
-        put(before)
+        with _BLAS_LOCK:
+            before = _blas_blocks.pop()
+            if not _blas_blocks:
+                put(before)

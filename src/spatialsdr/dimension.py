@@ -26,6 +26,7 @@ from . import pfc, sem, sscm
 from .basis import BasisSpec
 from .data import SpatialSample
 from .exceptions import CvFailedError, InputError, NonMonotoneLogliksError, SpatialSdrError
+from .geometry import upper_pairs
 from .predictor import MODES, PredictorConfig, build_reference, distance_grid, loo_search, predict_many
 
 MONOTONE_SLACK = 1e-8
@@ -194,7 +195,7 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
         fits.update(((kind, d), fit) for d, fit in zip(ranks, found))
     two_kernel = any(mode.startswith("2k") for mode, _ in jobs)
     dist = vars(train.coords).pop("distances", None)  # the matrix the spatial fits shared
-    h2_grid = distance_grid(dist.tri) if two_kernel and dist is not None else None
+    h2_grid = distance_grid(upper_pairs(dist)) if two_kernel and dist is not None else None
     del dist  # freed before the search
 
     refs = {}

@@ -1,9 +1,10 @@
 """Planar coordinates, distances, and the two spatial association structures.
 
-Geostatistical association uses an exponential correlation matrix
-``exp(-decay * distance)``; lattice association uses a column-normalized
-distance-threshold neighbor matrix ``W`` together with the autoregressive
-filter ``I - coef * W``.  All operations are pure functions of their inputs.
+Distances are plain n x n arrays.  Geostatistical association uses an exponential correlation
+matrix ``exp(-decay * distance)``; lattice association uses the filter ``I - coef * W`` for
+``W = A D^{-1}``, the ``neighbor_graph`` ``(A, D)``, which the SEM draw and fit use as it is
+(``neighbor_weights`` and ``spatial_filter`` build the dense ``W`` and filter).  All
+operations are pure functions of their inputs.
 
 Distances come from ``sq_distances`` and factors from ``numpy.linalg``, so the package loads
 numpy alone: ``scipy.linalg`` would add about 28 MB and 0.13 s to every process.
@@ -49,29 +50,18 @@ class Coordinates:
         return self.points.shape[0]
 
     @cached_property
-    def distances(self) -> DistanceMatrix:
-        """``pairwise_distances`` of these locations, computed once for every fit of them;
-        ``dimension.fit_and_predict`` drops it from ``vars`` once its fits are made.  The
+    def distances(self) -> np.ndarray:
+        """The ``pairwise_distances`` array of these locations, computed once for every fit of
+        them; ``dimension.fit_and_predict`` drops it from ``vars`` once its fits are made.  The
         errors' draw of ``simulate`` computes its own and builds its matrix in their buffer."""
         return pairwise_distances(self)
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Symmetric Euclidean distance matrix with an exactly-zero diagonal."""
-
-    dist: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.dist.shape[0]
-
-    @property
-    def tri(self) -> np.ndarray:
-        """The entries above the diagonal in SciPy's condensed order (pairs i < j, row by
-        row), gathered afresh: keeping them would hold n^2 / 2 more floats for as long as
-        the matrix lives."""
-        return self.dist[~np.tri(self.n, dtype=bool)]
+def upper_pairs(m: np.ndarray) -> np.ndarray:
+    """The entries of the square ``m`` above the diagonal in SciPy's condensed order (pairs
+    i < j, row by row), gathered afresh: keeping them would hold n^2 / 2 more floats for as
+    long as the matrix lives."""
+    return m[~np.tri(len(m), dtype=bool)]
 
 
 @dataclass(frozen=True)
@@ -94,8 +84,8 @@ class ExpCorrelation:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
-def pairwise_distances(coords: Coordinates) -> DistanceMatrix:
-    """Euclidean distances between all location pairs.
+def pairwise_distances(coords: Coordinates) -> np.ndarray:
+    """Euclidean distances between all location pairs: symmetric, with an exactly-zero diagonal.
 
     Raises ``DuplicatePointsError`` naming the first coinciding pair ``i < j`` in row order.
     """
@@ -104,7 +94,7 @@ def pairwise_distances(coords: Coordinates) -> DistanceMatrix:
     if np.count_nonzero(dist == 0.0) > coords.n:  # the diagonal's zeros are exact
         i, j = np.argwhere(np.triu(dist == 0.0, 1))[0]
         raise DuplicatePointsError(f"locations {i} and {j} coincide")
-    return DistanceMatrix(dist)
+    return dist
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,7 +119,7 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sq
 
 
-def exp_correlation(dist: DistanceMatrix, decay: float) -> ExpCorrelation:
+def exp_correlation(dist: np.ndarray, decay: float) -> ExpCorrelation:
     """Exponential correlogram ``exp(-decay * d_ij)`` as a dense matrix.
 
     ``_linalg.pd_cholesky`` certifies ``H`` above the eigenvalue floor, or
@@ -137,19 +127,20 @@ def exp_correlation(dist: DistanceMatrix, decay: float) -> ExpCorrelation:
     """
     if not decay > 0.0:
         raise NonPositiveDecayError(f"decay rate must be > 0, got {decay}")
-    chol, h = pd_cholesky(exp_matrix(dist, decay), NearSingularCorrelationError)
+    h = np.multiply(dist, -decay)
+    chol, h = pd_cholesky(np.exp(h, out=h), NearSingularCorrelationError)
     return ExpCorrelation(decay=float(decay), matrix=h, chol=chol)
 
 
 def exp_correlations(
-    dist: DistanceMatrix, decays: Sequence[float], border: np.ndarray
+    dist: np.ndarray, decays: Sequence[float], border: np.ndarray
 ) -> Iterator[ExpCorrelation]:
     """``exp_correlation`` at each of the ascending ``decays``, certified until the first
     decay whose certificate passes with the margin ``2 n (2 + max(decays) max D) eps``:
     ``n`` times the entrywise rounding bound, for each of two matrices.  As ``exp(-b D) =
     exp(-a D) o exp(-(b - a) D)``, both factors PD with unit diagonal, ``lambda_min`` does
     not fall from ``a`` to ``b > a`` (Schur 1911; Horn & Johnson, Topics in Matrix Analysis,
-    5.3), so each later decay takes one Cholesky alone.  A ``pd_eigh`` pass or a jitter is
+    5.3), so each later decay takes one Cholesky alone.  An eigenvalue pass or a jitter is
     not carried.
 
     Each decay factors ``H`` with the n x k ``border`` ``Z`` bordered on, ``[[H, Z], [Z',
@@ -159,14 +150,14 @@ def exp_correlations(
     One factorisation thus gives ``chol`` and ``whitened``.  The bordered matrix is built
     once, each decay's ``H`` in its top-left block, so the items carry ``matrix=None``."""
     n, k = border.shape
-    margin = 2 * n * (2.0 + max(decays) * dist.dist.max()) * np.finfo(float).eps
+    margin = 2 * n * (2.0 + max(decays) * dist.max()) * np.finfo(float).eps
     bordered = np.empty((n + k, n + k), order="F")  # numpy's factor copies to this layout
     bordered[:n, n:], bordered[n:, :n] = border, border.T
     bordered[n:, n:] = np.eye(k) * (2.0 * np.sum(border * border) / EIG_FLOOR)
-    h, scaled = bordered[:n, :n], np.empty_like(dist.dist)  # a product into h costs twice as much
+    h, scaled = bordered[:n, :n], np.empty_like(dist)  # a product into h costs twice as much
     certified = np.inf  # the smallest decay certified with the margin
     for decay in decays:
-        np.exp(np.multiply(dist.dist, -decay, out=scaled), out=h.T)  # h.T: row-major, as is D
+        np.exp(np.multiply(dist, -decay, out=scaled), out=h.T)  # h.T: row-major, as is D
         if decay < certified:
             used = pd_certified(h, NearSingularCorrelationError, margin)
             if used is h:
@@ -180,12 +171,6 @@ def exp_correlations(
         yield ExpCorrelation(float(decay), None, factor[:n, :n], factor[n:, :n].T)
 
 
-def exp_matrix(dist: DistanceMatrix, decay: float) -> np.ndarray:
-    """``exp(-decay * dist)`` built in one fresh buffer."""
-    h = np.multiply(dist.dist, -decay)
-    return np.exp(h, out=h)
-
-
 def sorted_median(values: np.ndarray) -> float:
     """``np.median`` of a non-empty 1-d array without NaNs, bit for bit: the lower middle
     value from one partition, averaged with the least value above it when the size is even.
@@ -197,24 +182,33 @@ def sorted_median(values: np.ndarray) -> float:
     return float(median) if median != 0.0 else float(np.median(values))
 
 
-def max_min_distance(dist: DistanceMatrix) -> float:
+def max_min_distance(dist: np.ndarray) -> float:
     """Largest nearest-neighbor distance: the smallest threshold at which
     every location still has at least one neighbor."""
-    n = dist.n
+    n = len(dist)
     # each row's minima before, at and after the diagonal: one reduceat of the flat matrix
     # cut at i*n, i*(n+1) and i*(n+1)+1, less the empty first two and last pieces
     cuts = (np.arange(n)[:, None] * [n, n + 1, n + 1] + [0, 0, 1]).ravel()[2:-1]
-    mins = np.concatenate([[np.inf, 0.0], np.minimum.reduceat(dist.dist.ravel(), cuts), [np.inf]])
+    mins = np.concatenate([[np.inf, 0.0], np.minimum.reduceat(dist.ravel(), cuts), [np.inf]])
     return float(np.minimum(mins[0::3], mins[2::3]).max())
 
 
-def neighbor_weights(dist: DistanceMatrix, threshold: float) -> np.ndarray:
+def neighbor_graph(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The SEM lattice ``(A, D)``: the boolean adjacency ``A`` at ``distance <= max_min_distance``
+    (ties included) with a zero diagonal, and its degrees ``D`` as floats, each at least 1 by
+    the threshold's choice; ``W = A D^{-1}`` is ``neighbor_weights`` at that threshold."""
+    adj = dist <= max_min_distance(dist)
+    np.fill_diagonal(adj, False)
+    return adj, adj.sum(axis=0, dtype=float)
+
+
+def neighbor_weights(dist: np.ndarray, threshold: float) -> np.ndarray:
     """Binary adjacency at ``distance <= threshold`` (ties included), zero
-    diagonal, each column normalized to sum to one.
+    diagonal, each column normalized to sum to one: the dense ``W``.
 
     Raises ``IsolatedPointError`` when some location has no neighbor.
     """
-    adj = (dist.dist <= threshold).astype(float)
+    adj = (dist <= threshold).astype(float)
     np.fill_diagonal(adj, 0.0)
     col_sums = adj.sum(axis=0)
     if np.any(col_sums == 0.0):

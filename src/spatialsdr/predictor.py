@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import SpatialSample
 from .exceptions import DegenerateGridError, InputError, SpatialSdrError
-from .geometry import sorted_median, sq_distances
+from .geometry import sorted_median, sq_distances, upper_pairs
 
 MODES = (
     "1k.FULL",
@@ -143,7 +143,7 @@ def default_bandwidth_grid(points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(points)
     if pts.shape[0] < 2:
         raise DegenerateGridError("need at least two points to scale a grid")
-    tri = sq_distances(pts, pts)[~np.tri(len(pts), dtype=bool)]  # the pairs i < j, row by row
+    tri = upper_pairs(sq_distances(pts, pts))
     return distance_grid(np.sqrt(tri, out=tri))
 
 

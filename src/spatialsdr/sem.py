@@ -10,10 +10,10 @@ column-normalized ``W`` too).  With ``Z = [1 X F]`` the moment matrix is
 so one product ``WZ`` per sample serves every lag; its Schur complement on
 the intercept is the Gram matrix of the generalized centering
 ``I - 1 (1' Wt'Wt 1)^{-1} 1' Wt'Wt`` followed by ``Wt``.  The likelihood
-carries ``+ p log|det Wt|``.  ``W = A D^{-1}`` for the symmetric threshold
-adjacency ``A`` with degrees ``D``, so ``W`` is similar to the symmetric
-``D^{-1/2} A D^{-1/2}``, whose eigenvalues ``lambda`` give ``log|det Wt| =
-sum log|1 - coef lambda|`` at every lag (Ord 1975).  The lag coefficient is
+carries ``+ p log|det Wt|``.  ``W = A D^{-1}`` for ``geometry.neighbor_graph``'s
+symmetric adjacency ``A`` and degrees ``D``, and is never formed: ``WZ = A (D^{-1} Z)``,
+and ``W`` is similar to the symmetric ``D^{-1/2} A D^{-1/2}``, whose eigenvalues
+``lambda`` give ``log|det Wt| = sum log|1 - coef lambda|`` at every lag (Ord 1975).  The lag coefficient is
 profiled over a grid on (-1, 1): ``whiten_sem`` yields each lag's moments
 in turn, as ``sscm.whiten_sscm`` yields each decay's, from one broadcast of
 the lag-free parts over the grid.  Fits are ``SemFit``, the ``rrr.SdrFit``
@@ -30,24 +30,24 @@ import numpy as np
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, SingularFilterError
-from .geometry import max_min_distance, neighbor_weights
+from .geometry import neighbor_graph
 from .rrr import Moments, SdrFit, design, profile
 
 DEFAULT_GRID = np.round(np.arange(-0.95, 0.951, 0.05), 2)  # -0.95 .. 0.95 in steps of 0.05
 COND_LIMIT = 1e14  # largest accepted condition number of I - coef D^{-1/2} A D^{-1/2}
 
 
-def whiten_sem(x: np.ndarray, f: np.ndarray, weights: np.ndarray, coefs) -> Iterator[Moments]:
-    """Moments ``M(coef)`` at each lag of ``coefs`` in turn, from one broadcast of
-    ``Z'Z``, ``Z'WZ + (Z'WZ)'`` and ``(WZ)'(WZ)`` over them, for ``weights`` from
-    ``neighbor_weights``, whose nonzero pattern is the symmetric adjacency.  Raises
+def whiten_sem(x: np.ndarray, f: np.ndarray, graph: tuple, coefs) -> Iterator[Moments]:
+    """Moments ``M(coef)`` at each lag of ``coefs`` in turn, from one broadcast of ``Z'Z``,
+    ``Z'WZ + (Z'WZ)'`` and ``(WZ)'(WZ)`` over them, for ``W = A D^{-1}`` of the ``graph``
+    ``(A, D)`` from ``geometry.neighbor_graph``, with ``WZ = A (D^{-1} Z)``.  Raises
     ``SingularFilterError`` at the first lag whose gaps ``|1 - coef lambda|``, the
     singular values of the symmetrized filter, have a ratio above ``COND_LIMIT``."""
     z, shift = design(x, f)
-    wz = weights @ z
+    adj, deg = graph
+    wz = adj @ (z / deg[:, None])
     cross = z.T @ wz
-    adj = weights != 0.0
-    root = np.sqrt(adj.sum(axis=0))
+    root = np.sqrt(deg)
     spectrum = np.linalg.eigvalsh(adj / np.outer(root, root))
     coefs = np.asarray(coefs, dtype=float)
     gaps = np.abs(1.0 - coefs[:, None] * spectrum)
@@ -95,8 +95,7 @@ def rank_fits(sample, spec, ranks, lag_grid=None) -> list:
     """``fit_sem`` at each of ``ranks`` from one pass over the lag grid; the
     first error, at any lag or rank, fails them all."""
     f = build_f(sample.y, spec)
-    dist = sample.coords.distances
-    weights = neighbor_weights(dist, max_min_distance(dist))
+    graph = neighbor_graph(sample.coords.distances)
 
     lag_grid = np.asarray(DEFAULT_GRID if lag_grid is None else lag_grid, dtype=float)
     if lag_grid.size == 0:
@@ -107,4 +106,4 @@ def rank_fits(sample, spec, ranks, lag_grid=None) -> list:
     # Scan smallest |coef| first so ties keep the near-independent model.
     order = sorted(lag_grid, key=lambda c: (abs(c), c))
     params = [float(c) for c in order]
-    return profile(SemFit, "sem", ranks, params, whiten_sem(sample.x, f, weights, params))
+    return profile(SemFit, "sem", ranks, params, whiten_sem(sample.x, f, graph, params))

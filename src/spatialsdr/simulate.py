@@ -5,11 +5,12 @@ a Gaussian random field response with a planar trend and spherical
 covariogram, and predictors from the inverse model ``X = 1 mu' + F (AB)' +
 E`` with spatially correlated errors drawn under either the separable
 exponential-correlation law or the autoregressive-filter law.  Gaussian draws
-use the lower Cholesky root of each covariance (``_linalg.draw_root``), and the
-filter ``(I - rho A D^-1)^-1 = D (D - rho A)^-1`` an LU solve with ``D - rho A``.
-The errors' draw computes the sample's one distance matrix and builds its matrix in that
-buffer, and the response's covariogram takes its distances row block by row block, so a
-draw holds at most two n x n matrices at once: the one it factors and the factor.
+use the lower Cholesky root of each covariance (``_linalg.draw_root``), and the filter
+``(I - rho A D^-1)^-1 = D (D - rho A)^-1`` of the SEM fit's ``geometry.neighbor_graph`` an
+LU solve with ``D - rho A``.  The errors' draw computes the sample's one distance array and
+builds its matrix in that buffer, and the response's covariogram takes its distances row
+block by row block, so a draw holds at most two n x n matrices at once: the one it factors
+and the factor.
 
 The experiment protocol repeats: fresh data, random train/test split, a
 rank per method from ``dimension.select_ranks`` under the rank policy, then
@@ -33,7 +34,7 @@ from .data import SpatialSample, train_test_split
 from .dimension import FAILURES, POLICIES, fit_and_predict, select_ranks
 from .exceptions import CovarianceNotPDError, InputError
 from .exceptions import NearSingularCorrelationError, NonPositiveDecayError, SingularFilterError
-from .geometry import Coordinates, max_min_distance, pairwise_distances, sq_distances
+from .geometry import Coordinates, neighbor_graph, pairwise_distances, sq_distances
 from .predictor import MODES
 from .sem import COND_LIMIT
 
@@ -120,12 +121,6 @@ class MetricsReport:
         return rows
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def rep_rng(base_seed: int, rep: int) -> np.random.Generator:
     """The replication's dedicated RNG stream."""
     return np.random.default_rng(
@@ -145,7 +140,7 @@ def sample_locations(n: int, seed, grid: bool = False) -> Coordinates:
         axis = np.linspace(0.0, 1.0, side)
         xx, yy = np.meshgrid(axis, axis)
         return Coordinates(np.column_stack([xx.ravel(), yy.ravel()]))
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     return Coordinates(rng.uniform(size=(n, 2)))
 
 
@@ -169,7 +164,7 @@ def spherical_covariance(coords: Coordinates, grf: GrfSpec) -> np.ndarray:
 def simulate_y(coords: Coordinates, grf: GrfSpec, seed) -> np.ndarray:
     """Draw the response field as its trend plus the lower Cholesky root of
     its covariance times standard normals."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     s1, s2 = coords.points[:, 0], coords.points[:, 1]
     mean = grf.trend[0] + grf.trend[1] * s1 + grf.trend[2] * s2
     root = draw_root(spherical_covariance(coords, grf), CovarianceNotPDError)
@@ -183,25 +178,24 @@ def draw_spatial_errors(
 
     ``sscm``: ``E = L_H Z L_noise'`` with the lower Cholesky roots ``L`` of
     ``exp(-param * distance)`` and ``noise_cov`` and a standard normal ``Z``;
-    ``sem``: rows solve ``(I - param * W) E = Z L_noise'`` for ``W = A D^-1``, the threshold
-    adjacency ``A`` at ``max_min_distance`` over its degrees ``D``, so ``E = D (D - param *
+    ``sem``: rows solve ``(I - param * W) E = Z L_noise'`` for ``W = A D^-1`` of the lattice
+    ``(A, D)`` from ``geometry.neighbor_graph``, so ``E = D (D - param *
     A)^-1 Z L_noise'`` by an LU solve with the symmetric ``D - param * A``, or ``Z L_noise'``
     itself at ``param = 0``; ``SingularFilterError`` when ``filter_cond_bound`` passes
     ``sem.COND_LIMIT``.  Either way each row has covariance ``noise_cov``.
     """
     check_error_law(model, param)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     col_root = draw_root(np.asarray(noise_cov, dtype=float), CovarianceNotPDError)
     z = rng.standard_normal((coords.n, noise_cov.shape[0])) @ col_root.T
     if param == 0.0:
         return z  # a SEM lag of 0, exactly: the solve with D alone would round it
     dist = pairwise_distances(coords)  # the draw's own: its matrix is built in their buffer
     if model == "sscm":
-        h = np.exp(np.multiply(dist.dist, -param, out=dist.dist), out=dist.dist)
+        h = np.exp(np.multiply(dist, -param, out=dist), out=dist)
         return draw_root(h.T, NearSingularCorrelationError) @ z  # column-major, as numpy copies it
-    adj = dist.dist <= max_min_distance(dist)  # the diagonal too, at distance 0
-    deg = adj.sum(axis=0) - 1.0
-    filt = np.multiply(adj, -param, out=dist.dist).T  # symmetric: D - param * A, column-major
+    adj, deg = neighbor_graph(dist)
+    filt = np.multiply(adj, -param, out=dist).T  # symmetric: D - param * A, column-major
     np.fill_diagonal(filt, deg)
     bound = filter_cond_bound(deg, param)
     if not bound <= COND_LIMIT:
@@ -225,7 +219,7 @@ def simulate_x(y: np.ndarray, coords: Coordinates, cfg: SimConfig, seed) -> np.n
     covariance is ``G G' + 0.1 I`` for a standard-normal ``G``; the raw
     polynomial features of the response carry the mean structure.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     p, d, r = cfg.p, cfg.d, cfg.r
     mu = rng.standard_normal(p)
     a = rng.standard_normal((p, d))

@@ -27,21 +27,21 @@ import numpy as np
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, NonPositiveDecayError
-from .geometry import DistanceMatrix, exp_correlations, sorted_median
+from .geometry import exp_correlations, sorted_median, upper_pairs
 from .rrr import Moments, SdrFit, design, moments_of, profile
 
 DEFAULT_GRID_SIZE = 20
 DEFAULT_GRID_SPAN = (0.1, 10.0)  # multiples of 1/median-distance
 
 
-def default_decay_grid(dist: DistanceMatrix) -> np.ndarray:
+def default_decay_grid(dist: np.ndarray) -> np.ndarray:
     """Geometric grid spanning 0.1/m .. 10/m with m the median distance."""
-    m = sorted_median(dist.tri)
+    m = sorted_median(upper_pairs(dist))
     lo, hi = DEFAULT_GRID_SPAN[0] / m, DEFAULT_GRID_SPAN[1] / m
     return np.geomspace(lo, hi, DEFAULT_GRID_SIZE)
 
 
-def whiten_sscm(x: np.ndarray, f: np.ndarray, dist: DistanceMatrix, decays) -> Iterator[Moments]:
+def whiten_sscm(x: np.ndarray, f: np.ndarray, dist: np.ndarray, decays) -> Iterator[Moments]:
     """Moments ``B'B``, ``B = L^{-1} [1 X F]`` for the lower Cholesky factor ``L`` of
     ``exp(-decay * dist)``, at each of the ascending ``decays`` in turn from one design
     ``[1 X F]``, bordered on each matrix that ``geometry.exp_correlations`` certifies PD."""

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from spatialsdr._linalg import pd_eigh
+from spatialsdr._linalg import _jittered
 from spatialsdr.basis import BasisSpec, build_f
 from spatialsdr.data import train_test_split
 from spatialsdr.exceptions import (
@@ -17,18 +17,19 @@ from spatialsdr.exceptions import (
 )
 from spatialsdr.geometry import (
     Coordinates,
-    DistanceMatrix,
     exp_correlation,
     exp_correlations,
     max_min_distance,
+    neighbor_graph,
     neighbor_weights,
     pairwise_distances,
     sorted_median,
     spatial_filter,
     sq_distances,
+    upper_pairs,
 )
 from spatialsdr.rrr import design
-from spatialsdr.simulate import SimConfig, _draw_sample, rep_rng, simulate_sample
+from spatialsdr.simulate import SimConfig, _draw_sample, rep_rng, sample_locations, simulate_sample
 from spatialsdr.sscm import default_decay_grid
 
 
@@ -39,7 +40,7 @@ def coords(*pts):
 class TestPairwiseDistances:
     def test_3_4_5_triangle(self):
         d = pairwise_distances(coords((0, 0), (3, 4)))
-        assert d.dist[0, 1] == pytest.approx(5.0)
+        assert d[0, 1] == pytest.approx(5.0)
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(DuplicatePointsError):
@@ -59,7 +60,7 @@ class TestPairwiseDistances:
         dist = squareform(pdist(pts))
         masked = dist + np.diag(np.full(n, np.inf))
         if masked.min() > 0.0:
-            np.testing.assert_array_equal(pairwise_distances(Coordinates(pts)).dist, dist)
+            np.testing.assert_array_equal(pairwise_distances(Coordinates(pts)), dist)
         else:
             i, j = divmod(int(np.argmin(masked)), n)
             with pytest.raises(DuplicatePointsError, match=f"^locations {i} and {j} coincide$"):
@@ -68,13 +69,13 @@ class TestPairwiseDistances:
     def test_collinear_matrix(self):
         d = pairwise_distances(coords((0, 0), (0, 1), (0, 3)))
         expected = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], dtype=float)
-        np.testing.assert_allclose(d.dist, expected)
+        np.testing.assert_allclose(d, expected)
 
     def test_diagonal_zero_and_symmetric(self):
         rng = np.random.default_rng(1)
         d = pairwise_distances(Coordinates(rng.uniform(size=(30, 2))))
-        assert np.all(np.diag(d.dist) == 0.0)
-        np.testing.assert_array_equal(d.dist, d.dist.T)
+        assert np.all(np.diag(d) == 0.0)
+        np.testing.assert_array_equal(d, d.T)
 
 
 class TestExpCorrelation:
@@ -93,7 +94,7 @@ class TestExpCorrelation:
         # oracle: eigendecomposition of the hand-built 3x3 matrix
         d = pairwise_distances(coords((0, 0), (0, 1), (0, 3)))
         h = exp_correlation(d, 1.0)
-        hand = np.exp(-1.0 * d.dist)
+        hand = np.exp(-1.0 * d)
         assert np.all(np.linalg.eigvalsh(hand) > 0)
         np.testing.assert_allclose(h.matrix, hand)
         np.testing.assert_allclose(h.chol @ h.chol.T, hand, rtol=0, atol=1e-12)
@@ -114,8 +115,8 @@ class TestExpCorrelation:
             pts = np.random.default_rng(seed).uniform(size=(30, 2))
             pts[1] = pts[0] + [gap, 0.0]
             d = pairwise_distances(Coordinates(pts))
-            hand = np.exp(-d.dist)
-            want = pd_eigh(hand, NearSingularCorrelationError)[2]
+            hand = np.exp(-d)
+            want = _jittered(hand, NearSingularCorrelationError)
             h = exp_correlation(d, 1.0)
             np.testing.assert_array_equal(h.matrix, want)
             if gap <= 3e-11:
@@ -130,7 +131,7 @@ class TestExpCorrelation:
         # decays from 1e-3 to 1e3 multiples of 1/median distance; the
         # absolute floor covers logdet -> 0 as H -> I
         d = pairwise_distances(Coordinates(np.random.default_rng(seed).uniform(size=(n, 2))))
-        decay = 10.0**log_scale / np.median(d.dist[np.triu_indices(n, k=1)])
+        decay = 10.0**log_scale / np.median(d[np.triu_indices(n, k=1)])
         h = exp_correlation(d, decay)
         want = np.sum(np.log(np.linalg.eigvalsh(h.matrix)))
         assert h.logdet == pytest.approx(want, rel=1e-10, abs=1e-12)
@@ -172,8 +173,8 @@ class TestExpCorrelations:
         # times a PD unit-diagonal matrix entrywise, so Schur's bound holds
         d = pairwise_distances(Coordinates(np.random.default_rng(seed).uniform(size=(n, 2))))
         low, high = 10.0**log_decay, 10.0 ** (log_decay + log_step)
-        lam_low = np.linalg.eigvalsh(np.exp(-low * d.dist))[0]
-        lam_high = np.linalg.eigvalsh(np.exp(-high * d.dist))[0]
+        lam_low = np.linalg.eigvalsh(np.exp(-low * d))[0]
+        lam_high = np.linalg.eigvalsh(np.exp(-high * d))[0]
         assert lam_high >= lam_low - 1e-12
 
     def test_certified_grid_factors_each_later_decay_once(self, monkeypatch):
@@ -189,7 +190,7 @@ class TestExpCorrelations:
         for g, w, decay in zip(got, want, decays):
             assert g.decay == w.decay
             assert g.matrix is None
-            np.testing.assert_array_equal(w.matrix, np.exp(-decay * d.dist))
+            np.testing.assert_array_equal(w.matrix, np.exp(-decay * d))
             np.testing.assert_array_equal(g.chol, w.chol)
 
     def test_uncertified_decays_match_single_calls_bit_for_bit(self, monkeypatch):
@@ -204,14 +205,14 @@ class TestExpCorrelations:
         counted = count_factorisations(monkeypatch, 40)
         got = list(exp_correlations(d, decays, no_border(40)))
         factorisations = len(counted)
-        raw = [np.exp(-decay * d.dist) for decay in decays]
+        raw = [np.exp(-decay * d) for decay in decays]
         jittered = [not np.array_equal(w.matrix, h) for w, h in zip(want, raw)]
         assert jittered[0] and not jittered[-1]
         for g, w, h, jitter in zip(got, want, raw, jittered):
             assert g.matrix is None
             np.testing.assert_array_equal(g.chol, w.chol)
-            # the jitter decision: the factor of the raw matrix, or of pd_eigh's jittered one
-            used = pd_eigh(h, NearSingularCorrelationError)[2] if jitter else h
+            # the jitter decision: the factor of the raw matrix, or of the policy's jittered one
+            used = _jittered(h, NearSingularCorrelationError) if jitter else h
             np.testing.assert_array_equal(g.chol, np.linalg.cholesky(used))
         # some decays certified and carried: fewer than two factorisations each
         assert factorisations < 2 * len(decays)
@@ -228,7 +229,7 @@ class TestExpCorrelations:
         d = pairwise_distances(train.coords)
         grid = list(default_decay_grid(d))
         decays = grid[:3] + grid[-3:]
-        plain = list(exp_correlations(d, decays, no_border(d.n)))
+        plain = list(exp_correlations(d, decays, no_border(len(d))))
         for corr, alone in zip(exp_correlations(d, decays, z), plain):
             assert corr.decay == alone.decay
             want = solve_triangular(alone.chol, z, lower=True)
@@ -270,7 +271,40 @@ class TestMaxMinDistance:
         d = rng.integers(0, 3, size=(n, n)).astype(float) if ties else rng.uniform(size=(n, n))
         np.fill_diagonal(d, 0.0)
         want = float((d + np.diag(np.full(n, np.inf))).min(axis=1).max())
-        assert max_min_distance(DistanceMatrix(d)) == want
+        assert max_min_distance(d) == want
+
+
+class TestNeighborGraph:
+    @pytest.mark.parametrize("n, grid", [(50, False), (120, False), (81, True), (64, True)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_brute_force_graph(self, n, grid, seed):
+        # oracle: scipy's distances, which pairwise_distances matches bit for bit,
+        # searched pair by pair for the largest nearest-neighbor distance and the
+        # pairs within it; a 9 x 9 grid's spacing, 1/8, is exact, so every point's
+        # nearest distances tie at the threshold and the graph is the 4-neighbor lattice
+        pts = sample_locations(n, seed, grid=grid).points
+        gaps = squareform(pdist(pts))
+        nearest = [min(gaps[i, j] for j in range(n) if j != i) for i in range(n)]
+        threshold = max(nearest)
+        want = np.array([[i != j and gaps[i, j] <= threshold for j in range(n)] for i in range(n)])
+        dist = pairwise_distances(Coordinates(pts))
+        adj, deg = neighbor_graph(dist)
+        assert adj.dtype == bool and deg.dtype == float
+        np.testing.assert_array_equal(adj, want)
+        np.testing.assert_array_equal(adj, adj.T)
+        assert not adj.diagonal().any()
+        assert adj[(dist == threshold) & ~np.eye(n, dtype=bool)].all()  # ties included
+        np.testing.assert_array_equal(deg, want.sum(axis=0))
+        assert deg.min() >= 1.0
+        if n == 81:
+            assert all(g == 0.125 for g in nearest)
+            lattice = [(x > 0) + (x < 8) + (y > 0) + (y < 8) for y in range(9) for x in range(9)]
+            np.testing.assert_array_equal(deg, lattice)
+        # the dense W: nonzero on the graph, and each column A's over its degree
+        w = neighbor_weights(dist, max_min_distance(dist))
+        np.testing.assert_array_equal(adj, w != 0.0)
+        np.testing.assert_array_equal(deg, (w != 0.0).sum(axis=0))
+        assert w.tobytes() == (adj / deg).tobytes()
 
 
 class TestNeighborWeights:
@@ -389,8 +423,8 @@ def test_sorted_median_of_distances_is_np_median_bit_for_bit(n):
     pts = np.random.default_rng(n).uniform(size=(n, 2))
     dist = pairwise_distances(Coordinates(pts))
     tri = pdist(pts)
-    assert dist.dist.tobytes() == squareform(tri).tobytes()
-    assert dist.tri.tobytes() == tri.tobytes()
+    assert dist.tobytes() == squareform(tri).tobytes()
+    assert upper_pairs(dist).tobytes() == tri.tobytes()
     assert sorted_median(tri).hex() == float(np.median(tri)).hex()
 
 

@@ -1,4 +1,6 @@
-"""The shared PD policy: certified Cholesky factors and the eigh jitter."""
+"""The shared PD policy: certified Cholesky factors and the eigenvalue jitter."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import scipy.linalg as sla
 from scipy.spatial.distance import pdist, squareform
 
 from spatialsdr._linalg import EIG_FLOOR, _openblas_threads, draw_root, one_blas_thread
-from spatialsdr._linalg import pd_cholesky, pd_eigh
+from spatialsdr._linalg import _jittered, pd_cholesky
 from spatialsdr.exceptions import CovarianceNotPDError, InputError, NearSingularCorrelationError
 
 
@@ -30,10 +32,10 @@ def test_well_conditioned_matrix_is_factored_unjittered(scale):
 
 
 def test_matrix_below_the_floor_gets_the_eigh_jitter():
-    # oracle: pd_eigh's jittered matrix, factored by numpy
+    # oracle: the eigenvalue policy's jittered matrix (_linalg._jittered), factored by numpy
     m = with_spectrum([1e-11, 1.0, 2.0, 4.0, 8.0])
     assert 0.0 < np.linalg.eigvalsh(m)[0] < EIG_FLOOR
-    want = pd_eigh(m, CovarianceNotPDError)[2]
+    want = _jittered(m, CovarianceNotPDError)
     chol, used = pd_cholesky(m, CovarianceNotPDError)
     assert not np.array_equal(want, m)
     np.testing.assert_array_equal(used, want)
@@ -107,3 +109,38 @@ def test_one_blas_thread_restores_the_count_on_an_exception():
         assert get() == 1
         raise InputError("inside the block")
     assert get() == before
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="numpy loaded no OpenBLAS")
+def test_overlapping_blocks_in_threads_keep_one_thread_and_restore_the_count():
+    # A enters, B enters, A leaves: B still runs on one thread, and once both
+    # have left the count before A's entry is back
+    get, put = _openblas_threads()
+    before = get()
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def block_a():
+        with one_blas_thread():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def block_b():
+        a_in.wait(10)
+        with one_blas_thread():
+            b_in.set()
+            a_out.wait(10)
+            seen["b after a left"] = get()
+
+    put(2)
+    try:
+        threads = [threading.Thread(target=block_a), threading.Thread(target=block_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert seen == {"b after a left": 1}
+        assert get() == 2
+    finally:
+        put(before)

@@ -19,6 +19,7 @@ from spatialsdr.geometry import (
     Coordinates,
     exp_correlation,
     max_min_distance,
+    neighbor_graph,
     neighbor_weights,
     pairwise_distances,
     spatial_filter,
@@ -111,23 +112,22 @@ class TestWhitenSscm:
 class TestWhitenSem:
     def test_zero_coef_is_plain_centering(self):
         coords, dist = three_point_geometry()
-        w = neighbor_weights(dist, 2.0)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 1))
-        moments = next(whiten_sem(x, x[:, :1], w, [0.0]))
+        moments = next(whiten_sem(x, x[:, :1], neighbor_graph(dist), [0.0]))
         xc = x - x.mean(axis=0)
         np.testing.assert_allclose(schur(moments)[:1, :1], xc.T @ xc, atol=1e-12)
         assert moments.logdet_s_term == 0.0
 
     def test_annihilates_constant_vector(self):
         coords, dist = three_point_geometry()
-        w = neighbor_weights(dist, 2.0)
-        moments = next(whiten_sem(np.ones((3, 1)), np.arange(3.0)[:, None] - 1.0, w, [0.6]))
+        f = np.arange(3.0)[:, None] - 1.0
+        moments = next(whiten_sem(np.ones((3, 1)), f, neighbor_graph(dist), [0.6]))
         np.testing.assert_allclose(schur(moments)[0], 0.0, atol=1e-12)
 
     def test_matches_dense_matrix_oracle(self):
         coords, dist = three_point_geometry()
-        w = neighbor_weights(dist, 2.0)
+        w = neighbor_weights(dist, 2.0)  # max_min_distance: the dense W of neighbor_graph
         wt = spatial_filter(w, 0.5)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 1))
@@ -135,7 +135,7 @@ class TestWhitenSem:
         ones = np.ones((3, 1))
         wc = np.eye(3) - (ones @ ones.T @ m) / (ones.T @ m @ ones).item()
         oracle = wt @ wc @ x
-        gram = schur(next(whiten_sem(x, x[:, :1], w, [0.5])))
+        gram = schur(next(whiten_sem(x, x[:, :1], neighbor_graph(dist), [0.5])))
         np.testing.assert_allclose(gram, np.tile(oracle.T @ oracle, (2, 2)), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -146,7 +146,7 @@ class TestWhitenSem:
         w = neighbor_weights(dist, max_min_distance(dist))
         f = np.random.default_rng(seed).standard_normal((60, 2))
         rows = centered_rows(sample.x, f)
-        for coef, moments in zip(DEFAULT_GRID, whiten_sem(sample.x, f, w, DEFAULT_GRID)):
+        for coef, moments in zip(DEFAULT_GRID, whiten_sem(sample.x, f, neighbor_graph(dist), DEFAULT_GRID)):
             wt = np.eye(60) - coef * w
             want = (wt @ rows).T @ (wt @ rows)
             np.testing.assert_allclose(moments.m, want, rtol=0, atol=1e-10 * np.abs(want).max())
@@ -181,10 +181,10 @@ class TestFitSscm:
         """A decay so large that every off-diagonal ``exp(-decay * d)``
         underflows to 0, so the correlation matrix is exactly the identity."""
         dist = pairwise_distances(sample.coords)
-        d_min = dist.dist[np.triu_indices(dist.n, k=1)].min()
+        d_min = dist[np.triu_indices(len(dist), k=1)].min()
         decay = 1000.0 / d_min
         assert decay * d_min > 800.0  # exp(-800) underflows to 0.0
-        np.testing.assert_array_equal(exp_correlation(dist, decay).matrix, np.eye(dist.n))
+        np.testing.assert_array_equal(exp_correlation(dist, decay).matrix, np.eye(len(dist)))
         return decay
 
     @given(*SAMPLE_DRAWS)
@@ -235,7 +235,7 @@ class TestFitSscm:
         sample = random_sample(40, 3, seed=8)
         dist = pairwise_distances(sample.coords)
         grid = default_decay_grid(dist)
-        tri = dist.dist[np.triu_indices(dist.n, k=1)]
+        tri = dist[np.triu_indices(len(dist), k=1)]
         m = np.median(tri)
         assert grid[0] == pytest.approx(0.1 / m)
         assert grid[-1] == pytest.approx(10.0 / m)
@@ -378,10 +378,10 @@ def test_profile_grids_match_the_eigh_oracle(seed, model):
     spec = BasisSpec("polynomial", cfg.r)
     f = build_f(train.y, spec)
     dist = pairwise_distances(train.coords)
-    w = neighbor_weights(dist, max_min_distance(dist))
+    graph = neighbor_graph(dist)
     moments = {
         "sscm": lambda decay: next(whiten_sscm(train.x, f, dist, [decay])),
-        "sem": lambda coef: next(whiten_sem(train.x, f, w, [coef])),
+        "sem": lambda coef: next(whiten_sem(train.x, f, graph, [coef])),
     }
     for kind in ("sscm", "sem"):
         for rank, fit in enumerate(rank_fits(train, kind, spec, [0, 1, 2])):
@@ -406,12 +406,12 @@ def test_estimates_match_the_symmetric_root_oracle(seed):
     spec = BasisSpec("polynomial", 2)
     f = build_f(sample.y, spec)
     dist = pairwise_distances(sample.coords)
-    w = neighbor_weights(dist, max_min_distance(dist))
+    graph = neighbor_graph(dist)
     rows, shift = design(sample.x, f)
     moments = {
         "ind": lambda _: moments_of(rows, sample.p, shift),
         "sscm": lambda decay: next(whiten_sscm(sample.x, f, dist, [decay])),
-        "sem": lambda coef: next(whiten_sem(sample.x, f, w, [coef])),
+        "sem": lambda coef: next(whiten_sem(sample.x, f, graph, [coef])),
     }
     for kind, at in moments.items():
         for rank, fit in enumerate(rank_fits(sample, kind, spec, [0, 1, 2])):
@@ -487,10 +487,10 @@ def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
     spec = BasisSpec("polynomial", 2)
     f = build_f(sample.y, spec)
     dist = pairwise_distances(sample.coords)
-    w = neighbor_weights(dist, max_min_distance(dist))
+    graph = neighbor_graph(dist)
     moments = {
         "sscm": lambda decay: next(whiten_sscm(sample.x, f, dist, [decay])),
-        "sem": lambda coef: next(whiten_sem(sample.x, f, w, [coef])),
+        "sem": lambda coef: next(whiten_sem(sample.x, f, graph, [coef])),
     }[kind]
     calls, original = [], np.linalg.svd
 

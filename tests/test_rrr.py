@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from spatialsdr import _linalg
-from spatialsdr._linalg import EIG_FLOOR, pd_eigh
+from spatialsdr._linalg import EIG_FLOOR, _jittered
 from spatialsdr.exceptions import (
     InsufficientSampleError,
     RankOutOfRangeError,
@@ -220,7 +220,7 @@ class TestLoglik:
     def test_collinear_predictor_is_jittered_as_before(self, delta):
         # x[:, 1] is x[:, 0] plus noise of size delta, so the LS residual
         # covariance has an eigenvalue near delta^2, below the floor; the
-        # policy (oracle: pd_eigh of the lstsq residual covariance) adds
+        # policy (oracle: _jittered of the lstsq residual covariance) adds
         # 1e-8 * trace / p once, which passes, so the fit goes on
         rng = np.random.default_rng(5)
         n, p, r = 60, 4, 2
@@ -231,7 +231,7 @@ class TestLoglik:
         resid = xc - fc @ np.linalg.lstsq(fc, xc, rcond=None)[0]
         d_raw = resid.T @ resid / n
         assert np.linalg.eigvalsh(d_raw)[0] < EIG_FLOOR
-        want = pd_eigh(d_raw, SingularResidualCovError)[2]
+        want = _jittered(d_raw, SingularResidualCovError)
         ls = independent_fit(x, f)
         for d in range(3):
             est = rrr_mle(ls, d)
@@ -270,7 +270,7 @@ class TestTriangularLsFit:
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 1e8])
     def test_jitter_decision_is_pd_eighs(self, scale):
-        # D_ls has lambda_min = scale * EIG_FLOOR; oracle: pd_eigh of D_ls as
+        # D_ls has lambda_min = scale * EIG_FLOOR; oracle: the policy's _jittered of D_ls as
         # ls_fits forms it, which jitters exactly when lambda_min < EIG_FLOOR
         rng = np.random.default_rng(7)
         n, p, r = 50, 4, 2
@@ -286,7 +286,7 @@ class TestTriangularLsFit:
         c_ls = np.linalg.solve(s[p:, p:], s[:p, p:].T).T
         raw = s[:p, :p] - c_ls @ s[:p, p:].T
         raw = (raw + raw.T) / 2.0
-        want = pd_eigh(raw, SingularResidualCovError)[2]
+        want = _jittered(raw, SingularResidualCovError)
         assert np.array_equal(want, raw) == (scale > 1.0)
         np.testing.assert_array_equal(ls.d_ls, want)
         # condition numbers up to 2e10 leave about 1e-6 absolute in log lambda_min
