@@ -5,9 +5,9 @@ certified by a shifted Cholesky factorisation (``pd_certified``) or checked by `
 below the floor add ``1e-8 * trace/n`` on the diagonal and retry once, then fail.
 A stack takes one stacked certificate, or else ``pd_cholesky`` each, the first failure raising
 (``pd_choleskys``).  A certificate is carried only along an ascending decay grid (``geometry``).
-A draw multiplies by its root and never solves with it, so it needs no certificate: its root
-is one plain Cholesky, and the policy decides only when that fails (``draw_root``).
-Every factor is numpy's, which leaves its argument unchanged.
+A draw needs no certificate: its root is one plain Cholesky, and the policy decides only when
+that fails (``draw_root``).  A buffer not needed afterwards is factored in place by the LAPACK
+numpy calls, numpy's bits without its copies (``cholesky_in_place``, ``solve_in_place``).
 
 The harness calls two process helpers, and importing the module calls neither.  ``keep_heap``
 keeps freed buffers in glibc's heap for the life of the process, so a replication reuses the
@@ -60,13 +60,9 @@ def pd_certified(m: np.ndarray, err: type[SpatialSdrError], margin: float = 0.0)
     max_i m_ii) I`` succeeds, which certifies ``lambda_min(m) >= EIG_FLOOR + margin``, as
     ``(n+1) n eps max_i m_ii`` bounds its backward error (Higham 2002, Thm 10.3); otherwise
     ``_jittered``'s copy, jittered or not.  ``m`` is left unchanged."""
-    shifted = np.array(m, dtype=float)
-    shifted.flat[:: len(shifted) + 1] -= _certificate_shift(m, margin)
-    try:
-        np.linalg.cholesky(shifted)
-        return m
-    except np.linalg.LinAlgError:
-        return _jittered(m, err)
+    shifted = np.array(m, dtype=float, order="F")
+    shifted.T.flat[:: len(shifted) + 1] -= _certificate_shift(m, margin)  # .T: C-ordered
+    return m if cholesky_in_place(shifted) else _jittered(m, err)
 
 
 def pd_cholesky(m, err: type[SpatialSdrError], margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -82,13 +78,44 @@ def pd_cholesky(m, err: type[SpatialSdrError], margin: float = 0.0) -> tuple[np.
         raise err(str(exc)) from exc
 
 
-def draw_root(m: np.ndarray, err: type[SpatialSdrError]) -> np.ndarray:
-    """Lower Cholesky root of the symmetric ``m``; if it fails, ``pd_cholesky`` decides,
-    jitter or raise ``err``."""
+def draw_root(build, err: type[SpatialSdrError]) -> np.ndarray:
+    """numpy's lower Cholesky root of the symmetric column-major ``build()``, factored in its buffer;
+    if that fails, ``pd_cholesky`` decides on a second ``build()``, jitter or raise ``err``."""
+    m = build()
+    if not cholesky_in_place(m):
+        return pd_cholesky(build(), err)[0]
+    root = np.zeros(m.shape)  # C-ordered, as numpy's, so root @ z takes numpy's kernel
+    for top in range(0, len(m), 32):  # by blocks of rows: an n x n mask would raise the draw's peak
+        rows = slice(top, top + 32)
+        root[rows, :top], root[rows, rows] = m[rows, :top], np.tril(m[rows, rows])
+    return root
+
+
+def cholesky_in_place(a: np.ndarray) -> bool:
+    """Overwrite the lower triangle of the square column-major ``a``, which alone is read, with
+    ``np.linalg.cholesky(a)``'s, bit for bit; False, ``a`` then partly overwritten, if not PD."""
+    if _lapack():
+        n, lda, info = map(ctypes.c_int64, (a.shape[1], len(a), 0))
+        _lapack()[0](b"L", n, a, lda, info)
+        return info.value == 0
     try:
-        return np.linalg.cholesky(m)
+        a[...] = np.linalg.cholesky(a)
+        return True
     except np.linalg.LinAlgError:
-        return pd_cholesky(m, err)[0]
+        return False
+
+
+def solve_in_place(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``b``, overwritten with ``np.linalg.solve(a, b)``, bit for bit, for the column-major ``a``,
+    which then holds its LU factors, and ``b``; numpy's ``LinAlgError`` where ``a`` is singular."""
+    if _lapack() is None:
+        b[...] = np.linalg.solve(a, b)
+        return b
+    n, nrhs, lda, ldb, info = map(ctypes.c_int64, (a.shape[1], b.shape[1], len(a), len(b), 0))
+    _lapack()[1](n, nrhs, a, lda, np.empty(a.shape[1], np.int64), b, ldb, info)
+    if info.value:
+        raise np.linalg.LinAlgError("Singular matrix" if info.value > 0 else f"dgesv info {info.value}")
+    return b
 
 
 def _certificate_shift(m: np.ndarray, margin: float = 0.0) -> np.ndarray:
@@ -118,14 +145,32 @@ def keep_heap() -> None:
         mallopt(-3, 32 << 20) and mallopt(-1, 64 << 20)
 
 
-@functools.cache
-def _openblas_threads():
-    """``(get, set)`` of the thread count of the OpenBLAS numpy loaded, or None."""
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS numpy loaded, or None; ``_lapack`` and ``_openblas_threads`` cache its use."""
     paths = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas*.so")
     if not paths and os.path.exists("/proc/self/maps"):
         with open("/proc/self/maps") as maps:
             paths = [line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]]
-    lib = ctypes.CDLL(paths[0]) if paths else None
+    return ctypes.CDLL(paths[0]) if paths else None
+
+
+@functools.cache
+def _lapack():
+    """``(dpotrf, dgesv)``: the ILP64 LAPACK routines numpy's ``cholesky`` and ``solve`` call, in its
+    OpenBLAS, or None.  ctypes checks that each matrix is column-major, and releases the GIL."""
+    lib = _openblas()
+    if hasattr(lib, "scipy_dpotrf_64_") and hasattr(lib, "scipy_dgesv_64_"):
+        f64, i64 = np.ctypeslib.ndpointer(np.float64, 2, flags="F,W"), ctypes.POINTER(ctypes.c_int64)
+        lib.scipy_dpotrf_64_.argtypes = ctypes.c_char_p, i64, f64, i64, i64
+        lib.scipy_dgesv_64_.argtypes = i64, i64, f64, i64, np.ctypeslib.ndpointer(np.int64, 1), f64, i64, i64
+        lib.scipy_dpotrf_64_.restype = lib.scipy_dgesv_64_.restype = None
+        return lib.scipy_dpotrf_64_, lib.scipy_dgesv_64_
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS numpy loaded, or None."""
+    lib = _openblas()
     for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
         if hasattr(lib, name.format("get")):
             get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))

@@ -6,8 +6,8 @@ matrix ``exp(-decay * distance)``; lattice association uses the filter ``I - coe
 (``neighbor_weights`` and ``spatial_filter`` build the dense ``W`` and filter).  All
 operations are pure functions of their inputs.
 
-Distances come from ``sq_distances`` and factors from ``numpy.linalg``, so the package loads
-numpy alone: ``scipy.linalg`` would add about 28 MB and 0.13 s to every process.
+Distances come from ``sq_distances`` and factors from the LAPACK numpy calls (``_linalg``), so
+the package loads numpy alone: ``scipy.linalg`` would add about 28 MB and 0.13 s to every process.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import EIG_FLOOR, pd_certified, pd_cholesky
+from ._linalg import EIG_FLOOR, cholesky_in_place, pd_certified, pd_cholesky
 from .exceptions import (
     DuplicatePointsError,
     InputError,
@@ -70,8 +70,9 @@ class ExpCorrelation:
 
     ``chol`` is the lower Cholesky factor (``chol @ chol.T = matrix``) of
     the (possibly jittered) matrix, so downstream whitening does not repeat it.
-    ``matrix`` is None where the matrix was built in a buffer reused for the next decay;
-    ``whitened`` is ``L^{-1} Z`` for the ``Z`` that ``exp_correlations`` bordered on.
+    ``matrix`` is None where the matrix was built in a buffer reused for the next decay, and
+    ``chol`` then views that buffer, and only its lower triangle holds the factor; ``whitened`` is
+    ``L^{-1} Z`` for the ``Z`` that ``exp_correlations`` bordered on.
     """
 
     decay: float
@@ -147,28 +148,28 @@ def exp_correlations(
     s I]]`` for ``s = 2 ||Z||_F^2 / EIG_FLOOR``: its Schur complement ``s I - Z' H^{-1} Z``
     is at least ``s / 2`` whenever ``lambda_min(H) >= EIG_FLOOR``, so the factor exists, and
     its top-left block is ``L`` and its bottom-left block ``(L^{-1} Z)'``, whatever ``s``.
-    One factorisation thus gives ``chol`` and ``whitened``.  The bordered matrix is built
-    once, each decay's ``H`` in its top-left block, so the items carry ``matrix=None``."""
+    One factorisation thus gives ``chol`` and ``whitened``.  The bordered matrix is built once
+    and factored in place, so the items carry ``matrix=None``, and an item's ``chol``, the lower
+    triangle of the buffer's top-left block, holds only until the next item is drawn."""
     n, k = border.shape
     margin = 2 * n * (2.0 + max(decays) * dist.max()) * np.finfo(float).eps
-    bordered = np.empty((n + k, n + k), order="F")  # numpy's factor copies to this layout
-    bordered[:n, n:], bordered[n:, :n] = border, border.T
-    bordered[n:, n:] = np.eye(k) * (2.0 * np.sum(border * border) / EIG_FLOOR)
+    bordered = np.empty((n + k, n + k), order="F")  # dpotrf reads its lower triangle alone
+    corner = np.eye(k) * (2.0 * np.sum(border * border) / EIG_FLOOR)
     h, scaled = bordered[:n, :n], np.empty_like(dist)  # a product into h costs twice as much
     certified = np.inf  # the smallest decay certified with the margin
     for decay in decays:
         np.exp(np.multiply(dist, -decay, out=scaled), out=h.T)  # h.T: row-major, as is D
+        bordered[n:, :n], bordered[n:, n:] = border.T, corner  # the factor of the last decay overwrote them
         if decay < certified:
             used = pd_certified(h, NearSingularCorrelationError, margin)
             if used is h:
                 certified = decay
             else:
                 h[...] = used
-        try:
-            factor = np.linalg.cholesky(bordered)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - the policy's floor passed
-            raise NearSingularCorrelationError(str(exc)) from exc
-        yield ExpCorrelation(float(decay), None, factor[:n, :n], factor[n:, :n].T)
+        if not cholesky_in_place(bordered):  # pragma: no cover - the policy's floor passed
+            raise NearSingularCorrelationError("Matrix is not positive definite")
+        # C-ordered rows, as numpy's factor gave them, so rows.T @ rows takes the same BLAS call
+        yield ExpCorrelation(float(decay), None, h, np.ascontiguousarray(bordered[n:, :n]).T)
 
 
 def sorted_median(values: np.ndarray) -> float:

@@ -163,7 +163,7 @@ def distance_grid(tri: np.ndarray) -> np.ndarray:
 class LooSearch:
     """One reference's LOO mean squared errors, shape (h1, h2 + 1): column ``j <
     h2`` pairs each h1 with ``h2_grid[j]``, the last is the one-kernel search.
-    ``fell_back``, shape (h1, h2 + 1, n), flags the points predicted by the
+    ``fell_back``, of the same shape, counts the points predicted by the
     nearest other point because every kernel value underflowed."""
 
     h1_grid: np.ndarray
@@ -219,8 +219,8 @@ def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None)
         except DegenerateGridError as exc:
             found.append(exc)
             continue
-        shape = (grid.size, g2 + 1, n)
-        found.append(LooSearch(grid, h2_grid, np.zeros(shape, bool), np.zeros(shape[:2])))
+        shape = (grid.size, g2 + 1)
+        found.append(LooSearch(grid, h2_grid, np.zeros(shape, int), np.zeros(shape)))
         live.append((ref.points, found[-1]))
     if live:
         _loo_pass(live, y, coords, h2_grid)
@@ -261,7 +261,8 @@ def _loo_pass(live: list, y: np.ndarray, coords: np.ndarray, h2_grid: np.ndarray
             if mass.min() < TINY_MASS:
                 for b, i, j in zip(*np.nonzero(mass < TINY_MASS)):
                     u = d1[b] / s.h1_grid[i] ** 2 + (d2[b] / h2_grid[j] ** 2 if j < g2 else 0.0)
-                    pred[b, i, j], s.fell_back[i, j, start + b] = _loo_row(u, start + b, y)
+                    pred[b, i, j], fell = _loo_row(u, start + b, y)
+                    s.fell_back[i, j] += fell
             pred -= y[rows, None, None]
             s.errors[...] += np.square(pred, out=pred).sum(axis=0)
     for _, s in live:

@@ -9,8 +9,8 @@ use the lower Cholesky root of each covariance (``_linalg.draw_root``), and the 
 ``(I - rho A D^-1)^-1 = D (D - rho A)^-1`` of the SEM fit's ``geometry.neighbor_graph`` an
 LU solve with ``D - rho A``.  The errors' draw computes the sample's one distance array and
 builds its matrix in that buffer, and the response's covariogram takes its distances row
-block by row block, so a draw holds at most two n x n matrices at once: the one it factors
-and the factor.
+block by row block, so a draw holds at most two n x n matrices at once: the one factored in
+its buffer and the root copied out of it.
 
 The experiment protocol repeats: fresh data, random train/test split, a
 rank per method from ``dimension.select_ranks`` under the rank policy, then
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import draw_root, keep_heap, one_blas_thread
+from ._linalg import draw_root, keep_heap, one_blas_thread, solve_in_place
 from .basis import BasisSpec, polynomial_features
 from .data import SpatialSample, train_test_split
 from .dimension import FAILURES, POLICIES, fit_and_predict, select_ranks
@@ -148,8 +148,8 @@ def spherical_covariance(coords: Coordinates, grf: GrfSpec) -> np.ndarray:
     """``grf``'s spherical covariogram of every pair of ``coords``: positive inside the range,
     zero beyond, the sill at distance 0.  Built in blocks of n / 16 rows, each from the
     distances of its rows alone (``pairwise_distances``'s rows bit for bit), so no n x n
-    distance matrix is held, and returned column-major, the layout numpy's Cholesky copies
-    it to, as its transpose."""
+    distance matrix is held, and returned column-major, as its transpose, for ``draw_root``
+    to factor in place."""
     pts = coords.points
     cov = np.empty((coords.n, coords.n))
     step = max(1, coords.n // 16)
@@ -167,7 +167,7 @@ def simulate_y(coords: Coordinates, grf: GrfSpec, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     s1, s2 = coords.points[:, 0], coords.points[:, 1]
     mean = grf.trend[0] + grf.trend[1] * s1 + grf.trend[2] * s2
-    root = draw_root(spherical_covariance(coords, grf), CovarianceNotPDError)
+    root = draw_root(lambda: spherical_covariance(coords, grf), CovarianceNotPDError)
     return mean + root @ rng.standard_normal(coords.n)
 
 
@@ -186,21 +186,23 @@ def draw_spatial_errors(
     """
     check_error_law(model, param)
     rng = np.random.default_rng(seed)
-    col_root = draw_root(np.asarray(noise_cov, dtype=float), CovarianceNotPDError)
+    col_root = draw_root(lambda: np.array(noise_cov, dtype=float, order="F"), CovarianceNotPDError)
     z = rng.standard_normal((coords.n, noise_cov.shape[0])) @ col_root.T
     if param == 0.0:
         return z  # a SEM lag of 0, exactly: the solve with D alone would round it
-    dist = pairwise_distances(coords)  # the draw's own: its matrix is built in their buffer
     if model == "sscm":
-        h = np.exp(np.multiply(dist, -param, out=dist), out=dist)
-        return draw_root(h.T, NearSingularCorrelationError) @ z  # column-major, as numpy copies it
+        def correlations():  # the draw's own distances, exponentiated in their buffer, per try
+            dist = pairwise_distances(coords)
+            return np.exp(np.multiply(dist, -param, out=dist), out=dist).T  # column-major
+        return draw_root(correlations, NearSingularCorrelationError) @ z
+    dist = pairwise_distances(coords)  # the draw's own: its matrix is built in their buffer
     adj, deg = neighbor_graph(dist)
     filt = np.multiply(adj, -param, out=dist).T  # symmetric: D - param * A, column-major
     np.fill_diagonal(filt, deg)
     bound = filter_cond_bound(deg, param)
     if not bound <= COND_LIMIT:
         raise SingularFilterError(f"D - {param} * A is numerically singular (cond <= {bound:.2e})")
-    return deg[:, None] * np.linalg.solve(filt, z)
+    return np.multiply(deg[:, None], solve_in_place(filt, np.array(z, order="F")), out=z)
 
 
 def filter_cond_bound(deg: np.ndarray, param: float) -> float:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from spatialsdr import _linalg, geometry
 from spatialsdr._linalg import _jittered
 from spatialsdr.basis import BasisSpec, build_f
 from spatialsdr.data import train_test_split
@@ -147,17 +148,24 @@ class TestExpCorrelation:
 
 
 def count_factorisations(monkeypatch, n):
-    """Count numpy Cholesky factorisations of n x n matrices; returns the running
-    list of counted shapes."""
-    counted, original = [], np.linalg.cholesky
+    """Count in-place Cholesky factorisations of n x n matrices, the certificates'
+    and the grid's; returns the running list of counted shapes."""
+    counted, original = [], _linalg.cholesky_in_place
 
-    def counting(a, *args, **kwargs):
+    def counting(a):
         if a.shape == (n, n):
             counted.append(a.shape)
-        return original(a, *args, **kwargs)
+        return original(a)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    for module in (_linalg, geometry):
+        monkeypatch.setattr(module, "cholesky_in_place", counting)
     return counted
+
+
+def factors(corrs):
+    """Each item's decay, matrix and lower factor, copied before the next item
+    overwrites the buffer its factor lives in."""
+    return [(c.decay, c.matrix, np.tril(c.chol)) for c in corrs]
 
 
 def no_border(n):
@@ -185,13 +193,13 @@ class TestExpCorrelations:
         decays = list(np.geomspace(0.5, 30.0, 6))
         want = [exp_correlation(d, decay) for decay in decays]
         counted = count_factorisations(monkeypatch, 50)
-        got = list(exp_correlations(d, decays, no_border(50)))
+        got = factors(exp_correlations(d, decays, no_border(50)))
         assert len(counted) == len(decays) + 1
-        for g, w, decay in zip(got, want, decays):
-            assert g.decay == w.decay
-            assert g.matrix is None
+        for (g_decay, g_matrix, g_chol), w, decay in zip(got, want, decays):
+            assert g_decay == w.decay
+            assert g_matrix is None
             np.testing.assert_array_equal(w.matrix, np.exp(-decay * d))
-            np.testing.assert_array_equal(g.chol, w.chol)
+            np.testing.assert_array_equal(g_chol, w.chol)
 
     def test_uncertified_decays_match_single_calls_bit_for_bit(self, monkeypatch):
         # point 1 sits 1e-6 from point 0, so the tiny decays fall below the
@@ -203,17 +211,17 @@ class TestExpCorrelations:
         decays = list(np.geomspace(1e-5, 10.0, 13))
         want = [exp_correlation(d, decay) for decay in decays]
         counted = count_factorisations(monkeypatch, 40)
-        got = list(exp_correlations(d, decays, no_border(40)))
+        got = factors(exp_correlations(d, decays, no_border(40)))
         factorisations = len(counted)
         raw = [np.exp(-decay * d) for decay in decays]
         jittered = [not np.array_equal(w.matrix, h) for w, h in zip(want, raw)]
         assert jittered[0] and not jittered[-1]
-        for g, w, h, jitter in zip(got, want, raw, jittered):
-            assert g.matrix is None
-            np.testing.assert_array_equal(g.chol, w.chol)
+        for (_, g_matrix, g_chol), w, h, jitter in zip(got, want, raw, jittered):
+            assert g_matrix is None
+            np.testing.assert_array_equal(g_chol, w.chol)
             # the jitter decision: the factor of the raw matrix, or of the policy's jittered one
             used = _jittered(h, NearSingularCorrelationError) if jitter else h
-            np.testing.assert_array_equal(g.chol, np.linalg.cholesky(used))
+            np.testing.assert_array_equal(g_chol, np.linalg.cholesky(used))
         # some decays certified and carried: fewer than two factorisations each
         assert factorisations < 2 * len(decays)
 
@@ -229,12 +237,13 @@ class TestExpCorrelations:
         d = pairwise_distances(train.coords)
         grid = list(default_decay_grid(d))
         decays = grid[:3] + grid[-3:]
-        plain = list(exp_correlations(d, decays, no_border(len(d))))
-        for corr, alone in zip(exp_correlations(d, decays, z), plain):
-            assert corr.decay == alone.decay
-            want = solve_triangular(alone.chol, z, lower=True)
+        alone = exp_correlations(d, decays, no_border(len(d)))
+        plain = [(c.decay, np.tril(c.chol), c.logdet) for c in alone]
+        for corr, (decay, chol, logdet) in zip(exp_correlations(d, decays, z), plain):
+            assert corr.decay == decay
+            want = solve_triangular(chol, z, lower=True)
             assert np.abs(corr.whitened - want).max() <= 1e-12 * np.abs(want).max()
-            assert corr.logdet == pytest.approx(alone.logdet, rel=1e-12)
+            assert corr.logdet == pytest.approx(logdet, rel=1e-12)
 
 
 class TestMaxMinDistance:

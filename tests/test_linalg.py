@@ -1,5 +1,7 @@
-"""The shared PD policy: certified Cholesky factors and the eigenvalue jitter."""
+"""The shared PD policy: certified Cholesky factors, the eigenvalue jitter, and the LAPACK
+routines that factor and solve in place."""
 
+import ctypes
 import threading
 
 import numpy as np
@@ -7,8 +9,9 @@ import pytest
 import scipy.linalg as sla
 from scipy.spatial.distance import pdist, squareform
 
+from spatialsdr import _linalg
 from spatialsdr._linalg import EIG_FLOOR, _openblas_threads, draw_root, one_blas_thread
-from spatialsdr._linalg import _jittered, pd_cholesky
+from spatialsdr._linalg import _jittered, cholesky_in_place, pd_cholesky, solve_in_place
 from spatialsdr.exceptions import CovarianceNotPDError, InputError, NearSingularCorrelationError
 
 
@@ -64,40 +67,114 @@ def test_root_is_numpys_factor_of_the_matrix_itself(n):
     np.testing.assert_allclose(chol, sla.cholesky(m, lower=True), rtol=0, atol=1e-13)
 
 
+def exp_correlation_of(n: int) -> np.ndarray:
+    """A certified exponential correlation matrix of n uniform locations (seed n)."""
+    return np.exp(-0.1 * squareform(pdist(np.random.default_rng(n).uniform(size=(n, 2)))))
+
+
+def builder(m: np.ndarray):
+    """A ``draw_root`` builder: a column-major copy of ``m`` per call, the calls counted."""
+    calls = []
+
+    def build():
+        calls.append(np.array(m, order="F"))
+        return calls[-1]
+
+    return build, calls
+
+
+@pytest.fixture(params=["lapack", "numpy"])
+def binding(request, monkeypatch):
+    """Each in-place routine through numpy's LAPACK, and with that lookup forced off."""
+    if request.param == "numpy":
+        monkeypatch.setattr(_linalg, "_lapack", lambda: None)
+    elif _linalg._lapack() is None:
+        pytest.skip("numpy's OpenBLAS has no ILP64 dpotrf and dgesv")
+    return request.param
+
+
+def bordered_of(n: int, k: int) -> np.ndarray:
+    """``exp_correlations``' bordered matrix ``[[H, Z], [Z', s I]]`` of n locations and an
+    n x k standard normal border."""
+    z = np.random.default_rng(k).standard_normal((n, k))
+    s = 2.0 * np.sum(z * z) / EIG_FLOOR
+    return np.block([[exp_correlation_of(n), z], [z.T, s * np.eye(k)]])
+
+
+@pytest.mark.parametrize("m", [exp_correlation_of(n) for n in (24, 280, 400)] + [bordered_of(280, 27)],
+                         ids=["24", "280", "400", "bordered-307"])
+def test_cholesky_in_place_is_numpys_factor_bit_for_bit(binding, m):
+    a = np.array(m, order="F")
+    assert cholesky_in_place(a)
+    assert np.tril(a).tobytes() == np.linalg.cholesky(m).tobytes()
+
+
+def test_cholesky_in_place_of_a_matrix_that_is_not_pd_reports_failure(binding):
+    for m in (with_spectrum([-1e-9, 1.0, 2.0, 4.0, 8.0]), np.array([[1.0, 2.0], [2.0, 1.0]])):
+        assert not cholesky_in_place(np.array(m, order="F"))
+
+
+@pytest.mark.parametrize("n, k", [(5, 1), (120, 3), (400, 24)])
+def test_solve_in_place_is_numpys_solve_bit_for_bit(binding, n, k):
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal((n, n)) + np.sqrt(n) * np.eye(n), rng.standard_normal((n, k))
+    got = np.array(b, order="F")
+    solve_in_place(np.array(a, order="F"), got)
+    assert np.ascontiguousarray(got).tobytes() == np.linalg.solve(a, b).tobytes()
+
+
+def test_solve_in_place_with_a_singular_matrix_raises_numpys_error(binding):
+    a = np.array([[1.0, 2.0], [2.0, 4.0]], order="F")
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        solve_in_place(a, np.ones((2, 1), order="F"))
+
+
+@pytest.mark.skipif(_linalg._lapack() is None, reason="numpy's OpenBLAS has no ILP64 dpotrf and dgesv")
+def test_in_place_routines_reject_a_row_major_matrix_before_lapack_reads_it():
+    # LAPACK would read the transpose, or past the end of a buffer; ctypes checks the layout
+    with pytest.raises(ctypes.ArgumentError, match="F_CONTIGUOUS"):
+        cholesky_in_place(np.eye(3))
+    with pytest.raises(ctypes.ArgumentError, match="F_CONTIGUOUS"):
+        solve_in_place(np.eye(3), np.ones((3, 1), order="F"))
+
+
 @pytest.mark.parametrize("n", [280, 400])
 def test_draw_root_of_a_certified_matrix_is_pd_choleskys_root(n):
-    m = np.exp(-0.1 * squareform(pdist(np.random.default_rng(n).uniform(size=(n, 2)))))
-    before = m.copy()
+    # one build, factored in its buffer; the root is numpy's C-ordered factor
+    m = exp_correlation_of(n)
     want = pd_cholesky(m, NearSingularCorrelationError)[0]
-    assert draw_root(m, NearSingularCorrelationError).tobytes() == want.tobytes()
-    np.testing.assert_array_equal(m, before)
+    build, calls = builder(m)
+    root = draw_root(build, NearSingularCorrelationError)
+    assert root.tobytes() == want.tobytes() and root.flags.c_contiguous
+    assert len(calls) == 1
 
 
 def test_draw_root_uses_a_factorable_matrix_below_the_floor_unjittered():
     # a draw never solves with its root, so it needs no certificate; pd_cholesky jitters
     m = with_spectrum([1e-11, 1.0, 2.0, 4.0, 8.0])
     assert 0.0 < np.linalg.eigvalsh(m)[0] < EIG_FLOOR
-    root = draw_root(m, CovarianceNotPDError)
+    root = draw_root(builder(m)[0], CovarianceNotPDError)
     np.testing.assert_array_equal(root, np.linalg.cholesky(m))
     assert pd_cholesky(m, CovarianceNotPDError)[1] is not m
     assert not np.array_equal(root, pd_cholesky(m, CovarianceNotPDError)[0])
 
 
 def test_draw_root_of_a_matrix_that_does_not_factor_follows_pd_cholesky():
-    # the jitter, of the matrix itself: numpy's failed factor leaves it unchanged
+    # the failed factor consumed the first build, so pd_cholesky jitters a second one
     m = with_spectrum([-1e-9, 1.0, 2.0, 4.0, 8.0])
-    before = m.copy()
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(m)
     want = pd_cholesky(m, CovarianceNotPDError)[0]
-    assert draw_root(m, CovarianceNotPDError).tobytes() == want.tobytes()
-    np.testing.assert_array_equal(m, before)
+    build, calls = builder(m)
+    assert draw_root(build, CovarianceNotPDError).tobytes() == want.tobytes()
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[1], m)
 
 
 @pytest.mark.parametrize("err", [CovarianceNotPDError, NearSingularCorrelationError])
 def test_draw_root_of_a_matrix_failing_after_jitter_raises_the_callers_error(err):
     with pytest.raises(err) as info:
-        draw_root(with_spectrum([-1.0, 1.0, 2.0]), err)
+        draw_root(builder(with_spectrum([-1.0, 1.0, 2.0]))[0], err)
     assert info.type is err
 
 

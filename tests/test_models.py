@@ -515,20 +515,21 @@ def test_a_decay_failing_mid_grid_ends_the_ranks_live_there(monkeypatch):
     # the third of five decays fails to factor: the profile raises that error
     # for every rank before any log-likelihood is read, and no later decay is
     # factored; a fit-and-predict step gives the error to each rank's job
-    from spatialsdr import dimension, rrr
+    from spatialsdr import dimension, geometry, rrr
 
     sample = random_sample(50, 3, seed=5)
     spec = BasisSpec("polynomial", 2)
     grid = [0.5, 1.0, 2.0, 4.0, 8.0]
-    error, factored, original = NearSingularCorrelationError("forced at the third decay"), [], np.linalg.cholesky
+    error, factored = NearSingularCorrelationError("forced at the third decay"), []
+    original = geometry.cholesky_in_place
     bordered = {(n + 6, n + 6) for n in (50, 40)}  # [1 X F], 6 columns, on the sample's or train's H
 
-    def failing_third(h, *args, **kwargs):
+    def failing_third(h):
         if h.shape in bordered:
             factored.append(h)
             if len(factored) == 3:
                 raise error
-        return original(h, *args, **kwargs)
+        return original(h)
 
     logged, original_loglik = [], rrr.loglik
 
@@ -536,7 +537,7 @@ def test_a_decay_failing_mid_grid_ends_the_ranks_live_there(monkeypatch):
         logged.append(rank)
         return original_loglik(ls, rank)
 
-    monkeypatch.setattr(np.linalg, "cholesky", failing_third)
+    monkeypatch.setattr(geometry, "cholesky_in_place", failing_third)
     monkeypatch.setattr(rrr, "loglik", loglik)
     with pytest.raises(NearSingularCorrelationError) as raised:
         sscm.rank_fits(sample, spec, [0, 1, 2], grid)

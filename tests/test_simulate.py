@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spatialsdr import geometry, predictor, sem, simulate, sscm
+from spatialsdr import _linalg, geometry, predictor, sem, simulate, sscm
 from spatialsdr._linalg import _jittered, _openblas_threads
 from spatialsdr.basis import BasisSpec
 from spatialsdr.data import train_test_split
@@ -314,6 +314,17 @@ def test_a_default_draw_peaks_within_2_2_matrices(model):
     assert peak <= 2.2 * n * n * 8
 
 
+@pytest.mark.parametrize("model", ["sscm", "sem"])
+@pytest.mark.parametrize("policy", ["fixed", "aic", "cv"])
+def test_reports_are_the_same_with_numpys_own_factors(monkeypatch, model, policy):
+    # the in-place LAPACK path and numpy's copying calls give the same bits
+    cfg = SimConfig(n=100, p=4, reps=2, model=model)
+    in_place = run_experiment(cfg, list(MODES), policy)
+    monkeypatch.setattr(_linalg, "_lapack", lambda: None)
+    copied = run_experiment(cfg, list(MODES), policy)
+    assert repr(in_place) == repr(copied)
+
+
 def run_script(code: str, **env: str) -> str:
     """Standard output of ``code`` run by a fresh interpreter on the package's sources."""
     env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parents[1]), **env}
@@ -478,9 +489,16 @@ def test_sample_roots_factor_their_covariances(monkeypatch):
     cfg = SimConfig(n=60, model="sscm", seed=7)
     calls, original = [], simulate.draw_root
 
-    def spy(m, err):
-        chol = original(m, err)
-        calls.append((m, chol))
+    def spy(build, err):
+        built = []
+
+        def copied():  # the root is factored in the built buffer: keep a copy
+            m = build()
+            built.append(m.copy())
+            return m
+
+        chol = original(copied, err)
+        calls.append((built[0], chol))
         return chol
 
     monkeypatch.setattr(simulate, "draw_root", spy)
@@ -499,9 +517,9 @@ def test_sample_roots_factor_their_covariances(monkeypatch):
         assert np.abs(chol @ chol.T - m).max() <= 1e-12 * np.abs(m).max()
 
 
-def symmetric_root(m, err):
-    """The symmetric square root of ``m`` under the shared PD policy: the oracle sampler."""
-    vals, vecs = np.linalg.eigh(_jittered(m, err))
+def symmetric_root(build, err):
+    """The symmetric square root of ``build()`` under the shared PD policy: the oracle sampler."""
+    vals, vecs = np.linalg.eigh(_jittered(build(), err))
     return (vecs * vals**0.5) @ vecs.T
 
 
