@@ -1,13 +1,14 @@
 """Shared dense linear-algebra helpers for symmetric positive-definite work.
 
-Positive definiteness follows one policy everywhere: eigenvalue floor 1e-10,
-certified by a shifted Cholesky factorisation (``pd_certified``) or checked by ``eigvalsh``;
-below the floor add ``1e-8 * trace/n`` on the diagonal and retry once, then fail.
+Positive definiteness follows one policy everywhere: eigenvalue floor 1e-10, certified by a
+shifted Cholesky factorisation, of a copy or in place (``certify_in_place``), or checked by
+``eigvalsh``; below the floor add ``1e-8 * trace/n`` on the diagonal and retry once, then fail.
 A stack takes one stacked certificate, or else ``pd_cholesky`` each, the first failure raising
 (``pd_choleskys``).  A certificate is carried only along an ascending decay grid (``geometry``).
 A draw needs no certificate: its root is one plain Cholesky, and the policy decides only when
-that fails (``draw_root``).  A buffer not needed afterwards is factored in place by the LAPACK
-numpy calls, numpy's bits without its copies (``cholesky_in_place``, ``solve_in_place``).
+that fails (``draw_root``); the root times a vector takes it by row blocks.  A buffer not needed
+afterwards is factored, solved or reduced to its spectrum in place by the LAPACK numpy calls,
+numpy's bits without its copies (``cholesky_in_place``, ``solve_in_place``, ``eigvalsh_in_place``).
 
 The harness calls two process helpers, and importing the module calls neither.  ``keep_heap``
 keeps freed buffers in glibc's heap for the life of the process, so a replication reuses the
@@ -55,51 +56,56 @@ def _jittered(m: np.ndarray, err: type[SpatialSdrError]) -> np.ndarray:
     return m2
 
 
-def pd_certified(m: np.ndarray, err: type[SpatialSdrError], margin: float = 0.0) -> np.ndarray:
-    """``m`` itself when a Cholesky factorisation of ``m - (EIG_FLOOR + margin + (n+1) n eps
-    max_i m_ii) I`` succeeds, which certifies ``lambda_min(m) >= EIG_FLOOR + margin``, as
-    ``(n+1) n eps max_i m_ii`` bounds its backward error (Higham 2002, Thm 10.3); otherwise
-    ``_jittered``'s copy, jittered or not.  ``m`` is left unchanged."""
-    shifted = np.array(m, dtype=float, order="F")
-    shifted.T.flat[:: len(shifted) + 1] -= _certificate_shift(m, margin)  # .T: C-ordered
-    return m if cholesky_in_place(shifted) else _jittered(m, err)
+def certify_in_place(a: np.ndarray, n: int, margin: float = 0.0) -> bool:
+    """Whether ``m - (EIG_FLOOR + margin + (n+1) n eps max_i m_ii) I``, for ``m`` the leading n x n
+    block of the column-major ``a``, factors in that block, which certifies ``lambda_min(m) >=
+    EIG_FLOOR + margin``: ``(n+1) n eps max_i m_ii`` bounds the backward error (Higham 2002, 10.3)."""
+    diag = np.arange(n)
+    a[diag, diag] -= _certificate_shift(a[:n, :n], margin)
+    return cholesky_in_place(a, n)
 
 
-def pd_cholesky(m, err: type[SpatialSdrError], margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def pd_cholesky(m, err: type[SpatialSdrError]) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factor ``chol`` of a symmetric matrix under the PD policy.
 
-    Returns ``(chol, m_used)``, ``chol @ chol.T = m_used``, for ``m_used`` from
-    ``pd_certified``: ``m`` itself exactly when the certificate passed, else a copy.
+    Returns ``(chol, m_used)``, ``chol @ chol.T = m_used``, for ``m_used`` ``m`` itself exactly
+    when ``certify_in_place`` passes on a copy of it, else ``_jittered``'s copy.
     """
-    m = pd_certified(m, err, margin)
+    if not certify_in_place(np.array(m, dtype=float, order="F"), len(m)):
+        m = _jittered(m, err)
     try:
         return np.linalg.cholesky(m), m
     except np.linalg.LinAlgError as exc:  # pragma: no cover - the policy's floor passed
         raise err(str(exc)) from exc
 
 
-def draw_root(build, err: type[SpatialSdrError]) -> np.ndarray:
-    """numpy's lower Cholesky root of the symmetric column-major ``build()``, factored in its buffer;
-    if that fails, ``pd_cholesky`` decides on a second ``build()``, jitter or raise ``err``."""
+def draw_root(build, err: type[SpatialSdrError], z: np.ndarray | None = None) -> np.ndarray:
+    """numpy's lower Cholesky root of the symmetric column-major ``build()``, factored in its buffer,
+    or it times a vector ``z``; if that fails, ``pd_cholesky`` decides on a second ``build()``."""
     m = build()
-    if not cholesky_in_place(m):
-        return pd_cholesky(build(), err)[0]
-    root = np.zeros(m.shape)  # C-ordered, as numpy's, so root @ z takes numpy's kernel
-    for top in range(0, len(m), 32):  # by blocks of rows: an n x n mask would raise the draw's peak
+    if not cholesky_in_place(m):  # the policy's root, copied out below as the factor would be
+        m = np.asfortranarray(pd_cholesky(build(), err)[0])
+    n = len(m)  # C-ordered rows, as numpy's root, so root @ z takes numpy's kernel
+    root = np.zeros((n if z is None else min(n, 32), n))
+    out = root if z is None else np.empty(n)
+    for top in range(0, n, 32):  # by blocks of rows: an n x n mask would raise the draw's peak
         rows = slice(top, top + 32)
-        root[rows, :top], root[rows, rows] = m[rows, :top], np.tril(m[rows, rows])
-    return root
+        block = root[rows] if z is None else root[: min(32, n - top)]
+        block[:, :top], block[:, rows] = m[rows, :top], np.tril(m[rows, rows])
+        if z is not None:  # a block of 32 rows times z: the full product's gemv, and its bits
+            out[rows] = block @ z
+    return out
 
 
-def cholesky_in_place(a: np.ndarray) -> bool:
-    """Overwrite the lower triangle of the square column-major ``a``, which alone is read, with
-    ``np.linalg.cholesky(a)``'s, bit for bit; False, ``a`` then partly overwritten, if not PD."""
-    if _lapack():
-        n, lda, info = map(ctypes.c_int64, (a.shape[1], len(a), 0))
+def cholesky_in_place(a: np.ndarray, n: int | None = None) -> bool:
+    """Overwrite the lower triangle, alone read, of the leading n x n block of the column-major ``a``
+    (all of it by default) with numpy's Cholesky factor's, bit for bit; False, if it is not PD."""
+    if _lapack()[0]:
+        n, lda, info = map(ctypes.c_int64, (n or a.shape[1], len(a), 0))
         _lapack()[0](b"L", n, a, lda, info)
         return info.value == 0
     try:
-        a[...] = np.linalg.cholesky(a)
+        a[:n, :n] = np.linalg.cholesky(a[:n, :n])
         return True
     except np.linalg.LinAlgError:
         return False
@@ -108,7 +114,7 @@ def cholesky_in_place(a: np.ndarray) -> bool:
 def solve_in_place(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``b``, overwritten with ``np.linalg.solve(a, b)``, bit for bit, for the column-major ``a``,
     which then holds its LU factors, and ``b``; numpy's ``LinAlgError`` where ``a`` is singular."""
-    if _lapack() is None:
+    if _lapack()[1] is None:
         b[...] = np.linalg.solve(a, b)
         return b
     n, nrhs, lda, ldb, info = map(ctypes.c_int64, (a.shape[1], b.shape[1], len(a), len(b), 0))
@@ -116,6 +122,21 @@ def solve_in_place(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info.value:
         raise np.linalg.LinAlgError("Singular matrix" if info.value > 0 else f"dgesv info {info.value}")
     return b
+
+
+def eigvalsh_in_place(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)``, bit for bit, for the exactly symmetric row-major ``a``, overwritten as
+    its column-major ``a.T``; after numpy's workspace query, as the reduction blocks by its size."""
+    dsyevd, n, info = _lapack()[2], ctypes.c_int64(len(a)), ctypes.c_int64(0)
+    if dsyevd is None:
+        return np.linalg.eigvalsh(a)
+    w, work, iwork, query = np.empty(len(a)), np.empty(1), np.empty(1, np.int64), ctypes.c_int64(-1)
+    dsyevd(b"N", b"L", n, a.T, n, w, work, query, iwork, query, info)
+    work, iwork = np.empty(int(work[0])), np.empty(iwork[0], np.int64)
+    dsyevd(b"N", b"L", n, a.T, n, w, work, ctypes.c_int64(work.size), iwork, ctypes.c_int64(iwork.size), info)
+    if info.value:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
 
 
 def _certificate_shift(m: np.ndarray, margin: float = 0.0) -> np.ndarray:
@@ -155,16 +176,18 @@ def _openblas() -> ctypes.CDLL | None:
 
 
 @functools.cache
-def _lapack():
-    """``(dpotrf, dgesv)``: the ILP64 LAPACK routines numpy's ``cholesky`` and ``solve`` call, in its
-    OpenBLAS, or None.  ctypes checks that each matrix is column-major, and releases the GIL."""
-    lib = _openblas()
-    if hasattr(lib, "scipy_dpotrf_64_") and hasattr(lib, "scipy_dgesv_64_"):
-        f64, i64 = np.ctypeslib.ndpointer(np.float64, 2, flags="F,W"), ctypes.POINTER(ctypes.c_int64)
-        lib.scipy_dpotrf_64_.argtypes = ctypes.c_char_p, i64, f64, i64, i64
-        lib.scipy_dgesv_64_.argtypes = i64, i64, f64, i64, np.ctypeslib.ndpointer(np.int64, 1), f64, i64, i64
-        lib.scipy_dpotrf_64_.restype = lib.scipy_dgesv_64_.restype = None
-        return lib.scipy_dpotrf_64_, lib.scipy_dgesv_64_
+def _lapack() -> tuple:
+    """The ILP64 ``(dpotrf, dgesv, dsyevd)`` numpy's ``cholesky``, ``solve`` and ``eigvalsh`` call, in its
+    OpenBLAS, each None where missing.  ctypes checks each matrix's layout, and releases the GIL."""
+    ndp, c, i64, lib = np.ctypeslib.ndpointer, ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), _openblas()
+    f64, floats, ints = ndp(np.float64, 2, flags="F,W"), ndp(np.float64, 1), ndp(np.int64, 1)
+    def bind(name, *argtypes):
+        routine = getattr(lib, f"scipy_{name}_64_", None)
+        if routine is not None:
+            routine.argtypes, routine.restype = argtypes, None
+        return routine
+    return (bind("dpotrf", c, i64, f64, i64, i64), bind("dgesv", i64, i64, f64, i64, ints, f64, i64, i64),
+            bind("dsyevd", c, c, i64, f64, i64, floats, floats, i64, ints, i64, i64))
 
 
 @functools.cache

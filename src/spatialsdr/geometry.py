@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import EIG_FLOOR, cholesky_in_place, pd_certified, pd_cholesky
+from ._linalg import EIG_FLOOR, _jittered, certify_in_place, cholesky_in_place, pd_cholesky
 from .exceptions import (
     DuplicatePointsError,
     InputError,
@@ -148,24 +148,23 @@ def exp_correlations(
     s I]]`` for ``s = 2 ||Z||_F^2 / EIG_FLOOR``: its Schur complement ``s I - Z' H^{-1} Z``
     is at least ``s / 2`` whenever ``lambda_min(H) >= EIG_FLOOR``, so the factor exists, and
     its top-left block is ``L`` and its bottom-left block ``(L^{-1} Z)'``, whatever ``s``.
-    One factorisation thus gives ``chol`` and ``whitened``.  The bordered matrix is built once
-    and factored in place, so the items carry ``matrix=None``, and an item's ``chol``, the lower
-    triangle of the buffer's top-left block, holds only until the next item is drawn."""
+    One factorisation thus gives ``chol`` and ``whitened``.  The bordered matrix is built once and
+    factored in place, as is each certificate's shifted ``H`` in its top-left block, so the items
+    carry ``matrix=None``, and an item's ``chol``, the lower triangle of that block, holds only
+    until the next item is drawn."""
     n, k = border.shape
     margin = 2 * n * (2.0 + max(decays) * dist.max()) * np.finfo(float).eps
     bordered = np.empty((n + k, n + k), order="F")  # dpotrf reads its lower triangle alone
     corner = np.eye(k) * (2.0 * np.sum(border * border) / EIG_FLOOR)
-    h, scaled = bordered[:n, :n], np.empty_like(dist)  # a product into h costs twice as much
-    certified = np.inf  # the smallest decay certified with the margin
+    h, certified = bordered[:n, :n], np.inf  # certified: the smallest decay certified with the margin
     for decay in decays:
-        np.exp(np.multiply(dist, -decay, out=scaled), out=h.T)  # h.T: row-major, as is D
-        bordered[n:, :n], bordered[n:, n:] = border.T, corner  # the factor of the last decay overwrote them
         if decay < certified:
-            used = pd_certified(h, NearSingularCorrelationError, margin)
-            if used is h:
-                certified = decay
-            else:
-                h[...] = used
+            np.exp(np.multiply(dist, -decay, out=h.T), out=h.T)
+            certified = decay if certify_in_place(bordered, n, margin) else certified
+        np.exp(np.multiply(dist, -decay, out=h.T), out=h.T)  # h.T: row-major, as is D
+        if decay < certified:  # the certificate failed
+            h[...] = _jittered(h, NearSingularCorrelationError)
+        bordered[n:, :n], bordered[n:, n:] = border.T, corner  # the factor of the last decay overwrote them
         if not cholesky_in_place(bordered):  # pragma: no cover - the policy's floor passed
             raise NearSingularCorrelationError("Matrix is not positive definite")
         # C-ordered rows, as numpy's factor gave them, so rows.T @ rows takes the same BLAS call

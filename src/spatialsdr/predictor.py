@@ -128,14 +128,17 @@ def predict_many(
         raise InputError(f"{len(x_query)} predictor rows but {len(s_query)} location rows")
     if config.h1 is None or (config.two_kernel and config.h2 is None):
         raise InputError("bandwidths not set; tune or supply them first")
-    u2 = sq_distances(_reduced(config.mode, x_query, fit), ref.points) / config.h1**2
+    u2 = sq_distances(_reduced(config.mode, x_query, fit), ref.points)
+    u2 /= config.h1**2  # each step in place: the same operations in the same order
     if config.two_kernel:
-        u2 = u2 + sq_distances(s_query, ref.coords) / config.h2**2
-    k = np.exp(-0.5 * u2)
+        d2 = sq_distances(s_query, ref.coords)
+        u2 += np.divide(d2, config.h2**2, out=d2)
+    k = -0.5 * u2
+    np.exp(k, out=k)
     fell_back = k.sum(axis=1) <= 0.0
     rows = np.flatnonzero(fell_back)  # every kernel value zero: the nearest point alone
     k[rows, np.argmin(u2[rows], axis=1)] = 1.0
-    return (k / k.sum(axis=1)[:, None]) @ ref.responses, fell_back
+    return np.divide(k, k.sum(axis=1)[:, None], out=k) @ ref.responses, fell_back
 
 
 def default_bandwidth_grid(points: np.ndarray) -> np.ndarray:

@@ -10,13 +10,13 @@ column-normalized ``W`` too).  With ``Z = [1 X F]`` the moment matrix is
 so one product ``WZ`` per sample serves every lag; its Schur complement on
 the intercept is the Gram matrix of the generalized centering
 ``I - 1 (1' Wt'Wt 1)^{-1} 1' Wt'Wt`` followed by ``Wt``.  The likelihood
-carries ``+ p log|det Wt|``.  ``W = A D^{-1}`` for ``geometry.neighbor_graph``'s
-symmetric adjacency ``A`` and degrees ``D``, and is never formed: ``WZ = A (D^{-1} Z)``,
-and ``W`` is similar to the symmetric ``D^{-1/2} A D^{-1/2}``, whose eigenvalues
-``lambda`` give ``log|det Wt| = sum log|1 - coef lambda|`` at every lag (Ord 1975).  The lag coefficient is
-profiled over a grid on (-1, 1): ``whiten_sem`` yields each lag's moments
-in turn, as ``sscm.whiten_sscm`` yields each decay's, from one broadcast of
-the lag-free parts over the grid.  Fits are ``SemFit``, the ``rrr.SdrFit``
+carries ``+ p log|det Wt|``.  ``W = A D^{-1}`` for ``geometry.neighbor_graph``'s symmetric
+adjacency ``A`` and degrees ``D`` is never formed: ``WZ = A (D^{-1} Z)`` with ``A`` as floats,
+and in that one n x n buffer ``A`` becomes ``D^{-1/2} A D^{-1/2}``, similar to ``W``, whose
+eigenvalues ``lambda``, taken in place, give ``log|det Wt| = sum log|1 - coef lambda|`` at every
+lag (Ord 1975).  The lag coefficient is profiled over a grid on (-1, 1): ``whiten_sem``
+yields each lag's moments in turn, as ``sscm.whiten_sscm`` yields each decay's, from one
+broadcast of the lag-free parts over the grid.  Fits are ``SemFit``, the ``rrr.SdrFit``
 whose spatial parameter is named ``lag_coef``.
 """
 
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import eigvalsh_in_place
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, SingularFilterError
@@ -45,10 +46,14 @@ def whiten_sem(x: np.ndarray, f: np.ndarray, graph: tuple, coefs) -> Iterator[Mo
     singular values of the symmetrized filter, have a ratio above ``COND_LIMIT``."""
     z, shift = design(x, f)
     adj, deg = graph
-    wz = adj @ (z / deg[:, None])
+    a = adj.astype(float)  # the one n x n float: numpy would cast adj for the product anyway
+    wz = a @ (z / deg[:, None])
     cross = z.T @ wz
     root = np.sqrt(deg)
-    spectrum = np.linalg.eigvalsh(adj / np.outer(root, root))
+    for top in range(0, len(a), 32):  # D^{-1/2} A D^{-1/2} in a's buffer, by blocks of rows
+        a[top : top + 32] /= np.outer(root[top : top + 32], root)
+    spectrum = eigvalsh_in_place(a)
+    del a  # before the lags' broadcast, which takes about n^2 doubles more at n = 280
     coefs = np.asarray(coefs, dtype=float)
     gaps = np.abs(1.0 - coefs[:, None] * spectrum)
     low = gaps.min(axis=1)

@@ -9,8 +9,8 @@ use the lower Cholesky root of each covariance (``_linalg.draw_root``), and the 
 ``(I - rho A D^-1)^-1 = D (D - rho A)^-1`` of the SEM fit's ``geometry.neighbor_graph`` an
 LU solve with ``D - rho A``.  The errors' draw computes the sample's one distance array and
 builds its matrix in that buffer, and the response's covariogram takes its distances row
-block by row block, so a draw holds at most two n x n matrices at once: the one factored in
-its buffer and the root copied out of it.
+block by row block, so a draw holds one n x n matrix at a time, and the response's root multiplies
+its normals by row blocks; only the SSCM errors' n x p product copies a whole root out.
 
 The experiment protocol repeats: fresh data, random train/test split, a
 rank per method from ``dimension.select_ranks`` under the rank policy, then
@@ -23,7 +23,6 @@ heap thresholds raised for the rest of the process (``_linalg.keep_heap``).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,8 +166,8 @@ def simulate_y(coords: Coordinates, grf: GrfSpec, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     s1, s2 = coords.points[:, 0], coords.points[:, 1]
     mean = grf.trend[0] + grf.trend[1] * s1 + grf.trend[2] * s2
-    root = draw_root(lambda: spherical_covariance(coords, grf), CovarianceNotPDError)
-    return mean + root @ rng.standard_normal(coords.n)
+    z = rng.standard_normal(coords.n)
+    return mean + draw_root(lambda: spherical_covariance(coords, grf), CovarianceNotPDError, z)
 
 
 def draw_spatial_errors(
@@ -291,6 +290,7 @@ def run_experiment(
     reps = list(range(cfg.reps))
     with one_blas_thread():
         if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # here: a serial run loads no pool
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(lambda rep: _run_rep(cfg, methods, d_policy, rep), reps))
         else:

@@ -148,14 +148,14 @@ class TestExpCorrelation:
 
 
 def count_factorisations(monkeypatch, n):
-    """Count in-place Cholesky factorisations of n x n matrices, the certificates'
-    and the grid's; returns the running list of counted shapes."""
+    """Count in-place Cholesky factorisations of order n, the certificates' (of the
+    leading block of a buffer) and the grid's; returns the running list of counted orders."""
     counted, original = [], _linalg.cholesky_in_place
 
-    def counting(a):
-        if a.shape == (n, n):
-            counted.append(a.shape)
-        return original(a)
+    def counting(a, order=None):
+        if (a.shape[1] if order is None else order) == n:
+            counted.append(n)
+        return original(a, order)
 
     for module in (_linalg, geometry):
         monkeypatch.setattr(module, "cholesky_in_place", counting)

@@ -1,5 +1,5 @@
 """The shared PD policy: certified Cholesky factors, the eigenvalue jitter, and the LAPACK
-routines that factor and solve in place."""
+routines that factor, solve and take a spectrum in place."""
 
 import ctypes
 import threading
@@ -11,7 +11,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from spatialsdr import _linalg
 from spatialsdr._linalg import EIG_FLOOR, _openblas_threads, draw_root, one_blas_thread
-from spatialsdr._linalg import _jittered, cholesky_in_place, pd_cholesky, solve_in_place
+from spatialsdr._linalg import _jittered, cholesky_in_place, eigvalsh_in_place, pd_cholesky, solve_in_place
+from spatialsdr.geometry import neighbor_graph
 from spatialsdr.exceptions import CovarianceNotPDError, InputError, NearSingularCorrelationError
 
 
@@ -87,9 +88,9 @@ def builder(m: np.ndarray):
 def binding(request, monkeypatch):
     """Each in-place routine through numpy's LAPACK, and with that lookup forced off."""
     if request.param == "numpy":
-        monkeypatch.setattr(_linalg, "_lapack", lambda: None)
-    elif _linalg._lapack() is None:
-        pytest.skip("numpy's OpenBLAS has no ILP64 dpotrf and dgesv")
+        monkeypatch.setattr(_linalg, "_lapack", lambda: (None, None, None))
+    elif None in _linalg._lapack():
+        pytest.skip("numpy's OpenBLAS lacks an ILP64 dpotrf, dgesv or dsyevd")
     return request.param
 
 
@@ -129,13 +130,42 @@ def test_solve_in_place_with_a_singular_matrix_raises_numpys_error(binding):
         solve_in_place(a, np.ones((2, 1), order="F"))
 
 
-@pytest.mark.skipif(_linalg._lapack() is None, reason="numpy's OpenBLAS has no ILP64 dpotrf and dgesv")
+def test_cholesky_in_place_of_a_leading_block_leaves_the_rest_of_the_buffer(binding):
+    # the certificate's use: the order n of a bordered buffer's top-left block, lda n + k
+    m = bordered_of(280, 27)
+    a = np.array(m, order="F")
+    assert cholesky_in_place(a, 280)
+    assert np.tril(a[:280, :280]).tobytes() == np.linalg.cholesky(m[:280, :280]).tobytes()
+    np.testing.assert_array_equal(a[280:], m[280:])
+    np.testing.assert_array_equal(a[:, 280:], m[:, 280:])
+
+
+def normalized_adjacency(n: int) -> np.ndarray:
+    """``D^{-1/2} A D^{-1/2}`` of the SEM lattice of n uniform locations (seed n)."""
+    adj, deg = neighbor_graph(squareform(pdist(np.random.default_rng(n).uniform(size=(n, 2)))))
+    return adj / np.outer(np.sqrt(deg), np.sqrt(deg))
+
+
+@pytest.mark.parametrize("m", [normalized_adjacency(n) for n in (60, 224, 280)] + [with_spectrum(range(9))],
+                         ids=["60", "224", "280", "dense-9"])
+def test_eigvalsh_in_place_is_numpys_spectrum_bit_for_bit(binding, m):
+    assert eigvalsh_in_place(m.copy()).tobytes() == np.linalg.eigvalsh(m).tobytes()
+
+
+@pytest.mark.skipif(None in _linalg._lapack()[:2], reason="numpy's OpenBLAS lacks an ILP64 dpotrf or dgesv")
 def test_in_place_routines_reject_a_row_major_matrix_before_lapack_reads_it():
     # LAPACK would read the transpose, or past the end of a buffer; ctypes checks the layout
     with pytest.raises(ctypes.ArgumentError, match="F_CONTIGUOUS"):
         cholesky_in_place(np.eye(3))
     with pytest.raises(ctypes.ArgumentError, match="F_CONTIGUOUS"):
         solve_in_place(np.eye(3), np.ones((3, 1), order="F"))
+
+
+@pytest.mark.skipif(_linalg._lapack()[2] is None, reason="numpy's OpenBLAS has no ILP64 dsyevd")
+def test_eigvalsh_in_place_rejects_a_column_major_matrix_before_lapack_reads_it():
+    # dsyevd takes the row-major matrix as its column-major transpose
+    with pytest.raises(ctypes.ArgumentError, match="F_CONTIGUOUS"):
+        eigvalsh_in_place(np.eye(3, order="F"))
 
 
 @pytest.mark.parametrize("n", [280, 400])
@@ -146,6 +176,17 @@ def test_draw_root_of_a_certified_matrix_is_pd_choleskys_root(n):
     build, calls = builder(m)
     root = draw_root(build, NearSingularCorrelationError)
     assert root.tobytes() == want.tobytes() and root.flags.c_contiguous
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [50, 61, 280, 400])
+def test_draw_root_times_a_vector_is_numpys_root_times_it_bit_for_bit(binding, n):
+    # by blocks of 32 rows, the last one short where 32 does not divide n, and one
+    # build; oracle: numpy's C-ordered factor times the vector
+    m, z = exp_correlation_of(n), np.random.default_rng(n + 1).standard_normal(n)
+    build, calls = builder(m)
+    got = draw_root(build, NearSingularCorrelationError, z)
+    assert got.tobytes() == (np.linalg.cholesky(m) @ z).tobytes()
     assert len(calls) == 1
 
 

@@ -296,33 +296,46 @@ def test_a_sample_computes_its_distances_once(monkeypatch, model):
     np.testing.assert_array_equal(drawn.x, x)
 
 
-@pytest.mark.parametrize("model", ["sscm", "sem"])
-def test_a_default_draw_peaks_within_2_2_matrices(model):
-    # the distances and the covariogram, built on the square in row blocks, are
-    # the two n x n matrices a draw holds at once: 2.15 n^2 doubles (sscm) and
-    # 2.01 (sem); the covariogram's condensed temporaries used to take the traced
-    # peak to 3.0.  One draw first, since numpy loads numpy.random on first use,
-    # and that import alone adds about 0.59 n^2 to a process's first traced draw
+def traced_peak_of_a_default_draw(model: str) -> float:
+    """tracemalloc's peak over ``simulate_sample(SimConfig(model=model), 0)``, in n x n matrices.
+    One draw first, since numpy loads numpy.random on first use, and that import alone adds
+    about 0.59 n^2 to a process's first traced draw."""
     n = SimConfig().n
     rep_rng(0, 0).standard_normal()
     tracemalloc.start()
     try:
         simulate_sample(SimConfig(model=model), 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] / (n * n * 8)
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * n * n * 8
+
+
+def test_a_default_sscm_draw_peaks_within_2_2_matrices():
+    # the errors' correlations, factored in the distances' buffer, and the root
+    # copied out of them for the n x 24 product: 2.15 n^2 doubles
+    assert traced_peak_of_a_default_draw("sscm") <= 2.2
+
+
+def test_a_default_sem_draw_peaks_within_1_45_matrices():
+    # one n x n matrix at a time: the covariogram, whose root multiplies the
+    # response's normals by row blocks, then the distances, in whose buffer the
+    # filter is solved; 1.40 n^2 doubles, where a copied-out root read 2.03
+    assert traced_peak_of_a_default_draw("sem") <= 1.45
 
 
 @pytest.mark.parametrize("model", ["sscm", "sem"])
 @pytest.mark.parametrize("policy", ["fixed", "aic", "cv"])
 def test_reports_are_the_same_with_numpys_own_factors(monkeypatch, model, policy):
-    # the in-place LAPACK path and numpy's copying calls give the same bits
+    # the in-place LAPACK path and numpy's copying calls give the same bits, with
+    # every routine forced off and with dsyevd alone, the SEM spectrum's, forced off
     cfg = SimConfig(n=100, p=4, reps=2, model=model)
     in_place = run_experiment(cfg, list(MODES), policy)
-    monkeypatch.setattr(_linalg, "_lapack", lambda: None)
+    dpotrf, dgesv, _ = _linalg._lapack()
+    monkeypatch.setattr(_linalg, "_lapack", lambda: (dpotrf, dgesv, None))
+    no_dsyevd = run_experiment(cfg, list(MODES), policy)
+    monkeypatch.setattr(_linalg, "_lapack", lambda: (None, None, None))
     copied = run_experiment(cfg, list(MODES), policy)
-    assert repr(in_place) == repr(copied)
+    assert repr(in_place) == repr(no_dsyevd) == repr(copied)
 
 
 def run_script(code: str, **env: str) -> str:
@@ -347,6 +360,63 @@ def test_the_package_loads_no_scipy_under_any_policy():
         "print(scipy())\n"
     )
     assert run_script(code).split("\n") == ["[]", "[]", ""]
+
+
+def test_a_serial_run_loads_no_pool():
+    # importing the thread pool adds about 0.3 MB of resident memory, and logging
+    # with it; a process pool would bring multiprocessing, about 1.0 MB more
+    code = (
+        "import sys\n"
+        "import spatialsdr.dimension, spatialsdr.simulate as s\n"
+        "from spatialsdr.predictor import MODES\n"
+        "for model in ('sscm', 'sem'):\n"
+        "    for policy in s.POLICIES:\n"
+        "        s.run_experiment(s.SimConfig(n=60, p=4, reps=1, model=model), list(MODES), policy, workers=1)\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'logging') if m in sys.modules))\n"
+    )
+    assert run_script(code) == "[]\n"
+
+
+# The rise of VmHWM over each stage of a default replication, cumulative from
+# the end of a small warm-up draw, in MB: 2.8, 3.4 and 3.85 on x86-64 with
+# numpy 2.4.6's OpenBLAS, and 3.5, 4.2 and 4.75 when the response's root was
+# copied out whole, the SEM spectrum took three n x n temporaries and the SSCM
+# certificate its own copy.
+PEAK_STAGES = {"draw": 3.2, "sem-profile": 3.85, "sscm-profile": 4.35}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+@pytest.mark.parametrize("stage", list(PEAK_STAGES))
+def test_resident_peak_over_a_replications_stages(stage):
+    # a fresh process on one BLAS thread, its heap kept as run_experiment keeps it,
+    # so VmHWM sees what tracemalloc cannot: numpy's LAPACK copies and the heap's
+    # fragmentation; each reading counts from the same warm-up draw, since a lower
+    # draw leaves the next stage a larger step
+    code = (
+        "import spatialsdr.simulate as s\n"
+        "from spatialsdr import sem, sscm\n"
+        "from spatialsdr._linalg import keep_heap\n"
+        "from spatialsdr.basis import BasisSpec\n"
+        "from spatialsdr.data import train_test_split\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return [int(line.split()[1]) / 1024 for line in status if line.startswith('VmHWM:')]\n"
+        "keep_heap()\n"
+        "s.simulate_sample(s.SimConfig(n=60, p=4), 0)\n"
+        "base, cfg = hwm(), s.SimConfig()\n"
+        "rng = s.rep_rng(cfg.seed, 0)\n"
+        "sample = s._draw_sample(cfg, rng)\n"
+        f"if {stage!r} != 'draw':\n"
+        "    train, spec = train_test_split(sample, cfg.train_frac, rng)[0], BasisSpec('polynomial', cfg.r)\n"
+        "    sem.rank_fits(train, spec, [cfg.d])\n"
+        f"if {stage!r} == 'sscm-profile':\n"
+        "    sscm.rank_fits(train, spec, [cfg.d])\n"
+        "print(*(after - before for before, after in zip(base, hwm())))\n"
+    )
+    rise = run_script(code, OPENBLAS_NUM_THREADS="1").split()
+    if not rise:
+        pytest.skip("no VmHWM in /proc/self/status")
+    assert float(rise[0]) <= PEAK_STAGES[stage]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
@@ -485,11 +555,12 @@ def test_filter_cond_bound_holds_on_threshold_graphs(seed):
 
 def test_sample_roots_factor_their_covariances(monkeypatch):
     # the spherical covariogram, the noise covariance and exp(-decay * distance)
-    # of an sscm sample, each rebuilt by its root to 1e-12 of its largest entry
+    # of an sscm sample: numpy's factor of the first times the response's normals,
+    # and each other rebuilt by its root to 1e-12 of its largest entry
     cfg = SimConfig(n=60, model="sscm", seed=7)
     calls, original = [], simulate.draw_root
 
-    def spy(build, err):
+    def spy(build, err, *z):
         built = []
 
         def copied():  # the root is factored in the built buffer: keep a copy
@@ -497,30 +568,34 @@ def test_sample_roots_factor_their_covariances(monkeypatch):
             built.append(m.copy())
             return m
 
-        chol = original(copied, err)
-        calls.append((built[0], chol))
-        return chol
+        got = original(copied, err, *z)
+        calls.append((built[0], got, *z))
+        return got
 
     monkeypatch.setattr(simulate, "draw_root", spy)
     sample = simulate_sample(cfg, 0)
     dist = pairwise_distances(sample.coords)
     grf = GrfSpec()
-    spherical, noise, corr = (m for m, _ in calls)
+    spherical, noise, corr = (m for m, *_ in calls)
     h = dist / grf.range_
     covariogram = np.where(h < 1.0, grf.sill * (1.0 - 1.5 * h + 0.5 * h**3), 0.0)
     np.testing.assert_array_equal(spherical, covariogram)
     assert noise.shape == (cfg.p, cfg.p)
     np.testing.assert_array_equal(corr, np.exp(-cfg.decay * dist))
-    for m, chol in calls:
+    (_, noise_part, z), *roots = calls  # the response's root comes times its normals
+    np.testing.assert_array_equal(noise_part, np.linalg.cholesky(spherical) @ z)
+    for m, chol in roots:
         np.testing.assert_array_equal(chol, np.linalg.cholesky(m))  # unjittered
         np.testing.assert_array_equal(chol, np.tril(chol))
         assert np.abs(chol @ chol.T - m).max() <= 1e-12 * np.abs(m).max()
 
 
-def symmetric_root(build, err):
-    """The symmetric square root of ``build()`` under the shared PD policy: the oracle sampler."""
+def symmetric_root(build, err, z=None):
+    """The symmetric square root of ``build()`` under the shared PD policy, or that root times
+    ``z``: the oracle sampler."""
     vals, vecs = np.linalg.eigh(_jittered(build(), err))
-    return (vecs * vals**0.5) @ vecs.T
+    root = (vecs * vals**0.5) @ vecs.T
+    return root if z is None else root @ z
 
 
 def mse_z_scores(cfg: SimConfig) -> dict[str, float]:
