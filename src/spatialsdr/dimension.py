@@ -13,6 +13,10 @@ harness's test split run: it fits each kind for the ranks asked of it, tunes
 every reference in one leave-one-out pass and predicts the held-out
 responses.  One of ``FAILURES`` costs only the jobs it hits: a kind's failed
 profile each of that kind's jobs, a failed reference or search its own.
+A sample's pairwise distances belong to the step that fits it: ``rank_fits``,
+``select_ranks`` and ``fit_and_predict`` each compute them once, for their
+first SSCM or SEM profile, and drop them on return; ``fit_and_predict`` also
+scales the h2 grid from them, and drops them before its search.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from . import pfc, sem, sscm
 from .basis import BasisSpec
 from .data import SpatialSample
 from .exceptions import CvFailedError, InputError, NonMonotoneLogliksError, SpatialSdrError
-from .geometry import upper_pairs
+from .geometry import pairwise_distances
 from .predictor import MODES, PredictorConfig, build_reference, distance_grid, loo_search, predict_many
 
 MONOTONE_SLACK = 1e-8
@@ -140,9 +144,10 @@ def select_ic(
     return DimSelection(criterion=kind, d_star=d_star, trace=trace)
 
 
-# The one map from a model kind to the label its predictor modes carry and
-# to its fitter, which walks its grid once.
-MODELS = {"ind": ("Ind", pfc.rank_fits), "sscm": ("SSCM", sscm.rank_fits), "sem": ("SEM", sem.rank_fits)}
+# The one map from a model kind to its predictor modes' label and to its fitter
+# of (sample, spec, ranks, distances), which walks its grid once; Ind's reads no distances.
+MODELS = {"ind": ("Ind", lambda sample, spec, ranks, dist: pfc.rank_fits(sample, spec, ranks)),
+          "sscm": ("SSCM", sscm.rank_fits), "sem": ("SEM", sem.rank_fits)}
 # Errors that cost a job its prediction instead of ending the run.
 FAILURES = (SpatialSdrError, np.linalg.LinAlgError)
 
@@ -162,7 +167,12 @@ def rank_fits(sample, kind, spec, ranks) -> list:
     whole: its first ``SpatialSdrError``, at any grid point or rank, is raised."""
     if kind not in MODELS:
         raise InputError(f"unknown model kind {kind!r}")
-    return MODELS[kind][1](sample, spec, ranks)
+    return MODELS[kind][1](sample, spec, ranks, _distances(sample, kind, None))
+
+
+def _distances(sample, kind, dist):
+    """``dist``, or ``sample``'s ``pairwise_distances`` if ``kind`` is spatial and they are None."""
+    return pairwise_distances(sample.coords) if dist is None and kind != "ind" else dist
 
 
 def loglik_profile(sample: SpatialSample, kind: str, spec: BasisSpec) -> np.ndarray:
@@ -186,16 +196,17 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
     fits = dict(fits or {})
     keys = [(mode_kind(mode), rank) for mode, rank in jobs]
     needed = {(k, d) for k, d in keys if k and (k, d) not in fits and not isinstance(d, FAILURES)}
+    dist = None
     for kind in sorted({kind for kind, _ in needed}):
         ranks = sorted(d for k, d in needed if k == kind)
         try:
-            found = rank_fits(train, kind, spec, ranks)
+            dist = _distances(train, kind, dist)
+            found = MODELS[kind][1](train, spec, ranks, dist)
         except FAILURES as exc:
             found = [exc] * len(ranks)
         fits.update(((kind, d), fit) for d, fit in zip(ranks, found))
     two_kernel = any(mode.startswith("2k") for mode, _ in jobs)
-    dist = vars(train.coords).pop("distances", None)  # the matrix the spatial fits shared
-    h2_grid = distance_grid(upper_pairs(dist)) if two_kernel and dist is not None else None
+    h2_grid = distance_grid(dist) if two_kernel and dist is not None else None
     del dist  # freed before the search
 
     refs = {}
@@ -300,10 +311,11 @@ def select_ranks(sample, modes, spec, policy, d, seed) -> tuple[dict, dict]:
     if policy == "cv":
         sels = _cv_selections(sample, reduced, spec, seed=seed)
         return {m: s if isinstance(s, FAILURES) else s.d_star for m, s in zip(reduced, sels)}, {}
-    picks, fits = {}, {}
+    picks, fits, dist = {}, {}, None
     for kind in dict.fromkeys(map(mode_kind, reduced)):
         try:
-            profile = rank_fits(sample, kind, spec, range(min(sample.p, spec.degree) + 1))
+            dist = _distances(sample, kind, dist)
+            profile = MODELS[kind][1](sample, spec, range(min(sample.p, spec.degree) + 1), dist)
             args = (np.array([fit.loglik for fit in profile]), sample.p, spec.degree, sample.n)
             pick = (select_lr(*args) if policy == "lr" else select_ic(*args, kind=policy)).d_star
             fits.update(((kind, rank), fit) for rank, fit in enumerate(profile))

@@ -1,10 +1,11 @@
 """Planar coordinates, distances, and the two spatial association structures.
 
-Distances are plain n x n arrays.  Geostatistical association uses an exponential correlation
-matrix ``exp(-decay * distance)``; lattice association uses the filter ``I - coef * W`` for
-``W = A D^{-1}``, the ``neighbor_graph`` ``(A, D)``, which the SEM draw and fit use as it is
-(``neighbor_weights`` and ``spatial_filter`` build the dense ``W`` and filter).  All
-operations are pure functions of their inputs.
+Distances are plain n x n arrays, owned by their caller (``dimension`` for a training sample's);
+``median_distance`` scales every default grid.  Geostatistical association uses an exponential
+correlation matrix ``exp(-decay * distance)``; lattice association uses the filter ``I - coef W``
+for ``W = A D^{-1}``, the ``neighbor_graph`` ``(A, D)``, which the SEM draw and fit use as it is
+(``neighbor_weights`` and ``spatial_filter`` build the dense ``W`` and filter).  All operations
+are pure functions of their inputs.
 
 Distances come from ``sq_distances`` and factors from the LAPACK numpy calls (``_linalg``), so
 the package loads numpy alone: ``scipy.linalg`` would add about 28 MB and 0.13 s to every process.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .exceptions import (
 
 @dataclass(frozen=True)
 class Coordinates:
-    """n x 2 matrix of planar sample locations."""
+    """n x 2 matrix of planar sample locations; it caches nothing, not even their distances."""
 
     points: np.ndarray
 
@@ -48,20 +48,6 @@ class Coordinates:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    @cached_property
-    def distances(self) -> np.ndarray:
-        """The ``pairwise_distances`` array of these locations, computed once for every fit of
-        them; ``dimension.fit_and_predict`` drops it from ``vars`` once its fits are made.  The
-        errors' draw of ``simulate`` computes its own and builds its matrix in their buffer."""
-        return pairwise_distances(self)
-
-
-def upper_pairs(m: np.ndarray) -> np.ndarray:
-    """The entries of the square ``m`` above the diagonal in SciPy's condensed order (pairs
-    i < j, row by row), gathered afresh: keeping them would hold n^2 / 2 more floats for as
-    long as the matrix lives."""
-    return m[~np.tri(len(m), dtype=bool)]
 
 
 @dataclass(frozen=True)
@@ -171,15 +157,22 @@ def exp_correlations(
         yield ExpCorrelation(float(decay), None, h, np.ascontiguousarray(bordered[n:, :n]).T)
 
 
-def sorted_median(values: np.ndarray) -> float:
-    """``np.median`` of a non-empty 1-d array without NaNs, bit for bit: the lower middle
-    value from one partition, averaged with the least value above it when the size is even.
-    A zero median takes ``np.median`` itself, since the sign of a zero depends on where each
-    partition puts the zeros."""
-    k = (values.size - 1) // 2
-    part = np.partition(values, k)
-    median = part[k] if values.size % 2 else (part[k] + part[k + 1 :].min()) / 2.0
-    return float(median) if median != 0.0 else float(np.median(values))
+def median_distance(m: np.ndarray, squared: bool = False) -> float:
+    """``np.median`` of the distances above the diagonal of the square ``m``, or of the positive
+    ones when that is 0; 0 when none is positive.  With ``squared`` only the middle values of the
+    squares are rooted: ``sqrt`` is monotone and correctly rounded, so that is the median of the
+    roots bit for bit.  The pairs are gathered once and partitioned in place; as in ``np.median``,
+    the partition moves a NaN last, and a NaN gives NaN."""
+    pairs = m[~np.tri(len(m), dtype=bool)]
+    while pairs.size:
+        k, odd = (pairs.size - 1) // 2, pairs.size % 2
+        pairs.partition([k, k + 1 - odd, pairs.size - 1])
+        middle = pairs[-1:] if np.isnan(pairs[-1]) else pairs[k : k + 2 - odd]
+        median = float((np.sqrt(middle) if squared else middle).mean())  # np.median's mean
+        if median != 0.0:
+            return median
+        pairs = pairs[pairs > 0.0]
+    return 0.0
 
 
 def max_min_distance(dist: np.ndarray) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import SpatialSample
 from .exceptions import DegenerateGridError, InputError, SpatialSdrError
-from .geometry import sorted_median, sq_distances, upper_pairs
+from .geometry import median_distance, sq_distances
 
 MODES = (
     "1k.FULL",
@@ -142,24 +142,18 @@ def predict_many(
 
 
 def default_bandwidth_grid(points: np.ndarray) -> np.ndarray:
-    """``distance_grid`` of the distances between the rows of ``points``."""
+    """``distance_grid`` of the squared distances between the rows of ``points``."""
     pts = np.atleast_2d(points)
     if pts.shape[0] < 2:
         raise DegenerateGridError("need at least two points to scale a grid")
-    tri = upper_pairs(sq_distances(pts, pts))
-    return distance_grid(np.sqrt(tri, out=tri))
+    return distance_grid(sq_distances(pts, pts), squared=True)
 
 
-def distance_grid(tri: np.ndarray) -> np.ndarray:
-    """Geometric grid 0.1q .. 2q with q the median of the pairwise distances ``tri``, or
-    of the positive ones when that is 0; ``[1]`` when none is positive."""
-    q = sorted_median(tri)
-    if q <= 0.0:
-        positive = tri[tri > 0.0]
-        if positive.size == 0:
-            return np.array([1.0])
-        q = sorted_median(positive)
-    return np.geomspace(GRID_SPAN[0] * q, GRID_SPAN[1] * q, GRID_SIZE)
+def distance_grid(dist: np.ndarray, squared: bool = False) -> np.ndarray:
+    """Geometric grid 0.1q .. 2q for q the ``geometry.median_distance`` of the n x n distances
+    ``dist`` (squared if ``squared``); ``[1]`` when no distance is positive, a NaN grid at a NaN q."""
+    q = median_distance(dist, squared)
+    return np.array([1.0]) if q <= 0.0 else np.geomspace(GRID_SPAN[0] * q, GRID_SPAN[1] * q, GRID_SIZE)
 
 
 @dataclass(frozen=True)

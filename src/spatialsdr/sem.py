@@ -31,7 +31,7 @@ from ._linalg import eigvalsh_in_place
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, SingularFilterError
-from .geometry import neighbor_graph
+from .geometry import neighbor_graph, pairwise_distances
 from .rrr import Moments, SdrFit, design, profile
 
 DEFAULT_GRID = np.round(np.arange(-0.95, 0.951, 0.05), 2)  # -0.95 .. 0.95 in steps of 0.05
@@ -93,14 +93,14 @@ def fit_sem(
     break toward the coefficient of smallest magnitude (the model closest
     to independence); a lag that fails raises its error.
     """
-    return rank_fits(sample, spec, [rank], lag_grid)[0]
+    return rank_fits(sample, spec, [rank], pairwise_distances(sample.coords), lag_grid)[0]
 
 
-def rank_fits(sample, spec, ranks, lag_grid=None) -> list:
-    """``fit_sem`` at each of ``ranks`` from one pass over the lag grid; the
-    first error, at any lag or rank, fails them all."""
+def rank_fits(sample, spec, ranks, dist, lag_grid=None) -> list:
+    """``fit_sem`` at each of ``ranks`` from one pass over the lag grid, on the neighbor graph of
+    ``dist``, the caller's ``pairwise_distances`` of ``sample``; the first error fails them all."""
     f = build_f(sample.y, spec)
-    graph = neighbor_graph(sample.coords.distances)
+    graph = neighbor_graph(dist)
 
     lag_grid = np.asarray(DEFAULT_GRID if lag_grid is None else lag_grid, dtype=float)
     if lag_grid.size == 0:

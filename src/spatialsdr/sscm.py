@@ -27,7 +27,7 @@ import numpy as np
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import EmptyGridError, InputError, NonPositiveDecayError
-from .geometry import exp_correlations, sorted_median, upper_pairs
+from .geometry import exp_correlations, median_distance, pairwise_distances
 from .rrr import Moments, SdrFit, design, moments_of, profile
 
 DEFAULT_GRID_SIZE = 20
@@ -35,8 +35,8 @@ DEFAULT_GRID_SPAN = (0.1, 10.0)  # multiples of 1/median-distance
 
 
 def default_decay_grid(dist: np.ndarray) -> np.ndarray:
-    """Geometric grid spanning 0.1/m .. 10/m with m the median distance."""
-    m = sorted_median(upper_pairs(dist))
+    """Geometric grid spanning 0.1/m .. 10/m with m the ``geometry.median_distance`` of ``dist``."""
+    m = median_distance(dist)
     lo, hi = DEFAULT_GRID_SPAN[0] / m, DEFAULT_GRID_SPAN[1] / m
     return np.geomspace(lo, hi, DEFAULT_GRID_SIZE)
 
@@ -71,14 +71,13 @@ def fit_sscm(
 
     Ties break to the smallest decay; a decay that fails raises its error.
     """
-    return rank_fits(sample, spec, [rank], decay_grid)[0]
+    return rank_fits(sample, spec, [rank], pairwise_distances(sample.coords), decay_grid)[0]
 
 
-def rank_fits(sample, spec, ranks, decay_grid=None) -> list:
-    """``fit_sscm`` at each of ``ranks`` from one pass over the decay grid;
-    the first error, at any decay or rank, fails them all."""
+def rank_fits(sample, spec, ranks, dist, decay_grid=None) -> list:
+    """``fit_sscm`` at each of ``ranks`` from one pass over the decay grid, on ``dist``, the caller's
+    ``pairwise_distances`` of ``sample``; the first error, at any decay or rank, fails them all."""
     f = build_f(sample.y, spec)
-    dist = sample.coords.distances
     if decay_grid is None:
         decay_grid = default_decay_grid(dist)
     decay_grid = np.asarray(decay_grid, dtype=float)

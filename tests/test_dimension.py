@@ -1,9 +1,10 @@
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from spatialsdr import geometry
+from spatialsdr import dimension, geometry
 from spatialsdr.basis import BasisSpec
 from spatialsdr.dimension import (
     MODELS,
@@ -20,10 +21,13 @@ from spatialsdr.dimension import (
 )
 from spatialsdr.exceptions import (
     CvFailedError,
+    DuplicatePointsError,
     InputError,
     NonMonotoneLogliksError,
     SingularResidualCovError,
 )
+from spatialsdr.data import SpatialSample
+from spatialsdr.geometry import Coordinates
 from spatialsdr.predictor import MODES
 from spatialsdr.rrr import SdrFit
 from spatialsdr.simulate import SimConfig, simulate_sample
@@ -306,23 +310,56 @@ class TestSelectRanks:
 
 
 def test_the_spatial_fits_of_a_sample_share_its_distances(monkeypatch):
-    # SSCM and SEM fits of one training sample compute its distances once, and
-    # the search after them does not keep the n x n matrix alive
-    calls = []
-    original = geometry.pairwise_distances
+    # a fit step computes the training distances once for its SSCM and SEM fits and not at
+    # all for FULL and Ind, and holds no reference to them by its leave-one-out search;
+    # select_ranks' profiles under aic likewise
+    made, alive, search = [], [], dimension.loo_search
 
     def counted(coords):
-        calls.append(coords)
-        return original(coords)
+        dist = geometry.pairwise_distances(coords)
+        made.append((coords, weakref.ref(dist)))
+        return dist
 
-    sample = simulate_sample(SimConfig(n=60, p=4, seed=3), 0)  # its draws measure it alone
-    monkeypatch.setattr(geometry, "pairwise_distances", counted)
+    def searched(*args, **kwargs):
+        alive.extend(ref() is not None for _, ref in made)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(dimension, "pairwise_distances", counted)
+    monkeypatch.setattr(dimension, "loo_search", searched)
+    sample = simulate_sample(SimConfig(n=60, p=4, seed=3), 0)
     train, test = sample.subset(np.arange(45)), sample.subset(np.arange(45, 60))
-    jobs = [(mode, 1) for mode in ("1k.SSCM", "2k.SSCM", "1k.SEM", "2k.SEM")]
-    out = fit_and_predict(jobs, train, test, BasisSpec("polynomial", 2))
-    assert all(np.all(np.isfinite(yhat)) for yhat in out)
-    assert len(calls) == 1 and calls[0] is train.coords
-    assert "distances" not in vars(train.coords)
+    spec = BasisSpec("polynomial", 2)
+    spatial = ("1k.SSCM", "2k.SSCM", "1k.SEM", "2k.SEM")
+    for modes, calls in ((("1k.FULL", "2k.FULL", "1k.Ind", "2k.Ind"), 0), (spatial, 1)):
+        made.clear()
+        out = fit_and_predict([(mode, 1) for mode in modes], train, test, spec)
+        assert all(np.all(np.isfinite(yhat)) for yhat in out)
+        assert len(made) == calls and all(coords is train.coords for coords, _ in made)
+        assert not any(alive) and all(ref() is None for _, ref in made)
+        made.clear()
+        select_ranks(train, modes, spec, "aic", 1, 0)
+        assert len(made) == calls and all(ref() is None for _, ref in made)
+
+
+@pytest.mark.parametrize("policy", ["fixed", "aic"])
+def test_coinciding_training_locations_fail_only_the_spatial_jobs(policy):
+    # two training locations coincide: the distances cannot be computed, so every SSCM and
+    # SEM job holds the DuplicatePointsError; FULL and Ind predict as they do without them
+    sample = simulate_sample(SimConfig(n=60, p=4, seed=3), 0)
+    points = sample.coords.points.copy()
+    points[7] = points[2]
+    sample = SpatialSample(Coordinates(points), sample.x, sample.y)
+    train, test = sample.subset(np.arange(45)), sample.subset(np.arange(45, 60))
+    spec = BasisSpec("polynomial", 2)
+    picks, fits = select_ranks(train, MODES, spec, policy, 1, 0)
+    out = fit_and_predict([(mode, picks.get(mode, 1)) for mode in MODES], train, test, spec, fits)
+    plain = [(mode, picks.get(mode, 1)) for mode in MODES[:4]]
+    want = fit_and_predict(plain, train, test, spec, {k: v for k, v in fits.items() if k[0] == "ind"})
+    for mode, yhat in zip(MODES, out):
+        if mode_kind(mode) in ("sscm", "sem"):
+            assert isinstance(yhat, DuplicatePointsError), mode
+        else:
+            assert yhat.tobytes() == want[MODES.index(mode)].tobytes(), mode
 
 
 def test_independent_errors_lr_test_holds_its_size():

@@ -10,6 +10,7 @@ from spatialsdr._linalg import _jittered
 from spatialsdr.basis import BasisSpec, build_f
 from spatialsdr.data import train_test_split
 from spatialsdr.exceptions import (
+    DegenerateGridError,
     DuplicatePointsError,
     IsolatedPointError,
     NearSingularCorrelationError,
@@ -21,14 +22,14 @@ from spatialsdr.geometry import (
     exp_correlation,
     exp_correlations,
     max_min_distance,
+    median_distance,
     neighbor_graph,
     neighbor_weights,
     pairwise_distances,
-    sorted_median,
     spatial_filter,
     sq_distances,
-    upper_pairs,
 )
+from spatialsdr.predictor import TrainingReference, default_bandwidth_grid, distance_grid, loo_search
 from spatialsdr.rrr import design
 from spatialsdr.simulate import SimConfig, _draw_sample, rep_rng, sample_locations, simulate_sample
 from spatialsdr.sscm import default_decay_grid
@@ -410,31 +411,97 @@ class TestSpatialFilter:
         assert spatial_filter(weights, coef).tobytes() == want.tobytes()
 
 
+def median_oracle(pairs: np.ndarray) -> float:
+    """``np.median`` of ``pairs``, or of the positive ones when that is 0; 0 when none is."""
+    for values in (pairs, pairs[pairs > 0.0]):
+        if values.size and np.median(values) != 0.0:
+            return float(np.median(values))
+    return 0.0
+
+
 @given(
-    st.lists(
-        st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0]), st.floats(allow_nan=False, allow_infinity=False)),
-        min_size=1,
-        max_size=300,
+    st.integers(2, 30).flatmap(
+        lambda n: st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 1e150),
+            min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2,
+        )
     )
 )
-@settings(max_examples=200, deadline=None)
-def test_sorted_median_is_np_median_bit_for_bit(values):
-    # odd and even sizes, ties from the sampled values, any finite magnitude
-    values = np.array(values)
-    with np.errstate(over="ignore"):  # the mean of a middle pair may overflow, in both
-        assert sorted_median(values).hex() == float(np.median(values)).hex()
+@settings(max_examples=300, deadline=None)
+def test_median_distance_is_np_median_of_the_rooted_pairs_bit_for_bit(pairs):
+    # odd and even pair counts, zero and tied pairs, any magnitude whose square is finite; the
+    # diagonal and the lower triangle hold NaN, so a read of either would show; the squared
+    # matrix's oracle roots every pair first
+    pairs = np.array(pairs)
+    n = int(round((1.0 + np.sqrt(1.0 + 8.0 * pairs.size)) / 2.0))
+    upper = np.triu_indices(n, 1)
+    m = np.full((n, n), np.nan)
+    m[upper] = pairs
+    sq, before = m * m, m.copy()
+    assert median_distance(m).hex() == median_oracle(pairs).hex()
+    assert median_distance(sq, squared=True).hex() == median_oracle(np.sqrt(sq[upper])).hex()
+    np.testing.assert_array_equal(m, before)  # the pairs are gathered, not partitioned in place
+
+
+@given(st.integers(2, 60), st.integers(1, 6), st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_median_distance_of_locations_with_coinciding_points(n, side, seed):
+    # locations on a side x side lattice, so many coincide and many distances tie; one side
+    # makes every pair zero; oracle: np.median of scipy's condensed distances
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, side, size=(n, 2)) * rng.uniform(0.1, 10.0)
+    sq = sq_distances(pts, pts)
+    want = median_oracle(pdist(pts))
+    assert median_distance(np.sqrt(sq)).hex() == want.hex()
+    assert median_distance(sq, squared=True).hex() == want.hex()
 
 
 @pytest.mark.parametrize("n", [279, 280, 400])
-def test_sorted_median_of_distances_is_np_median_bit_for_bit(n):
-    # the default grids' use: the distances of a simulation-sized sample, which
-    # are scipy's pdist and squareform bit for bit
+def test_median_distance_of_a_simulation_sized_sample(n):
+    # the default grids' use: the distances of a simulation-sized sample (an odd pair count at
+    # 279, even at 280 and 400), which are scipy's pdist and squareform bit for bit
     pts = np.random.default_rng(n).uniform(size=(n, 2))
-    dist = pairwise_distances(Coordinates(pts))
-    tri = pdist(pts)
+    dist, tri = pairwise_distances(Coordinates(pts)), pdist(pts)
     assert dist.tobytes() == squareform(tri).tobytes()
-    assert upper_pairs(dist).tobytes() == tri.tobytes()
-    assert sorted_median(tri).hex() == float(np.median(tri)).hex()
+    assert median_distance(dist).hex() == float(np.median(tri)).hex()
+    assert median_distance(sq_distances(pts, pts), squared=True).hex() == float(np.median(tri)).hex()
+
+
+@pytest.mark.parametrize(
+    "values", [[2.0], [3.0, 1.0, 2.0], [1.0, 1.0, 2.0, 2.0, 0.0, 0.0], [5.0, 1.0, 5.0]]
+)
+def test_median_distance_small_cases(values):
+    n = {1: 2, 3: 3, 6: 4}[len(values)]
+    m = np.zeros((n, n))
+    m[np.triu_indices(n, 1)] = values
+    assert median_distance(m) == np.median(values)
+
+
+def test_coinciding_points_give_a_zero_median_and_the_unit_grid():
+    pts = np.full((5, 2), 0.25)
+    sq = sq_distances(pts, pts)
+    assert median_distance(np.sqrt(sq)) == 0.0
+    assert median_distance(sq, squared=True) == 0.0
+    assert distance_grid(np.sqrt(sq)).tolist() == [1.0]
+    assert default_bandwidth_grid(pts).tolist() == [1.0]
+
+
+def test_a_nan_pair_gives_a_nan_median_and_a_degenerate_grid():
+    # np.median's NaN, where a partition that left the NaNs last would have read finite
+    # middle values; in a search, the reference with a NaN point alone fails its grid
+    rng = np.random.default_rng(4)
+    m = pairwise_distances(Coordinates(rng.uniform(size=(30, 2))))
+    m[3, 7] = np.nan
+    assert np.isnan(median_distance(m)) and np.isnan(median_distance(m * m, squared=True))
+    assert np.isnan(distance_grid(m)).all()
+    y, points = rng.standard_normal(30), rng.standard_normal((30, 2))
+    good = TrainingReference(points, y, points)
+    bad = TrainingReference(np.where(np.arange(30)[:, None] == 5, np.nan, points), y, points)
+    [alone] = loo_search([good])
+    got_good, got_bad = loo_search([good, bad])
+    assert isinstance(got_bad, DegenerateGridError)
+    np.testing.assert_array_equal(got_good.errors, alone.errors)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 24])
@@ -456,8 +523,3 @@ def test_sq_distances_match_cdist(p):
     off = ~np.eye(len(pts), dtype=bool)
     assert got.min() >= 0.0
     np.testing.assert_allclose(got[off], want[off], rtol=1e-13, atol=0.0)
-
-
-@pytest.mark.parametrize("values", [[2.0], [3.0, 1.0], [1.0, 1.0, 2.0, 2.0], [5.0, 1.0, 5.0]])
-def test_sorted_median_small_cases(values):
-    assert sorted_median(np.array(values)) == np.median(values)

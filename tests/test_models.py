@@ -28,7 +28,7 @@ from spatialsdr.pfc import fit_independent
 from spatialsdr.rrr import design, loglik, ls_fits, moments_of
 from spatialsdr.sem import DEFAULT_GRID, fit_sem, whiten_sem
 from spatialsdr.simulate import GrfSpec, SimConfig, sample_locations, simulate_sample
-from spatialsdr.simulate import _draw_sample, rep_rng, simulate_x, simulate_y
+from spatialsdr.simulate import _draw_sample, rep_rng, run_experiment, simulate_x, simulate_y
 from spatialsdr.sscm import default_decay_grid, fit_sscm, whiten_sscm
 
 from conftest import eigh_estimate, eigh_loglik, random_sample, span_distance
@@ -477,6 +477,29 @@ def test_sscm_reduction_converges_on_sscm_data():
     assert medians[900] <= medians[100] - 0.1, medians
 
 
+def test_the_paper_comparisons_that_hold_at_the_default_settings():
+    # the facts of the comparison that hold at SimConfig(): under the fixed rank, Ind predicts
+    # better than FULL in most mode-replications (both kernels), and on SSCM data SSCM's span
+    # is closer to the planted inv(Delta) A than Ind's.  Nothing is asserted about a spatial
+    # mode beating Ind, which does not hold there.  The seeds were fixed before the first run;
+    # the bound came from seeds 201-216 in groups of four, where Ind won 73-80 of 80; on their
+    # SSCM data (replications 0-4 each), SSCM's span was the closer in 77 of 80 replications
+    wins = 0
+    for seed in (61, 62, 63, 64):
+        report = run_experiment(SimConfig(seed=seed, reps=10), ["1k.FULL", "2k.FULL", "1k.Ind", "2k.Ind"])
+        wins += sum(np.less(report.mse[f"{k}.Ind"], report.mse[f"{k}.FULL"]).sum() for k in ("1k", "2k"))
+    assert wins >= 64, wins
+    spans = {"sscm": [], "ind": []}
+    for seed in (61, 62):
+        cfg = SimConfig(model="sscm", seed=seed)
+        spec = BasisSpec("polynomial", cfg.r)
+        for rep in range(5):
+            sample, want = planted_sample(cfg, rep)
+            for kind, fit in (("sscm", fit_sscm), ("ind", fit_independent)):
+                spans[kind].append(span_distance(fit(sample, spec, cfg.d).est.directions(), want))
+    assert statistics.median(spans["sscm"]) < statistics.median(spans["ind"]), spans
+
+
 @pytest.mark.parametrize("kind", ["sscm", "sem"])
 def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
     # ranks that share an argmax share its one SVD with vectors; each estimate
@@ -500,8 +523,8 @@ def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
         return original(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    fits = (sscm.rank_fits(sample, spec, [0, 1, 2]) if kind == "sscm"
-            else sem.rank_fits(sample, spec, [0, 1, 2], [0.3, 0.6, 0.9]))
+    fits = (sscm.rank_fits(sample, spec, [0, 1, 2], dist) if kind == "sscm"
+            else sem.rank_fits(sample, spec, [0, 1, 2], dist, [0.3, 0.6, 0.9]))
     argmaxes = {fit.spatial_param for fit in fits}
     assert len(calls) == len(argmaxes) < 3
     for rank, fit in enumerate(fits):
@@ -540,7 +563,7 @@ def test_a_decay_failing_mid_grid_ends_the_ranks_live_there(monkeypatch):
     monkeypatch.setattr(geometry, "cholesky_in_place", failing_third)
     monkeypatch.setattr(rrr, "loglik", loglik)
     with pytest.raises(NearSingularCorrelationError) as raised:
-        sscm.rank_fits(sample, spec, [0, 1, 2], grid)
+        sscm.rank_fits(sample, spec, [0, 1, 2], pairwise_distances(sample.coords), grid)
     assert raised.value is error
     assert len(factored) == 3
     factored.clear()

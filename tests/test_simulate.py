@@ -395,6 +395,7 @@ def test_resident_peak_over_a_replications_stages(stage):
     code = (
         "import spatialsdr.simulate as s\n"
         "from spatialsdr import sem, sscm\n"
+        "from spatialsdr.geometry import pairwise_distances\n"
         "from spatialsdr._linalg import keep_heap\n"
         "from spatialsdr.basis import BasisSpec\n"
         "from spatialsdr.data import train_test_split\n"
@@ -408,9 +409,10 @@ def test_resident_peak_over_a_replications_stages(stage):
         "sample = s._draw_sample(cfg, rng)\n"
         f"if {stage!r} != 'draw':\n"
         "    train, spec = train_test_split(sample, cfg.train_frac, rng)[0], BasisSpec('polynomial', cfg.r)\n"
-        "    sem.rank_fits(train, spec, [cfg.d])\n"
+        "    dist = pairwise_distances(train.coords)\n"  # both profiles' distances, as a fit step shares them
+        "    sem.rank_fits(train, spec, [cfg.d], dist)\n"
         f"if {stage!r} == 'sscm-profile':\n"
-        "    sscm.rank_fits(train, spec, [cfg.d])\n"
+        "    sscm.rank_fits(train, spec, [cfg.d], dist)\n"
         "print(*(after - before for before, after in zip(base, hwm())))\n"
     )
     rise = run_script(code, OPENBLAS_NUM_THREADS="1").split()
