@@ -13,15 +13,17 @@ harness's test split run: it fits each kind for the ranks asked of it, tunes
 every reference in one leave-one-out pass and predicts the held-out
 responses.  One of ``FAILURES`` costs only the jobs it hits: a kind's failed
 profile each of that kind's jobs, a failed reference or search its own.
-A sample's pairwise distances belong to the step that fits it: ``rank_fits``,
-``select_ranks`` and ``fit_and_predict`` each compute them once, for their
-first SSCM or SEM profile, and drop them on return; ``fit_and_predict`` also
-scales the h2 grid from them, and drops them before its search.
+``fit_and_predict`` and the likelihood policies of ``select_ranks`` fit
+through one stage, ``_fit_kinds``, which owns a sample's pairwise distances:
+it computes them once, for its first SSCM or SEM profile, and drops them on
+return, and a failed profile's error it holds keeps none of them alive.  The
+leave-one-out search scales its own h2 grid from the coordinates.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +31,9 @@ import numpy as np
 from . import pfc, sem, sscm
 from .basis import BasisSpec
 from .data import SpatialSample
-from .exceptions import CvFailedError, InputError, NonMonotoneLogliksError, SpatialSdrError
+from .exceptions import CvFailedError, InputError, NonFiniteLoglikError, NonMonotoneLogliksError, SpatialSdrError
 from .geometry import pairwise_distances
-from .predictor import MODES, PredictorConfig, build_reference, distance_grid, loo_search, predict_many
+from .predictor import MODES, PredictorConfig, build_reference, loo_search, predict_many
 
 MONOTONE_SLACK = 1e-8
 FOLDS = 5  # cross-validation folds
@@ -86,6 +88,8 @@ def _check_logliks(logliks: np.ndarray, p: int, r: int) -> np.ndarray:
     m = min(p, r)
     if logliks.shape != (m + 1,):
         raise InputError(f"need {m + 1} log-likelihoods for ranks 0..{m}")
+    if not np.all(np.isfinite(logliks)):
+        raise NonFiniteLoglikError(f"log-likelihoods must be finite, got {logliks}")
     scale = max(1.0, float(np.abs(logliks).max()))
     if np.any(np.diff(logliks) < -MONOTONE_SLACK * scale):
         raise NonMonotoneLogliksError(
@@ -167,12 +171,41 @@ def rank_fits(sample, kind, spec, ranks) -> list:
     whole: its first ``SpatialSdrError``, at any grid point or rank, is raised."""
     if kind not in MODELS:
         raise InputError(f"unknown model kind {kind!r}")
-    return MODELS[kind][1](sample, spec, ranks, _distances(sample, kind, None))
+    dist = None if kind == "ind" else pairwise_distances(sample.coords)
+    return MODELS[kind][1](sample, spec, ranks, dist)
 
 
-def _distances(sample, kind, dist):
-    """``dist``, or ``sample``'s ``pairwise_distances`` if ``kind`` is spatial and they are None."""
-    return pairwise_distances(sample.coords) if dist is None and kind != "ind" else dist
+def _fit_kinds(sample, spec, keys) -> dict:
+    """The fit of each ``(kind, rank)`` of ``keys`` on ``sample``, or the error that failed its
+    kind's profile: each kind is fitted once for all its ranks, and ``sample``'s pairwise
+    distances are computed once, for the first SSCM or SEM kind, and dropped on return."""
+    fits, dist = {}, None
+    for kind in sorted({kind for kind, _ in keys}):
+        ranks = sorted({d for k, d in keys if k == kind})
+        try:
+            if dist is None and kind != "ind":
+                dist = pairwise_distances(sample.coords)
+            found = MODELS[kind][1](sample, spec, ranks, dist)
+        except FAILURES as exc:
+            found = [_without_locals(exc)] * len(ranks)
+        fits.update(((kind, d), fit) for d, fit in zip(ranks, found))
+    del dist  # a held error's traceback keeps this frame, and so its locals, alive
+    return fits
+
+
+def _without_locals(exc: BaseException) -> BaseException:
+    """``exc`` with the locals cleared from the finished frames of its traceback and of those along
+    its ``__cause__``/``__context__`` chain, files and lines kept: a cause raised in a frame that
+    held the distances would keep them alive as surely as ``exc``'s own frames."""
+    chain = [exc]
+    for err in chain:  # grows as it goes, by errors not yet in it (an error equals itself alone)
+        tb = err.__traceback__
+        while tb is not None:
+            with suppress(RuntimeError):  # still running: the frame that caught ``exc``
+                tb.tb_frame.clear()
+            tb = tb.tb_next
+        chain += [e for e in (err.__cause__, err.__context__) if e is not None and e not in chain]
+    return exc
 
 
 def loglik_profile(sample: SpatialSample, kind: str, spec: BasisSpec) -> np.ndarray:
@@ -187,35 +220,24 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
     """Predictions of ``test``'s responses for each ``(mode, rank)`` in
     ``jobs``, the rank being ignored for FULL modes.
 
-    Each kind is fitted on ``train`` once for all the ranks its jobs need,
-    except those ``fits`` already holds by ``(kind, rank)``; each distinct
-    fit gets one reference, and one ``loo_search`` tunes them all.  A job
-    whose rank is an error, or whose fit or search failed with one of
-    ``FAILURES``, holds that error.
+    ``_fit_kinds`` fits each kind on ``train`` once for all the ranks its
+    jobs need, except those ``fits`` already holds by ``(kind, rank)``; each
+    distinct fit gets one reference, and one ``loo_search`` over its default
+    grids tunes them all.  A job whose rank is an error, or whose fit or
+    search failed with one of ``FAILURES``, holds that error.
     """
     fits = dict(fits or {})
     keys = [(mode_kind(mode), rank) for mode, rank in jobs]
-    needed = {(k, d) for k, d in keys if k and (k, d) not in fits and not isinstance(d, FAILURES)}
-    dist = None
-    for kind in sorted({kind for kind, _ in needed}):
-        ranks = sorted(d for k, d in needed if k == kind)
-        try:
-            dist = _distances(train, kind, dist)
-            found = MODELS[kind][1](train, spec, ranks, dist)
-        except FAILURES as exc:
-            found = [exc] * len(ranks)
-        fits.update(((kind, d), fit) for d, fit in zip(ranks, found))
+    fits.update(_fit_kinds(train, spec, {
+        (k, d) for k, d in keys if k and (k, d) not in fits and not isinstance(d, FAILURES)}))
     two_kernel = any(mode.startswith("2k") for mode, _ in jobs)
-    h2_grid = distance_grid(dist) if two_kernel and dist is not None else None
-    del dist  # freed before the search
-
     refs = {}
     for (mode, rank), key in zip(jobs, keys):
         if key not in refs:
             fit = rank if isinstance(rank, FAILURES) else fits.get(key)
             refs[key] = fit if isinstance(fit, FAILURES) else build_reference(mode, train, fit)
     live = [key for key, ref in refs.items() if not isinstance(ref, FAILURES)]
-    searches = dict(zip(live, loo_search([refs[k] for k in live], two_kernel, h2_grid=h2_grid)))
+    searches = dict(zip(live, loo_search([refs[k] for k in live], two_kernel)))
     out = []
     for (mode, _), key in zip(jobs, keys):
         search = searches.get(key, refs[key])
@@ -297,11 +319,12 @@ def select_ranks(sample, modes, spec, policy, d, seed) -> tuple[dict, dict]:
     ``POLICIES``, and the ``(kind, rank)`` fits its profiles made.
 
     ``fixed`` gives every mode ``d``; ``lr``, ``aic`` and ``bic`` choose
-    from one profile of each kind over every rank 0..min(p, r), whose fits
-    are returned; ``cv`` runs ``select_cv`` for every mode in one fold loop
-    seeded by ``seed`` alone: ``simulate`` passes the replication index, so
-    the folds do not depend on ``cfg.seed``.  A mode whose choice failed
-    with one of ``FAILURES`` holds that error in place of a rank.
+    from one ``_fit_kinds`` profile of each kind over every rank 0..min(p, r)
+    and return the fits of each kind they chose for, never an error; ``cv``
+    runs ``select_cv`` for every mode in one fold loop seeded by ``seed``
+    alone: ``simulate`` passes the replication index, so the folds do not
+    depend on ``cfg.seed``.  A mode whose choice failed with one of
+    ``FAILURES`` holds that error in place of a rank.
     """
     if policy not in POLICIES:
         raise InputError(f"unknown d policy {policy!r}")
@@ -311,15 +334,17 @@ def select_ranks(sample, modes, spec, policy, d, seed) -> tuple[dict, dict]:
     if policy == "cv":
         sels = _cv_selections(sample, reduced, spec, seed=seed)
         return {m: s if isinstance(s, FAILURES) else s.d_star for m, s in zip(reduced, sels)}, {}
-    picks, fits, dist = {}, {}, None
-    for kind in dict.fromkeys(map(mode_kind, reduced)):
-        try:
-            dist = _distances(sample, kind, dist)
-            profile = MODELS[kind][1](sample, spec, range(min(sample.p, spec.degree) + 1), dist)
+    ranks, kinds = range(min(sample.p, spec.degree) + 1), dict.fromkeys(map(mode_kind, reduced))
+    found, picks, fits = _fit_kinds(sample, spec, {(k, d) for k in kinds for d in ranks}), {}, {}
+    for kind in kinds:
+        profile = [found[(kind, d)] for d in ranks]
+        pick = profile[0]  # the error of a failed profile
+        if not isinstance(pick, FAILURES):
             args = (np.array([fit.loglik for fit in profile]), sample.p, spec.degree, sample.n)
-            pick = (select_lr(*args) if policy == "lr" else select_ic(*args, kind=policy)).d_star
-            fits.update(((kind, rank), fit) for rank, fit in enumerate(profile))
-        except FAILURES as exc:
-            pick = exc
-        picks.update((m, pick) for m in reduced if mode_kind(m) == kind)
-    return picks, fits
+            try:
+                pick = (select_lr(*args) if policy == "lr" else select_ic(*args, kind=policy)).d_star
+                fits.update(((kind, d), fit) for d, fit in zip(ranks, profile))
+            except FAILURES as exc:
+                pick = exc
+        picks[kind] = pick
+    return {m: picks[mode_kind(m)] for m in reduced}, fits

@@ -1,11 +1,11 @@
 """Planar coordinates, distances, and the two spatial association structures.
 
-Distances are plain n x n arrays, owned by their caller (``dimension`` for a training sample's);
-``median_distance`` scales every default grid.  Geostatistical association uses an exponential
-correlation matrix ``exp(-decay * distance)``; lattice association uses the filter ``I - coef W``
-for ``W = A D^{-1}``, the ``neighbor_graph`` ``(A, D)``, which the SEM draw and fit use as it is
-(``neighbor_weights`` and ``spatial_filter`` build the dense ``W`` and filter).  All operations
-are pure functions of their inputs.
+Distances are plain n x n arrays owned by their caller: ``dimension._fit_kinds`` for a training
+sample's fits, ``predictor.loo_search`` for its grids; ``median_distance`` scales every default
+grid.  Geostatistical association uses an exponential correlation matrix ``exp(-decay *
+distance)``; lattice association uses the filter ``I - coef W`` for ``W = A D^{-1}``, the
+``neighbor_graph`` ``(A, D)``, which the SEM draw and fit use as it is (``neighbor_weights`` and
+``spatial_filter`` build the dense ``W`` and filter).  All operations are pure functions of their inputs.
 
 Distances come from ``sq_distances`` and factors from the LAPACK numpy calls (``_linalg``), so
 the package loads numpy alone: ``scipy.linalg`` would add about 28 MB and 0.13 s to every process.

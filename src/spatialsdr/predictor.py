@@ -14,7 +14,8 @@ per reference gives its one- and two-kernel weighted sums together.  Every
 block reuses one buffer each for its kernels, right-hand sides, sums and
 predictions, about three n x n matrices in all, and adds its squared errors
 straight into per-bandwidth sums.
-``dimension.fit_and_predict`` fits the reductions the references are built from.
+``dimension.fit_and_predict`` fits the reductions the references are built from; the search
+scales each default grid itself, from the points or the coordinates it smooths over.
 """
 
 from __future__ import annotations
@@ -142,17 +143,13 @@ def predict_many(
 
 
 def default_bandwidth_grid(points: np.ndarray) -> np.ndarray:
-    """``distance_grid`` of the squared distances between the rows of ``points``."""
+    """Geometric grid 0.1q .. 2q for q the ``geometry.median_distance`` between the rows of
+    ``points``, taken from their squared distances; ``[1]`` when no distance is positive, a NaN
+    grid at a NaN q.  It scales each default h1 grid and, from the coordinates, the h2 grid."""
     pts = np.atleast_2d(points)
     if pts.shape[0] < 2:
         raise DegenerateGridError("need at least two points to scale a grid")
-    return distance_grid(sq_distances(pts, pts), squared=True)
-
-
-def distance_grid(dist: np.ndarray, squared: bool = False) -> np.ndarray:
-    """Geometric grid 0.1q .. 2q for q the ``geometry.median_distance`` of the n x n distances
-    ``dist`` (squared if ``squared``); ``[1]`` when no distance is positive, a NaN grid at a NaN q."""
-    q = median_distance(dist, squared)
+    q = median_distance(sq_distances(pts, pts), squared=True)
     return np.array([1.0]) if q <= 0.0 else np.geomspace(GRID_SPAN[0] * q, GRID_SPAN[1] * q, GRID_SIZE)
 
 
@@ -182,7 +179,8 @@ class LooSearch:
 def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None) -> list:
     """A ``LooSearch`` for each of ``refs``, which share one training sample,
     over its entry of ``h1_grids`` and (if ``two_kernel``) the shared h2 grid;
-    None takes the default grid of the points or coordinates.  A reference
+    None takes the ``default_bandwidth_grid`` of the reference's points or of
+    the coordinates, so the search scales its own grids.  A reference
     whose grid is degenerate, or every one when n < 3, holds the error instead.
 
     One pass over blocks of ``n // grid size`` rows, which keep each kernel
@@ -210,7 +208,7 @@ def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None)
     h2_grid = _search_grid(h2_grid, coords) if two_kernel else np.empty(0)
     g2 = h2_grid.size
     found, live = [], []
-    for ref, grid in zip(refs, h1_grids or [None] * len(refs)):
+    for ref, grid in zip(refs, [None] * len(refs) if h1_grids is None else h1_grids):
         try:
             grid = _search_grid(grid, ref.points)
         except DegenerateGridError as exc:

@@ -108,23 +108,15 @@ class MetricsReport:
         for m in self.methods:
             vals = np.asarray(self.mse[m], dtype=float)
             ok = vals[np.isfinite(vals)]
-            rows.append(
-                {
-                    "method": m,
-                    "mean_mse": float(ok.mean()) if ok.size else float("nan"),
-                    "std_mse": float(ok.std(ddof=1)) if ok.size > 1 else 0.0,
-                    "n_ok": int(ok.size),
-                    "n_failed": int(vals.size - ok.size),
-                }
-            )
+            rows.append({"method": m, "mean_mse": float(ok.mean()) if ok.size else float("nan"),
+                         "std_mse": float(ok.std(ddof=1)) if ok.size > 1 else 0.0,
+                         "n_ok": int(ok.size), "n_failed": int(vals.size - ok.size)})
         return rows
 
 
 def rep_rng(base_seed: int, rep: int) -> np.random.Generator:
     """The replication's dedicated RNG stream."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=base_seed, spawn_key=(rep,))
-    )
+    return np.random.default_rng(np.random.SeedSequence(entropy=base_seed, spawn_key=(rep,)))
 
 
 def sample_locations(n: int, seed, grid: bool = False) -> Coordinates:
@@ -266,12 +258,8 @@ def _run_rep(cfg: SimConfig, methods: list[str], d_policy: str, rep: int):
     return mse, d_sel
 
 
-def run_experiment(
-    cfg: SimConfig,
-    methods: list[str],
-    d_policy: str = POLICIES[0],
-    workers: int = 1,
-) -> MetricsReport:
+def run_experiment(cfg: SimConfig, methods: list[str], d_policy: str = POLICIES[0],
+                   workers: int = 1) -> MetricsReport:
     """Replicate the train/test protocol and collect per-method MSEs.
 
     A failed replication records NaN for that method and continues;
@@ -298,17 +286,5 @@ def run_experiment(
 
     mse = {m: [res[0][m] for res in results] for m in methods}
     d_selected = {m: [res[1][m] for res in results] for m in methods}
-    unstable = [
-        m
-        for m in methods
-        if np.mean(~np.isfinite(mse[m])) >= UNSTABLE_FRACTION
-    ]
-    return MetricsReport(
-        config=cfg,
-        methods=list(methods),
-        d_policy=d_policy,
-        mse=mse,
-        d_selected=d_selected,
-        rep_keys=reps,
-        unstable=unstable,
-    )
+    unstable = [m for m in methods if np.mean(~np.isfinite(mse[m])) >= UNSTABLE_FRACTION]
+    return MetricsReport(cfg, list(methods), d_policy, mse, d_selected, reps, unstable)

@@ -1,10 +1,11 @@
 import sys
+import traceback
 import weakref
 
 import numpy as np
 import pytest
 
-from spatialsdr import dimension, geometry
+from spatialsdr import dimension, geometry, sscm
 from spatialsdr.basis import BasisSpec
 from spatialsdr.dimension import (
     MODELS,
@@ -23,6 +24,8 @@ from spatialsdr.exceptions import (
     CvFailedError,
     DuplicatePointsError,
     InputError,
+    NearSingularCorrelationError,
+    NonFiniteLoglikError,
     NonMonotoneLogliksError,
     SingularResidualCovError,
 )
@@ -121,6 +124,21 @@ class TestSelectIc:
         aic = select_ic(lls, p=6, r=2, n=100, kind="aic")
         bic = select_ic(lls, p=6, r=2, n=100, kind="bic")
         assert bic.d_star <= aic.d_star
+
+
+@pytest.mark.parametrize("criterion", ["lr", "aic", "bic"])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rank_selectors_reject_non_finite_logliks(criterion, rank, value):
+    # a NaN compares false and an infinity passes the monotone check, so either used to pick a
+    # rank (or, in the LR statistic, warn) where no log-likelihood is to be trusted
+    lls = np.array([-20.0, -10.0, -5.0])
+    lls[rank] = value
+    with pytest.raises(NonFiniteLoglikError):
+        if criterion == "lr":
+            select_lr(lls, p=4, r=2, n=100)
+        else:
+            select_ic(lls, p=4, r=2, n=100, kind=criterion)
 
 
 class TestLoglikProfile:
@@ -339,6 +357,48 @@ def test_the_spatial_fits_of_a_sample_share_its_distances(monkeypatch):
         made.clear()
         select_ranks(train, modes, spec, "aic", 1, 0)
         assert len(made) == calls and all(ref() is None for _, ref in made)
+
+
+@pytest.mark.parametrize("chained", [False, True])
+def test_a_failed_profile_holds_no_distances(monkeypatch, chained):
+    # the SSCM profile fails in a frame that holds the training distances, or chains a cause
+    # raised in one; the jobs and the picks hold the error, and its traceback keeps every
+    # file and line, yet the distances die with the step that made them
+    made = []
+
+    def counted(coords):
+        dist = geometry.pairwise_distances(coords)
+        made.append(weakref.ref(dist))
+        return dist
+
+    def cause(dist):
+        raise ValueError("a cause raised where the distances are held")
+
+    def failing(x, f, dist, decays):
+        if not chained:
+            raise NearSingularCorrelationError("forced")
+        try:
+            cause(dist)
+        except ValueError as exc:
+            raise NearSingularCorrelationError("forced") from exc
+
+    monkeypatch.setattr(dimension, "pairwise_distances", counted)
+    monkeypatch.setattr(sscm, "whiten_sscm", failing)
+    sample = simulate_sample(SimConfig(n=60, p=4, seed=3), 0)
+    train, test = sample.subset(np.arange(45)), sample.subset(np.arange(45, 60))
+    spec = BasisSpec("polynomial", 2)
+    modes = ("2k.Ind", "1k.SSCM", "2k.SSCM", "2k.SEM")
+    out = fit_and_predict([(mode, 1) for mode in modes], train, test, spec)
+    assert len(made) == 1 and made[0]() is None
+    picks, fits = select_ranks(train, modes, spec, "aic", 1, 0)
+    assert len(made) == 2 and made[1]() is None
+    assert sorted(fits) == [(kind, d) for kind in ("ind", "sem") for d in range(3)]
+    for held in (out[1], out[2], picks["1k.SSCM"], picks["2k.SSCM"]):
+        assert isinstance(held, NearSingularCorrelationError)
+        text = "".join(traceback.format_exception(held))
+        assert "in failing" in text and ("in cause" in text) == chained
+    assert all(np.all(np.isfinite(out[i])) for i in (0, 3))
+    assert isinstance(picks["2k.Ind"], int) and isinstance(picks["2k.SEM"], int)
 
 
 @pytest.mark.parametrize("policy", ["fixed", "aic"])

@@ -29,7 +29,7 @@ from spatialsdr.geometry import (
     spatial_filter,
     sq_distances,
 )
-from spatialsdr.predictor import TrainingReference, default_bandwidth_grid, distance_grid, loo_search
+from spatialsdr.predictor import TrainingReference, default_bandwidth_grid, loo_search
 from spatialsdr.rrr import design
 from spatialsdr.simulate import SimConfig, _draw_sample, rep_rng, sample_locations, simulate_sample
 from spatialsdr.sscm import default_decay_grid
@@ -483,8 +483,8 @@ def test_coinciding_points_give_a_zero_median_and_the_unit_grid():
     sq = sq_distances(pts, pts)
     assert median_distance(np.sqrt(sq)) == 0.0
     assert median_distance(sq, squared=True) == 0.0
-    assert distance_grid(np.sqrt(sq)).tolist() == [1.0]
     assert default_bandwidth_grid(pts).tolist() == [1.0]
+    assert default_bandwidth_grid(pts[:, :1]).tolist() == [1.0]
 
 
 def test_a_nan_pair_gives_a_nan_median_and_a_degenerate_grid():
@@ -494,10 +494,10 @@ def test_a_nan_pair_gives_a_nan_median_and_a_degenerate_grid():
     m = pairwise_distances(Coordinates(rng.uniform(size=(30, 2))))
     m[3, 7] = np.nan
     assert np.isnan(median_distance(m)) and np.isnan(median_distance(m * m, squared=True))
-    assert np.isnan(distance_grid(m)).all()
     y, points = rng.standard_normal(30), rng.standard_normal((30, 2))
     good = TrainingReference(points, y, points)
     bad = TrainingReference(np.where(np.arange(30)[:, None] == 5, np.nan, points), y, points)
+    assert np.isnan(default_bandwidth_grid(bad.points)).all()
     [alone] = loo_search([good])
     got_good, got_bad = loo_search([good, bad])
     assert isinstance(got_bad, DegenerateGridError)

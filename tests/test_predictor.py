@@ -430,6 +430,18 @@ class TestLooEngine:
         with pytest.raises(InputError, match=f"{grids} h1 grids for 2 references"):
             loo_search([ref, ref], False, [np.array([1.0])] * grids)
 
+    @pytest.mark.parametrize("two_kernel", [False, True])
+    def test_an_array_of_h1_grids_searches_as_the_list_of_its_rows(self, two_kernel):
+        # a 2-D array has no truth value: only None takes the default grids
+        rng = np.random.default_rng(3)
+        y, coords = rng.standard_normal(20), rng.uniform(size=(20, 2))
+        refs = [TrainingReference(rng.standard_normal((20, p)), y, coords) for p in (1, 3)]
+        grids = np.array([[0.2, 0.5, 1.0], [2.0, 0.5, 1.0]])
+        got, want = loo_search(refs, two_kernel, grids), loo_search(refs, two_kernel, list(grids))
+        for a, b in zip(got, want, strict=True):
+            for name in ("h1_grid", "h2_grid", "fell_back", "errors"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
     def test_no_references_no_searches(self):
         assert loo_search([]) == []
 

@@ -162,9 +162,9 @@ def test_cv_replication_runs_one_loo_pass_per_fold(monkeypatch):
     calls = []
     original = predictor.loo_search
 
-    def counted(*args, **kwargs):
-        calls.append((args, kwargs))
-        return original(*args, **kwargs)
+    def counted(refs, *args, **kwargs):
+        calls.append((refs, original(refs, *args, **kwargs)))
+        return calls[-1][1]
 
     # Replace every module-level binding, wherever the engine is looked up.
     for name, mod in list(sys.modules.items()):
@@ -173,11 +173,11 @@ def test_cv_replication_runs_one_loo_pass_per_fold(monkeypatch):
     report = run_experiment(SimConfig(n=60, p=4, reps=1), list(MODES), "cv")
     assert all(np.isfinite(report.mse[m][0]) for m in MODES)
     assert len(calls) == 5 + 1
-    # each pass takes its h2 grid from the distance matrix the spatial fits shared,
-    # bit for bit the default grid of its coordinates
-    for (refs, _), kwargs in calls:
+    # each pass scales its own h2 grid: bit for bit the default grid of its coordinates
+    for refs, searches in calls:
         want = predictor.default_bandwidth_grid(refs[0].coords)
-        assert kwargs["h2_grid"].tobytes() == want.tobytes()
+        assert searches and all(isinstance(s, predictor.LooSearch) for s in searches)
+        assert all(s.h2_grid.tobytes() == want.tobytes() for s in searches)
 
 
 @pytest.mark.parametrize(
