@@ -70,10 +70,6 @@ class NonFiniteLoglikError(NumericalError):
 
 # --- fitting / selection ----------------------------------------------------
 
-class EmptyGridError(InputError):
-    """Parameter grid for the profile-likelihood search is empty."""
-
-
 class NonMonotoneLogliksError(NumericalError):
     """Nested log-likelihoods decreased with rank; upstream fit is broken."""
 
@@ -85,7 +81,7 @@ class CvFailedError(NumericalError):
 # --- prediction -------------------------------------------------------------
 
 class DegenerateGridError(InputError):
-    """Bandwidth grid is empty or contains nonpositive values."""
+    """No bandwidth grid scales from fewer than two points or a non-finite median distance."""
 
 
 # --- simulation -------------------------------------------------------------

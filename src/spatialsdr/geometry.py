@@ -31,7 +31,8 @@ from .exceptions import (
 
 @dataclass(frozen=True)
 class Coordinates:
-    """n x 2 matrix of planar sample locations; it caches nothing, not even their distances."""
+    """n x 2 matrix of at least two finite planar sample locations, and nothing else: callers take
+    their distances from ``pairwise_distances`` or ``sq_distances``."""
 
     points: np.ndarray
 

@@ -15,7 +15,7 @@ block reuses one buffer each for its kernels, right-hand sides, sums and
 predictions, about three n x n matrices in all, and adds its squared errors
 straight into per-bandwidth sums.
 ``dimension.fit_and_predict`` fits the reductions the references are built from; the search
-scales each default grid itself, from the points or the coordinates it smooths over.
+scans the ``default_bandwidth_grid`` of each set of points or coordinates it smooths over.
 """
 
 from __future__ import annotations
@@ -143,13 +143,16 @@ def predict_many(
 
 
 def default_bandwidth_grid(points: np.ndarray) -> np.ndarray:
-    """Geometric grid 0.1q .. 2q for q the ``geometry.median_distance`` between the rows of
-    ``points``, taken from their squared distances; ``[1]`` when no distance is positive, a NaN
-    grid at a NaN q.  It scales each default h1 grid and, from the coordinates, the h2 grid."""
+    """Ascending geometric grid 0.1q .. 2q for q the ``geometry.median_distance`` between the rows
+    of ``points``, taken from their squared distances; ``[1]`` when no distance is positive.  It is
+    each h1 grid and, from the coordinates, the h2 grid of a search, and the one place a bandwidth
+    grid is made: ``DegenerateGridError`` for fewer than two points or a non-finite q."""
     pts = np.atleast_2d(points)
     if pts.shape[0] < 2:
         raise DegenerateGridError("need at least two points to scale a grid")
     q = median_distance(sq_distances(pts, pts), squared=True)
+    if not np.isfinite(q):
+        raise DegenerateGridError(f"bandwidth grid needs a finite median distance, got {q}")
     return np.array([1.0]) if q <= 0.0 else np.geomspace(GRID_SPAN[0] * q, GRID_SPAN[1] * q, GRID_SIZE)
 
 
@@ -176,12 +179,11 @@ class LooSearch:
         return float(self.h1_grid[i]), float(self.h2_grid[j])
 
 
-def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None) -> list:
-    """A ``LooSearch`` for each of ``refs``, which share one training sample,
-    over its entry of ``h1_grids`` and (if ``two_kernel``) the shared h2 grid;
-    None takes the ``default_bandwidth_grid`` of the reference's points or of
-    the coordinates, so the search scales its own grids.  A reference
-    whose grid is degenerate, or every one when n < 3, holds the error instead.
+def loo_search(refs: list, two_kernel: bool = True) -> list:
+    """A ``LooSearch`` for each of ``refs``, which share one training sample, over the
+    ``default_bandwidth_grid`` of the reference's points and (if ``two_kernel``) the h2 grid of
+    the coordinates they share, so the search scales its own grids.  A reference whose grid is
+    degenerate, or every one when n < 3, holds the error instead.
 
     One pass over blocks of ``n // grid size`` rows, which keep each kernel
     stack near one n x n matrix, serves all references.  The product kernel
@@ -196,8 +198,6 @@ def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None)
     is recomputed from the combined exponent; a block whose masses all clear
     it skips that scan.
     """
-    if h1_grids is not None and len(h1_grids) != len(refs):
-        raise InputError(f"{len(h1_grids)} h1 grids for {len(refs)} references")
     if not refs:
         return []
     y, coords, n = refs[0].responses, refs[0].coords, refs[0].n
@@ -205,12 +205,12 @@ def loo_search(refs: list, two_kernel: bool = True, h1_grids=None, h2_grid=None)
         raise InputError("references must share one training sample")
     if n < 3:
         return [InputError("leave-one-out tuning needs at least 3 points")] * len(refs)
-    h2_grid = _search_grid(h2_grid, coords) if two_kernel else np.empty(0)
+    h2_grid = default_bandwidth_grid(coords) if two_kernel else np.empty(0)
     g2 = h2_grid.size
     found, live = [], []
-    for ref, grid in zip(refs, [None] * len(refs) if h1_grids is None else h1_grids):
+    for ref in refs:
         try:
-            grid = _search_grid(grid, ref.points)
+            grid = default_bandwidth_grid(ref.points)
         except DegenerateGridError as exc:
             found.append(exc)
             continue
@@ -272,15 +272,6 @@ def loocv_bandwidths(ref: TrainingReference, config: PredictorConfig) -> tuple[f
     if isinstance(search, SpatialSdrError):
         raise search
     return search.bandwidths(config.two_kernel)
-
-
-def _search_grid(grid: np.ndarray | None, points: np.ndarray) -> np.ndarray:
-    if grid is None:
-        grid = default_bandwidth_grid(points)
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if grid.size == 0 or np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
-        raise DegenerateGridError("bandwidth grid must be finite and positive")
-    return grid
 
 
 def _kernels(d: np.ndarray, grid: np.ndarray, out: np.ndarray) -> np.ndarray:

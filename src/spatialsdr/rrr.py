@@ -257,7 +257,10 @@ def profile(fit_type, kind, ranks, params, moments) -> list:
     stacked ``ls_fits`` gives every rank its closed-form ``loglik`` at each point; ties
     keep the earliest point.  ``rrr_mle`` then runs once per rank, at its argmax, giving
     ``fit_type(kind, est, mu, loglik, grid, param)`` (no ``param`` for a ``None`` one).
-    The first ``SpatialSdrError``, of any point or rank, fails the whole profile.
+    The first ``SpatialSdrError``, of any point or rank, fails the whole profile.  ``sscm.rank_fits``
+    and ``sem.rank_fits`` scan their model's default grid; a fit at fixed parameters, in scan order
+    (ascending decays), is this call over them, e.g. ``profile(SscmFit, "sscm", ranks, [0.1],
+    whiten_sscm(x, build_f(y, spec), dist, [0.1]))``, or ``SemFit``, ``"sem"`` and ``whiten_sem``.
     """
     grids, best = {rank: {} for rank in ranks}, {}
     for param, ls in zip(params, ls_fits(moments)):

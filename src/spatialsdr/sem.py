@@ -14,7 +14,7 @@ carries ``+ p log|det Wt|``.  ``W = A D^{-1}`` for ``geometry.neighbor_graph``'s
 adjacency ``A`` and degrees ``D`` is never formed: ``WZ = A (D^{-1} Z)`` with ``A`` as floats,
 and in that one n x n buffer ``A`` becomes ``D^{-1/2} A D^{-1/2}``, similar to ``W``, whose
 eigenvalues ``lambda``, taken in place, give ``log|det Wt| = sum log|1 - coef lambda|`` at every
-lag (Ord 1975).  The lag coefficient is profiled over a grid on (-1, 1): ``whiten_sem``
+lag (Ord 1975).  The lag coefficient is profiled over ``DEFAULT_GRID`` on (-1, 1): ``whiten_sem``
 yields each lag's moments in turn, as ``sscm.whiten_sscm`` yields each decay's, from one
 broadcast of the lag-free parts over the grid.  Fits are ``SemFit``, the ``rrr.SdrFit``
 whose spatial parameter is named ``lag_coef``.
@@ -30,7 +30,7 @@ import numpy as np
 from ._linalg import eigvalsh_in_place
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
-from .exceptions import EmptyGridError, InputError, SingularFilterError
+from .exceptions import SingularFilterError
 from .geometry import neighbor_graph, pairwise_distances
 from .rrr import Moments, SdrFit, design, profile
 
@@ -80,35 +80,22 @@ class SemFit(SdrFit):
         return self.lag_coef
 
 
-def fit_sem(
-    sample: SpatialSample,
-    spec: BasisSpec,
-    rank: int,
-    lag_grid: np.ndarray | None = None,
-) -> SemFit:
-    """Profile the lag coefficient over a grid and keep the argmax fit.
+def fit_sem(sample: SpatialSample, spec: BasisSpec, rank: int) -> SemFit:
+    """Profile the lag coefficient over ``DEFAULT_GRID`` and keep the argmax fit.
 
     The neighbor matrix is the distance-threshold construction at the
     largest nearest-neighbor distance.  Ties in the profile likelihood
     break toward the coefficient of smallest magnitude (the model closest
     to independence); a lag that fails raises its error.
     """
-    return rank_fits(sample, spec, [rank], pairwise_distances(sample.coords), lag_grid)[0]
+    return rank_fits(sample, spec, [rank], pairwise_distances(sample.coords))[0]
 
 
-def rank_fits(sample, spec, ranks, dist, lag_grid=None) -> list:
-    """``fit_sem`` at each of ``ranks`` from one pass over the lag grid, on the neighbor graph of
-    ``dist``, the caller's ``pairwise_distances`` of ``sample``; the first error fails them all."""
+def rank_fits(sample, spec, ranks, dist) -> list:
+    """``fit_sem`` at each of ``ranks`` from one pass over ``DEFAULT_GRID``, on the neighbor graph
+    of ``dist``, the caller's ``pairwise_distances`` of ``sample``; the first error fails them all."""
     f = build_f(sample.y, spec)
     graph = neighbor_graph(dist)
-
-    lag_grid = np.asarray(DEFAULT_GRID if lag_grid is None else lag_grid, dtype=float)
-    if lag_grid.size == 0:
-        raise EmptyGridError("lag-coefficient grid is empty")
-    if not np.all(np.abs(lag_grid) < 1.0):  # NaN fails the comparison too
-        raise InputError("lag-coefficient grid entries must lie in (-1, 1)")
-
     # Scan smallest |coef| first so ties keep the near-independent model.
-    order = sorted(lag_grid, key=lambda c: (abs(c), c))
-    params = [float(c) for c in order]
+    params = sorted(DEFAULT_GRID.tolist(), key=lambda c: (abs(c), c))
     return profile(SemFit, "sem", ranks, params, whiten_sem(sample.x, f, graph, params))

@@ -9,10 +9,10 @@ law.  At each decay rate the model hands the rank-d core the moment matrix
 whose Schur complement on the intercept entry is the Gram matrix of the
 generalized centering ``Hc = I - 1 (1' inv(H) 1)^{-1} 1' inv(H)`` followed by
 ``L^{-1}``; any square root of ``H`` in place of ``L`` gives the same ``M``.
-The decay rate is profiled over an ascending grid, on which ``lambda_min(H)``
-does not decrease, so once one ``H`` is certified above the eigenvalue floor
-every larger decay takes a single Cholesky (``geometry.exp_correlations``), of ``H``
-with ``[1 X F]`` bordered on, which gives ``L`` and ``B`` at once; the
+The decay rate is profiled over the ascending ``default_decay_grid``, on which ``lambda_min(H)``
+does not decrease, so once one ``H`` is certified above the eigenvalue floor every larger decay
+takes a single Cholesky (``geometry.exp_correlations``), of ``H`` with ``[1 X F]`` bordered on,
+which gives ``L`` and ``B`` at once; the
 log-likelihood carries the extra ``-(p/2) log|H|`` term.  Fits are ``SscmFit``,
 the ``rrr.SdrFit`` whose spatial parameter is named ``decay``.
 """
@@ -26,7 +26,6 @@ import numpy as np
 
 from .basis import BasisSpec, build_f
 from .data import SpatialSample
-from .exceptions import EmptyGridError, InputError, NonPositiveDecayError
 from .geometry import exp_correlations, median_distance, pairwise_distances
 from .rrr import Moments, SdrFit, design, moments_of, profile
 
@@ -61,32 +60,18 @@ class SscmFit(SdrFit):
         return self.decay
 
 
-def fit_sscm(
-    sample: SpatialSample,
-    spec: BasisSpec,
-    rank: int,
-    decay_grid: np.ndarray | None = None,
-) -> SscmFit:
-    """Profile the decay rate over a grid and keep the argmax fit.
+def fit_sscm(sample: SpatialSample, spec: BasisSpec, rank: int) -> SscmFit:
+    """Profile the decay rate over ``default_decay_grid`` and keep the argmax fit.
 
     Ties break to the smallest decay; a decay that fails raises its error.
     """
-    return rank_fits(sample, spec, [rank], pairwise_distances(sample.coords), decay_grid)[0]
+    return rank_fits(sample, spec, [rank], pairwise_distances(sample.coords))[0]
 
 
-def rank_fits(sample, spec, ranks, dist, decay_grid=None) -> list:
-    """``fit_sscm`` at each of ``ranks`` from one pass over the decay grid, on ``dist``, the caller's
-    ``pairwise_distances`` of ``sample``; the first error, at any decay or rank, fails them all."""
+def rank_fits(sample, spec, ranks, dist) -> list:
+    """``fit_sscm`` at each of ``ranks`` from one pass over the ``default_decay_grid`` of ``dist``,
+    the caller's ``pairwise_distances`` of ``sample``; the first error, at any decay or rank, fails
+    them all."""
     f = build_f(sample.y, spec)
-    if decay_grid is None:
-        decay_grid = default_decay_grid(dist)
-    decay_grid = np.asarray(decay_grid, dtype=float)
-    if decay_grid.size == 0:
-        raise EmptyGridError("decay grid is empty")
-    if not np.all(np.isfinite(decay_grid)):
-        raise InputError("decay grid entries must be finite")
-    if np.any(decay_grid <= 0.0):
-        raise NonPositiveDecayError("decay grid entries must be > 0")
-
-    params = [float(decay) for decay in np.sort(decay_grid)]
+    params = default_decay_grid(dist).tolist()
     return profile(SscmFit, "sscm", ranks, params, whiten_sscm(sample.x, f, dist, params))

@@ -489,7 +489,8 @@ def test_coinciding_points_give_a_zero_median_and_the_unit_grid():
 
 def test_a_nan_pair_gives_a_nan_median_and_a_degenerate_grid():
     # np.median's NaN, where a partition that left the NaNs last would have read finite
-    # middle values; in a search, the reference with a NaN point alone fails its grid
+    # middle values; no bandwidth grid scales from it, so in a search the reference with
+    # a NaN point alone fails its grid
     rng = np.random.default_rng(4)
     m = pairwise_distances(Coordinates(rng.uniform(size=(30, 2))))
     m[3, 7] = np.nan
@@ -497,7 +498,8 @@ def test_a_nan_pair_gives_a_nan_median_and_a_degenerate_grid():
     y, points = rng.standard_normal(30), rng.standard_normal((30, 2))
     good = TrainingReference(points, y, points)
     bad = TrainingReference(np.where(np.arange(30)[:, None] == 5, np.nan, points), y, points)
-    assert np.isnan(default_bandwidth_grid(bad.points)).all()
+    with pytest.raises(DegenerateGridError, match="bandwidth grid"):
+        default_bandwidth_grid(bad.points)
     [alone] = loo_search([good])
     got_good, got_bad = loo_search([good, bad])
     assert isinstance(got_bad, DegenerateGridError)

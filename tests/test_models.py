@@ -13,8 +13,7 @@ from spatialsdr import sem, sscm
 from spatialsdr.basis import BasisSpec, build_f
 from spatialsdr.data import SpatialSample, train_test_split
 from spatialsdr.dimension import rank_fits
-from spatialsdr.exceptions import EmptyGridError, InputError, NonPositiveDecayError, SingularFilterError
-from spatialsdr.exceptions import NearSingularCorrelationError
+from spatialsdr.exceptions import NearSingularCorrelationError, SingularFilterError
 from spatialsdr.geometry import (
     Coordinates,
     exp_correlation,
@@ -48,6 +47,17 @@ def assert_reproduces_independent(fit, sample, spec, rank):
     reduced, want = fit.reduce(sample.x), ind.reduce(sample.x)
     assert reduced.shape == want.shape == (sample.n, rank)
     np.testing.assert_allclose(reduced, want, rtol=0, atol=1e-10 * max(1.0, np.abs(want).max(initial=0)))
+
+
+def fit_over(fitter, sample, spec, rank, grid):
+    """``fitter``'s profile over ``grid`` in place of its model's default grid, patched for this
+    call alone: ``sscm.default_decay_grid`` for ``fit_sscm``, ``sem.DEFAULT_GRID`` for ``fit_sem``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if fitter is fit_sscm:
+            patch.setattr(sscm, "default_decay_grid", lambda dist: np.array(grid, dtype=float))
+        else:
+            patch.setattr(sem, "DEFAULT_GRID", np.array(grid, dtype=float))
+        return fitter(sample, spec, rank)
 
 
 def three_point_geometry():
@@ -154,24 +164,22 @@ class TestWhitenSem:
             assert -moments.logdet_s_term / 4 == pytest.approx(log_abs_det, rel=1e-12, abs=1e-12)
 
     def test_lag_next_to_one_is_singular(self):
-        # 1 - 2^-53 passes the grid check, but 1 - coef * lambda_max is ~1e-16
+        # 1 - 2^-53 lies in (-1, 1), but 1 - coef * lambda_max is ~1e-16
         sample = random_sample(40, 3, seed=12)
         with pytest.raises(SingularFilterError, match="numerically singular"):
-            fit_sem(sample, BasisSpec("polynomial", 2), 1, lag_grid=[1.0 - 2.0**-53])
+            fit_over(fit_sem, sample, BasisSpec("polynomial", 2), 1, [1.0 - 2.0**-53])
 
 
 class TestFitSscm:
     def test_singleton_grid(self):
         sample = random_sample(50, 4, seed=1)
-        fit = fit_sscm(sample, BasisSpec("polynomial", 2), 1, decay_grid=[0.7])
+        fit = fit_over(fit_sscm, sample, BasisSpec("polynomial", 2), 1, [0.7])
         assert fit.decay == 0.7
         assert len(fit.grid) == 1
 
     def test_argmax_over_grid(self):
         sample = random_sample(60, 4, seed=2)
-        fit = fit_sscm(
-            sample, BasisSpec("polynomial", 2), 1, decay_grid=[0.3, 1.0, 3.0]
-        )
+        fit = fit_over(fit_sscm, sample, BasisSpec("polynomial", 2), 1, [0.3, 1.0, 3.0])
         lls = [ll for _, ll in fit.grid]
         assert fit.loglik == max(lls)
         assert all(np.isfinite(ll) for ll in lls)
@@ -192,40 +200,24 @@ class TestFitSscm:
     def test_identity_fit_reproduces_independent(self, seed, n, p, rank):
         sample = random_sample(n, p, seed=seed % 10_000)
         spec = BasisSpec("polynomial", 2)
-        fit = fit_sscm(sample, spec, rank, decay_grid=[self.identity_decay(sample)])
+        fit = fit_over(fit_sscm, sample, spec, rank, [self.identity_decay(sample)])
         assert_reproduces_independent(fit, sample, spec, rank)
 
     def test_identity_mu_is_mean_adjusted(self):
         sample = random_sample(40, 3, seed=4)
         decay = self.identity_decay(sample)
-        fit = fit_sscm(sample, BasisSpec("polynomial", 2), 1, decay_grid=[decay])
+        fit = fit_over(fit_sscm, sample, BasisSpec("polynomial", 2), 1, [decay])
         # centered features make the adjustment vanish: mu = column means
         np.testing.assert_allclose(fit.mu, sample.x.mean(axis=0), atol=1e-10)
 
-    def test_empty_grid(self):
-        sample = random_sample(30, 3, seed=5)
-        with pytest.raises(EmptyGridError):
-            fit_sscm(sample, BasisSpec("polynomial", 2), 1, decay_grid=[])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_decay_rejected(self, bad):
-        # a non-finite decay is an input error, not a non-positive one
-        sample = random_sample(40, 3, seed=1)
-        spec = BasisSpec("polynomial", 2)
-        with pytest.raises(InputError, match="finite") as info:
-            fit_sscm(sample, spec, 1, decay_grid=[1.0, bad])
-        assert not isinstance(info.value, NonPositiveDecayError)
-        with pytest.raises(NonPositiveDecayError):
-            fit_sscm(sample, spec, 1, decay_grid=[1.0, 0.0])
-
     def test_reduce_at_mu_is_zero(self):
         sample = random_sample(40, 3, seed=6)
-        fit = fit_sscm(sample, BasisSpec("polynomial", 2), 1, decay_grid=[1.0])
+        fit = fit_over(fit_sscm, sample, BasisSpec("polynomial", 2), 1, [1.0])
         np.testing.assert_allclose(fit.reduce(fit.mu), 0.0, atol=1e-10)
 
     def test_reduce_d1_matches_dot_product(self):
         sample = random_sample(40, 3, seed=7)
-        fit = fit_sscm(sample, BasisSpec("polynomial", 2), 1, decay_grid=[1.0])
+        fit = fit_over(fit_sscm, sample, BasisSpec("polynomial", 2), 1, [1.0])
         dirs = np.linalg.solve(fit.est.resid_cov, fit.est.a)
         x_new = np.random.default_rng(0).standard_normal(3)
         oracle = ((x_new - fit.mu) @ dirs).item()
@@ -248,7 +240,7 @@ class TestFitSem:
     def test_zero_grid_collapses_to_independent(self, seed, n, p, rank):
         sample = random_sample(n, p, seed=seed % 10_000)
         spec = BasisSpec("polynomial", 2)
-        fit = fit_sem(sample, spec, rank, lag_grid=[0.0])
+        fit = fit_over(fit_sem, sample, spec, rank, [0.0])
         assert_reproduces_independent(fit, sample, spec, rank)
 
     def test_argmax_and_finite_profile(self):
@@ -260,32 +252,22 @@ class TestFitSem:
         assert fit.loglik == max(lls)
 
     def test_grid_reported_in_ascending_order(self):
-        # every kind records one entry per parameter, in ascending order
+        # every kind records one entry per parameter, in ascending order: SEM's scan by |coef|
+        # too, and SSCM's default grid, ascending by construction
         sample = random_sample(40, 3, seed=11)
         spec = BasisSpec("polynomial", 2)
-        fit = fit_sem(sample, spec, 1, lag_grid=[0.4, -0.4, 0.0])
+        fit = fit_over(fit_sem, sample, spec, 1, [0.4, -0.4, 0.0])
         assert [c for c, _ in fit.grid] == [-0.4, 0.0, 0.4]
-        fit = fit_sscm(sample, spec, 1, decay_grid=[3.0, 0.3, 1.0, 0.3])
-        assert [c for c, _ in fit.grid] == [0.3, 1.0, 3.0]
+        fit = fit_sscm(sample, spec, 1)
+        decays = default_decay_grid(pairwise_distances(sample.coords)).tolist()
+        assert [c for c, _ in fit.grid] == decays == sorted(decays)
         assert fit.loglik == max(ll for _, ll in fit.grid)
         fit = fit_independent(sample, spec, 1)
         assert fit.grid == [(None, fit.loglik)]
 
-    def test_grid_outside_unit_interval_rejected(self):
-        sample = random_sample(40, 3, seed=12)
-        with pytest.raises(InputError):
-            fit_sem(sample, BasisSpec("polynomial", 2), 1, lag_grid=[1.0])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_lag_rejected(self, bad):
-        # rejected up front, not as a singular filter that loses 0.5 too
-        sample = random_sample(40, 3, seed=1)
-        with pytest.raises(InputError, match=r"\(-1, 1\)"):
-            fit_sem(sample, BasisSpec("polynomial", 2), 1, lag_grid=[0.5, bad])
-
     def test_reduce_d2_matches_dense_oracle(self):
         sample = random_sample(60, 4, seed=13)
-        fit = fit_sem(sample, BasisSpec("polynomial", 2), 2, lag_grid=[0.3])
+        fit = fit_over(fit_sem, sample, BasisSpec("polynomial", 2), 2, [0.3])
         x_new = np.random.default_rng(1).standard_normal((5, 4))
         dirs = np.linalg.solve(fit.est.resid_cov, fit.est.a)
         oracle = (x_new - fit.mu) @ dirs
@@ -293,7 +275,7 @@ class TestFitSem:
 
     def test_mu_uses_filter_weights(self):
         sample = random_sample(40, 3, seed=14)
-        fit = fit_sem(sample, BasisSpec("polynomial", 2), 1, lag_grid=[0.5])
+        fit = fit_over(fit_sem, sample, BasisSpec("polynomial", 2), 1, [0.5])
         w = neighbor_weights(
             pairwise_distances(sample.coords),
             max_min_distance(pairwise_distances(sample.coords)),
@@ -523,8 +505,8 @@ def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
         return original(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    fits = (sscm.rank_fits(sample, spec, [0, 1, 2], dist) if kind == "sscm"
-            else sem.rank_fits(sample, spec, [0, 1, 2], dist, [0.3, 0.6, 0.9]))
+    monkeypatch.setattr(sem, "DEFAULT_GRID", np.array([0.3, 0.6, 0.9]))
+    fits = (sscm.rank_fits if kind == "sscm" else sem.rank_fits)(sample, spec, [0, 1, 2], dist)
     argmaxes = {fit.spatial_param for fit in fits}
     assert len(calls) == len(argmaxes) < 3
     for rank, fit in enumerate(fits):
@@ -562,8 +544,9 @@ def test_a_decay_failing_mid_grid_ends_the_ranks_live_there(monkeypatch):
 
     monkeypatch.setattr(geometry, "cholesky_in_place", failing_third)
     monkeypatch.setattr(rrr, "loglik", loglik)
-    with pytest.raises(NearSingularCorrelationError) as raised:
-        sscm.rank_fits(sample, spec, [0, 1, 2], pairwise_distances(sample.coords), grid)
+    with pytest.raises(NearSingularCorrelationError) as raised, monkeypatch.context() as patch:
+        patch.setattr(sscm, "default_decay_grid", lambda dist: np.array(grid))
+        sscm.rank_fits(sample, spec, [0, 1, 2], pairwise_distances(sample.coords))
     assert raised.value is error
     assert len(factored) == 3
     factored.clear()

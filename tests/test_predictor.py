@@ -37,6 +37,20 @@ def line_reference(values, responses=None):
     return TrainingReference(points=values[:, None], responses=responses, coords=coords)
 
 
+def pin_grids(monkeypatch, *pins):
+    """Have every search scan ``grid`` for each ``(array, grid)`` of ``pins`` where it takes the
+    ``default_bandwidth_grid`` of that very array; any other array keeps its default grid."""
+    default = predictor.default_bandwidth_grid
+
+    def grid_of(points):
+        for array, grid in pins:
+            if array is points:
+                return grid
+        return default(points)
+
+    monkeypatch.setattr(predictor, "default_bandwidth_grid", grid_of)
+
+
 def weights_of(query, ref, h1, s0=None, h2=None):
     """NW weights of one query and its fallback flag, read off
     ``predict_many`` with one-hot responses (one kernel when ``h2`` is None)."""
@@ -203,19 +217,9 @@ class TestPredict:
 
 
 class TestLoocv:
-    """``loo_search`` of one reference over given grids."""
+    """``loo_search`` of one reference over grids pinned in place of its default ones."""
 
-    def test_singleton_grids_returned_verbatim(self):
-        rng = np.random.default_rng(3)
-        ref = TrainingReference(
-            points=rng.standard_normal((20, 2)),
-            responses=rng.standard_normal(20),
-            coords=rng.uniform(size=(20, 2)),
-        )
-        [search] = loo_search([ref], True, [np.array([0.7])], np.array([1.3]))
-        assert search.bandwidths(True) == (0.7, 1.3)
-
-    def test_smooth_curve_argmin_interior(self):
+    def test_smooth_curve_argmin_interior(self, monkeypatch):
         rng = np.random.default_rng(4)
         t = np.sort(rng.uniform(-2, 2, size=80))
         y = np.sin(2 * t)
@@ -224,12 +228,13 @@ class TestLoocv:
             coords=np.column_stack([t, np.zeros_like(t)]),
         )
         grid = np.geomspace(0.005, 5.0, 25)
-        [search] = loo_search([ref], False, [grid])
+        pin_grids(monkeypatch, (ref.points, grid))
+        [search] = loo_search([ref], False)
         h1, h2 = search.bandwidths(False)
         assert h2 is None
         assert grid[0] < h1 < grid[-1]
 
-    def test_duplicated_data_prefers_smaller_bandwidth(self):
+    def test_duplicated_data_prefers_smaller_bandwidth(self, monkeypatch):
         rng = np.random.default_rng(6)
         t = rng.uniform(-1, 1, size=30)
         y = t**2 + 0.05 * rng.standard_normal(30)
@@ -241,20 +246,17 @@ class TestLoocv:
             coords=np.concatenate([coords, coords]),
         )
         grid = np.geomspace(1e-4, 2.0, 20)
-        h_base, _ = loo_search([base], False, [grid])[0].bandwidths(False)
-        h_doubled, _ = loo_search([doubled], False, [grid])[0].bandwidths(False)
+        pin_grids(monkeypatch, (base.points, grid), (doubled.points, grid))
+        h_base, _ = loo_search([base], False)[0].bandwidths(False)
+        h_doubled, _ = loo_search([doubled], False)[0].bandwidths(False)
         assert h_doubled < h_base
 
-    def test_degenerate_grid_rejected(self):
-        ref = line_reference([0.0, 1.0, 2.0])
-        [search] = loo_search([ref], False, [np.array([-1.0, 2.0])])
-        assert isinstance(search, DegenerateGridError)
-
-    def test_tie_breaks_to_smaller_h1(self):
+    def test_tie_breaks_to_smaller_h1(self, monkeypatch):
         # constant responses: every bandwidth has zero LOO error
         ref = line_reference([0.0, 1.0, 2.0], responses=np.full(3, 2.0))
         grid = np.array([0.5, 1.0, 2.0])
-        [search] = loo_search([ref], False, [grid])
+        pin_grids(monkeypatch, (ref.points, grid))
+        [search] = loo_search([ref], False)
         h1, _ = search.bandwidths(False)
         assert h1 == 0.5
 
@@ -285,9 +287,9 @@ def oracle_loo(d1, d2, y, h1_grid, h2_grid):
     return np.reshape(yhat, shape), np.reshape(fell_back, shape), best[1:]
 
 
-def engine(ref, two_kernel, h1_grid=None, h2_grid=None):
+def engine(ref, two_kernel):
     """The search engine's errors and flags next to the oracle's predictions and flags."""
-    [search] = loo_search([ref], two_kernel, [h1_grid], h2_grid)
+    [search] = loo_search([ref], two_kernel)
     return engine_columns(search, two_kernel), oracle_of(ref, search, two_kernel)
 
 
@@ -344,22 +346,22 @@ class TestLooEngine:
         assert loocv_bandwidths(ref, PredictorConfig(mode=mode)) == best
 
     @pytest.mark.parametrize("two_kernel", [False, True])
-    def test_underflow_fallback_matches_unfactorised_search(self, two_kernel):
+    def test_underflow_fallback_matches_unfactorised_search(self, monkeypatch, two_kernel):
         ref, h1_grid, h2_grid = far_apart_reference()
-        (errors, fell_back), (want, want_fb, _) = engine(
-            ref, two_kernel, h1_grid, h2_grid
-        )
+        pin_grids(monkeypatch, (ref.points, h1_grid), (ref.coords, h2_grid))
+        (errors, fell_back), (want, want_fb, _) = engine(ref, two_kernel)
         assert want_fb.any() and not want_fb.all()
         np.testing.assert_array_equal(fell_back, want_fb.sum(axis=-1))
         np.testing.assert_allclose(
             errors, mean_sq_errors(want, ref.responses), rtol=1e-12, atol=0.0
         )
 
-    def test_one_kernel_column_of_a_two_kernel_search_falls_back_alike(self):
+    def test_one_kernel_column_of_a_two_kernel_search_falls_back_alike(self, monkeypatch):
         # the 1k column shares the matmul with the 2k pairs but its
         # recomputed rows must leave the spatial kernel out
         ref, h1_grid, h2_grid = far_apart_reference()
-        [search] = loo_search([ref], True, [h1_grid], h2_grid)
+        pin_grids(monkeypatch, (ref.points, h1_grid), (ref.coords, h2_grid))
+        [search] = loo_search([ref], True)
         errors, fell_back = engine_columns(search, False)
         want, want_fb, _ = oracle_of(ref, search, False)
         assert want_fb.any() and not want_fb.all()
@@ -422,25 +424,6 @@ class TestLooEngine:
                 assert search.bandwidths(two_kernel) == best
                 mode = "2k.FULL" if two_kernel else "1k.FULL"
                 assert loocv_bandwidths(ref, PredictorConfig(mode=mode)) == best
-
-    @pytest.mark.parametrize("grids", [1, 3])
-    def test_one_h1_grid_per_reference(self, grids):
-        # zip used to drop the references past the last grid
-        ref = line_reference([0.0, 1.0, 3.0])
-        with pytest.raises(InputError, match=f"{grids} h1 grids for 2 references"):
-            loo_search([ref, ref], False, [np.array([1.0])] * grids)
-
-    @pytest.mark.parametrize("two_kernel", [False, True])
-    def test_an_array_of_h1_grids_searches_as_the_list_of_its_rows(self, two_kernel):
-        # a 2-D array has no truth value: only None takes the default grids
-        rng = np.random.default_rng(3)
-        y, coords = rng.standard_normal(20), rng.uniform(size=(20, 2))
-        refs = [TrainingReference(rng.standard_normal((20, p)), y, coords) for p in (1, 3)]
-        grids = np.array([[0.2, 0.5, 1.0], [2.0, 0.5, 1.0]])
-        got, want = loo_search(refs, two_kernel, grids), loo_search(refs, two_kernel, list(grids))
-        for a, b in zip(got, want, strict=True):
-            for name in ("h1_grid", "h2_grid", "fell_back", "errors"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     def test_no_references_no_searches(self):
         assert loo_search([]) == []
