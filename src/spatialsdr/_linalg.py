@@ -24,7 +24,7 @@ import glob
 import os
 import platform
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -40,18 +40,21 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 def _jittered(m: np.ndarray, err: type[SpatialSdrError]) -> np.ndarray:
     """The symmetrized ``m`` when its least eigenvalue clears ``EIG_FLOOR``, else a copy with
-    ``JITTER_SCALE * trace / n`` added on the diagonal.  Raises ``err`` when that copy still
-    has an eigenvalue below the floor."""
+    ``JITTER_SCALE * trace / n`` added on the diagonal.  Raises ``err`` at a non-finite entry, which
+    numpy's ``eigvalsh`` may fail on or answer with NaN, at a shift not > 0, and when that copy's
+    least eigenvalue does not clear the floor; each check fails at a NaN."""
     m = symmetrize(np.asarray(m, dtype=float))
+    if not np.isfinite(m).all():
+        raise err("matrix not positive definite (a non-finite entry)")
     low = np.linalg.eigvalsh(m)[0]
     if low >= EIG_FLOOR:
         return m
     eps = JITTER_SCALE * float(np.trace(m)) / m.shape[0]
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise err(f"matrix not positive definite (min eig {low:.3e})")
     m2 = m + eps * np.eye(m.shape[0])
     low = np.linalg.eigvalsh(m2)[0]
-    if low < EIG_FLOOR:
+    if not low >= EIG_FLOOR:
         raise err(f"matrix not positive definite after jitter (min eig {low:.3e})")
     return m2
 
@@ -62,7 +65,7 @@ def certify_in_place(a: np.ndarray, n: int, margin: float = 0.0) -> bool:
     EIG_FLOOR + margin``: ``(n+1) n eps max_i m_ii`` bounds the backward error (Higham 2002, 10.3)."""
     diag = np.arange(n)
     a[diag, diag] -= _certificate_shift(a[:n, :n], margin)
-    return cholesky_in_place(a, n)
+    return cholesky_in_place(a, n) and bool(np.isfinite(a[diag, diag]).all())  # dpotrf passes a NaN
 
 
 def pd_cholesky(m, err: type[SpatialSdrError]) -> tuple[np.ndarray, np.ndarray]:
@@ -148,12 +151,12 @@ def pd_choleskys(ms: np.ndarray, err: type[SpatialSdrError]) -> tuple:
     """``(chols, ms_used)``: ``pd_cholesky`` of each of the stacked ``ms``, raising the first
     failing matrix's ``err``.  numpy's stacked call fails as a whole, so each matrix goes
     alone unless one stacked certificate passes for all."""
-    try:
-        np.linalg.cholesky(ms - _certificate_shift(ms)[:, None, None] * np.eye(ms.shape[-1]))
-        return np.linalg.cholesky(ms), ms
-    except np.linalg.LinAlgError:
-        chols, used = np.array([pd_cholesky(m, err) for m in ms]).swapaxes(0, 1)
-        return chols, used
+    with suppress(np.linalg.LinAlgError):
+        cert = np.linalg.cholesky(ms - _certificate_shift(ms)[:, None, None] * np.eye(ms.shape[-1]))
+        if np.isfinite(np.diagonal(cert, 0, 1, 2)).all():  # OpenBLAS factors through a NaN
+            return np.linalg.cholesky(ms), ms
+    chols, used = np.array([pd_cholesky(m, err) for m in ms]).swapaxes(0, 1)
+    return chols, used
 
 
 @functools.cache

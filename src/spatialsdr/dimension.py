@@ -4,20 +4,19 @@ The likelihood-based criteria consume only the maximized log-likelihoods
 for ranks 0..min(p, r) and are therefore independent of the prediction
 rule; cross-validated minimum prediction error depends on it by design.
 
-``MODELS`` is the one table of model kinds: each kind's predictor-mode
-label and its fitter, which walks its grid once for every rank asked of it
-and returns their fits or raises.  ``select_ranks`` applies one of the
-``POLICIES`` to a sample's reduced predictor modes.  ``fit_and_predict`` is
-the one fit-tune-predict step, which each CV fold and the replication
-harness's test split run: it fits each kind for the ranks asked of it, tunes
-every reference in one leave-one-out pass and predicts the held-out
-responses.  One of ``FAILURES`` costs only the jobs it hits: a kind's failed
-profile each of that kind's jobs, a failed reference or search its own.
-``fit_and_predict`` and the likelihood policies of ``select_ranks`` fit
-through one stage, ``_fit_kinds``, which owns a sample's pairwise distances:
-it computes them once, for its first SSCM or SEM profile, and drops them on
-return, and a failed profile's error it holds keeps none of them alive.  The
-leave-one-out search scales its own h2 grid from the coordinates.
+``MODELS`` is the one table of model kinds: each kind's predictor-mode label, its fit type and its
+model module's ``moments``, which gives the kind's default grid and the moments at each point.
+``select_ranks`` applies one of the ``POLICIES`` to a sample's reduced predictor modes.
+``fit_and_predict`` is the one fit-tune-predict step, which each CV fold and the replication
+harness's test split run: it fits each kind for the ranks asked of it, tunes every reference in
+one leave-one-out pass and predicts the held-out responses.  One of ``FAILURES`` costs only the
+jobs it hits: a kind's failed profile each of that kind's jobs, a failed reference or search its
+own.  ``fit_and_predict``, ``rank_fits`` and the likelihood policies of ``select_ranks`` fit
+through one stage, ``_fit_kinds``, the one caller of ``rrr.profile``, which profiles each kind's
+moments once for all the ranks asked of it.  It owns a sample's pairwise distances: it computes
+them once, for its first SSCM or SEM profile, and drops them on return, and a failed profile's
+error it holds keeps none of them alive.  The leave-one-out search scales its own h2 grid from
+the coordinates.
 """
 
 from __future__ import annotations
@@ -29,11 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pfc, sem, sscm
-from .basis import BasisSpec
+from .basis import BasisSpec, build_f
 from .data import SpatialSample
 from .exceptions import CvFailedError, InputError, NonFiniteLoglikError, NonMonotoneLogliksError, SpatialSdrError
 from .geometry import pairwise_distances
 from .predictor import MODES, PredictorConfig, build_reference, loo_search, predict_many
+from .rrr import SdrFit, profile
 
 MONOTONE_SLACK = 1e-8
 FOLDS = 5  # cross-validation folds
@@ -44,9 +44,8 @@ POLICIES = ("fixed", "lr", "aic", "bic", "cv")  # rank policies; the first is th
 class DimSelection:
     """Outcome of a dimension-selection procedure.
 
-    ``trace`` holds one record per candidate rank with the quantities the
-    criterion looked at (log-likelihood and statistic/p-value or criterion
-    value, or CV error).
+    ``trace`` holds one record per candidate rank with the quantities the criterion looked at
+    (log-likelihood and statistic/p-value or criterion value, or CV error).
     """
 
     criterion: str
@@ -103,10 +102,9 @@ def select_lr(
 ) -> DimSelection:
     """Sequential likelihood-ratio tests from rank 0 upward.
 
-    At each candidate rank the statistic ``2 * (L_max - L_delta)`` is
-    referred to a chi-square with ``(r - delta) * (p - delta)`` degrees of
-    freedom; the first non-rejected rank is selected, or min(p, r) when
-    every test rejects.
+    At each candidate rank the statistic ``2 * (L_max - L_delta)`` is referred to a chi-square
+    with ``(r - delta) * (p - delta)`` degrees of freedom; the first non-rejected rank is
+    selected, or min(p, r) when every test rejects.
     """
     logliks = _check_logliks(logliks, p, r)
     m = min(p, r)
@@ -148,10 +146,10 @@ def select_ic(
     return DimSelection(criterion=kind, d_star=d_star, trace=trace)
 
 
-# The one map from a model kind to its predictor modes' label and to its fitter
-# of (sample, spec, ranks, distances), which walks its grid once; Ind's reads no distances.
-MODELS = {"ind": ("Ind", lambda sample, spec, ranks, dist: pfc.rank_fits(sample, spec, ranks)),
-          "sscm": ("SSCM", sscm.rank_fits), "sem": ("SEM", sem.rank_fits)}
+# The one map from a model kind to its predictor modes' label, its fit type and its
+# ``moments(x, f, dist)``, which gives the kind's default grid and the moments at each point.
+MODELS = {"ind": ("Ind", SdrFit, pfc.moments), "sscm": ("SSCM", sscm.SscmFit, sscm.moments),
+          "sem": ("SEM", sem.SemFit, sem.moments)}
 # Errors that cost a job its prediction instead of ending the run.
 FAILURES = (SpatialSdrError, np.linalg.LinAlgError)
 
@@ -161,31 +159,34 @@ def mode_kind(mode: str) -> str | None:
     if mode not in MODES:
         raise InputError(f"unknown predictor mode {mode!r}")
     label = mode.split(".")[1]
-    return next((kind for kind, (lab, _) in MODELS.items() if lab == label), None)
+    return next((kind for kind, (lab, *_) in MODELS.items() if lab == label), None)
 
 
 def rank_fits(sample, kind, spec, ranks) -> list:
-    """Fits of ``kind`` at each of ``ranks`` from one profile pass over the
-    model's default grid of its spatial parameter (decay rates for ``sscm``,
-    lag coefficients for ``sem``, none for ``ind``).  The profile fails as a
-    whole: its first ``SpatialSdrError``, at any grid point or rank, is raised."""
+    """Fits of ``kind`` at each of ``ranks`` from one ``_fit_kinds`` pass over the model's default
+    grid of its spatial parameter (decay rates for ``sscm``, lag coefficients for ``sem``, none for
+    ``ind``); the profile fails as a whole, by its first ``SpatialSdrError`` at any point or rank."""
     if kind not in MODELS:
         raise InputError(f"unknown model kind {kind!r}")
-    dist = None if kind == "ind" else pairwise_distances(sample.coords)
-    return MODELS[kind][1](sample, spec, ranks, dist)
+    fits = _fit_kinds(sample, spec, {(kind, d) for d in ranks})
+    for fit in fits.values():
+        if isinstance(fit, FAILURES):
+            raise fit
+    return [fits[(kind, d)] for d in ranks]
 
 
 def _fit_kinds(sample, spec, keys) -> dict:
     """The fit of each ``(kind, rank)`` of ``keys`` on ``sample``, or the error that failed its
-    kind's profile: each kind is fitted once for all its ranks, and ``sample``'s pairwise
-    distances are computed once, for the first SSCM or SEM kind, and dropped on return."""
+    kind's profile: ``rrr.profile`` of each kind's ``MODELS`` moments once for all its ranks, on
+    ``sample``'s pairwise distances, computed for the first SSCM or SEM kind and dropped on return."""
     fits, dist = {}, None
     for kind in sorted({kind for kind, _ in keys}):
         ranks = sorted({d for k, d in keys if k == kind})
+        _, fit_type, moments = MODELS[kind]
         try:
             if dist is None and kind != "ind":
                 dist = pairwise_distances(sample.coords)
-            found = MODELS[kind][1](sample, spec, ranks, dist)
+            found = profile(fit_type, kind, ranks, *moments(sample.x, build_f(sample.y, spec), dist))
         except FAILURES as exc:
             found = [_without_locals(exc)] * len(ranks)
         fits.update(((kind, d), fit) for d, fit in zip(ranks, found))
@@ -217,14 +218,13 @@ def loglik_profile(sample: SpatialSample, kind: str, spec: BasisSpec) -> np.ndar
 
 def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec: BasisSpec,
                     fits=None) -> list:
-    """Predictions of ``test``'s responses for each ``(mode, rank)`` in
-    ``jobs``, the rank being ignored for FULL modes.
+    """Predictions of ``test``'s responses for each ``(mode, rank)`` in ``jobs``, the rank being
+    ignored for FULL modes.
 
-    ``_fit_kinds`` fits each kind on ``train`` once for all the ranks its
-    jobs need, except those ``fits`` already holds by ``(kind, rank)``; each
-    distinct fit gets one reference, and one ``loo_search`` over its default
-    grids tunes them all.  A job whose rank is an error, or whose fit or
-    search failed with one of ``FAILURES``, holds that error.
+    ``_fit_kinds`` fits each kind on ``train`` once for all the ranks its jobs need, except those
+    ``fits`` already holds by ``(kind, rank)``; each distinct fit gets one reference, and one
+    ``loo_search`` over its default grids tunes them all.  A job whose rank is an error, or whose
+    fit or search failed with one of ``FAILURES``, holds that error.
     """
     fits = dict(fits or {})
     keys = [(mode_kind(mode), rank) for mode, rank in jobs]
@@ -251,16 +251,14 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
 def select_cv(
     sample: SpatialSample, kind: str, spec: BasisSpec, kernels: str = "2k", seed: int = 0
 ) -> DimSelection:
-    """Rank among 1..min(p, r) by minimum ``FOLDS``-fold cross-validated
-    prediction error.
+    """Rank among 1..min(p, r) by minimum ``FOLDS``-fold cross-validated prediction error.
 
-    Folds come from a shuffle seeded by ``seed`` alone, without spatial
-    stratification; the harness passes the replication index, not
-    ``cfg.seed``, so experiments that differ only in their seed share each
-    replication's fold permutation.  A failure in a fold invalidates the
-    ranks it hits, every rank when it fails the profile; if every candidate
-    fails, or a fold would hold fewer than two points (n < 2 * ``FOLDS``),
-    ``CvFailedError`` is raised.  Ties break to the smallest rank.
+    Folds come from a shuffle seeded by ``seed`` alone, without spatial stratification; the
+    harness passes the replication index, not ``cfg.seed``, so experiments that differ only in
+    their seed share each replication's fold permutation.  A failure in a fold invalidates the
+    ranks it hits, every rank when it fails the profile; if every candidate fails, or a fold
+    would hold fewer than two points (n < 2 * ``FOLDS``), ``CvFailedError`` is raised.  Ties
+    break to the smallest rank.
     """
     if kernels not in ("1k", "2k"):
         raise InputError("kernels must be '1k' or '2k'")
@@ -274,10 +272,9 @@ def select_cv(
 
 
 def _cv_selections(sample, modes, spec, seed=0) -> list:
-    """``select_cv`` for each of the reduced ``modes``, of any kinds and
-    kernels: each fold is one ``fit_and_predict`` of every live (mode, rank).
-    A mode whose ranks all failed, or every mode when a fold would have fewer
-    than two points, holds a ``CvFailedError`` in place of a result."""
+    """``select_cv`` for each of the reduced ``modes``, of any kinds and kernels: each fold is one
+    ``fit_and_predict`` of every live (mode, rank).  A mode whose ranks all failed, or every mode
+    when a fold would have fewer than two points, holds a ``CvFailedError`` in place of a result."""
     if sample.n < 2 * FOLDS:
         return [CvFailedError(f"cross-validation needs n >= {2 * FOLDS}, got n={sample.n}")] * len(modes)
     rng = np.random.default_rng(seed)
@@ -315,16 +312,15 @@ def _cv_selections(sample, modes, spec, seed=0) -> list:
 
 
 def select_ranks(sample, modes, spec, policy, d, seed) -> tuple[dict, dict]:
-    """The rank of each reduced mode of ``modes`` under ``policy``, one of
-    ``POLICIES``, and the ``(kind, rank)`` fits its profiles made.
+    """The rank of each reduced mode of ``modes`` under ``policy``, one of ``POLICIES``, and the
+    ``(kind, rank)`` fits its profiles made.
 
-    ``fixed`` gives every mode ``d``; ``lr``, ``aic`` and ``bic`` choose
-    from one ``_fit_kinds`` profile of each kind over every rank 0..min(p, r)
-    and return the fits of each kind they chose for, never an error; ``cv``
-    runs ``select_cv`` for every mode in one fold loop seeded by ``seed``
-    alone: ``simulate`` passes the replication index, so the folds do not
-    depend on ``cfg.seed``.  A mode whose choice failed with one of
-    ``FAILURES`` holds that error in place of a rank.
+    ``fixed`` gives every mode ``d``; ``lr``, ``aic`` and ``bic`` choose from one ``_fit_kinds``
+    profile of each kind over every rank 0..min(p, r) and return the fits of each kind they chose
+    for, never an error; ``cv`` runs ``select_cv`` for every mode in one fold loop seeded by
+    ``seed`` alone: ``simulate`` passes the replication index, so the folds do not depend on
+    ``cfg.seed``.  A mode whose choice failed with one of ``FAILURES`` holds that error in place
+    of a rank.
     """
     if policy not in POLICIES:
         raise InputError(f"unknown d policy {policy!r}")
@@ -337,13 +333,13 @@ def select_ranks(sample, modes, spec, policy, d, seed) -> tuple[dict, dict]:
     ranks, kinds = range(min(sample.p, spec.degree) + 1), dict.fromkeys(map(mode_kind, reduced))
     found, picks, fits = _fit_kinds(sample, spec, {(k, d) for k in kinds for d in ranks}), {}, {}
     for kind in kinds:
-        profile = [found[(kind, d)] for d in ranks]
-        pick = profile[0]  # the error of a failed profile
+        curve = [found[(kind, d)] for d in ranks]
+        pick = curve[0]  # the error of a failed profile
         if not isinstance(pick, FAILURES):
-            args = (np.array([fit.loglik for fit in profile]), sample.p, spec.degree, sample.n)
+            args = (np.array([fit.loglik for fit in curve]), sample.p, spec.degree, sample.n)
             try:
                 pick = (select_lr(*args) if policy == "lr" else select_ic(*args, kind=policy)).d_star
-                fits.update(((kind, d), fit) for d, fit in zip(ranks, profile))
+                fits.update(((kind, d), fit) for d, fit in zip(ranks, curve))
             except FAILURES as exc:
                 pick = exc
         picks[kind] = pick

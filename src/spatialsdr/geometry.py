@@ -113,8 +113,7 @@ def exp_correlation(dist: np.ndarray, decay: float) -> ExpCorrelation:
     ``_linalg.pd_cholesky`` certifies ``H`` above the eigenvalue floor, or
     jitters it by the shared policy, and factors the matrix returned.
     """
-    if not decay > 0.0:
-        raise NonPositiveDecayError(f"decay rate must be > 0, got {decay}")
+    check_decay(decay)
     h = np.multiply(dist, -decay)
     chol, h = pd_cholesky(np.exp(h, out=h), NearSingularCorrelationError)
     return ExpCorrelation(decay=float(decay), matrix=h, chol=chol)
@@ -139,6 +138,8 @@ def exp_correlations(
     factored in place, as is each certificate's shifted ``H`` in its top-left block, so the items
     carry ``matrix=None``, and an item's ``chol``, the lower triangle of that block, holds only
     until the next item is drawn."""
+    for decay in decays:  # every one before the first factor
+        check_decay(decay)
     n, k = border.shape
     margin = 2 * n * (2.0 + max(decays) * dist.max()) * np.finfo(float).eps
     bordered = np.empty((n + k, n + k), order="F")  # dpotrf reads its lower triangle alone
@@ -156,6 +157,15 @@ def exp_correlations(
             raise NearSingularCorrelationError("Matrix is not positive definite")
         # C-ordered rows, as numpy's factor gave them, so rows.T @ rows takes the same BLAS call
         yield ExpCorrelation(float(decay), None, h, np.ascontiguousarray(bordered[n:, :n]).T)
+
+
+def check_decay(decay: float) -> None:
+    """Reject a decay outside (0, inf): ``NonPositiveDecayError`` at one not > 0, NaN too, and
+    ``InputError`` at +inf, whose correlation matrix has the NaN diagonal ``exp(-inf * 0)``."""
+    if not decay > 0.0:
+        raise NonPositiveDecayError(f"decay rate must be > 0, got {decay}")
+    if decay == np.inf:
+        raise InputError(f"decay rate must be finite, got {decay}")
 
 
 def median_distance(m: np.ndarray, squared: bool = False) -> float:

@@ -228,12 +228,11 @@ def apply_reduction(x_new: np.ndarray, mu: np.ndarray, est: RrrEstimate) -> np.n
 
 @dataclass(frozen=True)
 class SdrFit:
-    """Fitted reduction of one error model at one rank.
+    """Fitted reduction of one error model at one rank, the fit type of ``dimension.MODELS``' Ind.
 
-    ``est`` and ``mu`` are the estimate and profiled mean at the argmax of
-    the spatial parameter, ``loglik`` its maximized log-likelihood, and
-    ``grid`` every evaluated (param, loglik) pair in ascending parameter
-    order; independent errors have no parameter and record ``[(None, loglik)]``.
+    ``est`` and ``mu`` are the estimate and profiled mean at the argmax of the spatial parameter,
+    ``loglik`` its maximized log-likelihood, and ``grid`` every evaluated (param, loglik) pair in
+    ascending parameter order; independent errors have no parameter and record ``[(None, loglik)]``.
     """
 
     kind: str
@@ -253,14 +252,14 @@ class SdrFit:
 def profile(fit_type, kind, ranks, params, moments) -> list:
     """Profile a spatial parameter for several ranks in one pass over its grid.
 
-    ``moments`` yields the ``Moments`` of each point of ``params`` in turn; their one
-    stacked ``ls_fits`` gives every rank its closed-form ``loglik`` at each point; ties
-    keep the earliest point.  ``rrr_mle`` then runs once per rank, at its argmax, giving
-    ``fit_type(kind, est, mu, loglik, grid, param)`` (no ``param`` for a ``None`` one).
-    The first ``SpatialSdrError``, of any point or rank, fails the whole profile.  ``sscm.rank_fits``
-    and ``sem.rank_fits`` scan their model's default grid; a fit at fixed parameters, in scan order
-    (ascending decays), is this call over them, e.g. ``profile(SscmFit, "sscm", ranks, [0.1],
-    whiten_sscm(x, build_f(y, spec), dist, [0.1]))``, or ``SemFit``, ``"sem"`` and ``whiten_sem``.
+    ``moments`` yields the ``Moments`` of each point of ``params`` in turn; their one stacked
+    ``ls_fits`` gives every rank its closed-form ``loglik`` at each point; ties keep the earliest
+    point.  ``rrr_mle`` then runs once per rank, at its argmax, giving ``fit_type(kind, est, mu,
+    loglik, grid, param)`` (no ``param`` for a ``None`` one).  The first ``SpatialSdrError``, of
+    any point or rank, fails the whole profile.  ``dimension._fit_kinds`` calls it on each kind's
+    ``dimension.MODELS`` entry; a fit at fixed parameters, in scan order (ascending decays), is the
+    call over them, e.g. ``profile(SscmFit, "sscm", ranks, [0.1], whiten_sscm(x, build_f(y, spec),
+    dist, [0.1]))``, or ``SemFit``, ``"sem"`` and ``whiten_sem``.
     """
     grids, best = {rank: {} for rank in ranks}, {}
     for param, ls in zip(params, ls_fits(moments)):

@@ -7,17 +7,17 @@ column-normalized ``W`` too).  With ``Z = [1 X F]`` the moment matrix is
 
     M(coef) = Z' Wt' Wt Z = Z'Z - coef (Z'WZ + (Z'WZ)') + coef^2 (WZ)'(WZ),
 
-so one product ``WZ`` per sample serves every lag; its Schur complement on
-the intercept is the Gram matrix of the generalized centering
-``I - 1 (1' Wt'Wt 1)^{-1} 1' Wt'Wt`` followed by ``Wt``.  The likelihood
-carries ``+ p log|det Wt|``.  ``W = A D^{-1}`` for ``geometry.neighbor_graph``'s symmetric
-adjacency ``A`` and degrees ``D`` is never formed: ``WZ = A (D^{-1} Z)`` with ``A`` as floats,
-and in that one n x n buffer ``A`` becomes ``D^{-1/2} A D^{-1/2}``, similar to ``W``, whose
-eigenvalues ``lambda``, taken in place, give ``log|det Wt| = sum log|1 - coef lambda|`` at every
-lag (Ord 1975).  The lag coefficient is profiled over ``DEFAULT_GRID`` on (-1, 1): ``whiten_sem``
-yields each lag's moments in turn, as ``sscm.whiten_sscm`` yields each decay's, from one
-broadcast of the lag-free parts over the grid.  Fits are ``SemFit``, the ``rrr.SdrFit``
-whose spatial parameter is named ``lag_coef``.
+so one product ``WZ`` per sample serves every lag; its Schur complement on the intercept is the
+Gram matrix of the generalized centering ``I - 1 (1' Wt'Wt 1)^{-1} 1' Wt'Wt`` followed by ``Wt``.
+The likelihood carries ``+ p log|det Wt|``.  ``W = A D^{-1}`` for ``geometry.neighbor_graph``'s
+symmetric adjacency ``A`` and degrees ``D`` is never formed: ``WZ = A (D^{-1} Z)`` with ``A`` as
+floats, and in that one n x n buffer ``A`` becomes ``D^{-1/2} A D^{-1/2}``, similar to ``W``,
+whose eigenvalues ``lambda``, taken in place, give ``log|det Wt| = sum log|1 - coef lambda|`` at
+every lag (Ord 1975).  The lag coefficient is profiled over ``DEFAULT_GRID`` on (-1, 1):
+``whiten_sem`` yields each lag's moments in turn, as ``sscm.whiten_sscm`` yields each decay's,
+from one broadcast of the lag-free parts over the grid.  ``moments`` hands that grid and its
+moments to the kind table, ``dimension.MODELS``, whose fit stage profiles them into ``SemFit``s,
+the ``rrr.SdrFit`` whose spatial parameter is named ``lag_coef``.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import eigvalsh_in_place
-from .basis import BasisSpec, build_f
+from .basis import BasisSpec
 from .data import SpatialSample
 from .exceptions import SingularFilterError
-from .geometry import neighbor_graph, pairwise_distances
-from .rrr import Moments, SdrFit, design, profile
+from .geometry import neighbor_graph
+from .rrr import Moments, SdrFit, design
 
 DEFAULT_GRID = np.round(np.arange(-0.95, 0.951, 0.05), 2)  # -0.95 .. 0.95 in steps of 0.05
 COND_LIMIT = 1e14  # largest accepted condition number of I - coef D^{-1/2} A D^{-1/2}
@@ -80,22 +80,14 @@ class SemFit(SdrFit):
         return self.lag_coef
 
 
-def fit_sem(sample: SpatialSample, spec: BasisSpec, rank: int) -> SemFit:
-    """Profile the lag coefficient over ``DEFAULT_GRID`` and keep the argmax fit.
-
-    The neighbor matrix is the distance-threshold construction at the
-    largest nearest-neighbor distance.  Ties in the profile likelihood
-    break toward the coefficient of smallest magnitude (the model closest
-    to independence); a lag that fails raises its error.
-    """
-    return rank_fits(sample, spec, [rank], pairwise_distances(sample.coords))[0]
-
-
-def rank_fits(sample, spec, ranks, dist) -> list:
-    """``fit_sem`` at each of ``ranks`` from one pass over ``DEFAULT_GRID``, on the neighbor graph
-    of ``dist``, the caller's ``pairwise_distances`` of ``sample``; the first error fails them all."""
-    f = build_f(sample.y, spec)
-    graph = neighbor_graph(dist)
-    # Scan smallest |coef| first so ties keep the near-independent model.
+def moments(x: np.ndarray, f: np.ndarray, dist: np.ndarray) -> tuple[list, Iterator[Moments]]:
+    """``DEFAULT_GRID`` smallest ``|coef|`` first, so that ties break toward the model closest to
+    independence, and ``whiten_sem``'s moments over it on the ``neighbor_graph`` of ``dist``."""
     params = sorted(DEFAULT_GRID.tolist(), key=lambda c: (abs(c), c))
-    return profile(SemFit, "sem", ranks, params, whiten_sem(sample.x, f, graph, params))
+    return params, whiten_sem(x, f, neighbor_graph(dist), params)
+
+
+def fit_sem(sample: SpatialSample, spec: BasisSpec, rank: int) -> SemFit:
+    """``dimension.rank_fits`` at ``rank``, over ``DEFAULT_GRID``; it stays until ROADMAP item 1."""
+    from .dimension import rank_fits  # dimension imports this module
+    return rank_fits(sample, "sem", spec, [rank])[0]

@@ -32,8 +32,8 @@ from .basis import BasisSpec, polynomial_features
 from .data import SpatialSample, train_test_split
 from .dimension import FAILURES, POLICIES, fit_and_predict, select_ranks
 from .exceptions import CovarianceNotPDError, InputError
-from .exceptions import NearSingularCorrelationError, NonPositiveDecayError, SingularFilterError
-from .geometry import Coordinates, neighbor_graph, pairwise_distances, sq_distances
+from .exceptions import NearSingularCorrelationError, SingularFilterError
+from .geometry import Coordinates, check_decay, neighbor_graph, pairwise_distances, sq_distances
 from .predictor import MODES
 from .sem import COND_LIMIT
 
@@ -69,11 +69,11 @@ class SimConfig:
 
 
 def check_error_law(model: str, param: float) -> None:
-    """Reject an unknown model, a SEM lag outside (-1, 1) and an SSCM decay that is not
-    finite, with ``NonPositiveDecayError`` for one that is not > 0; NaN fails either."""
-    if model == "sscm" and not param > 0.0:
-        raise NonPositiveDecayError(f"decay rate must be > 0, got {param}")
-    if not (model == "sscm" and param < np.inf or model == "sem" and abs(param) < 1.0):
+    """Reject an unknown model, a SEM lag outside (-1, 1), NaN too, and an SSCM decay that
+    ``geometry.check_decay`` rejects, as each fit of a decay does."""
+    if model == "sscm":
+        check_decay(param)
+    elif not (model == "sem" and abs(param) < 1.0):
         raise InputError(f"need 'sscm' and a finite decay or 'sem' and |lag_coef| < 1: {model!r}, {param}")
 
 

@@ -12,9 +12,9 @@ generalized centering ``Hc = I - 1 (1' inv(H) 1)^{-1} 1' inv(H)`` followed by
 The decay rate is profiled over the ascending ``default_decay_grid``, on which ``lambda_min(H)``
 does not decrease, so once one ``H`` is certified above the eigenvalue floor every larger decay
 takes a single Cholesky (``geometry.exp_correlations``), of ``H`` with ``[1 X F]`` bordered on,
-which gives ``L`` and ``B`` at once; the
-log-likelihood carries the extra ``-(p/2) log|H|`` term.  Fits are ``SscmFit``,
-the ``rrr.SdrFit`` whose spatial parameter is named ``decay``.
+which gives ``L`` and ``B`` at once; the log-likelihood carries the extra ``-(p/2) log|H|`` term.
+``moments`` hands that grid and its moments to the kind table, ``dimension.MODELS``, whose fit
+stage profiles them into ``SscmFit``s, the ``rrr.SdrFit`` whose spatial parameter is ``decay``.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, build_f
+from .basis import BasisSpec
 from .data import SpatialSample
-from .geometry import exp_correlations, median_distance, pairwise_distances
-from .rrr import Moments, SdrFit, design, moments_of, profile
+from .geometry import exp_correlations, median_distance
+from .rrr import Moments, SdrFit, design, moments_of
 
 DEFAULT_GRID_SIZE = 20
 DEFAULT_GRID_SPAN = (0.1, 10.0)  # multiples of 1/median-distance
@@ -60,18 +60,14 @@ class SscmFit(SdrFit):
         return self.decay
 
 
-def fit_sscm(sample: SpatialSample, spec: BasisSpec, rank: int) -> SscmFit:
-    """Profile the decay rate over ``default_decay_grid`` and keep the argmax fit.
-
-    Ties break to the smallest decay; a decay that fails raises its error.
-    """
-    return rank_fits(sample, spec, [rank], pairwise_distances(sample.coords))[0]
-
-
-def rank_fits(sample, spec, ranks, dist) -> list:
-    """``fit_sscm`` at each of ``ranks`` from one pass over the ``default_decay_grid`` of ``dist``,
-    the caller's ``pairwise_distances`` of ``sample``; the first error, at any decay or rank, fails
-    them all."""
-    f = build_f(sample.y, spec)
+def moments(x: np.ndarray, f: np.ndarray, dist: np.ndarray) -> tuple[list, Iterator[Moments]]:
+    """The ascending ``default_decay_grid`` of ``dist``, so that ties keep the smallest decay, and
+    ``whiten_sscm``'s moments over it."""
     params = default_decay_grid(dist).tolist()
-    return profile(SscmFit, "sscm", ranks, params, whiten_sscm(sample.x, f, dist, params))
+    return params, whiten_sscm(x, f, dist, params)
+
+
+def fit_sscm(sample: SpatialSample, spec: BasisSpec, rank: int) -> SscmFit:
+    """``dimension.rank_fits`` at ``rank``, over ``default_decay_grid``; it stays until ROADMAP item 1."""
+    from .dimension import rank_fits  # dimension imports this module
+    return rank_fits(sample, "sscm", spec, [rank])[0]

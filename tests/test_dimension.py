@@ -279,12 +279,12 @@ class TestModels:
 
     @pytest.mark.parametrize("mode", ["bogus", "1k.Foo", "3k.SEM"])
     def test_malformed_mode_is_rejected_before_any_fit(self, monkeypatch, mode):
-        # a spy on every fitter in the table: the valid job ahead of the
-        # malformed one is not fitted either
+        # a spy on every kind's moments in the table: the valid job ahead
+        # of the malformed one is not fitted either
         fitted = []
-        for kind, (label, fitter) in MODELS.items():
-            spy = lambda *args, fitter=fitter: fitted.append(args) or fitter(*args)  # noqa: E731
-            monkeypatch.setitem(MODELS, kind, (label, spy))
+        for kind, (label, fit_type, moments) in MODELS.items():
+            spy = lambda *args, moments=moments: fitted.append(args) or moments(*args)  # noqa: E731
+            monkeypatch.setitem(MODELS, kind, (label, fit_type, spy))
         sample = random_sample(40, 3, seed=1)
         train, test = sample.subset(np.arange(30)), sample.subset(np.arange(30, 40))
         with pytest.raises(InputError, match="unknown predictor mode"):

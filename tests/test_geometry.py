@@ -12,6 +12,7 @@ from spatialsdr.data import train_test_split
 from spatialsdr.exceptions import (
     DegenerateGridError,
     DuplicatePointsError,
+    InputError,
     IsolatedPointError,
     NearSingularCorrelationError,
     NonPositiveDecayError,
@@ -32,7 +33,7 @@ from spatialsdr.geometry import (
 from spatialsdr.predictor import TrainingReference, default_bandwidth_grid, loo_search
 from spatialsdr.rrr import design
 from spatialsdr.simulate import SimConfig, _draw_sample, rep_rng, sample_locations, simulate_sample
-from spatialsdr.sscm import default_decay_grid
+from spatialsdr.sscm import default_decay_grid, whiten_sscm
 
 
 def coords(*pts):
@@ -102,6 +103,25 @@ class TestExpCorrelation:
         np.testing.assert_allclose(h.chol @ h.chol.T, hand, rtol=0, atol=1e-12)
         assert np.all(np.diag(h.chol) > 0)
         assert h.logdet == pytest.approx(np.sum(np.log(np.linalg.eigvalsh(hand))), abs=1e-12)
+
+    @pytest.mark.parametrize("bad, error", [(0.0, NonPositiveDecayError), (-1.0, NonPositiveDecayError),
+                                            (np.nan, NonPositiveDecayError), (np.inf, InputError)])
+    def test_a_decay_outside_zero_to_infinity_is_rejected_before_any_factor(self, monkeypatch, bad, error):
+        # unchecked, decay 0 whitens by the jittered all-ones matrix, NaN and +inf end in numpy's
+        # LinAlgError, and exp(-inf * 0) puts NaN on the diagonal; each of the three rejects it,
+        # as the last of a grid too, before a factor is taken
+        rng = np.random.default_rng(6)
+        d = pairwise_distances(Coordinates(rng.uniform(size=(20, 2))))
+        x, f, factored = rng.standard_normal((20, 3)), rng.standard_normal((20, 2)), []
+        for module, name in ((_linalg, "cholesky_in_place"), (geometry, "cholesky_in_place"), (geometry, "pd_cholesky")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, original=original: factored.append(args) or original(*args))
+        for call in (lambda: exp_correlation(d, bad), lambda: next(exp_correlations(d, [0.5, bad], x)),
+                     lambda: next(whiten_sscm(x, f, d, [0.5, bad]))):
+            with pytest.raises(error) as info:
+                call()
+            assert error is NonPositiveDecayError or not isinstance(info.value, NonPositiveDecayError)
+        assert factored == []
 
     def test_nonpositive_decay_rejected(self):
         d = pairwise_distances(coords((0, 0), (1, 0)))

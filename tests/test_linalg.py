@@ -11,7 +11,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from spatialsdr import _linalg
 from spatialsdr._linalg import EIG_FLOOR, _openblas_threads, draw_root, one_blas_thread
-from spatialsdr._linalg import _jittered, cholesky_in_place, eigvalsh_in_place, pd_cholesky, solve_in_place
+from spatialsdr._linalg import _jittered, cholesky_in_place, eigvalsh_in_place, pd_cholesky, pd_choleskys, solve_in_place
 from spatialsdr.geometry import neighbor_graph
 from spatialsdr.exceptions import CovarianceNotPDError, InputError, NearSingularCorrelationError
 
@@ -52,6 +52,19 @@ def test_matrix_failing_after_jitter_raises_the_callers_error(err):
     with pytest.raises(err) as info:
         pd_cholesky(m, err)
     assert info.type is err
+
+
+@pytest.mark.parametrize("m", [[[1.0, np.nan], [np.nan, 1.0]], [[np.nan, 0.5], [0.5, 1.0]],
+                               [[2.0, 0.5, np.nan], [0.5, 2.0, 0.0], [np.nan, 0.0, 3.0]]],
+                         ids=["off-diagonal", "diagonal", "order-3"])
+def test_a_symmetric_matrix_with_a_nan_raises_the_callers_error(m):
+    # every comparison with a NaN is false, and OpenBLAS's dpotrf factors through one, so each
+    # check must fail on it: else the jitter returns a NaN matrix and the factor is NaN, and at
+    # order 3 numpy's eigvalsh raises its own LinAlgError
+    m, stack = np.array(m), lambda ms, err: pd_choleskys(np.stack([np.eye(len(ms)), ms]), err)
+    for call in (_jittered, pd_cholesky, stack):
+        with pytest.raises(CovarianceNotPDError):
+            call(m, CovarianceNotPDError)
 
 
 @pytest.mark.parametrize("n", [280, 400])

@@ -506,7 +506,7 @@ def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     monkeypatch.setattr(sem, "DEFAULT_GRID", np.array([0.3, 0.6, 0.9]))
-    fits = (sscm.rank_fits if kind == "sscm" else sem.rank_fits)(sample, spec, [0, 1, 2], dist)
+    fits = rank_fits(sample, kind, spec, [0, 1, 2])
     argmaxes = {fit.spatial_param for fit in fits}
     assert len(calls) == len(argmaxes) < 3
     for rank, fit in enumerate(fits):
@@ -546,7 +546,7 @@ def test_a_decay_failing_mid_grid_ends_the_ranks_live_there(monkeypatch):
     monkeypatch.setattr(rrr, "loglik", loglik)
     with pytest.raises(NearSingularCorrelationError) as raised, monkeypatch.context() as patch:
         patch.setattr(sscm, "default_decay_grid", lambda dist: np.array(grid))
-        sscm.rank_fits(sample, spec, [0, 1, 2], pairwise_distances(sample.coords))
+        rank_fits(sample, "sscm", spec, [0, 1, 2])
     assert raised.value is error
     assert len(factored) == 3
     factored.clear()

@@ -394,8 +394,7 @@ def test_resident_peak_over_a_replications_stages(stage):
     # draw leaves the next stage a larger step
     code = (
         "import spatialsdr.simulate as s\n"
-        "from spatialsdr import sem, sscm\n"
-        "from spatialsdr.geometry import pairwise_distances\n"
+        "from spatialsdr.dimension import _fit_kinds\n"
         "from spatialsdr._linalg import keep_heap\n"
         "from spatialsdr.basis import BasisSpec\n"
         "from spatialsdr.data import train_test_split\n"
@@ -409,10 +408,10 @@ def test_resident_peak_over_a_replications_stages(stage):
         "sample = s._draw_sample(cfg, rng)\n"
         f"if {stage!r} != 'draw':\n"
         "    train, spec = train_test_split(sample, cfg.train_frac, rng)[0], BasisSpec('polynomial', cfg.r)\n"
-        "    dist = pairwise_distances(train.coords)\n"  # both profiles' distances, as a fit step shares them
-        "    sem.rank_fits(train, spec, [cfg.d], dist)\n"
-        f"if {stage!r} == 'sscm-profile':\n"
-        "    sscm.rank_fits(train, spec, [cfg.d], dist)\n"
+        f"    kinds = ('sem', 'sscm') if {stage!r} == 'sscm-profile' else ('sem',)\n"
+        # the fit stage profiles SEM, then SSCM, on the one distance matrix it computes
+        "    fits = _fit_kinds(train, spec, {(kind, cfg.d) for kind in kinds})\n"
+        "    assert not any(isinstance(fit, Exception) for fit in fits.values()), fits\n"
         "print(*(after - before for before, after in zip(base, hwm())))\n"
     )
     rise = run_script(code, OPENBLAS_NUM_THREADS="1").split()
