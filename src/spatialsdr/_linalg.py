@@ -65,7 +65,7 @@ def certify_in_place(a: np.ndarray, n: int, margin: float = 0.0) -> bool:
     EIG_FLOOR + margin``: ``(n+1) n eps max_i m_ii`` bounds the backward error (Higham 2002, 10.3)."""
     diag = np.arange(n)
     a[diag, diag] -= _certificate_shift(a[:n, :n], margin)
-    return cholesky_in_place(a, n) and bool(np.isfinite(a[diag, diag]).all())  # dpotrf passes a NaN
+    return cholesky_in_place(a, n)
 
 
 def pd_cholesky(m, err: type[SpatialSdrError]) -> tuple[np.ndarray, np.ndarray]:
@@ -102,16 +102,17 @@ def draw_root(build, err: type[SpatialSdrError], z: np.ndarray | None = None) ->
 
 def cholesky_in_place(a: np.ndarray, n: int | None = None) -> bool:
     """Overwrite the lower triangle, alone read, of the leading n x n block of the column-major ``a``
-    (all of it by default) with numpy's Cholesky factor's, bit for bit; False, if it is not PD."""
+    (all of it by default) with numpy's Cholesky factor's, bit for bit; False, if it is not PD or
+    the factor's diagonal is not finite: ``dpotrf``, numpy's too, factors through a NaN."""
+    n, info = n or a.shape[1], ctypes.c_int64(0)
     if _lapack()[0]:
-        n, lda, info = map(ctypes.c_int64, (n or a.shape[1], len(a), 0))
-        _lapack()[0](b"L", n, a, lda, info)
-        return info.value == 0
-    try:
-        a[:n, :n] = np.linalg.cholesky(a[:n, :n])
-        return True
-    except np.linalg.LinAlgError:
-        return False
+        _lapack()[0](b"L", ctypes.c_int64(n), a, ctypes.c_int64(len(a)), info)
+    else:
+        try:
+            a[:n, :n] = np.linalg.cholesky(a[:n, :n])
+        except np.linalg.LinAlgError:
+            info.value = 1  # a positive info, as dpotrf's: a leading minor is not PD
+    return info.value == 0 and bool(np.isfinite(a.diagonal()[:n]).all())
 
 
 def solve_in_place(a: np.ndarray, b: np.ndarray) -> np.ndarray:

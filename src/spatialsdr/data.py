@@ -12,7 +12,7 @@ from .geometry import Coordinates
 
 @dataclass(frozen=True)
 class SpatialSample:
-    """n locations with p predictors and a scalar response each."""
+    """n locations with p predictors and a scalar response each; also ``predictor``'s reference."""
 
     coords: Coordinates
     x: np.ndarray

@@ -224,7 +224,7 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
     ``_fit_kinds`` fits each kind on ``train`` once for all the ranks its jobs need, except those
     ``fits`` already holds by ``(kind, rank)``; each distinct fit gets one reference, and one
     ``loo_search`` over its default grids tunes them all.  A job whose rank is an error, or whose
-    fit or search failed with one of ``FAILURES``, holds that error.
+    fit, reference or search failed with one of ``FAILURES``, holds that error.
     """
     fits = dict(fits or {})
     keys = [(mode_kind(mode), rank) for mode, rank in jobs]
@@ -235,7 +235,10 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
     for (mode, rank), key in zip(jobs, keys):
         if key not in refs:
             fit = rank if isinstance(rank, FAILURES) else fits.get(key)
-            refs[key] = fit if isinstance(fit, FAILURES) else build_reference(mode, train, fit)
+            try:
+                refs[key] = fit if isinstance(fit, FAILURES) else build_reference(mode, train, fit)
+            except FAILURES as exc:
+                refs[key] = exc
     live = [key for key, ref in refs.items() if not isinstance(ref, FAILURES)]
     searches = dict(zip(live, loo_search([refs[k] for k in live], two_kernel)))
     out = []

@@ -172,13 +172,16 @@ def median_distance(m: np.ndarray, squared: bool = False) -> float:
     """``np.median`` of the distances above the diagonal of the square ``m``, or of the positive
     ones when that is 0; 0 when none is positive.  With ``squared`` only the middle values of the
     squares are rooted: ``sqrt`` is monotone and correctly rounded, so that is the median of the
-    roots bit for bit.  The pairs are gathered once and partitioned in place; as in ``np.median``,
-    the partition moves a NaN last, and a NaN gives NaN."""
+    roots bit for bit.  The pairs are gathered once and partitioned in place at the lower middle
+    alone; the partition sorts a NaN after it, which gives NaN as in ``np.median``, and an even
+    count's upper middle is the least value after it."""
     pairs = m[~np.tri(len(m), dtype=bool)]
     while pairs.size:
-        k, odd = (pairs.size - 1) // 2, pairs.size % 2
-        pairs.partition([k, k + 1 - odd, pairs.size - 1])
-        middle = pairs[-1:] if np.isnan(pairs[-1]) else pairs[k : k + 2 - odd]
+        k = (pairs.size - 1) // 2
+        pairs.partition(k)
+        if np.isnan(pairs[k:].max()):
+            return float("nan")
+        middle = pairs[k : k + 1] if pairs.size % 2 else np.array([pairs[k], pairs[k + 1 :].min()])
         median = float((np.sqrt(middle) if squared else middle).mean())  # np.median's mean
         if median != 0.0:
             return median

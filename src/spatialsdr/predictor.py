@@ -13,7 +13,9 @@ all references and each reference's h1 kernels once, and one batched matmul
 per reference gives its one- and two-kernel weighted sums together.  Every
 block reuses one buffer each for its kernels, right-hand sides, sums and
 predictions, about three n x n matrices in all, and adds its squared errors
-straight into per-bandwidth sums.
+straight into per-bandwidth sums.  A reference is the training ``SpatialSample`` in its mode's
+predictor space, reduced unless the mode is FULL, and one rule, ``_nadaraya_watson``, predicts
+from squared scaled distances to it: every query, and each LOO row whose factorised mass is tiny.
 ``dimension.fit_and_predict`` fits the reductions the references are built from; the search
 scans the ``default_bandwidth_grid`` of each set of points or coordinates it smooths over.
 """
@@ -66,39 +68,12 @@ class PredictorConfig:
         return self.mode.startswith("2k")
 
 
-@dataclass(frozen=True)
-class TrainingReference:
-    """Training-side material the weights are computed against.
-
-    ``points`` holds reductions for reduced modes and raw predictors for
-    FULL modes; rows align with ``responses`` and the n x 2 ``coords``.
-    """
-
-    points: np.ndarray
-    responses: np.ndarray
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        resp = np.asarray(self.responses, dtype=float).ravel()
-        crd = np.atleast_2d(np.asarray(self.coords, dtype=float))
-        if len(pts) == 0 or resp.size == 0:
-            raise InputError("empty training reference")
-        if len(pts) != resp.size or len(pts) != len(crd):
-            raise InputError("reference rows disagree")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "responses", resp)
-        object.__setattr__(self, "coords", crd)
-
-    @property
-    def n(self) -> int:
-        return len(self.responses)
-
-
-def build_reference(mode: str, train: SpatialSample, fit=None) -> TrainingReference:
-    """Assemble the reference for a mode: the training predictors, reduced
-    unless the mode is FULL."""
-    return TrainingReference(_reduced(mode, train.x, fit), train.y, train.coords.points)
+def build_reference(mode: str, train: SpatialSample, fit=None) -> SpatialSample:
+    """``train`` itself for a FULL mode, else a sample of its coordinates and responses with its
+    predictors reduced by ``fit``: ``SpatialSample``'s ``InputError`` if a value is not finite."""
+    if mode.endswith(".FULL"):
+        return train
+    return SpatialSample(train.coords, _reduced(mode, train.x, fit), train.y)
 
 
 def _reduced(mode: str, x: np.ndarray, fit) -> np.ndarray:
@@ -112,34 +87,37 @@ def _reduced(mode: str, x: np.ndarray, fit) -> np.ndarray:
 def predict_many(
     x_query: np.ndarray,
     s_query: np.ndarray,
-    ref: TrainingReference,
+    ref: SpatialSample,
     config: PredictorConfig,
     fit=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Predict responses for a batch of query rows; the two-kernel modes
-    take one location row of ``s_query`` per predictor row.
-
-    Returns ``(y_hat, fell_back)``; the fallback flags mark rows predicted
-    by their single nearest reference point because every kernel value
-    underflowed.
-    """
+    """Predict responses for a batch of query rows, the two-kernel modes with one location row of
+    ``s_query`` per predictor row: ``_nadaraya_watson``'s ``(y_hat, fell_back)``, the flags marking
+    rows predicted by their nearest reference point because every kernel value underflowed."""
     x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
     s_query = np.atleast_2d(np.asarray(s_query, dtype=float))
     if config.two_kernel and len(x_query) != len(s_query):
         raise InputError(f"{len(x_query)} predictor rows but {len(s_query)} location rows")
     if config.h1 is None or (config.two_kernel and config.h2 is None):
         raise InputError("bandwidths not set; tune or supply them first")
-    u2 = sq_distances(_reduced(config.mode, x_query, fit), ref.points)
+    u2 = sq_distances(_reduced(config.mode, x_query, fit), ref.x)
     u2 /= config.h1**2  # each step in place: the same operations in the same order
     if config.two_kernel:
-        d2 = sq_distances(s_query, ref.coords)
+        d2 = sq_distances(s_query, ref.coords.points)
         u2 += np.divide(d2, config.h2**2, out=d2)
+    return _nadaraya_watson(u2, ref.y)
+
+
+def _nadaraya_watson(u2: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nadaraya-Watson predictions from rows of combined squared scaled distances ``u2`` to the
+    points of responses ``y``, and each row's fallback flag: a row whose every kernel value
+    underflowed takes its nearest point's response.  An infinite distance leaves a point out."""
     k = -0.5 * u2
     np.exp(k, out=k)
     fell_back = k.sum(axis=1) <= 0.0
     rows = np.flatnonzero(fell_back)  # every kernel value zero: the nearest point alone
     k[rows, np.argmin(u2[rows], axis=1)] = 1.0
-    return np.divide(k, k.sum(axis=1)[:, None], out=k) @ ref.responses, fell_back
+    return np.divide(k, k.sum(axis=1)[:, None], out=k) @ y, fell_back
 
 
 def default_bandwidth_grid(points: np.ndarray) -> np.ndarray:
@@ -195,13 +173,13 @@ def loo_search(refs: list, two_kernel: bool = True) -> list:
     overwrite one buffer each, and each block's squared errors are added to
     ``errors``, divided by n after the last block.  A mass below ``TINY_MASS``
     may have lost digits to underflow in the products, so that (row, h1, h2)
-    is recomputed from the combined exponent; a block whose masses all clear
-    it skips that scan.
+    is recomputed by ``_nadaraya_watson`` from the combined exponent, the held-out
+    point at an infinite distance; a block whose masses all clear it skips that scan.
     """
     if not refs:
         return []
-    y, coords, n = refs[0].responses, refs[0].coords, refs[0].n
-    if not all(np.array_equal(r.responses, y) and np.array_equal(r.coords, coords) for r in refs):
+    y, coords, n = refs[0].y, refs[0].coords.points, refs[0].n
+    if not all(np.array_equal(r.y, y) and np.array_equal(r.coords.points, coords) for r in refs):
         raise InputError("references must share one training sample")
     if n < 3:
         return [InputError("leave-one-out tuning needs at least 3 points")] * len(refs)
@@ -210,13 +188,13 @@ def loo_search(refs: list, two_kernel: bool = True) -> list:
     found, live = [], []
     for ref in refs:
         try:
-            grid = default_bandwidth_grid(ref.points)
+            grid = default_bandwidth_grid(ref.x)
         except DegenerateGridError as exc:
             found.append(exc)
             continue
         shape = (grid.size, g2 + 1)
         found.append(LooSearch(grid, h2_grid, np.zeros(shape, int), np.zeros(shape)))
-        live.append((ref.points, found[-1]))
+        live.append((ref.x, found[-1]))
     if live:
         _loo_pass(live, y, coords, h2_grid)
     return found
@@ -256,7 +234,8 @@ def _loo_pass(live: list, y: np.ndarray, coords: np.ndarray, h2_grid: np.ndarray
             if mass.min() < TINY_MASS:
                 for b, i, j in zip(*np.nonzero(mass < TINY_MASS)):
                     u = d1[b] / s.h1_grid[i] ** 2 + (d2[b] / h2_grid[j] ** 2 if j < g2 else 0.0)
-                    pred[b, i, j], fell = _loo_row(u, start + b, y)
+                    u[start + b] = np.inf  # the held-out point
+                    (pred[b, i, j],), (fell,) = _nadaraya_watson(u[None], y)
                     s.fell_back[i, j] += fell
             pred -= y[rows, None, None]
             s.errors[...] += np.square(pred, out=pred).sum(axis=0)
@@ -264,7 +243,7 @@ def _loo_pass(live: list, y: np.ndarray, coords: np.ndarray, h2_grid: np.ndarray
         s.errors[...] /= n
 
 
-def loocv_bandwidths(ref: TrainingReference, config: PredictorConfig) -> tuple[float, float | None]:
+def loocv_bandwidths(ref: SpatialSample, config: PredictorConfig) -> tuple[float, float | None]:
     """Leave-one-out bandwidth search on the training reference for ``config``'s
     mode, ``loo_search`` of it alone over the default grids: ties break to the
     smaller bandwidths, h1 first."""
@@ -279,15 +258,3 @@ def _kernels(d: np.ndarray, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
     for each ``h`` in ``grid``, written to ``out`` of shape (grid, rows, n)."""
     np.divide(d, (-2.0 * grid**2)[:, None, None], out=out)  # as -0.5 * (d / h^2): 2 is exact
     return np.exp(out, out=out)
-
-
-def _loo_row(u2: np.ndarray, row: int, y: np.ndarray) -> tuple[float, bool]:
-    """LOO prediction of one row from its combined squared scaled distances,
-    by its nearest other point when the kernel mass underflows to zero."""
-    k = np.exp(-0.5 * u2)
-    k[row] = 0.0
-    mass = k.sum()
-    if mass > 0.0:
-        return (k @ y) / mass, False
-    u2[row] = np.inf
-    return y[np.argmin(u2)], True

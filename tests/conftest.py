@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from spatialsdr import predictor
 from spatialsdr.basis import BasisSpec
 from spatialsdr.data import SpatialSample
 from spatialsdr.geometry import Coordinates
@@ -29,6 +30,23 @@ def random_sample(
         f = np.column_stack([y, y**2])
         x = x + f @ (a @ b).T
     return SpatialSample(coords, x, y)
+
+
+def pin_grids(monkeypatch, *pins):
+    """Have every search scan ``grid`` for each ``(array, grid)`` of ``pins`` where it takes the
+    ``default_bandwidth_grid`` of that very array, or raise ``grid`` where it is an exception; any
+    other array keeps its default grid."""
+    default = predictor.default_bandwidth_grid
+
+    def grid_of(points):
+        for array, grid in pins:
+            if array is points:
+                if isinstance(grid, Exception):
+                    raise grid
+                return grid
+        return default(points)
+
+    monkeypatch.setattr(predictor, "default_bandwidth_grid", grid_of)
 
 
 def poly_spec(degree: int = 2) -> BasisSpec:

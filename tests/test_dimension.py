@@ -227,8 +227,8 @@ class TestSelectCv:
             select_cv(random_sample(50, 3, seed=9), "sem", BasisSpec("polynomial", 2))
 
     def test_nan_reduction_at_one_rank_keeps_the_others(self, monkeypatch):
-        # the rank-2 reference of each fold has a degenerate bandwidth grid;
-        # the rank-1 reference tuned in the same LOO pass is unaffected
+        # the rank-2 reference of each fold is a sample with non-finite predictors,
+        # which fails to build; the rank-1 reference tuned in the LOO pass is unaffected
         sample = random_sample(50, 3, seed=9)
         spec = BasisSpec("polynomial", 2)
         want = select_cv(sample, "sscm", spec)
@@ -242,7 +242,7 @@ class TestSelectCv:
         assert sel.d_star == 1
         assert sel.trace[0] == want.trace[0]
         assert sel.trace[1]["cv_error"] is None
-        assert "bandwidth grid" in sel.trace[1]["failure"]
+        assert "must be finite" in sel.trace[1]["failure"]
 
     @pytest.mark.parametrize("kind", ["ind", "sem"])
     def test_failure_at_one_rank_fails_the_kind(self, monkeypatch, kind):

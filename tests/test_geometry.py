@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from spatialsdr import _linalg, geometry
 from spatialsdr._linalg import _jittered
 from spatialsdr.basis import BasisSpec, build_f
-from spatialsdr.data import train_test_split
+from spatialsdr.data import SpatialSample, train_test_split
 from spatialsdr.exceptions import (
     DegenerateGridError,
     DuplicatePointsError,
@@ -30,10 +30,12 @@ from spatialsdr.geometry import (
     spatial_filter,
     sq_distances,
 )
-from spatialsdr.predictor import TrainingReference, default_bandwidth_grid, loo_search
+from spatialsdr.predictor import default_bandwidth_grid, loo_search
 from spatialsdr.rrr import design
 from spatialsdr.simulate import SimConfig, _draw_sample, rep_rng, sample_locations, simulate_sample
 from spatialsdr.sscm import default_decay_grid, whiten_sscm
+
+from conftest import pin_grids
 
 
 def coords(*pts):
@@ -507,22 +509,23 @@ def test_coinciding_points_give_a_zero_median_and_the_unit_grid():
     assert default_bandwidth_grid(pts[:, :1]).tolist() == [1.0]
 
 
-def test_a_nan_pair_gives_a_nan_median_and_a_degenerate_grid():
+def test_a_nan_pair_gives_a_nan_median_and_a_degenerate_grid(monkeypatch):
     # np.median's NaN, where a partition that left the NaNs last would have read finite
-    # middle values; no bandwidth grid scales from it, so in a search the reference with
-    # a NaN point alone fails its grid
+    # middle values; no bandwidth grid scales from it.  A sample holds no NaN, so a
+    # reference's grid is made to raise that error: in a search it alone fails its grid
     rng = np.random.default_rng(4)
     m = pairwise_distances(Coordinates(rng.uniform(size=(30, 2))))
     m[3, 7] = np.nan
     assert np.isnan(median_distance(m)) and np.isnan(median_distance(m * m, squared=True))
     y, points = rng.standard_normal(30), rng.standard_normal((30, 2))
-    good = TrainingReference(points, y, points)
-    bad = TrainingReference(np.where(np.arange(30)[:, None] == 5, np.nan, points), y, points)
-    with pytest.raises(DegenerateGridError, match="bandwidth grid"):
-        default_bandwidth_grid(bad.points)
+    with pytest.raises(DegenerateGridError, match="bandwidth grid") as nan_grid:
+        default_bandwidth_grid(np.where(np.arange(30)[:, None] == 5, np.nan, points))
+    good = SpatialSample(Coordinates(points), points, y)
+    bad = SpatialSample(Coordinates(points), points.copy(), y)
+    pin_grids(monkeypatch, (bad.x, nan_grid.value))
     [alone] = loo_search([good])
     got_good, got_bad = loo_search([good, bad])
-    assert isinstance(got_bad, DegenerateGridError)
+    assert got_bad is nan_grid.value
     np.testing.assert_array_equal(got_good.errors, alone.errors)
 
 

@@ -128,6 +128,15 @@ def test_cholesky_in_place_of_a_matrix_that_is_not_pd_reports_failure(binding):
         assert not cholesky_in_place(np.array(m, order="F"))
 
 
+def test_a_factor_through_a_nan_reports_failure_and_the_draw_raises(binding):
+    # dpotrf, numpy's call too, factors [[1, nan], [nan, 1]] to [[1, 0], [nan, nan]] and
+    # reports success; the draw then took that root, where the policy raises the caller's error
+    m = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    assert not cholesky_in_place(np.array(m, order="F"))
+    with pytest.raises(CovarianceNotPDError, match="non-finite"):
+        draw_root(builder(m)[0], CovarianceNotPDError)
+
+
 @pytest.mark.parametrize("n, k", [(5, 1), (120, 3), (400, 24)])
 def test_solve_in_place_is_numpys_solve_bit_for_bit(binding, n, k):
     rng = np.random.default_rng(n)

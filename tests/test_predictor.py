@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from spatialsdr import predictor
 from spatialsdr.basis import BasisSpec
-from spatialsdr.data import train_test_split
+from spatialsdr.data import SpatialSample, train_test_split
 from spatialsdr.exceptions import DegenerateGridError, InputError
-from spatialsdr.geometry import sq_distances
+from spatialsdr.geometry import Coordinates, sq_distances
 from spatialsdr.pfc import fit_independent
 from spatialsdr.predictor import (
     MODES,
     PredictorConfig,
-    TrainingReference,
     build_reference,
     default_bandwidth_grid,
     loo_search,
@@ -24,7 +23,13 @@ from spatialsdr.predictor import (
 )
 from spatialsdr.simulate import SimConfig, run_experiment, simulate_sample
 
-from conftest import random_sample
+from conftest import pin_grids, random_sample
+
+
+def reference(points, responses, coords):
+    """A reference of ``points``, ``responses`` and the n x 2 ``coords``, as ``build_reference``
+    gives one: a ``SpatialSample``."""
+    return SpatialSample(Coordinates(coords), points, responses)
 
 
 def line_reference(values, responses=None):
@@ -34,21 +39,7 @@ def line_reference(values, responses=None):
         np.arange(len(values), dtype=float) if responses is None else responses
     )
     coords = np.column_stack([values, np.zeros_like(values)])
-    return TrainingReference(points=values[:, None], responses=responses, coords=coords)
-
-
-def pin_grids(monkeypatch, *pins):
-    """Have every search scan ``grid`` for each ``(array, grid)`` of ``pins`` where it takes the
-    ``default_bandwidth_grid`` of that very array; any other array keeps its default grid."""
-    default = predictor.default_bandwidth_grid
-
-    def grid_of(points):
-        for array, grid in pins:
-            if array is points:
-                return grid
-        return default(points)
-
-    monkeypatch.setattr(predictor, "default_bandwidth_grid", grid_of)
+    return reference(values[:, None], responses, coords)
 
 
 def weights_of(query, ref, h1, s0=None, h2=None):
@@ -57,7 +48,7 @@ def weights_of(query, ref, h1, s0=None, h2=None):
     config = PredictorConfig(mode="1k.FULL" if h2 is None else "2k.FULL", h1=h1, h2=h2)
     s0 = np.zeros(2) if s0 is None else s0
     runs = [
-        predict_many(np.atleast_2d(query), np.atleast_2d(s0), replace(ref, responses=e), config)
+        predict_many(np.atleast_2d(query), np.atleast_2d(s0), replace(ref, y=e), config)
         for e in np.eye(ref.n)
     ]
     return np.array([yhat[0] for yhat, _ in runs]), bool(runs[0][1][0])
@@ -70,9 +61,11 @@ def predict_one(query, s0, ref, config, fit=None) -> float:
 
 class TestOneKernelWeights:
     def test_single_reference_point(self):
-        ref = line_reference([0.0])
+        # a reference holds two points at least, as a sample's coordinates do: the far one's
+        # kernel value underflows, so the near one alone is in reach, and takes all the weight
+        ref = line_reference([0.0, 1e9])
         w, fb = weights_of(np.array([3.0]), ref, h1=1.0)
-        np.testing.assert_allclose(w, [1.0])
+        np.testing.assert_allclose(w, [1.0, 0.0])
         assert not fb
 
     def test_equidistant_pair(self):
@@ -92,10 +85,10 @@ class TestOneKernelWeights:
 
     def test_weights_on_simplex(self):
         rng = np.random.default_rng(0)
-        ref = TrainingReference(
-            points=rng.standard_normal((40, 3)),
-            responses=rng.standard_normal(40),
-            coords=rng.uniform(size=(40, 2)),
+        ref = reference(
+            rng.standard_normal((40, 3)),
+            rng.standard_normal(40),
+            rng.uniform(size=(40, 2)),
         )
         for _ in range(50):
             w, _ = weights_of(rng.standard_normal(3), ref, h1=0.5)
@@ -112,10 +105,10 @@ class TestOneKernelWeights:
 class TestTwoKernelWeights:
     def test_flat_spatial_kernel_reduces_to_1k(self):
         rng = np.random.default_rng(1)
-        ref = TrainingReference(
-            points=rng.standard_normal((25, 2)),
-            responses=rng.standard_normal(25),
-            coords=rng.uniform(size=(25, 2)),
+        ref = reference(
+            rng.standard_normal((25, 2)),
+            rng.standard_normal(25),
+            rng.uniform(size=(25, 2)),
         )
         q = rng.standard_normal(2)
         s0 = rng.uniform(size=2)
@@ -132,10 +125,10 @@ class TestTwoKernelWeights:
 
     def test_scalar_arithmetic_oracle(self):
         # reduced distances (1, 1), spatial distances (1, 2), h1=h2=1
-        ref = TrainingReference(
-            points=np.array([[1.0], [-1.0]]),
-            responses=np.array([0.0, 1.0]),
-            coords=np.array([[1.0, 0.0], [2.0, 0.0]]),
+        ref = reference(
+            np.array([[1.0], [-1.0]]),
+            np.array([0.0, 1.0]),
+            np.array([[1.0, 0.0], [2.0, 0.0]]),
         )
         w, _ = weights_of(
             np.array([0.0]), ref, h1=1.0, s0=np.array([0.0, 0.0]), h2=1.0
@@ -154,17 +147,17 @@ class TestPredict:
 
     def test_bounded_by_response_range(self):
         rng = np.random.default_rng(2)
-        ref = TrainingReference(
-            points=rng.standard_normal((30, 2)),
-            responses=rng.standard_normal(30),
-            coords=rng.uniform(size=(30, 2)),
+        ref = reference(
+            rng.standard_normal((30, 2)),
+            rng.standard_normal(30),
+            rng.uniform(size=(30, 2)),
         )
         config = PredictorConfig(mode="2k.FULL", h1=0.4, h2=0.4)
         yhat, _ = predict_many(
             rng.standard_normal((200, 2)), rng.uniform(size=(200, 2)), ref, config
         )
-        assert yhat.min() >= ref.responses.min() - 1e-12
-        assert yhat.max() <= ref.responses.max() + 1e-12
+        assert yhat.min() >= ref.y.min() - 1e-12
+        assert yhat.max() <= ref.y.max() + 1e-12
 
     def test_desk_instance_weighted_mean(self):
         pts = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
@@ -177,8 +170,8 @@ class TestPredict:
         assert got == pytest.approx(oracle, abs=1e-12)
 
     def test_reference_without_rows_rejected(self):
-        with pytest.raises(InputError, match="empty training reference"):
-            TrainingReference(points=np.zeros((0, 2)), responses=np.zeros(0), coords=np.zeros((0, 2)))
+        with pytest.raises(InputError, match="at least two locations"):
+            reference(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)))
 
     def test_reduced_mode_requires_fit(self):
         ref = line_reference([0.0, 1.0])
@@ -194,17 +187,12 @@ class TestPredict:
         q = np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
-        ref_rot = TrainingReference(
-            points=ref.points @ q, responses=ref.responses, coords=ref.coords
-        )
+        ref_rot = replace(ref, x=ref.x @ q)
         rng = np.random.default_rng(5)
         queries = rng.standard_normal((20, 2))
         config = PredictorConfig(mode="1k.FULL", h1=0.6)  # raw mode on reductions
-        ref_as_full = TrainingReference(
-            points=ref.points, responses=ref.responses, coords=ref.coords
-        )
-        y1, _ = predict_many(queries, ref.coords, ref_as_full, config)
-        y2, _ = predict_many(queries @ q, ref.coords, ref_rot, config)
+        y1, _ = predict_many(queries, ref.coords.points, ref, config)
+        y2, _ = predict_many(queries @ q, ref.coords.points, ref_rot, config)
         np.testing.assert_allclose(y1, y2, atol=1e-9)
 
     @pytest.mark.parametrize("locations", [1, 3])
@@ -223,12 +211,9 @@ class TestLoocv:
         rng = np.random.default_rng(4)
         t = np.sort(rng.uniform(-2, 2, size=80))
         y = np.sin(2 * t)
-        ref = TrainingReference(
-            points=t[:, None], responses=y,
-            coords=np.column_stack([t, np.zeros_like(t)]),
-        )
+        ref = reference(t[:, None], y, np.column_stack([t, np.zeros_like(t)]))
         grid = np.geomspace(0.005, 5.0, 25)
-        pin_grids(monkeypatch, (ref.points, grid))
+        pin_grids(monkeypatch, (ref.x, grid))
         [search] = loo_search([ref], False)
         h1, h2 = search.bandwidths(False)
         assert h2 is None
@@ -239,14 +224,12 @@ class TestLoocv:
         t = rng.uniform(-1, 1, size=30)
         y = t**2 + 0.05 * rng.standard_normal(30)
         coords = np.column_stack([t, np.zeros_like(t)])
-        base = TrainingReference(points=t[:, None], responses=y, coords=coords)
-        doubled = TrainingReference(
-            points=np.concatenate([t, t])[:, None],
-            responses=np.concatenate([y, y]),
-            coords=np.concatenate([coords, coords]),
+        base = reference(t[:, None], y, coords)
+        doubled = reference(
+            np.concatenate([t, t])[:, None], np.concatenate([y, y]), np.concatenate([coords, coords])
         )
         grid = np.geomspace(1e-4, 2.0, 20)
-        pin_grids(monkeypatch, (base.points, grid), (doubled.points, grid))
+        pin_grids(monkeypatch, (base.x, grid), (doubled.x, grid))
         h_base, _ = loo_search([base], False)[0].bandwidths(False)
         h_doubled, _ = loo_search([doubled], False)[0].bandwidths(False)
         assert h_doubled < h_base
@@ -255,7 +238,7 @@ class TestLoocv:
         # constant responses: every bandwidth has zero LOO error
         ref = line_reference([0.0, 1.0, 2.0], responses=np.full(3, 2.0))
         grid = np.array([0.5, 1.0, 2.0])
-        pin_grids(monkeypatch, (ref.points, grid))
+        pin_grids(monkeypatch, (ref.x, grid))
         [search] = loo_search([ref], False)
         h1, _ = search.bandwidths(False)
         assert h1 == 0.5
@@ -306,11 +289,11 @@ def mean_sq_errors(yhat, y):
 
 def oracle_of(ref, search, two_kernel):
     """``oracle_loo`` over the grids the search used."""
-    d1 = sq_distances(ref.points, ref.points)
+    d1 = sq_distances(ref.x, ref.x)
     if not two_kernel:
-        return oracle_loo(d1, None, ref.responses, search.h1_grid, [None])
-    d2 = sq_distances(ref.coords, ref.coords)
-    return oracle_loo(d1, d2, ref.responses, search.h1_grid, search.h2_grid)
+        return oracle_loo(d1, None, ref.y, search.h1_grid, [None])
+    d2 = sq_distances(ref.coords.points, ref.coords.points)
+    return oracle_loo(d1, d2, ref.y, search.h1_grid, search.h2_grid)
 
 
 def far_apart_reference():
@@ -319,10 +302,10 @@ def far_apart_reference():
     are subnormal, where factorised products lose digits), some lose it all
     and fall back.  Returns the reference and its h1 and h2 grids."""
     t = np.array([0.0, 1.0, 2.5, 40.0, 100.0, 135.0, 400.0, 437.7, 475.8, 1e3])
-    ref = TrainingReference(
-        points=t[:, None],
-        responses=np.array([0.3, -1.2, 2.0, 0.7, -0.4, 1.9, 5.0, -2.0, 1.0, 0.1]),
-        coords=np.column_stack([3.0 * t[::-1], np.zeros_like(t)]),
+    ref = reference(
+        t[:, None],
+        np.array([0.3, -1.2, 2.0, 0.7, -0.4, 1.9, 5.0, -2.0, 1.0, 0.1]),
+        np.column_stack([3.0 * t[::-1], np.zeros_like(t)]),
     )
     return ref, np.array([1.0, 3.0, 60.0]), np.array([1.0, 50.0, 1e3])
 
@@ -332,14 +315,10 @@ class TestLooEngine:
     @pytest.mark.parametrize("n,p", [(3, 1), (17, 2), (40, 0), (61, 3), (150, 5)])
     def test_errors_match_unfactorised_search(self, n, p, two_kernel):
         rng = np.random.default_rng(100 * n + p)
-        ref = TrainingReference(
-            points=rng.standard_normal((n, p)),
-            responses=rng.standard_normal(n),
-            coords=rng.uniform(size=(n, 2)),
-        )
+        ref = reference(rng.standard_normal((n, p)), rng.standard_normal(n), rng.uniform(size=(n, 2)))
         (errors, fell_back), (want, want_fb, best) = engine(ref, two_kernel)
         np.testing.assert_allclose(
-            errors, mean_sq_errors(want, ref.responses), rtol=1e-12, atol=0.0
+            errors, mean_sq_errors(want, ref.y), rtol=1e-12, atol=0.0
         )
         np.testing.assert_array_equal(fell_back, want_fb.sum(axis=-1))
         mode = "2k.FULL" if two_kernel else "1k.FULL"
@@ -348,45 +327,41 @@ class TestLooEngine:
     @pytest.mark.parametrize("two_kernel", [False, True])
     def test_underflow_fallback_matches_unfactorised_search(self, monkeypatch, two_kernel):
         ref, h1_grid, h2_grid = far_apart_reference()
-        pin_grids(monkeypatch, (ref.points, h1_grid), (ref.coords, h2_grid))
+        pin_grids(monkeypatch, (ref.x, h1_grid), (ref.coords.points, h2_grid))
         (errors, fell_back), (want, want_fb, _) = engine(ref, two_kernel)
         assert want_fb.any() and not want_fb.all()
         np.testing.assert_array_equal(fell_back, want_fb.sum(axis=-1))
         np.testing.assert_allclose(
-            errors, mean_sq_errors(want, ref.responses), rtol=1e-12, atol=0.0
+            errors, mean_sq_errors(want, ref.y), rtol=1e-12, atol=0.0
         )
 
     def test_one_kernel_column_of_a_two_kernel_search_falls_back_alike(self, monkeypatch):
         # the 1k column shares the matmul with the 2k pairs but its
         # recomputed rows must leave the spatial kernel out
         ref, h1_grid, h2_grid = far_apart_reference()
-        pin_grids(monkeypatch, (ref.points, h1_grid), (ref.coords, h2_grid))
+        pin_grids(monkeypatch, (ref.x, h1_grid), (ref.coords.points, h2_grid))
         [search] = loo_search([ref], True)
         errors, fell_back = engine_columns(search, False)
         want, want_fb, _ = oracle_of(ref, search, False)
         assert want_fb.any() and not want_fb.all()
         np.testing.assert_array_equal(fell_back, want_fb.sum(axis=-1))
         np.testing.assert_allclose(
-            errors, mean_sq_errors(want, ref.responses), rtol=1e-12, atol=0.0
+            errors, mean_sq_errors(want, ref.y), rtol=1e-12, atol=0.0
         )
 
     def test_constant_responses_tie_to_smallest_pair(self):
         rng = np.random.default_rng(8)
-        ref = TrainingReference(
-            points=rng.standard_normal((30, 2)),
-            responses=np.full(30, 2.0),
-            coords=rng.uniform(size=(30, 2)),
-        )
+        ref = reference(rng.standard_normal((30, 2)), np.full(30, 2.0), rng.uniform(size=(30, 2)))
         config = PredictorConfig(mode="2k.FULL")
-        h1_grid = default_bandwidth_grid(ref.points)
-        h2_grid = default_bandwidth_grid(ref.coords)
+        h1_grid = default_bandwidth_grid(ref.x)
+        h2_grid = default_bandwidth_grid(ref.coords.points)
         assert loocv_bandwidths(ref, config) == (h1_grid[0], h2_grid[0])
 
     def test_three_points_is_the_minimum(self):
         ref = line_reference([0.0, 1.0, 3.0], responses=np.array([1.0, -1.0, 0.5]))
         for mode in ("1k.FULL", "2k.FULL"):
             h1, h2 = loocv_bandwidths(ref, PredictorConfig(mode=mode))
-            assert h1 in default_bandwidth_grid(ref.points)
+            assert h1 in default_bandwidth_grid(ref.x)
             assert (h2 is None) == (mode == "1k.FULL")
         with pytest.raises(InputError):
             loocv_bandwidths(line_reference([0.0, 1.0]), PredictorConfig(mode="1k.FULL"))
@@ -404,16 +379,18 @@ class TestLooEngine:
                 _, (_, _, best) = engine(ref, two_kernel)
                 assert loocv_bandwidths(ref, PredictorConfig(mode=mode)) == best
 
-    def test_references_of_several_dimensions_match_the_oracle(self):
-        # one pass tunes every reference of a sample; a degenerate one
+    def test_references_of_several_dimensions_match_the_oracle(self, monkeypatch):
+        # one pass tunes every reference of a sample; one whose grid fails
         # holds its error and leaves the others as tuned alone
         rng = np.random.default_rng(12)
         n = 45
         y, coords = rng.standard_normal(n), rng.uniform(size=(n, 2))
-        refs = [TrainingReference(rng.standard_normal((n, p)), y, coords) for p in (0, 1, 2, 5)]
-        refs.insert(2, TrainingReference(np.full((n, 2), np.nan), y, coords))
+        refs = [reference(rng.standard_normal((n, p)), y, coords) for p in (0, 1, 2, 5)]
+        refs.insert(2, reference(np.zeros((n, 2)), y, coords))
+        failed = DegenerateGridError("bandwidth grid needs a finite median distance, got nan")
+        pin_grids(monkeypatch, (refs[2].x, failed))
         searches = loo_search(refs)
-        assert isinstance(searches.pop(2), DegenerateGridError)
+        assert searches.pop(2) is failed
         del refs[2]
         for ref, search in zip(refs, searches):
             for two_kernel in (False, True):
@@ -431,7 +408,7 @@ class TestLooEngine:
     def test_references_of_different_samples_rejected(self):
         ref = line_reference([0.0, 1.0, 3.0])
         with pytest.raises(InputError, match="share"):
-            loo_search([ref, replace(ref, responses=ref.responses + 1.0)])
+            loo_search([ref, replace(ref, y=ref.y + 1.0)])
 
     def test_one_kernel_search_has_no_two_kernel_bandwidths(self):
         # its h2 grid is empty: a named error, not numpy's argmin of an empty sequence
@@ -450,7 +427,7 @@ class TestLooEngine:
         rng = np.random.default_rng(15)
         n = 280
         y, coords = rng.standard_normal(n), rng.uniform(size=(n, 2))
-        refs = [TrainingReference(rng.standard_normal((n, p)), y, coords) for p in (24, 2, 2, 2)]
+        refs = [reference(rng.standard_normal((n, p)), y, coords) for p in (24, 2, 2, 2)]
         tracemalloc.start()
         try:
             searches = loo_search(refs)

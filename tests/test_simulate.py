@@ -175,7 +175,7 @@ def test_cv_replication_runs_one_loo_pass_per_fold(monkeypatch):
     assert len(calls) == 5 + 1
     # each pass scales its own h2 grid: bit for bit the default grid of its coordinates
     for refs, searches in calls:
-        want = predictor.default_bandwidth_grid(refs[0].coords)
+        want = predictor.default_bandwidth_grid(refs[0].coords.points)
         assert searches and all(isinstance(s, predictor.LooSearch) for s in searches)
         assert all(s.h2_grid.tobytes() == want.tobytes() for s in searches)
 

@@ -1,8 +1,13 @@
 """The profile has one entry: each model module hands ``dimension.MODELS`` its grid and moments,
-and one function of the package, the fit stage, calls ``rrr.profile``."""
+and one function of the package, the fit stage, calls ``rrr.profile``.  A training reference is a
+``SpatialSample``, and one Nadaraya-Watson rule serves prediction and the LOO search's rescue."""
 
 import ast
 from pathlib import Path
+
+from spatialsdr.predictor import build_reference
+
+from conftest import random_sample
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spatialsdr"
 
@@ -39,3 +44,12 @@ def test_one_function_calls_the_profile_engine():
 def test_a_nested_or_attribute_call_is_found():
     source = "def a():\n    def b():\n        rrr.profile(1)\n    return profile\nclass C:\n    def d(self):\n        profile()\nprofile()\n"
     assert callers(source, "profile") == ["a.b", "C.d", "<module>"]
+
+
+def test_a_reference_is_a_sample_and_one_rule_predicts():
+    source = (PACKAGE / "predictor.py").read_text()
+    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"TrainingReference", "_loo_row"} & defined
+    assert callers(source, "_nadaraya_watson") == ["predict_many", "_loo_pass"]
+    sample = random_sample(12, 3, seed=1)
+    assert build_reference("1k.FULL", sample) is sample
