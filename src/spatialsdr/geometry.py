@@ -3,9 +3,10 @@
 Distances are plain n x n arrays owned by their caller: ``dimension._fit_kinds`` for a training
 sample's fits, ``predictor.loo_search`` for its grids; ``median_distance`` scales every default
 grid.  Geostatistical association uses an exponential correlation matrix ``exp(-decay *
-distance)``; lattice association uses the filter ``I - coef W`` for ``W = A D^{-1}``, the
-``neighbor_graph`` ``(A, D)``, which the SEM draw and fit use as it is (``neighbor_weights`` and
-``spatial_filter`` build the dense ``W`` and filter).  All operations are pure functions of their inputs.
+distance)``, handed on as plain arrays with its Cholesky factor first; lattice association uses
+the filter ``I - coef W`` for ``W = A D^{-1}``, the ``neighbor_graph`` ``(A, D)``, which the SEM
+draw and fit use as it is (``neighbor_weights`` and ``spatial_filter`` build the dense ``W`` and
+filter).  All operations are pure functions of their inputs.
 
 Distances come from ``sq_distances`` and factors from the LAPACK numpy calls (``_linalg``), so
 the package loads numpy alone: ``scipy.linalg`` would add about 28 MB and 0.13 s to every process.
@@ -14,7 +15,7 @@ the package loads numpy alone: ``scipy.linalg`` would add about 28 MB and 0.13 s
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,27 +50,6 @@ class Coordinates:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class ExpCorrelation:
-    """Exponential correlation matrix ``exp(-decay * distance)``.
-
-    ``chol`` is the lower Cholesky factor (``chol @ chol.T = matrix``) of
-    the (possibly jittered) matrix, so downstream whitening does not repeat it.
-    ``matrix`` is None where the matrix was built in a buffer reused for the next decay, and
-    ``chol`` then views that buffer, and only its lower triangle holds the factor; ``whitened`` is
-    ``L^{-1} Z`` for the ``Z`` that ``exp_correlations`` bordered on.
-    """
-
-    decay: float
-    matrix: np.ndarray | None
-    chol: np.ndarray = field(repr=False)
-    whitened: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
 def pairwise_distances(coords: Coordinates) -> np.ndarray:
@@ -107,23 +87,20 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sq
 
 
-def exp_correlation(dist: np.ndarray, decay: float) -> ExpCorrelation:
-    """Exponential correlogram ``exp(-decay * d_ij)`` as a dense matrix.
-
-    ``_linalg.pd_cholesky`` certifies ``H`` above the eigenvalue floor, or
-    jitters it by the shared policy, and factors the matrix returned.
-    """
+def exp_correlation(dist: np.ndarray, decay: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exponential correlogram ``H = exp(-decay * d_ij)`` as ``(L, H)``: ``_linalg.pd_cholesky``
+    certifies ``H`` above the eigenvalue floor, or jitters it by the shared policy, and returns the
+    lower Cholesky factor ``L`` (``L L' = H``) of the matrix ``H`` it returns."""
     check_decay(decay)
     h = np.multiply(dist, -decay)
-    chol, h = pd_cholesky(np.exp(h, out=h), NearSingularCorrelationError)
-    return ExpCorrelation(decay=float(decay), matrix=h, chol=chol)
+    return pd_cholesky(np.exp(h, out=h), NearSingularCorrelationError)
 
 
 def exp_correlations(
     dist: np.ndarray, decays: Sequence[float], border: np.ndarray
-) -> Iterator[ExpCorrelation]:
-    """``exp_correlation`` at each of the ascending ``decays``, certified until the first
-    decay whose certificate passes with the margin ``2 n (2 + max(decays) max D) eps``:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``exp_correlation``'s factor at each of the ascending ``decays``, certified until the
+    first decay whose certificate passes with the margin ``2 n (2 + max(decays) max D) eps``:
     ``n`` times the entrywise rounding bound, for each of two matrices.  As ``exp(-b D) =
     exp(-a D) o exp(-(b - a) D)``, both factors PD with unit diagonal, ``lambda_min`` does
     not fall from ``a`` to ``b > a`` (Schur 1911; Horn & Johnson, Topics in Matrix Analysis,
@@ -134,10 +111,10 @@ def exp_correlations(
     s I]]`` for ``s = 2 ||Z||_F^2 / EIG_FLOOR``: its Schur complement ``s I - Z' H^{-1} Z``
     is at least ``s / 2`` whenever ``lambda_min(H) >= EIG_FLOOR``, so the factor exists, and
     its top-left block is ``L`` and its bottom-left block ``(L^{-1} Z)'``, whatever ``s``.
-    One factorisation thus gives ``chol`` and ``whitened``.  The bordered matrix is built once and
-    factored in place, as is each certificate's shifted ``H`` in its top-left block, so the items
-    carry ``matrix=None``, and an item's ``chol``, the lower triangle of that block, holds only
-    until the next item is drawn."""
+    One factorisation thus gives each item ``(chol, rows)``: ``L`` and the whitened ``L^{-1} Z``.
+    The bordered matrix is built once and factored in place, as is each certificate's shifted ``H``
+    in its top-left block, so an item's ``chol`` views that block, only its lower triangle holds
+    ``L``, and it holds only until the next item is drawn."""
     for decay in decays:  # every one before the first factor
         check_decay(decay)
     n, k = border.shape
@@ -156,7 +133,7 @@ def exp_correlations(
         if not cholesky_in_place(bordered):  # pragma: no cover - the policy's floor passed
             raise NearSingularCorrelationError("Matrix is not positive definite")
         # C-ordered rows, as numpy's factor gave them, so rows.T @ rows takes the same BLAS call
-        yield ExpCorrelation(float(decay), None, h, np.ascontiguousarray(bordered[n:, :n]).T)
+        yield h, np.ascontiguousarray(bordered[n:, :n]).T
 
 
 def check_decay(decay: float) -> None:

@@ -31,7 +31,6 @@ eigendecomposition; the reduction directions ``inv(resid_cov) @ a`` are ``L^{-T}
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -116,12 +115,11 @@ class LsFit:
         return whitened_coef, v, sv
 
 
-def ls_fits(moments: Iterable[Moments]) -> list[LsFit]:
+def ls_fits(points: list[Moments]) -> list[LsFit]:
     """Center by the Schur complement, fit by LS and take ``K``'s eigenvalues from the
-    certified Cholesky factor of ``D_ls``, at all ``moments`` (of one ``n`` and ``p``) in
-    one stacked pass: an ``LsFit`` per point, or the first error, raised in ``moments``
-    or at a singular ``S_ff`` or ``D_ls``."""
-    points = list(moments)
+    certified Cholesky factor of ``D_ls``, at all ``points`` (of one ``n`` and ``p``) in
+    one stacked pass: an ``LsFit`` per point, or the first error, raised at a singular
+    ``S_ff`` or ``D_ls``."""
     n, p = points[0].n, points[0].p
     mom = np.stack([point.m for point in points])
     s = symmetrize(mom[:, 1:, 1:] - mom[:, 1:, :1] * mom[:, :1, 1:] / mom[:, :1, :1]) / n
@@ -252,7 +250,7 @@ class SdrFit:
 def profile(fit_type, kind, ranks, params, moments) -> list:
     """Profile a spatial parameter for several ranks in one pass over its grid.
 
-    ``moments`` yields the ``Moments`` of each point of ``params`` in turn; their one stacked
+    ``moments`` lists the ``Moments`` of each point of ``params``; their one stacked
     ``ls_fits`` gives every rank its closed-form ``loglik`` at each point; ties keep the earliest
     point.  ``rrr_mle`` then runs once per rank, at its argmax, giving ``fit_type(kind, est, mu,
     loglik, grid, param)`` (no ``param`` for a ``None`` one).  The first ``SpatialSdrError``, of

@@ -14,15 +14,14 @@ symmetric adjacency ``A`` and degrees ``D`` is never formed: ``WZ = A (D^{-1} Z)
 floats, and in that one n x n buffer ``A`` becomes ``D^{-1/2} A D^{-1/2}``, similar to ``W``,
 whose eigenvalues ``lambda``, taken in place, give ``log|det Wt| = sum log|1 - coef lambda|`` at
 every lag (Ord 1975).  The lag coefficient is profiled over ``DEFAULT_GRID`` on (-1, 1):
-``whiten_sem`` yields each lag's moments in turn, as ``sscm.whiten_sscm`` yields each decay's,
-from one broadcast of the lag-free parts over the grid.  ``moments`` hands that grid and its
+``whiten_sem`` returns every lag's moments, as ``sscm.whiten_sscm`` returns every decay's, from
+one broadcast of the lag-free parts over the grid.  ``moments`` hands that grid and its
 moments to the kind table, ``dimension.MODELS``, whose fit stage profiles them into ``SemFit``s,
 the ``rrr.SdrFit`` whose spatial parameter is named ``lag_coef``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +37,11 @@ DEFAULT_GRID = np.round(np.arange(-0.95, 0.951, 0.05), 2)  # -0.95 .. 0.95 in st
 COND_LIMIT = 1e14  # largest accepted condition number of I - coef D^{-1/2} A D^{-1/2}
 
 
-def whiten_sem(x: np.ndarray, f: np.ndarray, graph: tuple, coefs) -> Iterator[Moments]:
-    """Moments ``M(coef)`` at each lag of ``coefs`` in turn, from one broadcast of ``Z'Z``,
+def whiten_sem(x: np.ndarray, f: np.ndarray, graph: tuple, coefs) -> list[Moments]:
+    """The moments ``M(coef)`` of each lag of ``coefs``, from one broadcast of ``Z'Z``,
     ``Z'WZ + (Z'WZ)'`` and ``(WZ)'(WZ)`` over them, for ``W = A D^{-1}`` of the ``graph``
     ``(A, D)`` from ``geometry.neighbor_graph``, with ``WZ = A (D^{-1} Z)``.  Raises
-    ``SingularFilterError`` at the first lag whose gaps ``|1 - coef lambda|``, the
+    ``SingularFilterError``, naming the first lag whose gaps ``|1 - coef lambda|``, the
     singular values of the symmetrized filter, have a ratio above ``COND_LIMIT``."""
     z, shift = design(x, f)
     adj, deg = graph
@@ -61,12 +60,14 @@ def whiten_sem(x: np.ndarray, f: np.ndarray, graph: tuple, coefs) -> Iterator[Mo
     m = z.T @ z - coefs[:, None, None] * (cross + cross.T) + (coefs * coefs)[:, None, None] * (wz.T @ wz)
     with np.errstate(divide="ignore"):  # a zero gap fails the ratio first
         logdet_s_terms = -x.shape[1] * np.log(gaps).sum(axis=1)
+    points = []
     for coef, m_c, term, gap, bad in zip(coefs, m, logdet_s_terms.tolist(), low, singular):
         if bad:
             raise SingularFilterError(
                 f"I - {coef} * W is numerically singular (min |1 - coef lambda| {gap:.2e})"
             )
-        yield Moments(m_c, x.shape[0], x.shape[1], term, shift)
+        points.append(Moments(m_c, x.shape[0], x.shape[1], term, shift))
+    return points
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class SemFit(SdrFit):
         return self.lag_coef
 
 
-def moments(x: np.ndarray, f: np.ndarray, dist: np.ndarray) -> tuple[list, Iterator[Moments]]:
+def moments(x: np.ndarray, f: np.ndarray, dist: np.ndarray) -> tuple[list, list[Moments]]:
     """``DEFAULT_GRID`` smallest ``|coef|`` first, so that ties break toward the model closest to
     independence, and ``whiten_sem``'s moments over it on the ``neighbor_graph`` of ``dist``."""
     params = sorted(DEFAULT_GRID.tolist(), key=lambda c: (abs(c), c))

@@ -13,13 +13,12 @@ The decay rate is profiled over the ascending ``default_decay_grid``, on which `
 does not decrease, so once one ``H`` is certified above the eigenvalue floor every larger decay
 takes a single Cholesky (``geometry.exp_correlations``), of ``H`` with ``[1 X F]`` bordered on,
 which gives ``L`` and ``B`` at once; the log-likelihood carries the extra ``-(p/2) log|H|`` term.
-``moments`` hands that grid and its moments to the kind table, ``dimension.MODELS``, whose fit
-stage profiles them into ``SscmFit``s, the ``rrr.SdrFit`` whose spatial parameter is ``decay``.
+``moments`` hands that grid and the list of its moments to the kind table, ``dimension.MODELS``,
+whose fit stage profiles them into ``SscmFit``s, the ``rrr.SdrFit`` whose parameter is ``decay``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +39,15 @@ def default_decay_grid(dist: np.ndarray) -> np.ndarray:
     return np.geomspace(lo, hi, DEFAULT_GRID_SIZE)
 
 
-def whiten_sscm(x: np.ndarray, f: np.ndarray, dist: np.ndarray, decays) -> Iterator[Moments]:
+def whiten_sscm(x: np.ndarray, f: np.ndarray, dist: np.ndarray, decays) -> list[Moments]:
     """Moments ``B'B``, ``B = L^{-1} [1 X F]`` for the lower Cholesky factor ``L`` of
-    ``exp(-decay * dist)``, at each of the ascending ``decays`` in turn from one design
-    ``[1 X F]``, bordered on each matrix that ``geometry.exp_correlations`` certifies PD."""
+    ``exp(-decay * dist)``, at each of the ascending ``decays``, from one design ``[1 X F]``
+    bordered on each matrix that ``geometry.exp_correlations`` certifies PD, and the log-det term
+    ``(p/2) log|H| = p sum log diag L``, read before the next decay overwrites ``L``."""
     z, shift = design(x, f)
-    for corr in exp_correlations(dist, decays, z):
-        yield moments_of(corr.whitened, x.shape[1], shift, 0.5 * x.shape[1] * corr.logdet)
+    p = x.shape[1]
+    return [moments_of(rows, p, shift, p * float(np.sum(np.log(np.diag(chol)))))
+            for chol, rows in exp_correlations(dist, decays, z)]
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class SscmFit(SdrFit):
         return self.decay
 
 
-def moments(x: np.ndarray, f: np.ndarray, dist: np.ndarray) -> tuple[list, Iterator[Moments]]:
+def moments(x: np.ndarray, f: np.ndarray, dist: np.ndarray) -> tuple[list, list[Moments]]:
     """The ascending ``default_decay_grid`` of ``dist``, so that ties keep the smallest decay, and
     ``whiten_sscm``'s moments over it."""
     params = default_decay_grid(dist).tolist()

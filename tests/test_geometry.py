@@ -42,6 +42,11 @@ def coords(*pts):
     return Coordinates(np.array(pts, dtype=float))
 
 
+def logdet(chol):
+    """``log|H|`` from the lower Cholesky factor ``L`` of ``H``: twice the sum of ``log diag L``."""
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
 class TestPairwiseDistances:
     def test_3_4_5_triangle(self):
         d = pairwise_distances(coords((0, 0), (3, 4)))
@@ -86,25 +91,25 @@ class TestPairwiseDistances:
 class TestExpCorrelation:
     def test_zero_distance_gives_one(self):
         d = pairwise_distances(coords((0, 0), (1, 0)))
-        h = exp_correlation(d, 2.0)
-        assert np.all(np.diag(h.matrix) == 1.0)
+        _, h = exp_correlation(d, 2.0)
+        assert np.all(np.diag(h) == 1.0)
 
     def test_direct_exponential_value(self):
         d = pairwise_distances(coords((0, 0), (2, 0)))
-        h = exp_correlation(d, 0.1)
-        assert h.matrix[0, 1] == pytest.approx(np.exp(-0.2), abs=1e-9)
-        assert h.matrix[0, 1] == pytest.approx(0.818731, abs=1e-6)
+        _, h = exp_correlation(d, 0.1)
+        assert h[0, 1] == pytest.approx(np.exp(-0.2), abs=1e-9)
+        assert h[0, 1] == pytest.approx(0.818731, abs=1e-6)
 
     def test_collinear_eigenvalues_positive(self):
         # oracle: eigendecomposition of the hand-built 3x3 matrix
         d = pairwise_distances(coords((0, 0), (0, 1), (0, 3)))
-        h = exp_correlation(d, 1.0)
+        chol, h = exp_correlation(d, 1.0)
         hand = np.exp(-1.0 * d)
         assert np.all(np.linalg.eigvalsh(hand) > 0)
-        np.testing.assert_allclose(h.matrix, hand)
-        np.testing.assert_allclose(h.chol @ h.chol.T, hand, rtol=0, atol=1e-12)
-        assert np.all(np.diag(h.chol) > 0)
-        assert h.logdet == pytest.approx(np.sum(np.log(np.linalg.eigvalsh(hand))), abs=1e-12)
+        np.testing.assert_allclose(h, hand)
+        np.testing.assert_allclose(chol @ chol.T, hand, rtol=0, atol=1e-12)
+        assert np.all(np.diag(chol) > 0)
+        assert logdet(chol) == pytest.approx(np.sum(np.log(np.linalg.eigvalsh(hand))), abs=1e-12)
 
     @pytest.mark.parametrize("bad, error", [(0.0, NonPositiveDecayError), (-1.0, NonPositiveDecayError),
                                             (np.nan, NonPositiveDecayError), (np.inf, InputError)])
@@ -119,7 +124,7 @@ class TestExpCorrelation:
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, original=original: factored.append(args) or original(*args))
         for call in (lambda: exp_correlation(d, bad), lambda: next(exp_correlations(d, [0.5, bad], x)),
-                     lambda: next(whiten_sscm(x, f, d, [0.5, bad]))):
+                     lambda: whiten_sscm(x, f, d, [0.5, bad])):
             with pytest.raises(error) as info:
                 call()
             assert error is NonPositiveDecayError or not isinstance(info.value, NonPositiveDecayError)
@@ -141,13 +146,13 @@ class TestExpCorrelation:
             d = pairwise_distances(Coordinates(pts))
             hand = np.exp(-d)
             want = _jittered(hand, NearSingularCorrelationError)
-            h = exp_correlation(d, 1.0)
-            np.testing.assert_array_equal(h.matrix, want)
+            chol, h = exp_correlation(d, 1.0)
+            np.testing.assert_array_equal(h, want)
             if gap <= 3e-11:
-                assert not np.array_equal(h.matrix, hand)
+                assert not np.array_equal(h, hand)
             if gap >= 3e-10:
-                np.testing.assert_array_equal(h.matrix, hand)
-            np.testing.assert_allclose(h.chol @ h.chol.T, want, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(h, hand)
+            np.testing.assert_allclose(chol @ chol.T, want, rtol=0, atol=1e-12)
 
     @given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
     @settings(max_examples=60, deadline=None)
@@ -156,16 +161,16 @@ class TestExpCorrelation:
         # absolute floor covers logdet -> 0 as H -> I
         d = pairwise_distances(Coordinates(np.random.default_rng(seed).uniform(size=(n, 2))))
         decay = 10.0**log_scale / np.median(d[np.triu_indices(n, k=1)])
-        h = exp_correlation(d, decay)
-        want = np.sum(np.log(np.linalg.eigvalsh(h.matrix)))
-        assert h.logdet == pytest.approx(want, rel=1e-10, abs=1e-12)
+        chol, h = exp_correlation(d, decay)
+        want = np.sum(np.log(np.linalg.eigvalsh(h)))
+        assert logdet(chol) == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     @given(st.floats(0.05, 5.0), st.floats(1.1, 4.0))
     @settings(max_examples=25, deadline=None)
     def test_monotone_in_decay(self, lam, factor):
         d = pairwise_distances(coords((0, 0), (0.7, 0.2), (1.4, 1.1), (0.1, 0.9)))
-        h1 = exp_correlation(d, lam).matrix
-        h2 = exp_correlation(d, lam * factor).matrix
+        _, h1 = exp_correlation(d, lam)
+        _, h2 = exp_correlation(d, lam * factor)
         off = ~np.eye(4, dtype=bool)
         assert np.all(h2[off] <= h1[off] + 1e-15)
 
@@ -186,9 +191,8 @@ def count_factorisations(monkeypatch, n):
 
 
 def factors(corrs):
-    """Each item's decay, matrix and lower factor, copied before the next item
-    overwrites the buffer its factor lives in."""
-    return [(c.decay, c.matrix, np.tril(c.chol)) for c in corrs]
+    """Each item's lower factor, copied before the next item overwrites the buffer it lives in."""
+    return [np.tril(chol) for chol, _ in corrs]
 
 
 def no_border(n):
@@ -217,12 +221,10 @@ class TestExpCorrelations:
         want = [exp_correlation(d, decay) for decay in decays]
         counted = count_factorisations(monkeypatch, 50)
         got = factors(exp_correlations(d, decays, no_border(50)))
-        assert len(counted) == len(decays) + 1
-        for (g_decay, g_matrix, g_chol), w, decay in zip(got, want, decays):
-            assert g_decay == w.decay
-            assert g_matrix is None
-            np.testing.assert_array_equal(w.matrix, np.exp(-decay * d))
-            np.testing.assert_array_equal(g_chol, w.chol)
+        assert len(counted) == len(decays) + 1 and len(got) == len(decays)
+        for g_chol, (w_chol, w_matrix), decay in zip(got, want, decays):
+            np.testing.assert_array_equal(w_matrix, np.exp(-decay * d))
+            np.testing.assert_array_equal(g_chol, w_chol)
 
     def test_uncertified_decays_match_single_calls_bit_for_bit(self, monkeypatch):
         # point 1 sits 1e-6 from point 0, so the tiny decays fall below the
@@ -237,11 +239,10 @@ class TestExpCorrelations:
         got = factors(exp_correlations(d, decays, no_border(40)))
         factorisations = len(counted)
         raw = [np.exp(-decay * d) for decay in decays]
-        jittered = [not np.array_equal(w.matrix, h) for w, h in zip(want, raw)]
-        assert jittered[0] and not jittered[-1]
-        for (_, g_matrix, g_chol), w, h, jitter in zip(got, want, raw, jittered):
-            assert g_matrix is None
-            np.testing.assert_array_equal(g_chol, w.chol)
+        jittered = [not np.array_equal(w_matrix, h) for (_, w_matrix), h in zip(want, raw)]
+        assert jittered[0] and not jittered[-1] and len(got) == len(decays)
+        for g_chol, (w_chol, _), h, jitter in zip(got, want, raw, jittered):
+            np.testing.assert_array_equal(g_chol, w_chol)
             # the jitter decision: the factor of the raw matrix, or of the policy's jittered one
             used = _jittered(h, NearSingularCorrelationError) if jitter else h
             np.testing.assert_array_equal(g_chol, np.linalg.cholesky(used))
@@ -260,13 +261,13 @@ class TestExpCorrelations:
         d = pairwise_distances(train.coords)
         grid = list(default_decay_grid(d))
         decays = grid[:3] + grid[-3:]
-        alone = exp_correlations(d, decays, no_border(len(d)))
-        plain = [(c.decay, np.tril(c.chol), c.logdet) for c in alone]
-        for corr, (decay, chol, logdet) in zip(exp_correlations(d, decays, z), plain):
-            assert corr.decay == decay
+        plain = factors(exp_correlations(d, decays, no_border(len(d))))
+        got = [(logdet(chol), rows) for chol, rows in exp_correlations(d, decays, z)]
+        assert len(got) == len(plain) == len(decays)
+        for (got_logdet, rows), chol in zip(got, plain):
             want = solve_triangular(chol, z, lower=True)
-            assert np.abs(corr.whitened - want).max() <= 1e-12 * np.abs(want).max()
-            assert corr.logdet == pytest.approx(logdet, rel=1e-12)
+            assert np.abs(rows - want).max() <= 1e-12 * np.abs(want).max()
+            assert got_logdet == pytest.approx(logdet(chol), rel=1e-12)
 
 
 class TestMaxMinDistance:

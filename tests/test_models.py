@@ -89,28 +89,27 @@ class TestWhitenSscm:
         f = rng.standard_normal((6, 1))
         coords = Coordinates(rng.uniform(0, 10, size=(6, 2)))
         dist = pairwise_distances(coords)
-        np.testing.assert_allclose(exp_correlation(dist, 200.0).matrix, np.eye(6), atol=1e-12)
+        np.testing.assert_allclose(exp_correlation(dist, 200.0)[1], np.eye(6), atol=1e-12)
         xc = x - x.mean(axis=0)
-        np.testing.assert_allclose(schur(next(whiten_sscm(x, f, dist, [200.0])))[:2, :2], xc.T @ xc, atol=1e-10)
+        np.testing.assert_allclose(schur(whiten_sscm(x, f, dist, [200.0])[0])[:2, :2], xc.T @ xc, atol=1e-10)
 
     def test_annihilates_constant_vector(self):
         rng = np.random.default_rng(1)
         coords = Coordinates(rng.uniform(size=(8, 2)))
         ones = np.ones((8, 1))
-        gram = schur(next(whiten_sscm(ones, np.arange(8.0)[:, None] - 3.5, pairwise_distances(coords), [1.5])))
+        gram = schur(whiten_sscm(ones, np.arange(8.0)[:, None] - 3.5, pairwise_distances(coords), [1.5])[0])
         np.testing.assert_allclose(gram[0], 0.0, atol=1e-10)
 
     def test_matches_dense_matrix_oracle(self):
         _, dist = three_point_geometry()
-        corr = exp_correlation(dist, 1.0)
+        _, h = exp_correlation(dist, 1.0)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 1))
-        h = corr.matrix
         h_inv = np.linalg.inv(h)
         ones = np.ones((3, 1))
         hc = np.eye(3) - (ones @ ones.T @ h_inv) / (ones.T @ h_inv @ ones).item()
         oracle = np.real(sla.sqrtm(h_inv)) @ hc @ x
-        moments = next(whiten_sscm(x, x[:, :1], dist, [1.0]))
+        moments = whiten_sscm(x, x[:, :1], dist, [1.0])[0]
         # The Schur complement is the Gram of the generalized centering
         # followed by any square root of inv(H).
         np.testing.assert_allclose(schur(moments), np.tile(oracle.T @ oracle, (2, 2)), atol=1e-9)
@@ -124,7 +123,7 @@ class TestWhitenSem:
         coords, dist = three_point_geometry()
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 1))
-        moments = next(whiten_sem(x, x[:, :1], neighbor_graph(dist), [0.0]))
+        moments = whiten_sem(x, x[:, :1], neighbor_graph(dist), [0.0])[0]
         xc = x - x.mean(axis=0)
         np.testing.assert_allclose(schur(moments)[:1, :1], xc.T @ xc, atol=1e-12)
         assert moments.logdet_s_term == 0.0
@@ -132,7 +131,7 @@ class TestWhitenSem:
     def test_annihilates_constant_vector(self):
         coords, dist = three_point_geometry()
         f = np.arange(3.0)[:, None] - 1.0
-        moments = next(whiten_sem(np.ones((3, 1)), f, neighbor_graph(dist), [0.6]))
+        moments = whiten_sem(np.ones((3, 1)), f, neighbor_graph(dist), [0.6])[0]
         np.testing.assert_allclose(schur(moments)[0], 0.0, atol=1e-12)
 
     def test_matches_dense_matrix_oracle(self):
@@ -145,7 +144,7 @@ class TestWhitenSem:
         ones = np.ones((3, 1))
         wc = np.eye(3) - (ones @ ones.T @ m) / (ones.T @ m @ ones).item()
         oracle = wt @ wc @ x
-        gram = schur(next(whiten_sem(x, x[:, :1], neighbor_graph(dist), [0.5])))
+        gram = schur(whiten_sem(x, x[:, :1], neighbor_graph(dist), [0.5])[0])
         np.testing.assert_allclose(gram, np.tile(oracle.T @ oracle, (2, 2)), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -164,10 +163,15 @@ class TestWhitenSem:
             assert -moments.logdet_s_term / 4 == pytest.approx(log_abs_det, rel=1e-12, abs=1e-12)
 
     def test_lag_next_to_one_is_singular(self):
-        # 1 - 2^-53 lies in (-1, 1), but 1 - coef * lambda_max is ~1e-16
+        # 1 - 2^-53 lies in (-1, 1), but 1 - coef * lambda_max is ~1e-16; between two regular
+        # lags, whiten_sem raises for it before it returns, naming it
         sample = random_sample(40, 3, seed=12)
         with pytest.raises(SingularFilterError, match="numerically singular"):
             fit_over(fit_sem, sample, BasisSpec("polynomial", 2), 1, [1.0 - 2.0**-53])
+        f = build_f(sample.y, BasisSpec("polynomial", 2))
+        graph = neighbor_graph(pairwise_distances(sample.coords))
+        with pytest.raises(SingularFilterError, match=rf"^I - {1.0 - 2.0**-53} \* W is numerically singular"):
+            whiten_sem(sample.x, f, graph, [0.0, 1.0 - 2.0**-53, 0.5])
 
 
 class TestFitSscm:
@@ -192,7 +196,7 @@ class TestFitSscm:
         d_min = dist[np.triu_indices(len(dist), k=1)].min()
         decay = 1000.0 / d_min
         assert decay * d_min > 800.0  # exp(-800) underflows to 0.0
-        np.testing.assert_array_equal(exp_correlation(dist, decay).matrix, np.eye(len(dist)))
+        np.testing.assert_array_equal(exp_correlation(dist, decay)[1], np.eye(len(dist)))
         return decay
 
     @given(*SAMPLE_DRAWS)
@@ -362,8 +366,8 @@ def test_profile_grids_match_the_eigh_oracle(seed, model):
     dist = pairwise_distances(train.coords)
     graph = neighbor_graph(dist)
     moments = {
-        "sscm": lambda decay: next(whiten_sscm(train.x, f, dist, [decay])),
-        "sem": lambda coef: next(whiten_sem(train.x, f, graph, [coef])),
+        "sscm": lambda decay: whiten_sscm(train.x, f, dist, [decay])[0],
+        "sem": lambda coef: whiten_sem(train.x, f, graph, [coef])[0],
     }
     for kind in ("sscm", "sem"):
         for rank, fit in enumerate(rank_fits(train, kind, spec, [0, 1, 2])):
@@ -392,8 +396,8 @@ def test_estimates_match_the_symmetric_root_oracle(seed):
     rows, shift = design(sample.x, f)
     moments = {
         "ind": lambda _: moments_of(rows, sample.p, shift),
-        "sscm": lambda decay: next(whiten_sscm(sample.x, f, dist, [decay])),
-        "sem": lambda coef: next(whiten_sem(sample.x, f, graph, [coef])),
+        "sscm": lambda decay: whiten_sscm(sample.x, f, dist, [decay])[0],
+        "sem": lambda coef: whiten_sem(sample.x, f, graph, [coef])[0],
     }
     for kind, at in moments.items():
         for rank, fit in enumerate(rank_fits(sample, kind, spec, [0, 1, 2])):
@@ -494,8 +498,8 @@ def test_rrr_mle_decomposes_each_distinct_argmax_once(monkeypatch, kind):
     dist = pairwise_distances(sample.coords)
     graph = neighbor_graph(dist)
     moments = {
-        "sscm": lambda decay: next(whiten_sscm(sample.x, f, dist, [decay])),
-        "sem": lambda coef: next(whiten_sem(sample.x, f, graph, [coef])),
+        "sscm": lambda decay: whiten_sscm(sample.x, f, dist, [decay])[0],
+        "sem": lambda coef: whiten_sem(sample.x, f, graph, [coef])[0],
     }[kind]
     calls, original = [], np.linalg.svd
 

@@ -112,10 +112,12 @@ def zeroed_features(original):
     ``S_ff`` is 0 at every lag and ``ls_fits`` raises for the whole profile."""
 
     def whiten(x, f, weights, coefs):
+        zeroed = []
         for moments in original(x, f, weights, coefs):
             m = moments.m.copy()
             m[x.shape[1] + 1 :] = m[:, x.shape[1] + 1 :] = 0.0
-            yield dataclasses.replace(moments, m=m)
+            zeroed.append(dataclasses.replace(moments, m=m))
+        return zeroed
 
     return whiten
 

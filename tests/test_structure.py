@@ -1,6 +1,7 @@
-"""The profile has one entry: each model module hands ``dimension.MODELS`` its grid and moments,
-and one function of the package, the fit stage, calls ``rrr.profile``.  A training reference is a
-``SpatialSample``, and one Nadaraya-Watson rule serves prediction and the LOO search's rescue."""
+"""The profile has one entry: each model module hands ``dimension.MODELS`` its grid and the list of
+its moments, and one function of the package, the fit stage, calls ``rrr.profile``.  A training
+reference is a ``SpatialSample``, and one Nadaraya-Watson rule serves prediction and the LOO
+search's rescue."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,13 @@ def test_a_reference_is_a_sample_and_one_rule_predicts():
     assert callers(source, "_nadaraya_watson") == ["predict_many", "_loo_pass"]
     sample = random_sample(12, 3, seed=1)
     assert build_reference("1k.FULL", sample) is sample
+
+
+def test_a_whitening_returns_plain_moments():
+    # no ExpCorrelation record anywhere, and no generator between a model module and the profile
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert "ExpCorrelation" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}, path.stem
+    for module in ("sscm", "sem"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(tree)), module
