@@ -62,24 +62,15 @@ def param_count(p: int, delta: int, r: int) -> int:
 
 def chi2_sf(x: float, dof: int) -> float:
     """Upper-tail chi-square probability at an integer ``dof``, in closed form (Abramowitz &
-    Stegun 26.4.4-5): ``exp(-x/2)`` times the first ``dof / 2`` terms of ``sum_k (x/2)^k / k!``
-    at an even ``dof``; ``erfc(sqrt(x/2)) + sqrt(2/pi) exp(-x/2)`` times the first ``(dof - 1)
-    / 2`` terms of ``sum_k x^(k - 1/2) / (1 3 ... (2k - 1))`` at an odd one.  The running term
-    is rescaled before it overflows and ``exp(-x/2)`` taken in the log of the sum, so neither
-    leaves the range of a float by itself."""
-    if dof == 0 or x <= 0.0:
+    Stegun 26.4.4-5): with ``h = x/2`` and ``a = k + (dof mod 2)/2``, the sum over ``k < dof // 2``
+    of the terms ``h^a exp(-h) / Gamma(a + 1)``, plus ``erfc(sqrt(h))`` at an odd ``dof``; 0 at
+    ``x = inf``.  Each term is the exp of its log, which is at most 0, so no term overflows at
+    any ``x``, and one below the range of a float is 0."""
+    if dof == 0 or x <= 0.0 or x == math.inf:
         return 1.0 if x <= 0.0 else 0.0
-    odd = dof % 2
-    term, series, log_scale = math.sqrt(x) if odd else 1.0, 0.0, -x / 2.0
-    for k in range(dof // 2):
-        series += term
-        term *= x / (2 * k + 2 + odd)
-        if term > 1e300:
-            series, term, log_scale = series * 1e-300, term * 1e-300, log_scale + 300 * math.log(10.0)
-    if odd:
-        log_scale += 0.5 * math.log(2.0 / math.pi)
-    tail = math.erfc(math.sqrt(x / 2.0)) if odd else 0.0
-    return tail + (math.exp(log_scale + math.log(series)) if series else 0.0)
+    h, half = x / 2.0, dof % 2 / 2.0
+    terms = (math.exp((k + half) * math.log(h) - h - math.lgamma(k + half + 1.0)) for k in range(dof // 2))
+    return sum(terms) + (math.erfc(math.sqrt(h)) if half else 0.0)
 
 
 def _check_logliks(logliks: np.ndarray, p: int, r: int) -> np.ndarray:
@@ -103,25 +94,21 @@ def select_lr(
     """Sequential likelihood-ratio tests from rank 0 upward.
 
     At each candidate rank the statistic ``2 * (L_max - L_delta)`` is referred to a chi-square
-    with ``(r - delta) * (p - delta)`` degrees of freedom; the first non-rejected rank is
-    selected, or min(p, r) when every test rejects.
+    with ``(r - delta) * (p - delta)`` degrees of freedom.  The trace holds every rank's test,
+    and the pick is read off it: the first rank whose p-value is at least ``alpha``, or min(p, r)
+    when every test rejects.
     """
     logliks = _check_logliks(logliks, p, r)
     m = min(p, r)
     trace = []
-    d_star = m
-    chosen = False
     for delta in range(m + 1):
         stat = max(0.0, 2.0 * (logliks[m] - logliks[delta]))
         dof = (r - delta) * (p - delta)
-        pval = chi2_sf(stat, dof)
         trace.append(
             {"rank": delta, "loglik": float(logliks[delta]),
-             "statistic": stat, "dof": dof, "p_value": pval}
+             "statistic": stat, "dof": dof, "p_value": chi2_sf(stat, dof)}
         )
-        if not chosen and pval >= alpha:
-            d_star = delta
-            chosen = True
+    d_star = next((row["rank"] for row in trace if row["p_value"] >= alpha), m)
     return DimSelection(criterion="lr", d_star=d_star, trace=trace, alpha=alpha)
 
 

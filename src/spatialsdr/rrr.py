@@ -212,18 +212,6 @@ def profiled_mean(ls: LsFit, est: RrrEstimate) -> np.ndarray:
     return (col[1 : p + 1] - est.coef @ col[p + 1 :]) / col[0] + shift[:p] - est.coef @ shift[p:]
 
 
-def apply_reduction(x_new: np.ndarray, mu: np.ndarray, est: RrrEstimate) -> np.ndarray:
-    """Project new predictor rows onto the fitted reduction.
-
-    Accepts a single p-vector or an m x p matrix; centering by ``mu`` is a
-    constant shift, so pairwise distances of reduced points are unaffected
-    by it.
-    """
-    dirs = est.directions()
-    x_new = np.asarray(x_new, dtype=float)
-    return (x_new - mu) @ dirs
-
-
 @dataclass(frozen=True)
 class SdrFit:
     """Fitted reduction of one error model at one rank, the fit type of ``dimension.MODELS``' Ind.
@@ -244,34 +232,33 @@ class SdrFit:
         return None
 
     def reduce(self, x_new: np.ndarray) -> np.ndarray:
-        return apply_reduction(x_new, self.mu, self.est)
+        """Project new predictor rows, a single p-vector or an m x p matrix, onto the fitted
+        reduction; centering by ``mu`` is a constant shift, so pairwise distances of reduced
+        points are unaffected by it."""
+        return (np.asarray(x_new, dtype=float) - self.mu) @ self.est.directions()
 
 
 def profile(fit_type, kind, ranks, params, moments) -> list:
     """Profile a spatial parameter for several ranks in one pass over its grid.
 
     ``moments`` lists the ``Moments`` of each point of ``params``; their one stacked
-    ``ls_fits`` gives every rank its closed-form ``loglik`` at each point; ties keep the earliest
-    point.  ``rrr_mle`` then runs once per rank, at its argmax, giving ``fit_type(kind, est, mu,
-    loglik, grid, param)`` (no ``param`` for a ``None`` one).  The first ``SpatialSdrError``, of
-    any point or rank, fails the whole profile.  ``dimension._fit_kinds`` calls it on each kind's
-    ``dimension.MODELS`` entry; a fit at fixed parameters, in scan order (ascending decays), is the
-    call over them, e.g. ``profile(SscmFit, "sscm", ranks, [0.1], whiten_sscm(x, build_f(y, spec),
-    dist, [0.1]))``, or ``SemFit``, ``"sem"`` and ``whiten_sem``.
+    ``ls_fits`` gives every rank its closed-form ``loglik`` at each point, evaluated point by point,
+    so that the first ``SpatialSdrError``, of any point or rank, fails the whole profile.  Each
+    rank's argmax is the earliest point of its largest log-likelihood, and its grid holds one pair
+    per distinct param, a repeated one with its last value.  ``rrr_mle`` then runs once per rank,
+    at its argmax, giving ``fit_type(kind, est, mu, loglik, grid, param)`` (no ``param`` for a
+    ``None`` one).  ``dimension._fit_kinds`` calls it on each kind's ``dimension.MODELS`` entry; a
+    fit at fixed parameters, in scan order (ascending decays), is the call over them, e.g.
+    ``profile(SscmFit, "sscm", ranks, [0.1], whiten_sscm(x, build_f(y, spec), dist, [0.1]))``, or
+    ``SemFit``, ``"sem"`` and ``whiten_sem``.
     """
-    grids, best = {rank: {} for rank in ranks}, {}
-    for param, ls in zip(params, ls_fits(moments)):
-        for rank in ranks:
-            ll = loglik(ls, rank)
-            grids[rank][param] = ll
-            if rank not in best or ll > best[rank][2]:
-                best[rank] = (param, ls, ll)
-
-    def result(rank):
-        param, ls, ll = best[rank]
-        est = rrr_mle(ls, rank)
-        grid = sorted(grids[rank].items())
-        extra = () if param is None else (param,)
-        return fit_type(kind, est, profiled_mean(ls, est), ll, grid, *extra)
-
-    return [result(rank) for rank in ranks]
+    points = ls_fits(moments)
+    table = [[loglik(ls, rank) for rank in ranks] for ls in points]
+    fits = []
+    for rank, lls in zip(ranks, zip(*table)):
+        best = lls.index(max(lls))
+        est = rrr_mle(points[best], rank)
+        extra = () if params[best] is None else (params[best],)
+        grid = sorted(dict(zip(params, lls)).items())
+        fits.append(fit_type(kind, est, profiled_mean(points[best], est), lls[best], grid, *extra))
+    return fits

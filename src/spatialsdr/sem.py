@@ -42,7 +42,8 @@ def whiten_sem(x: np.ndarray, f: np.ndarray, graph: tuple, coefs) -> list[Moment
     ``Z'WZ + (Z'WZ)'`` and ``(WZ)'(WZ)`` over them, for ``W = A D^{-1}`` of the ``graph``
     ``(A, D)`` from ``geometry.neighbor_graph``, with ``WZ = A (D^{-1} Z)``.  Raises
     ``SingularFilterError``, naming the first lag whose gaps ``|1 - coef lambda|``, the
-    singular values of the symmetrized filter, have a ratio above ``COND_LIMIT``."""
+    singular values of the symmetrized filter, have a ratio above ``COND_LIMIT``, once the
+    ``Moments`` of the lags before it are built: an error of theirs comes first."""
     z, shift = design(x, f)
     adj, deg = graph
     a = adj.astype(float)  # the one n x n float: numpy would cast adj for the product anyway
@@ -60,13 +61,12 @@ def whiten_sem(x: np.ndarray, f: np.ndarray, graph: tuple, coefs) -> list[Moment
     m = z.T @ z - coefs[:, None, None] * (cross + cross.T) + (coefs * coefs)[:, None, None] * (wz.T @ wz)
     with np.errstate(divide="ignore"):  # a zero gap fails the ratio first
         logdet_s_terms = -x.shape[1] * np.log(gaps).sum(axis=1)
-    points = []
-    for coef, m_c, term, gap, bad in zip(coefs, m, logdet_s_terms.tolist(), low, singular):
-        if bad:
-            raise SingularFilterError(
-                f"I - {coef} * W is numerically singular (min |1 - coef lambda| {gap:.2e})"
-            )
-        points.append(Moments(m_c, x.shape[0], x.shape[1], term, shift))
+    stop = int(np.argmax(singular)) if singular.any() else len(coefs)  # the first singular lag
+    points = [Moments(m_c, *x.shape, term, shift) for m_c, term in zip(m[:stop], logdet_s_terms.tolist())]
+    if stop < len(coefs):
+        raise SingularFilterError(
+            f"I - {coefs[stop]} * W is numerically singular (min |1 - coef lambda| {low[stop]:.2e})"
+        )
     return points
 
 

@@ -77,6 +77,18 @@ class TestChi2Tail:
         assert chi2_sf(0.0, 0) == 1.0
         assert chi2_sf(0.5, 0) == 0.0
 
+    @pytest.mark.parametrize("x", [1e15, 1e100, 1e300])
+    def test_a_huge_statistic_stays_a_probability(self, x):
+        # no partial product of the series may overflow; select_lr passes a numpy float, whose
+        # overflow warns, and filterwarnings = error fails the test on that warning
+        for dof in range(1, 61):
+            for value in (x, np.float64(x)):
+                assert 0.0 <= chi2_sf(value, dof) <= 1.0, dof
+
+    def test_an_infinite_statistic_has_zero_tail(self):
+        for dof in range(61):
+            assert chi2_sf(float("inf"), dof) == 0.0
+
 
 class TestSelectLr:
     def test_dof_formula(self):
@@ -95,6 +107,12 @@ class TestSelectLr:
     def test_non_monotone_rejected(self):
         with pytest.raises(NonMonotoneLogliksError):
             select_lr(np.array([-3.0, -4.0, -2.0]), p=4, r=2, n=50)
+
+    def test_a_huge_statistic_rejects_its_rank(self):
+        # rank 0's statistic 2e100 on 48 dof has a tail of 0, not an overflowed one
+        sel = select_lr(np.array([-1e100, -10.0, 0.0]), p=24, r=2, n=280)
+        assert sel.trace[0]["p_value"] == 0.0
+        assert sel.d_star == 1
 
     def test_trace_covers_all_ranks(self):
         sel = select_lr(np.array([-9.0, -8.0, -8.0]), p=3, r=2, n=30)

@@ -13,7 +13,7 @@ from spatialsdr import sem, sscm
 from spatialsdr.basis import BasisSpec, build_f
 from spatialsdr.data import SpatialSample, train_test_split
 from spatialsdr.dimension import rank_fits
-from spatialsdr.exceptions import NearSingularCorrelationError, SingularFilterError
+from spatialsdr.exceptions import InsufficientSampleError, NearSingularCorrelationError, SingularFilterError
 from spatialsdr.geometry import (
     Coordinates,
     exp_correlation,
@@ -172,6 +172,17 @@ class TestWhitenSem:
         graph = neighbor_graph(pairwise_distances(sample.coords))
         with pytest.raises(SingularFilterError, match=rf"^I - {1.0 - 2.0**-53} \* W is numerically singular"):
             whiten_sem(sample.x, f, graph, [0.0, 1.0 - 2.0**-53, 0.5])
+
+    def test_an_earlier_lags_error_comes_before_a_singular_lag(self):
+        # n <= p + r fails each lag's Moments: a regular lag first raises that, a singular
+        # lag first raises SingularFilterError before any lag's Moments is built
+        sample = random_sample(5, 3, seed=4)
+        f = build_f(sample.y, BasisSpec("polynomial", 2))
+        graph = neighbor_graph(pairwise_distances(sample.coords))
+        with pytest.raises(InsufficientSampleError):
+            whiten_sem(sample.x, f, graph, [0.0, 1.0 - 2.0**-53])
+        with pytest.raises(SingularFilterError, match="numerically singular"):
+            whiten_sem(sample.x, f, graph, [1.0 - 2.0**-53, 0.0])
 
 
 class TestFitSscm:

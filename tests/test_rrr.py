@@ -13,14 +13,16 @@ from spatialsdr.exceptions import (
 )
 from spatialsdr.rrr import (
     Moments,
-    apply_reduction,
+    SdrFit,
     design,
     loglik,
     ls_fits,
     moments_of,
     profiled_mean,
+    profile,
     rrr_mle,
 )
+from spatialsdr.sscm import SscmFit
 
 from conftest import dense_loglik, eigh_loglik, span_distance
 
@@ -385,12 +387,33 @@ class TestStackedLsFits:
             ls_fits([exact])
 
 
+class TestProfile:
+    def test_a_tie_keeps_the_earliest_point_and_the_grid_ascends(self):
+        moments = whitened(40, 4, 2, seed=5, signal=0.5)[2].moments
+        fits = profile(SscmFit, "sscm", [0, 1], [0.3, 0.2, 0.1], [moments] * 3)
+        for rank, fit in zip([0, 1], fits):
+            assert fit.est.rank == rank
+            assert fit.decay == 0.3
+            assert [param for param, _ in fit.grid] == [0.1, 0.2, 0.3]
+            assert {ll for _, ll in fit.grid} == {fit.loglik}
+
+    def test_a_repeated_param_is_one_grid_pair(self):
+        moments = whitened(40, 4, 2, seed=5, signal=0.5)[2].moments
+        [fit] = profile(SscmFit, "sscm", [1], [0.1, 0.1], [moments] * 2)
+        assert fit.grid == [(0.1, fit.loglik)]
+
+
+def reduce(pts, mu, est):
+    """``SdrFit.reduce`` of a fit that holds ``est`` and ``mu``; its other fields are not read."""
+    return SdrFit("ind", est, mu, 0.0, [(None, 0.0)]).reduce(pts)
+
+
 class TestReduction:
     def test_center_maps_to_zero(self):
         _, _, ls = whitened(30, 4, 2, seed=10, signal=0.6)
         est = rrr_mle(ls, 2)
         mu = np.random.default_rng(0).standard_normal(4)
-        np.testing.assert_allclose(apply_reduction(mu, mu, est), 0.0, atol=1e-12)
+        np.testing.assert_allclose(reduce(mu, mu, est), 0.0, atol=1e-12)
 
     def test_ls_and_mle_covariance_give_identical_directions(self):
         _, _, ls = whitened(60, 5, 2, seed=12, signal=0.6)
@@ -404,8 +427,8 @@ class TestReduction:
         est = rrr_mle(ls, 2)
         pts = np.random.default_rng(1).standard_normal((6, 4))
         mu = np.random.default_rng(2).standard_normal(4)
-        r1 = apply_reduction(pts, mu, est)
-        r2 = apply_reduction(pts, np.zeros(4), est)
+        r1 = reduce(pts, mu, est)
+        r2 = reduce(pts, np.zeros(4), est)
         d1 = np.linalg.norm(r1[:, None] - r1[None], axis=-1)
         d2 = np.linalg.norm(r2[:, None] - r2[None], axis=-1)
         np.testing.assert_allclose(d1, d2, atol=1e-9)
@@ -417,7 +440,7 @@ class TestReduction:
         pts = np.random.default_rng(3).standard_normal((5, 4))
         dirs = np.linalg.solve(est.resid_cov, est.a)
         oracle = np.vstack([(pt - mu) @ dirs for pt in pts])
-        np.testing.assert_allclose(apply_reduction(pts, mu, est), oracle, atol=1e-12)
+        np.testing.assert_allclose(reduce(pts, mu, est), oracle, atol=1e-12)
 
 
 def test_basis_scaling_leaves_fit_invariant():

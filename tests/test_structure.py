@@ -1,7 +1,8 @@
 """The profile has one entry: each model module hands ``dimension.MODELS`` its grid and the list of
 its moments, and one function of the package, the fit stage, calls ``rrr.profile``.  A training
 reference is a ``SpatialSample``, and one Nadaraya-Watson rule serves prediction and the LOO
-search's rescue."""
+search's rescue.  ``SdrFit.reduce`` is the one reduction, and ``rrr.profile`` reads each rank's
+pick off one table of log-likelihoods."""
 
 import ast
 from pathlib import Path
@@ -64,3 +65,16 @@ def test_a_whitening_returns_plain_moments():
     for module in ("sscm", "sem"):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(tree)), module
+
+
+def test_sdrfit_reduce_is_the_one_reduction():
+    for path in PACKAGE.glob("*.py"):
+        defined = {node.name for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.FunctionDef)}
+        assert "apply_reduction" not in defined, path.stem
+
+
+def test_the_profile_engine_picks_from_its_table_without_a_nested_function():
+    tree = ast.parse((PACKAGE / "rrr.py").read_text())
+    [engine] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "profile"]
+    nested = [node for node in ast.walk(engine) if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    assert nested == [engine]
