@@ -1,8 +1,9 @@
 """Choosing the reduction dimension: LR sequence, AIC/BIC, CV prediction error.
 
-The likelihood-based criteria consume only the maximized log-likelihoods
-for ranks 0..min(p, r) and are therefore independent of the prediction
-rule; cross-validated minimum prediction error depends on it by design.
+The likelihood-based criteria, ``select_lr`` (sequential tests at level ``LR_ALPHA``) and
+``select_ic``, consume only the maximized log-likelihoods for ranks 0..min(p, r) and are therefore
+independent of the prediction rule; cross-validated minimum prediction error depends on it by
+design.  ``select_cv`` is the one fold loop: it cross-validates every mode's ranks together.
 
 ``MODELS`` is the one table of model kinds: each kind's predictor-mode label, its fit type and its
 model module's ``moments``, which gives the kind's default grid and the moments at each point.
@@ -22,7 +23,6 @@ the coordinates.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,21 +37,22 @@ from .rrr import SdrFit, profile
 
 MONOTONE_SLACK = 1e-8
 FOLDS = 5  # cross-validation folds
+LR_ALPHA = 0.05  # level of each sequential likelihood-ratio test
 POLICIES = ("fixed", "lr", "aic", "bic", "cv")  # rank policies; the first is the default
 
 
 @dataclass(frozen=True)
 class DimSelection:
-    """Outcome of a dimension-selection procedure.
+    """Outcome of one rank criterion (``lr``, ``aic``, ``bic`` or ``cv_mpe``) for one kind or mode.
 
     ``trace`` holds one record per candidate rank with the quantities the criterion looked at
-    (log-likelihood and statistic/p-value or criterion value, or CV error).
+    (log-likelihood and statistic/p-value or criterion value, or CV error), and ``d_star`` is the
+    rank read off it.
     """
 
     criterion: str
     d_star: int
     trace: list[dict] = field(repr=False)
-    alpha: float | None = None
 
 
 def param_count(p: int, delta: int, r: int) -> int:
@@ -88,15 +89,13 @@ def _check_logliks(logliks: np.ndarray, p: int, r: int) -> np.ndarray:
     return logliks
 
 
-def select_lr(
-    logliks: np.ndarray, p: int, r: int, n: int, alpha: float = 0.05
-) -> DimSelection:
-    """Sequential likelihood-ratio tests from rank 0 upward.
+def select_lr(logliks: np.ndarray, p: int, r: int) -> DimSelection:
+    """Sequential likelihood-ratio tests from rank 0 upward, at level ``LR_ALPHA``.
 
     At each candidate rank the statistic ``2 * (L_max - L_delta)`` is referred to a chi-square
     with ``(r - delta) * (p - delta)`` degrees of freedom.  The trace holds every rank's test,
-    and the pick is read off it: the first rank whose p-value is at least ``alpha``, or min(p, r)
-    when every test rejects.
+    and the pick is read off it: the first rank whose p-value is at least ``LR_ALPHA``, or
+    min(p, r) when every test rejects.
     """
     logliks = _check_logliks(logliks, p, r)
     m = min(p, r)
@@ -108,8 +107,8 @@ def select_lr(
             {"rank": delta, "loglik": float(logliks[delta]),
              "statistic": stat, "dof": dof, "p_value": chi2_sf(stat, dof)}
         )
-    d_star = next((row["rank"] for row in trace if row["p_value"] >= alpha), m)
-    return DimSelection(criterion="lr", d_star=d_star, trace=trace, alpha=alpha)
+    d_star = next((row["rank"] for row in trace if row["p_value"] >= LR_ALPHA), m)
+    return DimSelection(criterion="lr", d_star=d_star, trace=trace)
 
 
 def select_ic(
@@ -185,13 +184,10 @@ def _without_locals(exc: BaseException) -> BaseException:
     """``exc`` with the locals cleared from the finished frames of its traceback and of those along
     its ``__cause__``/``__context__`` chain, files and lines kept: a cause raised in a frame that
     held the distances would keep them alive as surely as ``exc``'s own frames."""
+    import traceback  # on the failure path alone: at module level it raised the bench's peak RSS 0.3-0.45 MB
     chain = [exc]
     for err in chain:  # grows as it goes, by errors not yet in it (an error equals itself alone)
-        tb = err.__traceback__
-        while tb is not None:
-            with suppress(RuntimeError):  # still running: the frame that caught ``exc``
-                tb.tb_frame.clear()
-            tb = tb.tb_next
+        traceback.clear_frames(err.__traceback__)  # skips a frame still running: the one that caught ``exc``
         chain += [e for e in (err.__cause__, err.__context__) if e is not None and e not in chain]
     return exc
 
@@ -238,33 +234,16 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
     return out
 
 
-def select_cv(
-    sample: SpatialSample, kind: str, spec: BasisSpec, kernels: str = "2k", seed: int = 0
-) -> DimSelection:
-    """Rank among 1..min(p, r) by minimum ``FOLDS``-fold cross-validated prediction error.
-
-    Folds come from a shuffle seeded by ``seed`` alone, without spatial stratification; the
-    harness passes the replication index, not ``cfg.seed``, so experiments that differ only in
-    their seed share each replication's fold permutation.  A failure in a fold invalidates the
-    ranks it hits, every rank when it fails the profile; if every candidate fails, or a fold
-    would hold fewer than two points (n < 2 * ``FOLDS``), ``CvFailedError`` is raised.  Ties
-    break to the smallest rank.
-    """
-    if kernels not in ("1k", "2k"):
-        raise InputError("kernels must be '1k' or '2k'")
-    if kind not in MODELS:
-        raise InputError(f"unknown model kind {kind!r}")
-    mode = f"{kernels}.{MODELS[kind][0]}"
-    [selection] = _cv_selections(sample, [mode], spec, seed)
-    if isinstance(selection, CvFailedError):
-        raise selection
-    return selection
-
-
-def _cv_selections(sample, modes, spec, seed=0) -> list:
-    """``select_cv`` for each of the reduced ``modes``, of any kinds and kernels: each fold is one
-    ``fit_and_predict`` of every live (mode, rank).  A mode whose ranks all failed, or every mode
-    when a fold would have fewer than two points, holds a ``CvFailedError`` in place of a result."""
+def select_cv(sample: SpatialSample, modes: list, spec: BasisSpec, seed: int = 0) -> list:
+    """The ``DimSelection`` of each of the reduced ``modes``, of any kinds and kernels: the rank
+    among 1..min(p, r) with the least ``FOLDS``-fold cross-validated prediction error, ties broken
+    to the smallest.  All modes share one fold loop, each fold one ``fit_and_predict`` of every live
+    (mode, rank).  The folds come from a shuffle seeded by ``seed`` alone, without spatial
+    stratification: the harness passes the replication index, not ``cfg.seed``, so experiments that
+    differ only in their seed share each replication's folds.  A failure in a fold costs the ranks it
+    hits, every rank of its kind when it fails the profile.  A mode whose ranks all failed, or every
+    mode when a fold would hold fewer than two points (n < 2 * ``FOLDS``), holds a ``CvFailedError``
+    in place of its selection."""
     if sample.n < 2 * FOLDS:
         return [CvFailedError(f"cross-validation needs n >= {2 * FOLDS}, got n={sample.n}")] * len(modes)
     rng = np.random.default_rng(seed)
@@ -307,10 +286,10 @@ def select_ranks(sample, modes, spec, policy, d, seed) -> tuple[dict, dict]:
 
     ``fixed`` gives every mode ``d``; ``lr``, ``aic`` and ``bic`` choose from one ``_fit_kinds``
     profile of each kind over every rank 0..min(p, r) and return the fits of each kind they chose
-    for, never an error; ``cv`` runs ``select_cv`` for every mode in one fold loop seeded by
-    ``seed`` alone: ``simulate`` passes the replication index, so the folds do not depend on
-    ``cfg.seed``.  A mode whose choice failed with one of ``FAILURES`` holds that error in place
-    of a rank.
+    for, never an error; only ``select_ic`` reads the sample size.  ``cv`` reads every mode's pick
+    from one ``select_cv`` over them all, its folds seeded by ``seed`` alone (``simulate`` passes
+    the replication index).  A mode whose choice failed with one of ``FAILURES`` holds that error
+    in place of a rank.
     """
     if policy not in POLICIES:
         raise InputError(f"unknown d policy {policy!r}")
@@ -318,7 +297,7 @@ def select_ranks(sample, modes, spec, policy, d, seed) -> tuple[dict, dict]:
     if policy == "fixed":
         return dict.fromkeys(reduced, d), {}
     if policy == "cv":
-        sels = _cv_selections(sample, reduced, spec, seed=seed)
+        sels = select_cv(sample, reduced, spec, seed=seed)
         return {m: s if isinstance(s, FAILURES) else s.d_star for m, s in zip(reduced, sels)}, {}
     ranks, kinds = range(min(sample.p, spec.degree) + 1), dict.fromkeys(map(mode_kind, reduced))
     found, picks, fits = _fit_kinds(sample, spec, {(k, d) for k in kinds for d in ranks}), {}, {}
@@ -326,9 +305,9 @@ def select_ranks(sample, modes, spec, policy, d, seed) -> tuple[dict, dict]:
         curve = [found[(kind, d)] for d in ranks]
         pick = curve[0]  # the error of a failed profile
         if not isinstance(pick, FAILURES):
-            args = (np.array([fit.loglik for fit in curve]), sample.p, spec.degree, sample.n)
+            args = (np.array([fit.loglik for fit in curve]), sample.p, spec.degree)
             try:
-                pick = (select_lr(*args) if policy == "lr" else select_ic(*args, kind=policy)).d_star
+                pick = (select_lr(*args) if policy == "lr" else select_ic(*args, sample.n, policy)).d_star
                 fits.update(((kind, d), fit) for d, fit in zip(ranks, curve))
             except FAILURES as exc:
                 pick = exc

@@ -66,6 +66,11 @@ class SimConfig:
             raise InputError(f"need p >= 1 and r >= 1, got p={self.p}, r={self.r}")
         if not 0 <= self.d <= min(self.r, self.p):
             raise InputError(f"d must lie in 0..min(r, p), got d={self.d}")
+        # each replication's split and locations would reject these; reject them before a run
+        if self.n < 4:
+            raise InputError(f"a split needs n >= 4, two points on each side, got n={self.n}")
+        if self.grid_locations and int(round(np.sqrt(self.n))) ** 2 != self.n:
+            raise InputError(f"grid mode needs a square n, got {self.n}")
 
 
 def check_error_law(model: str, param: float) -> None:

@@ -92,30 +92,32 @@ class TestChi2Tail:
 
 class TestSelectLr:
     def test_dof_formula(self):
-        sel = select_lr(np.array([-10.0, -5.0, -4.0]), p=5, r=2, n=50)
+        sel = select_lr(np.array([-10.0, -5.0, -4.0]), p=5, r=2)
         assert sel.trace[1]["dof"] == (2 - 1) * (5 - 1) == 4
 
-    def test_zero_statistic_accepts_rank_zero(self):
-        sel = select_lr(np.array([-3.0, -3.0, -3.0]), p=4, r=2, n=50, alpha=0.9)
+    def test_zero_statistic_accepts_rank_zero(self, monkeypatch):
+        monkeypatch.setattr(dimension, "LR_ALPHA", 0.9)
+        sel = select_lr(np.array([-3.0, -3.0, -3.0]), p=4, r=2)
         assert sel.d_star == 0
 
-    def test_all_rejected_selects_max(self):
+    def test_all_rejected_selects_max(self, monkeypatch):
+        monkeypatch.setattr(dimension, "LR_ALPHA", 0.01)
         lls = np.array([-500.0, -300.0, -100.0])
-        sel = select_lr(lls, p=4, r=2, n=50, alpha=0.01)
+        sel = select_lr(lls, p=4, r=2)
         assert sel.d_star == 2
 
     def test_non_monotone_rejected(self):
         with pytest.raises(NonMonotoneLogliksError):
-            select_lr(np.array([-3.0, -4.0, -2.0]), p=4, r=2, n=50)
+            select_lr(np.array([-3.0, -4.0, -2.0]), p=4, r=2)
 
     def test_a_huge_statistic_rejects_its_rank(self):
         # rank 0's statistic 2e100 on 48 dof has a tail of 0, not an overflowed one
-        sel = select_lr(np.array([-1e100, -10.0, 0.0]), p=24, r=2, n=280)
+        sel = select_lr(np.array([-1e100, -10.0, 0.0]), p=24, r=2)
         assert sel.trace[0]["p_value"] == 0.0
         assert sel.d_star == 1
 
     def test_trace_covers_all_ranks(self):
-        sel = select_lr(np.array([-9.0, -8.0, -8.0]), p=3, r=2, n=30)
+        sel = select_lr(np.array([-9.0, -8.0, -8.0]), p=3, r=2)
         assert [row["rank"] for row in sel.trace] == [0, 1, 2]
 
 
@@ -154,7 +156,7 @@ def test_rank_selectors_reject_non_finite_logliks(criterion, rank, value):
     lls[rank] = value
     with pytest.raises(NonFiniteLoglikError):
         if criterion == "lr":
-            select_lr(lls, p=4, r=2, n=100)
+            select_lr(lls, p=4, r=2)
         else:
             select_ic(lls, p=4, r=2, n=100, kind=criterion)
 
@@ -169,16 +171,22 @@ class TestLoglikProfile:
             assert np.all(np.diff(lls) >= -1e-8 * np.abs(lls).max())
 
 
+def cv_of(sample, mode, spec, seed=0):
+    """``select_cv``'s selection for the one mode ``mode``, or the ``CvFailedError`` it holds."""
+    [selection] = select_cv(sample, [mode], spec, seed=seed)
+    return selection
+
+
 class TestSelectCv:
     def test_singleton_range(self):
         # min(p, r) = 1 leaves the one candidate rank
-        sel = select_cv(random_sample(40, 3, seed=6), "ind", BasisSpec("polynomial", 1))
+        sel = cv_of(random_sample(40, 3, seed=6), "2k.Ind", BasisSpec("polynomial", 1))
         assert sel.d_star == 1
         assert [row["rank"] for row in sel.trace] == [1]
 
     @pytest.mark.parametrize("p, r", [(3, 2), (2, 3)])
     def test_candidate_ranks_are_one_to_min_p_r(self, p, r):
-        sel = select_cv(random_sample(40, p, seed=6), "ind", BasisSpec("polynomial", r))
+        sel = cv_of(random_sample(40, p, seed=6), "2k.Ind", BasisSpec("polynomial", r))
         assert [row["rank"] for row in sel.trace] == list(range(1, min(p, r) + 1))
 
     def test_noiseless_one_dimensional_link(self):
@@ -195,42 +203,46 @@ class TestSelectCv:
         beta /= np.linalg.norm(beta)
         y = x @ beta + 0.1 * rng.standard_normal(n)
         sample = SpatialSample(Coordinates(rng.uniform(size=(n, 2))), x, y)
-        sel = select_cv(
-            sample, "ind", BasisSpec("polynomial", 2), kernels="1k", seed=1
-        )
+        sel = cv_of(sample, "1k.Ind", BasisSpec("polynomial", 2), seed=1)
         errs = {row["rank"]: row["cv_error"] for row in sel.trace}
         assert errs[1] < errs[2]
         assert sel.d_star == 1
 
-    def test_unknown_kind_rejected(self):
+    def test_unknown_mode_rejected_before_any_fit(self, monkeypatch):
+        # a spy on every kind's moments in the table: the valid mode ahead
+        # of the unknown one is not fitted either
+        fitted = []
+        for kind, (label, fit_type, moments) in MODELS.items():
+            spy = lambda *args, moments=moments: fitted.append(args) or moments(*args)  # noqa: E731
+            monkeypatch.setitem(MODELS, kind, (label, fit_type, spy))
         sample = random_sample(40, 3, seed=6)
-        with pytest.raises(InputError, match="bogus"):
-            select_cv(sample, "bogus", BasisSpec("polynomial", 2))
+        with pytest.raises(InputError, match="unknown predictor mode 'bogus'"):
+            select_cv(sample, ["2k.SEM", "bogus"], BasisSpec("polynomial", 2))
+        assert fitted == []
 
     def test_every_fold_needs_two_points(self):
         # 9 points leave a fold of one; 10 give every fold two
         spec = BasisSpec("polynomial", 1)
-        with pytest.raises(CvFailedError, match="n=9"):
-            select_cv(random_sample(9, 2, seed=6), "ind", spec)
-        assert select_cv(random_sample(10, 2, seed=6), "ind", spec).d_star == 1
+        failed = select_cv(random_sample(9, 2, seed=6), ["2k.Ind", "1k.SEM"], spec)
+        assert all(isinstance(err, CvFailedError) and "n=9" in str(err) for err in failed)
+        assert cv_of(random_sample(10, 2, seed=6), "2k.Ind", spec).d_star == 1
 
     def test_seeded_folds_reproducible(self):
         sample = random_sample(50, 3, seed=8)
         spec = BasisSpec("polynomial", 2)
-        s1 = select_cv(sample, "ind", spec, seed=3)
-        s2 = select_cv(sample, "ind", spec, seed=3)
+        s1 = cv_of(sample, "2k.Ind", spec, seed=3)
+        s2 = cv_of(sample, "2k.Ind", spec, seed=3)
         assert s1.d_star == s2.d_star
         assert s1.trace == s2.trace
 
     def test_nan_reduction_fails_only_its_kind(self, monkeypatch):
         sample = random_sample(50, 3, seed=9)
         spec = BasisSpec("polynomial", 2)
-        want = {kind: select_cv(sample, kind, spec) for kind in ("ind", "sem")}
+        want = {mode: cv_of(sample, mode, spec) for mode in ("2k.Ind", "2k.SEM")}
         monkeypatch.setattr(SscmFit, "reduce", lambda self, x: SdrFit.reduce(self, x) * np.nan)
-        with pytest.raises(CvFailedError):
-            select_cv(sample, "sscm", spec)
-        for kind, sel in want.items():
-            assert select_cv(sample, kind, spec) == sel
+        assert isinstance(cv_of(sample, "2k.SSCM", spec), CvFailedError)
+        for mode, sel in want.items():
+            assert cv_of(sample, mode, spec) == sel
 
     def test_linalg_error_in_a_fold_fails_its_ranks(self, monkeypatch):
         # numpy's LinAlgError is isolated per fold as the test split isolates
@@ -241,22 +253,22 @@ class TestSelectCv:
             raise np.linalg.LinAlgError("forced whitening failure")
 
         monkeypatch.setattr(sem, "whiten_sem", fails)
-        with pytest.raises(CvFailedError):
-            select_cv(random_sample(50, 3, seed=9), "sem", BasisSpec("polynomial", 2))
+        held = cv_of(random_sample(50, 3, seed=9), "2k.SEM", BasisSpec("polynomial", 2))
+        assert isinstance(held, CvFailedError)
 
     def test_nan_reduction_at_one_rank_keeps_the_others(self, monkeypatch):
         # the rank-2 reference of each fold is a sample with non-finite predictors,
         # which fails to build; the rank-1 reference tuned in the LOO pass is unaffected
         sample = random_sample(50, 3, seed=9)
         spec = BasisSpec("polynomial", 2)
-        want = select_cv(sample, "sscm", spec)
+        want = cv_of(sample, "2k.SSCM", spec)
 
         def nan_at_rank_two(self, x):
             z = SdrFit.reduce(self, x)
             return z * np.nan if z.shape[1] == 2 else z
 
         monkeypatch.setattr(SscmFit, "reduce", nan_at_rank_two)
-        sel = select_cv(sample, "sscm", spec)
+        sel = cv_of(sample, "2k.SSCM", spec)
         assert sel.d_star == 1
         assert sel.trace[0] == want.trace[0]
         assert sel.trace[1]["cv_error"] is None
@@ -282,8 +294,8 @@ class TestSelectCv:
             if name.startswith("spatialsdr") and getattr(mod, "loglik", None) is original:
                 monkeypatch.setattr(mod, "loglik", fails_at_rank_two)
         sample = random_sample(50, 3, seed=9)
-        with pytest.raises(CvFailedError):
-            select_cv(sample, kind, BasisSpec("polynomial", 2))
+        held = cv_of(sample, f"2k.{MODELS[kind][0]}", BasisSpec("polynomial", 2))
+        assert isinstance(held, CvFailedError)
         assert len(failed) == 1
 
 
@@ -323,8 +335,8 @@ class TestSelectRanks:
         for kind, modes in (("ind", ["2k.Ind"]), ("sscm", ["1k.SSCM", "2k.SSCM"])):
             lls = loglik_profile(sample, kind, spec)
             np.testing.assert_array_equal([fits[(kind, d)].loglik for d in range(3)], lls)
-            args = (lls, sample.p, 2, sample.n)
-            want = select_lr(*args) if policy == "lr" else select_ic(*args, kind=policy)
+            args = (lls, sample.p, 2)
+            want = select_lr(*args) if policy == "lr" else select_ic(*args, sample.n, kind=policy)
             assert [picks[m] for m in modes] == [want.d_star] * len(modes)
         assert "1k.FULL" not in picks
 
@@ -337,7 +349,7 @@ class TestSelectRanks:
         picks, fits = select_ranks(sample, self.modes, spec, "cv", 1, 3)
         assert fits == {}
         for mode in ("1k.SSCM", "2k.Ind", "2k.SSCM"):
-            assert picks[mode] == select_cv(sample, mode_kind(mode), spec, mode[:2], seed=3).d_star
+            assert picks[mode] == select_cv(sample, [mode], spec, seed=3)[0].d_star
 
     def test_unknown_policy_rejected(self):
         sample = random_sample(40, 3, seed=1)

@@ -240,6 +240,23 @@ def test_split_rejects_a_sample_too_small_to_split(n):
         train_test_split(sample, 0.5, np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n": 3, "p": 1, "r": 1, "d": 1}, "a split needs n >= 4, two points on each side, got n=3"),
+    ({"n": 399, "grid_locations": True, "p": 4}, "grid mode needs a square n, got 399"),
+])
+def test_config_rejects_a_size_its_first_replication_would_reject(kwargs, message):
+    # the config refuses with the message that the split or the grid would give its first replication
+    with pytest.raises(InputError, match=message):
+        SimConfig(**kwargs)
+    assert SimConfig(n=400, grid_locations=True, p=4).n == 400
+
+
+def test_grid_locations_keep_their_own_check_of_n():
+    with pytest.raises(InputError, match="grid mode needs a square n, got 399"):
+        sample_locations(399, 0, grid=True)
+    assert sample_locations(9, 0, grid=True).n == 9
+
+
 def nan_reduce(self, x):
     """A reduction of the right shape whose every entry is NaN."""
     return SdrFit.reduce(self, x) * np.nan
@@ -338,6 +355,19 @@ def test_reports_are_the_same_with_numpys_own_factors(monkeypatch, model, policy
     monkeypatch.setattr(_linalg, "_lapack", lambda: (None, None, None))
     copied = run_experiment(cfg, list(MODES), policy)
     assert repr(in_place) == repr(no_dsyevd) == repr(copied)
+
+
+@pytest.mark.parametrize("model", ["sscm", "sem"])
+@pytest.mark.parametrize("policy", ["fixed", "aic", "cv"])
+def test_one_kernel_modes_report_the_same_alone_and_with_every_mode(model, policy):
+    # alone, the one-kernel modes are tuned by the one-kernel LOO pass, and with the 2k modes by
+    # the joint pass; the two passes' errors may differ in their last bits, but no pick moves
+    cfg = SimConfig(n=100, p=4, reps=2, model=model)
+    one_kernel = [mode for mode in MODES if mode.startswith("1k")]
+    alone, joint = run_experiment(cfg, one_kernel, policy), run_experiment(cfg, list(MODES), policy)
+    for mode in one_kernel:
+        assert list(map(repr, alone.mse[mode])) == list(map(repr, joint.mse[mode])), mode
+        assert alone.d_selected[mode] == joint.d_selected[mode], mode
 
 
 def run_script(code: str, **env: str) -> str:

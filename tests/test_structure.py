@@ -2,7 +2,8 @@
 its moments, and one function of the package, the fit stage, calls ``rrr.profile``.  A training
 reference is a ``SpatialSample``, and one Nadaraya-Watson rule serves prediction and the LOO
 search's rescue.  ``SdrFit.reduce`` is the one reduction, and ``rrr.profile`` reads each rank's
-pick off one table of log-likelihoods."""
+pick off one table of log-likelihoods.  ``dimension.select_cv`` is the one cross-validation fold
+loop, and the LR rule's level is a module constant."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,30 @@ def test_the_profile_engine_picks_from_its_table_without_a_nested_function():
     [engine] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "profile"]
     nested = [node for node in ast.walk(engine) if isinstance(node, (ast.FunctionDef, ast.Lambda))]
     assert nested == [engine]
+
+
+def dimension_def(name: str):
+    """The top-level definition of ``name`` in ``dimension.py``."""
+    tree = ast.parse((PACKAGE / "dimension.py").read_text())
+    [node] = [node for node in tree.body if getattr(node, "name", None) == name]
+    return node
+
+
+def test_no_module_defines_a_second_fold_loop():
+    for path in PACKAGE.glob("*.py"):
+        defined = {node.name for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.FunctionDef)}
+        assert "_cv_selections" not in defined, path.stem
+
+
+def test_the_rank_policy_step_cross_validates_through_select_cv():
+    assert callers((PACKAGE / "dimension.py").read_text(), "select_cv") == ["select_ranks"]
+
+
+def test_the_lr_rule_takes_no_level_and_no_sample_size():
+    args = dimension_def("select_lr").args
+    assert {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs} == {"logliks", "p", "r"}
+
+
+def test_a_dim_selection_has_no_level_field():
+    fields = {node.target.id for node in dimension_def("DimSelection").body if isinstance(node, ast.AnnAssign)}
+    assert fields == {"criterion", "d_star", "trace"}
