@@ -206,14 +206,14 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
 
     ``_fit_kinds`` fits each kind on ``train`` once for all the ranks its jobs need, except those
     ``fits`` already holds by ``(kind, rank)``; each distinct fit gets one reference, and one
-    ``loo_search`` over its default grids tunes them all.  A job whose rank is an error, or whose
-    fit, reference or search failed with one of ``FAILURES``, holds that error.
+    ``loo_search`` over its default grids tunes them all for both kernel counts, so a job's
+    bandwidths do not depend on the other jobs.  A job whose rank is an error, or whose fit,
+    reference or search failed with one of ``FAILURES``, holds that error.
     """
     fits = dict(fits or {})
     keys = [(mode_kind(mode), rank) for mode, rank in jobs]
     fits.update(_fit_kinds(train, spec, {
         (k, d) for k, d in keys if k and (k, d) not in fits and not isinstance(d, FAILURES)}))
-    two_kernel = any(mode.startswith("2k") for mode, _ in jobs)
     refs = {}
     for (mode, rank), key in zip(jobs, keys):
         if key not in refs:
@@ -223,7 +223,7 @@ def fit_and_predict(jobs: list, train: SpatialSample, test: SpatialSample, spec:
             except FAILURES as exc:
                 refs[key] = exc
     live = [key for key, ref in refs.items() if not isinstance(ref, FAILURES)]
-    searches = dict(zip(live, loo_search([refs[k] for k in live], two_kernel)))
+    searches = dict(zip(live, loo_search([refs[k] for k in live])))
     out = []
     for (mode, _), key in zip(jobs, keys):
         search = searches.get(key, refs[key])
@@ -243,7 +243,9 @@ def select_cv(sample: SpatialSample, modes: list, spec: BasisSpec, seed: int = 0
     differ only in their seed share each replication's folds.  A failure in a fold costs the ranks it
     hits, every rank of its kind when it fails the profile.  A mode whose ranks all failed, or every
     mode when a fold would hold fewer than two points (n < 2 * ``FOLDS``), holds a ``CvFailedError``
-    in place of its selection."""
+    in place of its selection; an unknown mode raises ``InputError`` first, at any n."""
+    for mode in modes:
+        mode_kind(mode)
     if sample.n < 2 * FOLDS:
         return [CvFailedError(f"cross-validation needs n >= {2 * FOLDS}, got n={sample.n}")] * len(modes)
     rng = np.random.default_rng(seed)

@@ -6,11 +6,11 @@ distance.  Both kernels are standard Gaussians ``exp(-u^2 / 2)`` and the
 weight vectors are normalized to the simplex.  Bandwidths come from
 leave-one-out cross-validation on the training sample; the two-kernel
 search scores every (h1, h2) pair jointly because the kernels interact.
-Every reference of one training sample (one per reduction kind and rank)
-is tuned in one shared pass over blocks of ``n // grid size`` rows: since
-the product kernel factorises, each block evaluates the h2 kernels once for
-all references and each reference's h1 kernels once, and one batched matmul
-per reference gives its one- and two-kernel weighted sums together.  Every
+Every reference of one training sample (one per reduction kind and rank) is tuned in one
+shared pass over blocks of ``n // grid size`` rows, whichever modes the caller tunes: since the
+product kernel factorises, each block evaluates the h2 kernels once for all references and each
+reference's h1 kernels once, and one batched matmul per reference gives its one- and two-kernel
+weighted sums together, so a one-kernel mode's errors are the same bits in any job set.  Every
 block reuses one buffer each for its kernels, right-hand sides, sums and
 predictions, about three n x n matrices in all, and adds its squared errors
 straight into per-bandwidth sums.  A reference is the training ``SpatialSample`` in its mode's
@@ -137,7 +137,7 @@ def default_bandwidth_grid(points: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class LooSearch:
     """One reference's LOO mean squared errors, shape (h1, h2 + 1): column ``j <
-    h2`` pairs each h1 with ``h2_grid[j]``, the last is the one-kernel search.
+    h2`` pairs each h1 with ``h2_grid[j]``, the last is the one-kernel search of the same pass.
     ``fell_back``, of the same shape, counts the points predicted by the
     nearest other point because every kernel value underflowed."""
 
@@ -149,32 +149,29 @@ class LooSearch:
     def bandwidths(self, two_kernel: bool) -> tuple[float, float | None]:
         """The least-error bandwidths; ``np.argmin`` takes the first minimum
         in C order, so ties break to the smaller h1, then the smaller h2."""
-        if two_kernel and not self.h2_grid.size:
-            raise InputError("a one-kernel search has no two-kernel bandwidths")
         if not two_kernel:
             return float(self.h1_grid[np.argmin(self.errors[:, -1])]), None
         i, j = np.unravel_index(np.argmin(self.errors[:, :-1]), self.errors[:, :-1].shape)
         return float(self.h1_grid[i]), float(self.h2_grid[j])
 
 
-def loo_search(refs: list, two_kernel: bool = True) -> list:
+def loo_search(refs: list) -> list:
     """A ``LooSearch`` for each of ``refs``, which share one training sample, over the
-    ``default_bandwidth_grid`` of the reference's points and (if ``two_kernel``) the h2 grid of
-    the coordinates they share, so the search scales its own grids.  A reference whose grid is
-    degenerate, or every one when n < 3, holds the error instead.
+    ``default_bandwidth_grid`` of the reference's points and the h2 grid of the coordinates they
+    share, so the search scales its own grids.  A reference whose grid is degenerate holds the
+    error instead, and every one does when n < 3 or when the coordinates' grid is degenerate.
 
-    One pass over blocks of ``n // grid size`` rows, which keep each kernel
-    stack near one n x n matrix, serves all references.  The product kernel
-    factorises, ``exp(-(u1 + u2)/2) = exp(-u1/2) exp(-u2/2)``, so a block
-    evaluates the h2 kernels once and each reference's h1 kernels once, and
-    one batched matmul per reference against ``[k2, 1, k2 y, y]`` gives every
-    (h1, h2) pair's and every one-kernel h1's mass and weighted sum.  The
-    kernels, the right-hand sides, the sums and the predictions of every block
-    overwrite one buffer each, and each block's squared errors are added to
-    ``errors``, divided by n after the last block.  A mass below ``TINY_MASS``
-    may have lost digits to underflow in the products, so that (row, h1, h2)
-    is recomputed by ``_nadaraya_watson`` from the combined exponent, the held-out
-    point at an infinite distance; a block whose masses all clear it skips that scan.
+    One pass over blocks of ``n // grid size`` rows, which keep each kernel stack near one n x n
+    matrix, serves all references and both kernel counts, whatever modes the references are tuned
+    for.  The product kernel factorises, ``exp(-(u1 + u2)/2) = exp(-u1/2) exp(-u2/2)``, so a block
+    evaluates the h2 kernels once and each reference's h1 kernels once, and one batched matmul per
+    reference against ``[k2, 1, k2 y, y]`` gives every (h1, h2) pair's and every one-kernel h1's
+    mass and weighted sum.  The kernels, the right-hand sides, the sums and the predictions of
+    every block overwrite one buffer each, and each block's squared errors are added to
+    ``errors``, divided by n after the last block.  A mass below ``TINY_MASS`` may have lost
+    digits to underflow in the products, so that (row, h1, h2) is recomputed by
+    ``_nadaraya_watson`` from the combined exponent, the held-out point at an infinite distance;
+    a block whose masses all clear it skips that scan.
     """
     if not refs:
         return []
@@ -183,8 +180,10 @@ def loo_search(refs: list, two_kernel: bool = True) -> list:
         raise InputError("references must share one training sample")
     if n < 3:
         return [InputError("leave-one-out tuning needs at least 3 points")] * len(refs)
-    h2_grid = default_bandwidth_grid(coords) if two_kernel else np.empty(0)
-    g2 = h2_grid.size
+    try:
+        h2_grid = default_bandwidth_grid(coords)
+    except DegenerateGridError as exc:
+        return [exc] * len(refs)
     found, live = [], []
     for ref in refs:
         try:
@@ -192,7 +191,7 @@ def loo_search(refs: list, two_kernel: bool = True) -> list:
         except DegenerateGridError as exc:
             found.append(exc)
             continue
-        shape = (grid.size, g2 + 1)
+        shape = (grid.size, h2_grid.size + 1)
         found.append(LooSearch(grid, h2_grid, np.zeros(shape, int), np.zeros(shape)))
         live.append((ref.x, found[-1]))
     if live:
@@ -201,9 +200,9 @@ def loo_search(refs: list, two_kernel: bool = True) -> list:
 
 
 def _loo_pass(live: list, y: np.ndarray, coords: np.ndarray, h2_grid: np.ndarray) -> None:
-    """``errors`` and ``fell_back`` of each ``(points, LooSearch)`` in ``live``, in one pass
-    over blocks of rows that writes the kernels, the right-hand sides, the weighted sums and
-    the predictions of every block into the same four buffers, freed on return."""
+    """``errors`` and ``fell_back`` of each ``(points, LooSearch)`` in ``live``, the one-kernel column
+    too, in one pass over blocks of rows that writes the kernels, the right-hand sides, the weighted
+    sums and the predictions of every block into the same four buffers, freed on return."""
     n, g2 = y.size, h2_grid.size
     g1 = max(s.h1_grid.size for _, s in live)
     step = max(1, n // max(g1, g2))
@@ -218,9 +217,8 @@ def _loo_pass(live: list, y: np.ndarray, coords: np.ndarray, h2_grid: np.ndarray
         rows = slice(start, min(start + step, n))
         size = rows.stop - start
         rhs = rhs_buf[:, :size]
-        if g2:
-            d2 = sq_distances(coords[rows], coords)
-            np.multiply(_kernels(d2, h2_grid, rhs[:g2]), y, out=rhs[g2 + 1 : -1])
+        d2 = sq_distances(coords[rows], coords)
+        np.multiply(_kernels(d2, h2_grid, rhs[:g2]), y, out=rhs[g2 + 1 : -1])
         for pts, s in live:
             d1 = sq_distances(pts[rows], pts)
             k1 = _kernels(d1, s.h1_grid, k1_buf[: s.h1_grid.size, :size])
@@ -245,9 +243,9 @@ def _loo_pass(live: list, y: np.ndarray, coords: np.ndarray, h2_grid: np.ndarray
 
 def loocv_bandwidths(ref: SpatialSample, config: PredictorConfig) -> tuple[float, float | None]:
     """Leave-one-out bandwidth search on the training reference for ``config``'s
-    mode, ``loo_search`` of it alone over the default grids: ties break to the
-    smaller bandwidths, h1 first."""
-    [search] = loo_search([ref], config.two_kernel)
+    mode, the pass ``loo_search`` runs for every job set, of it alone over the
+    default grids: ties break to the smaller bandwidths, h1 first."""
+    [search] = loo_search([ref])
     if isinstance(search, SpatialSdrError):
         raise search
     return search.bandwidths(config.two_kernel)

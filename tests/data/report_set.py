@@ -7,12 +7,14 @@ Usage, from the root of a source checkout:
 
 The set is ``run_experiment(SimConfig(model=model, reps=2), list(MODES), policy)`` for both data
 models (``sscm``, ``sem``) and every rank policy: the paper's default size, every predictor mode.
-Where ``tests/data/fit_set.py`` sees the fits alone, this sees what is predicted from them.  A dump
-records each replication's MSE by ``repr`` and its selected rank; it calls only
-``run_experiment``, ``SimConfig``, ``POLICIES`` and ``MODES``, so one script can dump two source
-trees in turn.  A comparison prints how many MSEs are identical and the largest relative move; it
-exits 1 on any change in a selected rank or in which MSEs are NaN, or on an MSE move above
-``RTOL``, the golden reports' tolerance.
+Each model and policy also runs the four one-kernel modes alone, recorded under the keys
+``{model}/{policy}/1k-alone/{mode}``: every other run includes two-kernel modes, so without these
+no report would come from a job set of one-kernel modes alone.  Where ``tests/data/fit_set.py``
+sees the fits alone, this sees what is predicted from them.  A dump records each replication's MSE
+by ``repr`` and its selected rank; it calls only ``run_experiment``, ``SimConfig``, ``POLICIES``
+and ``MODES``, so one script can dump two source trees in turn.  A comparison prints how many MSEs
+are identical and the largest relative move; it exits 1 on any change in a selected rank or in
+which MSEs are NaN, or on an MSE move above ``RTOL``, the golden reports' tolerance.
 """
 
 from __future__ import annotations
@@ -31,15 +33,18 @@ def dump() -> dict:
     from spatialsdr.predictor import MODES
     from spatialsdr.simulate import SimConfig, run_experiment
 
+    one_kernel = [mode for mode in MODES if mode.startswith("1k")]
     reports = {}
     for model in MODELS:
         for policy in POLICIES:
-            report = run_experiment(SimConfig(model=model, reps=REPS), list(MODES), policy)
-            for mode in MODES:
-                reports[f"{model}/{policy}/{mode}"] = {
-                    "mse": [repr(float(v)) for v in report.mse[mode]],
-                    "d_selected": report.d_selected[mode],
-                }
+            runs = {f"{model}/{policy}/": list(MODES), f"{model}/{policy}/1k-alone/": one_kernel}
+            for prefix, modes in runs.items():
+                report = run_experiment(SimConfig(model=model, reps=REPS), modes, policy)
+                for mode in modes:
+                    reports[prefix + mode] = {
+                        "mse": [repr(float(v)) for v in report.mse[mode]],
+                        "d_selected": report.d_selected[mode],
+                    }
     return reports
 
 

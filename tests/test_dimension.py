@@ -22,6 +22,7 @@ from spatialsdr.dimension import (
 )
 from spatialsdr.exceptions import (
     CvFailedError,
+    DegenerateGridError,
     DuplicatePointsError,
     InputError,
     NearSingularCorrelationError,
@@ -36,7 +37,7 @@ from spatialsdr.rrr import SdrFit
 from spatialsdr.simulate import SimConfig, simulate_sample
 from spatialsdr.sscm import SscmFit
 
-from conftest import random_sample
+from conftest import poly_spec, random_sample
 
 
 def chi2_sf_even_dof_oracle(x: float, dof: int) -> float:
@@ -226,6 +227,12 @@ class TestSelectCv:
         failed = select_cv(random_sample(9, 2, seed=6), ["2k.Ind", "1k.SEM"], spec)
         assert all(isinstance(err, CvFailedError) and "n=9" in str(err) for err in failed)
         assert cv_of(random_sample(10, 2, seed=6), "2k.Ind", spec).d_star == 1
+
+    def test_unknown_mode_rejected_below_the_size_for_folds(self):
+        # the modes are checked before the size: at n = 9, too few for five
+        # folds of two points, an unknown mode raises as it does at n >= 10
+        with pytest.raises(InputError, match="unknown predictor mode 'bogus'"):
+            select_cv(random_sample(9, 2, seed=6), ["bogus"], BasisSpec("polynomial", 1))
 
     def test_seeded_folds_reproducible(self):
         sample = random_sample(50, 3, seed=8)
@@ -450,6 +457,42 @@ def test_coinciding_training_locations_fail_only_the_spatial_jobs(policy):
             assert isinstance(yhat, DuplicatePointsError), mode
         else:
             assert yhat.tobytes() == want[MODES.index(mode)].tobytes(), mode
+
+
+@pytest.mark.parametrize("jobs", [[("2k.FULL", 0)], [("1k.Ind", 1), ("2k.Ind", 1)], [("1k.FULL", 0)]])
+def test_coordinates_without_a_bandwidth_grid_fail_every_job(jobs):
+    # finite coordinates whose squared distances overflow have no finite h2 grid: every job of
+    # the call holds the DegenerateGridError, the one-kernel jobs too, as when n < 3
+    sample = random_sample(40, 3, seed=2)
+    sample = SpatialSample(Coordinates(sample.coords.points * 1e160), sample.x, sample.y)
+    train, test = sample.subset(np.arange(30)), sample.subset(np.arange(30, 40))
+    with np.errstate(over="ignore"):  # the squared distances overflow to inf
+        out = fit_and_predict(jobs, train, test, poly_spec(2))
+    assert len(out) == len(jobs)
+    assert all(isinstance(err, DegenerateGridError) and "finite median" in str(err) for err in out)
+
+
+def test_one_kernel_errors_are_one_computation_in_any_job_set(monkeypatch):
+    # the four 1k modes alone and all eight modes give each reference the same one-kernel
+    # LOO errors, bit for bit: every job set takes the one joint pass
+    searches, search = [], dimension.loo_search
+
+    def recorded(*args):
+        searches.append(search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(dimension, "loo_search", recorded)
+    one_kernel = [mode for mode in MODES if mode.startswith("1k")]
+    for seed in range(6):
+        sample = random_sample(60, 4, seed=seed)
+        train, test = sample.subset(np.arange(45)), sample.subset(np.arange(45, 60))
+        searches.clear()
+        for modes in (one_kernel, MODES):
+            fit_and_predict([(mode, 1) for mode in modes], train, test, poly_spec(2))
+        alone, joint = searches
+        assert len(alone) == len(joint) == 4
+        differing = [int(np.sum(a.errors[:, -1] != b.errors[:, -1])) for a, b in zip(alone, joint)]
+        assert differing == [0, 0, 0, 0], seed
 
 
 def test_independent_errors_lr_test_holds_its_size():

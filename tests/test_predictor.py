@@ -214,7 +214,7 @@ class TestLoocv:
         ref = reference(t[:, None], y, np.column_stack([t, np.zeros_like(t)]))
         grid = np.geomspace(0.005, 5.0, 25)
         pin_grids(monkeypatch, (ref.x, grid))
-        [search] = loo_search([ref], False)
+        [search] = loo_search([ref])
         h1, h2 = search.bandwidths(False)
         assert h2 is None
         assert grid[0] < h1 < grid[-1]
@@ -230,8 +230,8 @@ class TestLoocv:
         )
         grid = np.geomspace(1e-4, 2.0, 20)
         pin_grids(monkeypatch, (base.x, grid), (doubled.x, grid))
-        h_base, _ = loo_search([base], False)[0].bandwidths(False)
-        h_doubled, _ = loo_search([doubled], False)[0].bandwidths(False)
+        h_base, _ = loo_search([base])[0].bandwidths(False)
+        h_doubled, _ = loo_search([doubled])[0].bandwidths(False)
         assert h_doubled < h_base
 
     def test_tie_breaks_to_smaller_h1(self, monkeypatch):
@@ -239,7 +239,7 @@ class TestLoocv:
         ref = line_reference([0.0, 1.0, 2.0], responses=np.full(3, 2.0))
         grid = np.array([0.5, 1.0, 2.0])
         pin_grids(monkeypatch, (ref.x, grid))
-        [search] = loo_search([ref], False)
+        [search] = loo_search([ref])
         h1, _ = search.bandwidths(False)
         assert h1 == 0.5
 
@@ -271,8 +271,9 @@ def oracle_loo(d1, d2, y, h1_grid, h2_grid):
 
 
 def engine(ref, two_kernel):
-    """The search engine's errors and flags next to the oracle's predictions and flags."""
-    [search] = loo_search([ref], two_kernel)
+    """The search engine's errors and flags of one kernel count next to the oracle's predictions
+    and flags."""
+    [search] = loo_search([ref])
     return engine_columns(search, two_kernel), oracle_of(ref, search, two_kernel)
 
 
@@ -340,7 +341,7 @@ class TestLooEngine:
         # recomputed rows must leave the spatial kernel out
         ref, h1_grid, h2_grid = far_apart_reference()
         pin_grids(monkeypatch, (ref.x, h1_grid), (ref.coords.points, h2_grid))
-        [search] = loo_search([ref], True)
+        [search] = loo_search([ref])
         errors, fell_back = engine_columns(search, False)
         want, want_fb, _ = oracle_of(ref, search, False)
         assert want_fb.any() and not want_fb.all()
@@ -409,14 +410,6 @@ class TestLooEngine:
         ref = line_reference([0.0, 1.0, 3.0])
         with pytest.raises(InputError, match="share"):
             loo_search([ref, replace(ref, y=ref.y + 1.0)])
-
-    def test_one_kernel_search_has_no_two_kernel_bandwidths(self):
-        # its h2 grid is empty: a named error, not numpy's argmin of an empty sequence
-        ref = line_reference([0.0, 1.0, 3.0, 4.5])
-        [search] = loo_search([ref], False)
-        assert search.bandwidths(False)[1] is None
-        with pytest.raises(InputError, match="one-kernel search"):
-            search.bandwidths(True)
 
     def test_working_memory_of_a_replication_sized_search(self):
         # the four references of a SimConfig() training split (n = 280): the

@@ -360,8 +360,8 @@ def test_reports_are_the_same_with_numpys_own_factors(monkeypatch, model, policy
 @pytest.mark.parametrize("model", ["sscm", "sem"])
 @pytest.mark.parametrize("policy", ["fixed", "aic", "cv"])
 def test_one_kernel_modes_report_the_same_alone_and_with_every_mode(model, policy):
-    # alone, the one-kernel modes are tuned by the one-kernel LOO pass, and with the 2k modes by
-    # the joint pass; the two passes' errors may differ in their last bits, but no pick moves
+    # alone and with the 2k modes, the one-kernel modes are tuned by the same joint LOO pass, so
+    # their errors, picks and reports are the same bits by construction
     cfg = SimConfig(n=100, p=4, reps=2, model=model)
     one_kernel = [mode for mode in MODES if mode.startswith("1k")]
     alone, joint = run_experiment(cfg, one_kernel, policy), run_experiment(cfg, list(MODES), policy)

@@ -3,7 +3,8 @@ its moments, and one function of the package, the fit stage, calls ``rrr.profile
 reference is a ``SpatialSample``, and one Nadaraya-Watson rule serves prediction and the LOO
 search's rescue.  ``SdrFit.reduce`` is the one reduction, and ``rrr.profile`` reads each rank's
 pick off one table of log-likelihoods.  ``dimension.select_cv`` is the one cross-validation fold
-loop, and the LR rule's level is a module constant."""
+loop, and the LR rule's level is a module constant.  ``predictor.loo_search`` runs one joint LOO
+pass for every job set: it takes no kernel switch, and its pass has no one-kernel-only branch."""
 
 import ast
 from pathlib import Path
@@ -81,9 +82,9 @@ def test_the_profile_engine_picks_from_its_table_without_a_nested_function():
     assert nested == [engine]
 
 
-def dimension_def(name: str):
-    """The top-level definition of ``name`` in ``dimension.py``."""
-    tree = ast.parse((PACKAGE / "dimension.py").read_text())
+def definition(module: str, name: str):
+    """The top-level definition of ``name`` in the package's ``module``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     [node] = [node for node in tree.body if getattr(node, "name", None) == name]
     return node
 
@@ -99,10 +100,29 @@ def test_the_rank_policy_step_cross_validates_through_select_cv():
 
 
 def test_the_lr_rule_takes_no_level_and_no_sample_size():
-    args = dimension_def("select_lr").args
+    args = definition("dimension", "select_lr").args
     assert {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs} == {"logliks", "p", "r"}
 
 
 def test_a_dim_selection_has_no_level_field():
-    fields = {node.target.id for node in dimension_def("DimSelection").body if isinstance(node, ast.AnnAssign)}
+    fields = {node.target.id for node in definition("dimension", "DimSelection").body if isinstance(node, ast.AnnAssign)}
     assert fields == {"criterion", "d_star", "trace"}
+
+
+def test_the_loo_search_takes_the_references_alone():
+    args = definition("predictor", "loo_search").args
+    assert [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs] == ["refs"]
+    assert args.vararg is None and args.kwarg is None
+
+
+def test_the_fit_step_chooses_no_kernel_count_for_the_search():
+    tree = ast.parse((PACKAGE / "dimension.py").read_text())
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "arg", None)
+             for node in ast.walk(tree)}
+    assert "two_kernel" not in names
+
+
+def test_the_loo_pass_has_no_one_kernel_only_branch():
+    # an if statement on the h2 grid's size; the rescue's expression that picks a column's exponent may read it
+    tests = [node.test for node in ast.walk(definition("predictor", "_loo_pass")) if isinstance(node, ast.If)]
+    assert not [test for test in tests if "g2" in {getattr(node, "id", None) for node in ast.walk(test)}]
